@@ -14,12 +14,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 
 from .dynkin import DynkinTree, loewy_number, make_tree, tree_automorphisms
-from .errors import NotAPedigreeVector, WrongFamily
+from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from .knitting import dims_on_section, knit_and_knot
 from .mesh import starting_function
 from .ztquiver import (
+    AffineMap,
     Configuration,
     Pt,
     Residue,
@@ -50,7 +52,8 @@ class Pedigree:
 @lru_cache(maxsize=None)
 def enumerate_pedigrees(n: int) -> tuple[Pedigree, ...]:
     """All pedigrees with n nodes, ordered by beta-subtree size, then shape."""
-    assert n >= 1
+    if n < 1:
+        raise InvalidInput(f"a pedigree has at least one node, got n = {n}")
     if n == 1:
         return (Pedigree(),)
     out = []
@@ -176,12 +179,8 @@ def _acting_maps(tree: DynkinTree):
         bases = [("", extend_automorphism(tree, aut)) for aut in tree_automorphisms(tree)]
     for k in range(L):
         for tag, base in bases:
-
-            def shifted(i, x, base=base, k=k):
-                j, y = base(i, x)
-                return (j - k) % L, y
-
-            maps.append((f"tau^{k}{'*' + tag if tag else ''}", shifted))
+            name = f"tau^{k}{'*' + tag if tag else ''}"
+            maps.append((name, AffineMap.translation(tree, -k).compose(base).mod(L)))
     return maps
 
 
@@ -195,7 +194,7 @@ def _close_under_symmetry(tree: DynkinTree, seeds) -> set[frozenset[Residue]]:
             continue
         out.add(res)
         for _, m in maps:
-            img = frozenset(m(i, x) for i, x in res)
+            img = frozenset(starmap(m, res))
             if img not in out:
                 todo.append(img)
     return out
@@ -377,13 +376,13 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
             continue
         orbit = set()
         for _, m in maps:
-            orbit.add(frozenset(m(i, x) for i, x in cfg.residues))
+            orbit.add(frozenset(starmap(m, cfg.residues)))
         seen |= orbit
         rep = Configuration(tree, min(orbit, key=lambda r: tuple(sorted(r))))
         stab = tuple(
             name
             for name, m in maps
-            if frozenset(m(i, x) for i, x in rep.residues) == rep.residues
+            if frozenset(starmap(m, rep.residues)) == rep.residues
         )
         assert len(orbit) * len(stab) == len(maps), "orbit-stabilizer mismatch"
         out.append(ConfigurationClass(rep, len(orbit), stab))

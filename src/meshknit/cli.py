@@ -17,7 +17,7 @@ from importlib import resources
 from . import classify, knitting, mesh, present
 from .dotio import serialize_dot
 from .dynkin import flip_automorphism, loewy_number, rotation_automorphism, tree_automorphisms, tree_from_name
-from .errors import InvalidType, MeshknitError, UnknownExample
+from .errors import InvalidInput, InvalidType, MeshknitError, UnknownExample
 from .ztquiver import (
     AdmissibleGroup,
     Configuration,
@@ -102,6 +102,9 @@ def _cmd_knit(args) -> int:
 
 
 def _cmd_configs(args) -> int:
+    needed = "file" if args.action == "check" else "tree"
+    if getattr(args, needed) is None:
+        raise InvalidInput(f"configs {args.action} needs --{needed}")
     if args.action == "check":
         config = _load_config(args.file)
         ok, axiom = classify.check_combinatorial_configuration(config.tree, config.residues)

@@ -16,6 +16,10 @@ class InvalidType(MeshknitError):
     code = "INVALID_TYPE"
 
 
+class InvalidInput(MeshknitError):
+    code = "INVALID_INPUT"
+
+
 class EmptyRange(MeshknitError):
     code = "EMPTY_RANGE"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dynkin import DynkinTree, loewy_number
-from .errors import InvalidDimensionVector, NotSource
+from .errors import InvalidDimensionVector, InvalidInput, NotSource
 from .mesh import MeshTransporter, precedes
 from .ztquiver import (
     Configuration,
@@ -37,7 +37,12 @@ class DimensionVector:
     values: Vec
 
     def __post_init__(self):
-        assert len(self.values) == self.section.tree.rank
+        tree = self.section.tree
+        if len(self.values) != tree.rank:
+            raise InvalidInput(
+                f"dimension vector {self.values} has {len(self.values)} entries, "
+                f"{tree.name} needs {tree.rank}"
+            )
         if any(v < 1 for v in self.values):
             raise InvalidDimensionVector(f"dimension vector {self.values} has entries < 1")
 

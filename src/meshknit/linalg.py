@@ -50,18 +50,3 @@ class RationalEchelon:
         self.pivots[min(residue)] = residue
         return True
 
-
-def mat_vec(matrix: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    """Multiply a dense rational matrix by a vector."""
-    return [sum((r[j] * vec[j] for j in range(len(vec))), Fraction(0)) for r in matrix]
-
-
-def zero_matrix(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    m = zero_matrix(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .dynkin import DynkinTree, loewy_number
 from .errors import WindowTooSmall
 from .linalg import RationalEchelon
-from .ztquiver import Configuration, Pt, QuiverWindow, build_window
+from .ztquiver import AffineMap, Configuration, Pt, QuiverWindow, build_window
 
 
 class HomTable:
@@ -153,12 +153,7 @@ class MeshTransporter:
     def path_class(self, path: list[Pt]) -> list[Fraction]:
         """The class of a concrete path starting at the source."""
         assert path and path[0] == self.source
-        vec = [Fraction(1)]
-        for a, b in zip(path, path[1:]):
-            vec = self.apply_arrow(a, b, vec)
-            if not any(vec):
-                return vec
-        return vec
+        return self.transport([Fraction(1)], path)
 
     def transport(self, vec: list[Fraction], path: list[Pt]) -> list[Fraction]:
         """Push a class at ``path[0]`` along a path."""
@@ -168,19 +163,23 @@ class MeshTransporter:
                 return vec
         return vec
 
-    def nonzero_path(self, target: Pt) -> list[Pt] | None:
-        """The lexicographically smallest path with nonzero class, if any."""
-        if self.dim(target) == 0:
-            return None
-        ok = {p for p, d in self.dims.items() if d > 0}
-        reaches: set[Pt] = {target}
+    def _reaching(self, target: Pt) -> set[Pt]:
+        """Points of nonzero dimension with a path to ``target`` through such points."""
+        reaches = {target}
         frontier = [target]
         while frontier:
             p = frontier.pop()
             for w in self.window.in_nb[p]:
-                if w in ok and w not in reaches:
+                if self.dims.get(w, 0) > 0 and w not in reaches:
                     reaches.add(w)
                     frontier.append(w)
+        return reaches
+
+    def nonzero_path(self, target: Pt) -> list[Pt] | None:
+        """The lexicographically smallest path with nonzero class, if any."""
+        if self.dim(target) == 0:
+            return None
+        reaches = self._reaching(target)
         stack = [(self.source, [self.source], [Fraction(1)])]
         while stack:
             p, path, vec = stack.pop()
@@ -200,15 +199,7 @@ class MeshTransporter:
             return []
         found: list[list[Pt]] = []
         ech = RationalEchelon()
-        ok = {p for p, d in self.dims.items() if d > 0}
-        reaches: set[Pt] = {target}
-        frontier = [target]
-        while frontier:
-            p = frontier.pop()
-            for w in self.window.in_nb[p]:
-                if w in ok and w not in reaches:
-                    reaches.add(w)
-                    frontier.append(w)
+        reaches = self._reaching(target)
 
         def rec(p: Pt, path: list[Pt], vec: list[Fraction]) -> bool:
             if p == target:
@@ -284,10 +275,10 @@ def precedes(window: QuiverWindow, x: Pt, y: Pt) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _nu_inverse_table(tree: DynkinTree) -> dict[int, tuple[int, int]]:
-    """For each vertex v: nu^{-1}(0, v) as (slice, vertex)."""
+def _nu_inverse_map(tree: DynkinTree) -> AffineMap:
+    """nu^{-1} on stable points; (0, v) goes to the top of hom((0, v), -)."""
     L = loewy_number(tree)
-    table = {}
+    images = []
     for v in tree.vertices:
         src = Pt(0, v)
         hom = starting_function(tree, src)
@@ -295,27 +286,22 @@ def _nu_inverse_table(tree: DynkinTree) -> dict[int, tuple[int, int]]:
         want = lvl[src] + L - 1
         cands = [p for p in hom.support() if lvl[p] == want and not p.proj]
         assert len(cands) == 1, f"nu^-1({src}) not unique: {cands}"
-        table[v] = (cands[0].slice, cands[0].vertex)
-    return table
+        images.append(cands[0])
+    return AffineMap((0,) + tuple(p.slice for p in images), (0,) + tuple(p.vertex for p in images))
 
 
 def nu_inverse(tree: DynkinTree, p: Pt) -> Pt:
     """nu^{-1} on the stable quiver; on projectives it shifts by tau^{-L}."""
     if p.proj:
         return Pt(p.slice + loewy_number(tree), p.vertex, True)
-    j, w = _nu_inverse_table(tree)[p.vertex]
-    return Pt(p.slice + j, w)
+    return Pt(*_nu_inverse_map(tree)(p.slice, p.vertex))
 
 
 def nakayama(tree: DynkinTree, p: Pt) -> Pt:
     """The Nakayama automorphism nu; nu(x) precedes x and nu^2 = tau^(L-1)."""
     if p.proj:
         return Pt(p.slice - loewy_number(tree), p.vertex, True)
-    for v in tree.vertices:
-        j, w = _nu_inverse_table(tree)[v]
-        if w == p.vertex:
-            return Pt(p.slice - j, v)
-    raise AssertionError("nu table is not a bijection")
+    return Pt(*_nu_inverse_map(tree).inverse()(p.slice, p.vertex))
 
 
 # ---------------------------------------------------------------------------

@@ -144,26 +144,32 @@ def _validated_fundamental(config: Configuration, points) -> tuple[ProjectiveQui
     pq = ProjectiveQuiver(config, i_lo, i_hi)
     if any(p not in pq.nodes for p in fund):
         raise NotFundamental("some points are not projectives of the configuration")
-    fund_set = set(fund)
+    defect = _shape_defect(pq, _between_sets(pq), fund)
+    if defect:
+        raise NotFundamental(defect)
+    return pq, fund
+
+
+def _shape_defect(pq: ProjectiveQuiver, between, points: tuple[Pt, ...]) -> str | None:
+    """Why a projective set is not connected and convex in the quiver, or None."""
+    members = set(points)
     # connectivity in the underlying graph of the quiver
-    seen = {fund[0]}
-    todo = [fund[0]]
+    seen = {points[0]}
+    todo = [points[0]]
     while todo:
         p = todo.pop()
         for q in itertools.chain(pq.out_nb[p], pq.in_nb[p]):
-            if q in fund_set and q not in seen:
+            if q in members and q not in seen:
                 seen.add(q)
                 todo.append(q)
-    if seen != fund_set:
-        raise NotFundamental("points are not connected in the quiver")
+    if seen != members:
+        return "points are not connected in the quiver"
     # convexity: directed quiver paths between members stay inside
-    between = _between_sets(pq)
-    for p in fund:
-        for q in fund:
-            if p != q:
-                if not between.get((p, q), frozenset()) <= fund_set:
-                    raise NotFundamental(f"quiver path from {p} to {q} leaves the set")
-    return pq, fund
+    for p in points:
+        for q in points:
+            if p != q and not between.get((p, q), frozenset()) <= members:
+                return f"quiver path from {p} to {q} leaves the set"
+    return None
 
 
 def _between_sets(pq: ProjectiveQuiver) -> dict[tuple[Pt, Pt], frozenset[Pt]]:
@@ -201,25 +207,8 @@ def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
         cand = tuple(
             sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts))
         )
-        cand_set = set(cand)
-        seen = {cand[0]}
-        todo = [cand[0]]
-        while todo:
-            p = todo.pop()
-            for q in itertools.chain(pq.out_nb[p], pq.in_nb[p]):
-                if q in cand_set and q not in seen:
-                    seen.add(q)
-                    todo.append(q)
-        if seen != cand_set:
-            continue
-        if any(
-            not between.get((p, q), frozenset()) <= cand_set
-            for p in cand
-            for q in cand
-            if p != q
-        ):
-            continue
-        out.append(cand)
+        if _shape_defect(pq, between, cand) is None:
+            out.append(cand)
     return sorted(out)
 
 
@@ -460,37 +449,23 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     hom(p, g q) summed over the group, on orbit representatives."""
     tree = config.tree
     L = loewy_number(tree)
-    R = abs(group.pure_period(tree))
+    action = group.action(tree)
+    R = action.period
     window = build_window(tree, config, -1, R + 2 * L + 2)
     if not is_admissible(group, window):
         raise NotAdmissible(f"{group.name(tree)} is not admissible for this configuration")
 
-    reps: list[Pt] = []
-    seen: set[Pt] = set()
-    for i, x in config.lifts(0, R - 1):
-        p = Pt(i, x, True)
-        if p in seen:
-            continue
-        orbit = {p}
-        for k in range(1, 13):
-            q = group.apply(tree, p, k)
-            q = Pt(q.slice % R, q.vertex, True)
-            orbit.add(q)
-            if q == p:
-                break
-        seen |= orbit
-        reps.append(min(orbit))
-
+    # one orbit key per projective orbit, in the order the orbits are met
+    reps = list(
+        dict.fromkeys(action.representative(Pt(i, x, True)) for i, x in config.lifts(0, R - 1))
+    )
     matrix: dict[tuple[Pt, Pt], int] = {}
     for p in reps:
         tr = MeshTransporter(window, p)
         for q in reps:
-            total = 0
-            for k in range(-(2 * L // max(R, 1) + 4), 2 * L // max(R, 1) + 5):
-                target = group.apply(tree, q, k)
-                if target in window.points:
-                    total += tr.dim(target)
-            matrix[(p, q)] = total
+            matrix[(p, q)] = sum(
+                tr.dim(t) for t in action.points_between(q, window.i_min, window.i_max)
+            )
     return reps, matrix
 
 
@@ -813,6 +788,8 @@ def d3m_quotient_presentations(q: BrauerQuiver) -> tuple[QuiverPresentation, Qui
         seq = ring_labels[j:] + ("gamma",) + ring_labels[:j]
         return seq
 
+    by_label = {a.label: a for a in arrows}
+
     def relations_for(a_val: int) -> tuple[Relation, ...]:
         rels: list[Relation] = [
             ScaledCommuteRel(ring_labels, ("gamma", "gamma"), a_val),
@@ -850,9 +827,9 @@ def d3m_quotient_presentations(q: BrauerQuiver) -> tuple[QuiverPresentation, Qui
             if p == "c0":
                 continue
             for z in zs:
-                for lout in by_src.get(_arrow_end(arrows, z[-1]), ()):
+                for lout in by_src.get(by_label[z[-1]].dst, ()):
                     rels.append(ZeroRel(z + (lout,)))
-                for lin in by_dst.get(_arrow_start(arrows, z[0]), ()):
+                for lin in by_dst.get(by_label[z[0]].src, ()):
                     rels.append(ZeroRel((lin,) + z))
             if len(zs) == 2:
                 rels.append(CommuteRel(*sorted(zs)))
@@ -862,20 +839,6 @@ def d3m_quotient_presentations(q: BrauerQuiver) -> tuple[QuiverPresentation, Qui
     a0 = QuiverPresentation(points, arrows, relations_for(0), meta=dict(meta, a=0))
     a1 = QuiverPresentation(points, arrows, relations_for(1), meta=dict(meta, a=1))
     return a0, a1
-
-
-def _arrow_start(arrows, label: str) -> str:
-    for a in arrows:
-        if a.label == label:
-            return a.src
-    raise KeyError(label)
-
-
-def _arrow_end(arrows, label: str) -> str:
-    for a in arrows:
-        if a.label == label:
-            return a.dst
-    raise KeyError(label)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ windows ``[i_min, i_max]`` of slices.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from functools import lru_cache
+from itertools import starmap
+from typing import Iterable, NamedTuple
 
 from .dynkin import (
     DynkinTree,
@@ -24,7 +27,8 @@ from .dynkin import (
     make_tree,
     tree_automorphisms,
 )
-from .errors import EmptyRange, NotAdmissible, NotSink, NotSource, UndefinedTau, WindowTooSmall
+from .errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource
+from .errors import UndefinedTau, WindowTooSmall, WrongFamily
 
 Residue = tuple[int, int]
 
@@ -39,12 +43,6 @@ class Pt(NamedTuple):
     def __str__(self) -> str:
         tag = "_P" if self.proj else ""
         return f"{self.slice}_{self.vertex}{tag}"
-
-
-def tau_point(p: Pt, k: int = 1) -> Pt:
-    """tau^k on stable points."""
-    assert not p.proj
-    return Pt(p.slice - k, p.vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +105,10 @@ class Configuration:
 
     def shifted(self, k: int) -> "Configuration":
         """tau^k of the configuration (slices drop by k)."""
-        L = self.modulus
-        return Configuration(self.tree, {((i - k) % L, x) for i, x in self.residues})
+        return self.mapped(AffineMap.translation(self.tree, -k))
 
-    def mapped(self, point_map: Callable[[int, int], Residue]) -> "Configuration":
-        L = self.modulus
-        return Configuration(
-            self.tree, {(point_map(i, x)[0] % L, point_map(i, x)[1]) for i, x in self.residues}
-        )
+    def mapped(self, point_map: AffineMap) -> "Configuration":
+        return Configuration(self.tree, starmap(point_map, self.residues))
 
     def period(self) -> int:
         """Smallest e >= 1 with tau^e C = C; always a divisor of L."""
@@ -138,8 +132,12 @@ class Configuration:
     @staticmethod
     def from_json(text: str) -> "Configuration":
         data = json.loads(text)
-        tree = make_tree(data["tree"]["family"], int(data["tree"]["rank"]))
-        return Configuration(tree, {(int(i), int(x)) for i, x in data["points"]})
+        try:
+            tree = make_tree(data["tree"]["family"], int(data["tree"]["rank"]))
+            points = {(int(i), int(x)) for i, x in data["points"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"malformed configuration JSON: {type(exc).__name__} {exc}") from None
+        return Configuration(tree, points)
 
 
 def _as_residues(tree: DynkinTree, config) -> frozenset[Residue] | None:
@@ -334,10 +332,70 @@ def plus_admissible_enumeration(section: Section) -> list[int]:
 # ---------------------------------------------------------------------------
 # automorphisms of the translation quiver
 
-PointMap = Callable[[int, int], tuple[int, int]]
+
+@dataclass(frozen=True)
+class AffineMap:
+    """The point map ``(i, x) -> (i + shift[x], perm[x])``.
+
+    Tau, the extended graph automorphisms, the glide and every group
+    generator are of this form.  Both tuples are indexed by vertex; index 0
+    is unused and holds ``(0, 0)``, so composition needs no offsets.  With
+    ``modulus > 0`` image slices are reduced mod ``modulus``: the map then
+    acts on residues.
+    """
+
+    shift: tuple[int, ...]
+    perm: tuple[int, ...]
+    modulus: int = 0
+
+    @staticmethod
+    def translation(tree: DynkinTree, t: int) -> "AffineMap":
+        """tau^{-t}: every slice rises by t."""
+        return AffineMap((0,) + (t,) * tree.rank, tuple(range(tree.rank + 1)))
+
+    def __call__(self, i: int, x: int) -> Residue:
+        j = i + self.shift[x]
+        return (j % self.modulus if self.modulus else j), self.perm[x]
+
+    def mod(self, modulus: int) -> "AffineMap":
+        return AffineMap(self.shift, self.perm, modulus)
+
+    def compose(self, other: "AffineMap") -> "AffineMap":
+        """self after other."""
+        return AffineMap(
+            tuple(s + self.shift[y] for s, y in zip(other.shift, other.perm)),
+            tuple(self.perm[y] for y in other.perm),
+            self.modulus,
+        )
+
+    def _cycle(self, x: int) -> list[int]:
+        cycle = [x]
+        while self.perm[cycle[-1]] != x:
+            cycle.append(self.perm[cycle[-1]])
+        return cycle
+
+    @property
+    def order(self) -> int:
+        """The order of the vertex permutation."""
+        return math.lcm(*(len(self._cycle(x)) for x in range(len(self.perm))))
+
+    def power(self, k: int) -> "AffineMap":
+        """self^k for any integer k: along the cycle of x, k = q c + r steps
+        shift by q times the cycle sum plus the first r shifts."""
+        shift, perm = [], []
+        for x in range(len(self.perm)):
+            cycle = self._cycle(x)
+            steps = [self.shift[y] for y in cycle]
+            q, r = divmod(k, len(cycle))
+            shift.append(q * sum(steps) + sum(steps[:r]))
+            perm.append(cycle[r])
+        return AffineMap(tuple(shift), tuple(perm), self.modulus)
+
+    def inverse(self) -> "AffineMap":
+        return self.power(-1)
 
 
-def extend_automorphism(tree: DynkinTree, aut: TreeAutomorphism) -> PointMap:
+def extend_automorphism(tree: DynkinTree, aut: TreeAutomorphism) -> AffineMap:
     """Extend a tree automorphism to the translation quiver.
 
     The per-vertex slice correction keeps every arrow an arrow; it is the
@@ -345,38 +403,64 @@ def extend_automorphism(tree: DynkinTree, aut: TreeAutomorphism) -> PointMap:
     """
     depth = tree.depth
     kappa = (depth[aut(1)] - depth[1]) % 2
-    delta = {v: (depth[v] - depth[aut(v)] + kappa) // 2 for v in tree.vertices}
-
-    def point_map(i: int, x: int) -> tuple[int, int]:
-        return i + delta[x], aut(x)
-
-    return point_map
+    return AffineMap(
+        (0,) + tuple((depth[v] - depth[aut(v)] + kappa) // 2 for v in tree.vertices),
+        (0,) + aut.mapping,
+    )
 
 
-def glide_map(tree: DynkinTree) -> PointMap:
+def glide_map(tree: DynkinTree) -> AffineMap:
     """The glide reflection rho of Z A_{2n}; rho o rho = tau."""
-    assert tree.family == "A" and tree.rank % 2 == 0
+    if tree.family != "A" or tree.rank % 2:
+        raise WrongFamily(f"the glide reflection needs A_n with n even, got {tree.name}")
     n = tree.rank
-
-    def point_map(i: int, x: int) -> tuple[int, int]:
-        return i + x - 1 - n // 2, n + 1 - x
-
-    return point_map
-
-
-def _iterate(point_map: PointMap, k: int, i: int, x: int) -> tuple[int, int]:
-    for _ in range(k):
-        i, x = point_map(i, x)
-    return i, x
+    return AffineMap(
+        (0,) + tuple(x - 1 - n // 2 for x in tree.vertices),
+        (0,) + tuple(n + 1 - x for x in tree.vertices),
+    )
 
 
-def _invert_once(point_map: PointMap, tree: DynkinTree, i: int, x: int) -> tuple[int, int]:
-    # point maps are affine per source vertex, so invert by table lookup
-    for y in tree.vertices:
-        j0, img = point_map(0, y)
-        if img == x:
-            return i - j0, y
-    raise AssertionError("point map is not invertible")
+class GroupAction:
+    """The cyclic group generated by an affine map g, in closed form.
+
+    With d the order of g's vertex permutation, g^d is the pure translation
+    by T slices (g keeps arrows arrows, so g^d shifts every vertex alike),
+    and g^(q d + r) is g^r followed by q T slices.  ``powers`` holds
+    g^0 .. g^(d-1); ``period`` is |T|.
+    """
+
+    def __init__(self, g: AffineMap):
+        self.order = g.order
+        self.powers = [g.power(r) for r in range(self.order)]
+        self.translation = g.power(self.order).shift[1]
+        self.period = abs(self.translation)
+
+    def apply(self, p: Pt, k: int) -> Pt:
+        q, r = divmod(k, self.order)
+        g = self.powers[r]
+        return Pt(p.slice + g.shift[p.vertex] + q * self.translation, g.perm[p.vertex], p.proj)
+
+    def representative(self, p: Pt, lo: int = 0) -> Pt:
+        """The least point of p's orbit with slice in [lo, lo + period).
+
+        With ``lo = 0`` this is the canonical orbit key.  A finite orbit
+        (period 0) is represented by its least point.
+        """
+        x, P = p.vertex, self.period
+        if not P:
+            return min(Pt(p.slice + g.shift[x], g.perm[x], p.proj) for g in self.powers)
+        return min(
+            Pt(lo + (p.slice + g.shift[x] - lo) % P, g.perm[x], p.proj) for g in self.powers
+        )
+
+    def points_between(self, p: Pt, lo: int, hi: int) -> list[Pt]:
+        """The points of p's orbit with slice in [lo, hi]; needs period > 0."""
+        x, P = p.vertex, self.period
+        out = []
+        for g in self.powers:
+            first = lo + (p.slice + g.shift[x] - lo) % P
+            out.extend(Pt(j, g.perm[x], p.proj) for j in range(first, hi + 1, P))
+        return out
 
 
 def twist_label(tree: DynkinTree, aut: TreeAutomorphism) -> str:
@@ -411,43 +495,33 @@ class AdmissibleGroup:
         label = twist_label(tree, self.twist) if tree is not None else "twist"
         return f"tau^{self.tau_power}*{label}"
 
-    def generator_map(self, tree: DynkinTree) -> PointMap:
+    def generator_map(self, tree: DynkinTree) -> AffineMap:
         if self.glide:
             base = glide_map(tree)
         elif self.twist is not None:
             base = extend_automorphism(tree, self.twist)
         else:
-            base = lambda i, x: (i, x)
-        r = self.tau_power
+            base = AffineMap.translation(tree, 0)
+        return AffineMap.translation(tree, -self.tau_power).compose(base)
 
-        def point_map(i: int, x: int) -> tuple[int, int]:
-            j, y = base(i, x)
-            return j - r, y
-
-        return point_map
+    def action(self, tree: DynkinTree) -> GroupAction:
+        """The group's closed-form action on the translation quiver of ``tree``."""
+        return _group_action(self, tree)
 
     def pure_period(self, tree: DynkinTree) -> int:
         """The translation amount R of the smallest pure power generator^k = tau^R."""
-        g = self.generator_map(tree)
-        i, x = 0, 1
-        for k in range(1, 13):
-            i, x = g(i, x)
-            if x == 1 and all(_iterate(g, k, 0, v) == (i, v) for v in tree.vertices):
-                return -i
-        raise AssertionError("generator has no small pure power")
+        return -self.action(tree).translation
 
     def apply(self, tree: DynkinTree, p: Pt, k: int = 1) -> Pt:
-        g = self.generator_map(tree)
-        i, x = p.slice, p.vertex
-        if k >= 0:
-            i, x = _iterate(g, k, i, x)
-        else:
-            for _ in range(-k):
-                i, x = _invert_once(g, tree, i, x)
-        return Pt(i, x, p.proj)
+        return self.action(tree).apply(p, k)
 
     def stabilizes(self, config: Configuration) -> bool:
         return config.mapped(self.generator_map(config.tree)).residues == config.residues
+
+
+@lru_cache(maxsize=None)
+def _group_action(group: AdmissibleGroup, tree: DynkinTree) -> GroupAction:
+    return GroupAction(group.generator_map(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -509,42 +583,30 @@ def _acts_on_window(group: AdmissibleGroup, window: QuiverWindow) -> bool:
     point set onto itself."""
     if window.residues is None:
         return True
-    L = loewy_number(window.tree)
-    g = group.generator_map(window.tree)
-    image = frozenset((g(i, x)[0] % L, g(i, x)[1]) for i, x in window.residues)
-    return image == window.residues
+    g = group.generator_map(window.tree).mod(loewy_number(window.tree))
+    return frozenset(starmap(g, window.residues)) == window.residues
 
 
 def is_admissible(group: AdmissibleGroup, window: QuiverWindow) -> bool:
     """Orbit test: no orbit may meet ``{x} u x+`` or ``{x} u x-`` twice."""
     tree = window.tree
-    period = abs(group.pure_period(tree))
-    if window.i_max - window.i_min + 1 < period + 2:
+    action = group.action(tree)
+    if window.i_max - window.i_min + 1 < action.period + 2:
         raise WindowTooSmall(
             f"window of {window.i_max - window.i_min + 1} slices cannot hold a "
             f"fundamental domain of {group.name(tree)} plus margins"
         )
     if not _acts_on_window(group, window):
         return False
+    if not action.period:
+        return False  # finite orbits: a nontrivial power fixes every point
 
-    reach = 2 * loewy_number(tree) + 6
-
-    def same_orbit(u: Pt, v: Pt) -> bool:
-        for k in range(1, reach + 1):
-            if group.apply(tree, u, k) == v or group.apply(tree, u, -k) == v:
-                return True
-        return False
-
-    for p in sorted(window.points):
+    key = {p: action.representative(p) for p in window.points}
+    for p in window.points:
         for nbs in (window.out_nb[p], window.in_nb[p]):
-            cone = [p] + sorted(nbs)
-            for a_idx in range(len(cone)):
-                for b_idx in range(a_idx + 1, len(cone)):
-                    if same_orbit(cone[a_idx], cone[b_idx]):
-                        return False
-            for q in cone:
-                if same_orbit(q, q):  # unreachable for translations; guards twists
-                    return False
+            cone = [p, *nbs]
+            if len({key[q] for q in cone}) < len(cone):
+                return False
     return True
 
 
@@ -569,22 +631,13 @@ def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:
     tree = window.tree
     if not is_admissible(group, window):
         raise NotAdmissible(f"{group.name(tree)} is not admissible on this window")
-    period = abs(group.pure_period(tree))
+    action = group.action(tree)
+    period = action.period
     span = window.i_max - window.i_min + 1
     if span < 2 * period:
         raise WindowTooSmall("quotient needs a window of at least two periods")
     band_lo = window.i_min + (span - period) // 2
-
-    def orbit_rep(p: Pt) -> Pt:
-        best = None
-        for k in range(-2 * span, 2 * span + 1):
-            q = group.apply(tree, p, k)
-            if band_lo <= q.slice < band_lo + period and (best is None or q < best):
-                best = q
-        assert best is not None, f"orbit of {p} misses the representative band"
-        return best
-
-    rep = {p: orbit_rep(p) for p in window.points}
+    rep = {p: action.representative(p, band_lo) for p in window.points}
     points = tuple(sorted(set(rep.values())))
     arrows = tuple(sorted({(rep[a], rep[b]) for a, b in window.arrows}))
     tau = {}

@@ -167,3 +167,27 @@ def test_knit_with_explicit_section(capsys):
     )
     assert code == 0
     assert json.loads(out)["tree"] == {"family": "A", "rank": 3}
+
+
+NO_RANK = json.dumps({"tree": {"family": "A"}, "period": 2, "points": [[0, 1], [1, 2]]})
+
+
+@pytest.mark.parametrize(
+    "argv,file_text",
+    [
+        (["knit", "--tree", "A3", "--dims", "1,2"], None),
+        (["pedigree", "-n", "0"], None),
+        (["configs", "enumerate"], None),
+        (["configs", "check", "--file"], NO_RANK),
+        (["quotient", "--tree", "A3", "--group", "rho", "--range=-4,4"], None),
+    ],
+    ids=["knit-short-dims", "pedigree-zero", "enumerate-no-tree", "check-no-rank", "glide-odd-a"],
+)
+def test_malformed_input_is_a_typed_error(tmp_path, capsys, argv, file_text):
+    if file_text is not None:
+        path = tmp_path / "c.json"
+        path.write_text(file_text)
+        argv = argv + [str(path)]
+    code, _, err = run_capture(capsys, argv)
+    assert code == 2
+    assert err.startswith("error[") and "Traceback" not in err

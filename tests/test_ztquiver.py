@@ -1,9 +1,10 @@
 import pytest
 
-from meshknit.dynkin import make_tree, tree_automorphisms
+from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, NotAdmissible, NotSink, NotSource, UndefinedTau, WindowTooSmall
 from meshknit.ztquiver import (
     AdmissibleGroup,
+    AffineMap,
     Configuration,
     Pt,
     Section,
@@ -282,3 +283,90 @@ def test_period_one_line_configuration():
 
     assert check_combinatorial_configuration(tree, line.residues) == (True, None)
     assert line.period() == 1
+
+
+# ---------------------------------------------------------------------------
+# the closed-form group action against step-by-step iteration
+
+ALL_TREES = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
+)
+
+
+def _groups(tree):
+    """tau powers {0, 1, L, 2L}, each with every twist and, on even A, the glide."""
+    L = loewy_number(tree)
+    for r in sorted({0, 1, L, 2 * L}):
+        for aut in tree_automorphisms(tree):
+            yield AdmissibleGroup(r, aut)
+        if tree.family == "A" and tree.rank % 2 == 0:
+            yield AdmissibleGroup(r, glide=True)
+
+
+def _invert_by_scan(g, tree, i, x):
+    """One step of g^-1: find the vertex g sends to x."""
+    for y in tree.vertices:
+        j0, img = g(0, y)
+        if img == x:
+            return i - j0, y
+    raise AssertionError("point map is not invertible")
+
+
+def _steps(g, tree):
+    """g and g^-1 as one-step maps on (slice, vertex)."""
+    return g, lambda i, x: _invert_by_scan(g, tree, i, x)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
+def test_closed_form_apply_matches_iteration(family, rank):
+    tree = make_tree(family, rank)
+    identity = AffineMap.translation(tree, 0)
+    for group in _groups(tree):
+        g = group.generator_map(tree)
+        assert g.compose(g.inverse()) == identity == g.inverse().compose(g)
+        for v in tree.vertices:
+            p = Pt(3, v, v % 2 == 0)
+            assert group.apply(tree, p, 0) == p
+            for sign, step in zip((1, -1), _steps(g, tree)):
+                i, x = p.slice, p.vertex
+                for k in range(1, 51):
+                    i, x = step(i, x)
+                    assert group.apply(tree, p, sign * k) == Pt(i, x, p.proj), (group, p, k)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
+def test_orbit_key_matches_brute_force_orbits(family, rank):
+    tree = make_tree(family, rank)
+    lo, hi = 0, 3
+    window = [Pt(i, v) for i in range(lo, hi + 1) for v in tree.vertices]
+    for group in _groups(tree):
+        g = group.generator_map(tree)
+        # reference order d and translation T of g^d, by iteration
+        images = {v: (0, v) for v in tree.vertices}
+        d, smax = 0, 0
+        while True:
+            images = {v: g(*images[v]) for v in tree.vertices}
+            d += 1
+            if all(y == v for v, (_, y) in images.items()):
+                break
+            smax = max(smax, *(abs(j) for j, _ in images.values()))
+        T = images[1][0]
+        assert group.pure_period(tree) == -T
+        # g^(q d + r) p can lie in the window only while |q T| <= hi - lo + smax
+        bound = d * ((hi - lo + smax) // max(abs(T), 1) + 2)
+        action = group.action(tree)
+        key = {p: action.representative(p) for p in window}
+        for p in window:
+            orbit = {p}
+            for step in _steps(g, tree):
+                i, x = p.slice, p.vertex
+                for _ in range(bound):
+                    i, x = step(i, x)
+                    if lo <= i <= hi:
+                        orbit.add(Pt(i, x))
+            assert {q for q in window if key[q] == key[p]} == orbit, (group, p)
+            if T:
+                for band_lo in (-2, 1):
+                    rep = action.representative(p, band_lo)
+                    assert band_lo <= rep.slice < band_lo + abs(T)
+                    assert action.representative(rep) == key[p]
