@@ -11,7 +11,6 @@ point sets satisfying the two combinatorial axioms
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
@@ -247,15 +246,7 @@ def _pattern_vectors(tree: DynkinTree) -> list[tuple[int, ...]]:
 
 def _enumerate_patterns(tree: DynkinTree) -> set[frozenset[Residue]]:
     section = equioriented_section(tree)
-    vectors = _pattern_vectors(tree)
-    threads = int(os.environ.get("MESHKNIT_THREADS", "1") or "1")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            seeds = set(pool.map(lambda v: knit_and_knot(tree, section, v).residues, vectors))
-    else:
-        seeds = {knit_and_knot(tree, section, vec).residues for vec in vectors}
+    seeds = {knit_and_knot(tree, section, vec).residues for vec in _pattern_vectors(tree)}
     if tree.family == "A":
         return seeds  # already complete: patterns biject with configurations
     return _close_under_symmetry(tree, seeds)
@@ -311,14 +302,13 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
     """All configurations of the tree, by knitting patterns or brute force.
 
     Both methods return the same set; the test suite cross-validates them.
-    Brute force over E7/E8 takes minutes and must be opted into by setting
-    MESHKNIT_ALLOW_SLOW=1.
+    Brute force is the faster method on the exceptional trees (seconds for
+    E8); patterns over E7/E8 spend most of their time in the
+    :func:`dims_on_section` calls that seed the one-point extensions.
     """
     if method == "patterns":
         residue_sets = _enumerate_patterns(tree)
     elif method == "bruteforce":
-        if tree.family == "E" and tree.rank >= 7 and os.environ.get("MESHKNIT_ALLOW_SLOW") != "1":
-            raise WrongFamily("brute force over E7/E8 takes minutes; set MESHKNIT_ALLOW_SLOW=1")
         residue_sets = _enumerate_bruteforce(tree)
     else:
         raise ValueError(f"unknown method {method!r}")

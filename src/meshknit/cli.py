@@ -158,7 +158,13 @@ def _cmd_present(args) -> int:
             for p in knitting.fundamental_domain_points(config, section)
         ]
     else:
-        fund = list(present.fundamental_algebras(config)[int(args.fundamental)])
+        algebras = present.fundamental_algebras(config)
+        if not (args.fundamental.isdecimal() and int(args.fundamental) < len(algebras)):
+            raise InvalidInput(
+                f"--fundamental must be 'auto' or an index in [0, {len(algebras)}), "
+                f"got {args.fundamental!r}"
+            )
+        fund = list(algebras[int(args.fundamental)])
     if args.quotient == "nu":
         pres = present.trivial_extension_presentation(config, fund)
     else:

@@ -12,10 +12,11 @@ dimensions off a section of a configuration inverts the construction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .dynkin import DynkinTree, loewy_number
-from .errors import InvalidDimensionVector, InvalidInput, NotSource
+from .errors import InvalidDimensionVector, InvalidInput
 from .mesh import MeshTransporter, precedes
 from .ztquiver import (
     Configuration,
@@ -58,18 +59,16 @@ class PropagationStep:
     projective_dim: int | None = None
 
 
-def _mesh_count(section: Section, values: Vec, x: int) -> int:
-    nbrs = section.tree.neighbors[x]
-    return -values[x - 1] + sum(values[y - 1] for y in nbrs)
+def _mesh_count(values: Sequence[int], x: int, nbrs: tuple[int, ...]) -> int:
+    """The mesh count at source ``x``: its neighbors' values minus its own."""
+    return sum(values[y - 1] for y in nbrs) - values[x - 1]
 
 
 def propagate_dims(d: DimensionVector, x: int) -> PropagationStep:
     """One knit-or-knot move at a source vertex of the section."""
     section = d.section
-    if x not in section.sources():
-        raise NotSource(f"vertex {x} is not a source of the section")
-    s = _mesh_count(section, d.values, x)
-    new_section = section_move(section, x, "plus")
+    new_section = section_move(section, x, "plus")  # raises NotSource
+    s = _mesh_count(d.values, x, section.tree.neighbors[x])
     values = list(d.values)
     if s > 0:
         values[x - 1] = s
@@ -102,66 +101,59 @@ class Pattern:
         return frozenset(self.dims)
 
 
-class _Frontier:
-    """A moving section fragment over a shrinking set of live orbits.
+def _knit_toward(
+    tree: DynkinTree, section: Section, dims: Vec, d: int, budget: int
+) -> tuple[set[Pt], dict[Pt, int]]:
+    """Knit from the section backward (``d = -1``) or forward (``d = 1``)
+    until every orbit has ended; return the end points and all dimensions.
 
-    Canonical edges always satisfy lo < hi numerically, so the predecessors
-    of a point ``(l, x)`` sit at ``(l, y)`` for neighbors ``y < x`` and at
-    ``(l - 1, y)`` for ``y > x``; successors mirror this.
+    The live orbits form a moving section fragment; each step moves its
+    least live sink (backward) or source (forward).  Canonical edges satisfy
+    lo < hi, so the neighbor over ``y`` of a point ``(l, x)`` in direction
+    ``d`` sits at slice ``l + off``: ``off = (y < x)`` forward and
+    ``-(y > x)`` backward.  The mover's arrows to live neighbors all point
+    along ``d``; along an edge pointing the other way the slice difference
+    is ``off - d``.
     """
+    name = "forward" if d > 0 else "backward"
+    nbrs = {
+        x: tuple((y, (y < x) if d > 0 else -(y > x)) for y in ys)
+        for x, ys in tree.neighbors.items()
+    }
+    levels = [0, *section.levels]
+    values = [0, *dims]
+    live = [False] + [True] * tree.rank
+    recorded = {Pt(levels[v], v): values[v] for v in tree.vertices}
+    ends: set[Pt] = set()
 
-    def __init__(self, tree: DynkinTree, section: Section, values: Vec):
-        self.tree = tree
-        self.levels = {v: section.slice_of(v) for v in tree.vertices}
-        self.values = {v: values[v - 1] for v in tree.vertices}
-        self.live = set(tree.vertices)
-        self.recorded: dict[Pt, int] = {
-            section.point_of(v): values[v - 1] for v in tree.vertices
-        }
+    def can_move(x: int) -> bool:
+        l = levels[x]
+        for y, off in nbrs[x]:
+            if live[y] and levels[y] - l != off:
+                assert levels[y] - l == off - d, "live fragment lost sectional shape"
+                return False
+        return True
 
-    def _arrow_from(self, a: int, b: int) -> bool:
-        """Does the fragment contain an arrow a -> b (a, b adjacent)?"""
-        lo, hi = min(a, b), max(a, b)
-        dl = self.levels[lo] - self.levels[hi]
-        assert dl in (0, 1), "live fragment lost sectional shape"
-        source = lo if dl == 0 else hi
-        return a == source
-
-    def live_sinks(self) -> list[int]:
-        return [
-            x
-            for x in sorted(self.live)
-            if all(
-                not self._arrow_from(x, y)
-                for y in self.tree.neighbors[x]
-                if y in self.live
+    steps = 0
+    while len(ends) < tree.rank:
+        steps += 1
+        if steps > budget:
+            raise InvalidDimensionVector(f"{name} knitting does not terminate")
+        x = next(v for v in tree.vertices if live[v] and can_move(v))
+        l = levels[x]
+        s = sum(recorded.get(Pt(l + off, y), 0) for y, off in nbrs[x]) - values[x]
+        if s >= 1:
+            levels[x] = l + d
+            values[x] = s
+            recorded[Pt(l + d, x)] = s
+        elif s == -1:
+            ends.add(Pt(l, x))
+            live[x] = False
+        else:
+            raise InvalidDimensionVector(
+                f"{name} count {s} at vertex {x}: not a pattern vector"
             )
-        ]
-
-    def live_sources(self) -> list[int]:
-        return [
-            x
-            for x in sorted(self.live)
-            if all(
-                self._arrow_from(x, y)
-                for y in self.tree.neighbors[x]
-                if y in self.live
-            )
-        ]
-
-    def predecessor_sum(self, x: int) -> int:
-        l = self.levels[x]
-        return sum(
-            self.recorded.get(Pt(l, y) if y < x else Pt(l - 1, y), 0)
-            for y in self.tree.neighbors[x]
-        )
-
-    def successor_sum(self, x: int) -> int:
-        l = self.levels[x]
-        return sum(
-            self.recorded.get(Pt(l, y) if y > x else Pt(l + 1, y), 0)
-            for y in self.tree.neighbors[x]
-        )
+    return ends, recorded
 
 
 def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
@@ -173,53 +165,10 @@ def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
     steps, rejects the vector.
     """
     DimensionVector(section, dims)  # validates positivity
-    L = loewy_number(tree)
-    budget = 6 * L * tree.rank
-    projectives: set[Pt] = set()
-    injectives: set[Pt] = set()
-
-    back = _Frontier(tree, section, dims)
-    steps = 0
-    while back.live:
-        steps += 1
-        if steps > budget:
-            raise InvalidDimensionVector("backward knitting does not terminate")
-        x = back.live_sinks()[0]
-        s = back.predecessor_sum(x) - back.values[x]
-        if s >= 1:
-            back.levels[x] -= 1
-            back.values[x] = s
-            back.recorded[Pt(back.levels[x], x)] = s
-        elif s == -1:
-            projectives.add(Pt(back.levels[x], x))
-            back.live.discard(x)
-        else:
-            raise InvalidDimensionVector(
-                f"backward count {s} at vertex {x}: not a pattern vector"
-            )
-
-    fwd = _Frontier(tree, section, dims)
-    steps = 0
-    while fwd.live:
-        steps += 1
-        if steps > budget:
-            raise InvalidDimensionVector("forward knitting does not terminate")
-        x = fwd.live_sources()[0]
-        s = fwd.successor_sum(x) - fwd.values[x]
-        if s >= 1:
-            fwd.levels[x] += 1
-            fwd.values[x] = s
-            fwd.recorded[Pt(fwd.levels[x], x)] = s
-        elif s == -1:
-            injectives.add(Pt(fwd.levels[x], x))
-            fwd.live.discard(x)
-        else:
-            raise InvalidDimensionVector(
-                f"forward count {s} at vertex {x}: not a pattern vector"
-            )
-
-    all_dims = dict(back.recorded)
-    all_dims.update(fwd.recorded)
+    budget = 6 * loewy_number(tree) * tree.rank
+    projectives, all_dims = _knit_toward(tree, section, dims, -1, budget)
+    injectives, forward_dims = _knit_toward(tree, section, dims, 1, budget)
+    all_dims.update(forward_dims)
     for v in tree.vertices:
         lo = min(p.slice for p in projectives if p.vertex == v)
         hi = max(p.slice for p in injectives if p.vertex == v)
@@ -271,33 +220,35 @@ def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configurati
     """
     knit_pattern(tree, section, dims)  # raises on invalid vectors
     L = loewy_number(tree)
-    r = tree.rank
     max_shifts = 6 * L
+    # Every pass raises each level by one, so each later pass starts from a
+    # translate of the section and the same source order is valid again.
+    order = plus_admissible_enumeration(section)
+    sweep = [(x, section.slice_of(x), tree.neighbors[x]) for x in order]
     trace = KnitTrace(section0=section, order=[])
-    current = DimensionVector(section, dims)
+    cells, knots, projective_dims = trace.cells, trace.knots, trace.projective_dims
     for v in tree.vertices:
-        trace.cells[section.point_of(v)] = dims[v - 1]
+        cells[section.point_of(v)] = dims[v - 1]
     trace.shift_vectors.append(dims)
+    values = list(dims)
 
     detected: int | None = None
     shift = 0
     while True:
-        for x in plus_admissible_enumeration(current.section):
-            trace.order.append(x)
-            step = propagate_dims(current, x)
-            if step.verdict == "knot":
-                s = _mesh_count(current.section, current.values, x)
+        for x, level, nbrs in sweep:
+            s = _mesh_count(values, x, nbrs)
+            if s > 0:
+                values[x - 1] = s
+            else:
+                p = Pt(level + shift, x)
                 if s != -1:
-                    raise InvalidDimensionVector(
-                        f"knot count {s} at {step.config_point}: vector is inconsistent"
-                    )
-                trace.knots.append(step.config_point)
-                trace.projective_dims[step.config_point] = step.projective_dim
-            current = step.result
-            moved = current.section.point_of(x)
-            trace.cells[moved] = current.value(x)
+                    raise InvalidDimensionVector(f"knot count {s} at {p}: vector is inconsistent")
+                knots.append(p)
+                projective_dims[p] = values[x - 1] + 1
+            cells[Pt(level + shift + 1, x)] = values[x - 1]
+        trace.order.extend(order)
         shift += 1
-        trace.shift_vectors.append(current.values)
+        trace.shift_vectors.append(tuple(values))
         if detected is None and shift >= L and trace.shift_vectors[shift] == trace.shift_vectors[shift - L]:
             detected = shift
             trace.periodic_after = detected

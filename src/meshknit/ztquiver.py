@@ -252,7 +252,11 @@ class Section:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.levels) == self.tree.rank
+        if len(self.levels) != self.tree.rank:
+            raise InvalidInput(
+                f"section levels {self.levels} have {len(self.levels)} entries, "
+                f"{self.tree.name} needs {self.tree.rank}"
+            )
         for lo, hi in self.tree.edges:
             if self.slice_of(lo) - self.slice_of(hi) not in (0, 1):
                 raise ValueError(f"levels {self.levels} do not form a section")

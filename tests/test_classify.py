@@ -210,9 +210,7 @@ def test_e7_cross_method():
     assert pats == brute
 
 
-def test_thread_cap_gives_same_result(monkeypatch):
-    monkeypatch.setenv("MESHKNIT_THREADS", "2")
-    threaded = {c.residues for c in enumerate_configurations(make_tree("A", 4))}
-    monkeypatch.delenv("MESHKNIT_THREADS")
-    plain = {c.residues for c in enumerate_configurations(make_tree("A", 4))}
-    assert threaded == plain
+def test_e7_bruteforce_needs_no_opt_in(monkeypatch):
+    """Brute force is the fast method and runs without any environment switch."""
+    monkeypatch.delenv("MESHKNIT_ALLOW_SLOW", raising=False)
+    assert len(enumerate_configurations(make_tree("E", 7), "bruteforce")) == 2431

@@ -170,6 +170,8 @@ def test_knit_with_explicit_section(capsys):
 
 
 NO_RANK = json.dumps({"tree": {"family": "A"}, "period": 2, "points": [[0, 1], [1, 2]]})
+# an A3 configuration with three fundamental algebras
+A3_CONFIG = json.dumps({"tree": {"family": "A", "rank": 3}, "period": 3, "points": [[0, 3], [1, 3], [2, 3]]})
 
 
 @pytest.mark.parametrize(
@@ -180,8 +182,20 @@ NO_RANK = json.dumps({"tree": {"family": "A"}, "period": 2, "points": [[0, 1], [
         (["configs", "enumerate"], None),
         (["configs", "check", "--file"], NO_RANK),
         (["quotient", "--tree", "A3", "--group", "rho", "--range=-4,4"], None),
+        (["knit", "--tree", "A3", "--section", "0,0", "--dims", "1,2,3"], None),
+        (["present", "--fundamental", "9", "--config"], A3_CONFIG),
+        (["present", "--fundamental=-1", "--config"], A3_CONFIG),
     ],
-    ids=["knit-short-dims", "pedigree-zero", "enumerate-no-tree", "check-no-rank", "glide-odd-a"],
+    ids=[
+        "knit-short-dims",
+        "pedigree-zero",
+        "enumerate-no-tree",
+        "check-no-rank",
+        "glide-odd-a",
+        "knit-short-section",
+        "present-fundamental-too-large",
+        "present-fundamental-negative",
+    ],
 )
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, argv, file_text):
     if file_text is not None:

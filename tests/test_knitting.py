@@ -13,7 +13,7 @@ from meshknit.knitting import (
     knit_run,
     propagate_dims,
 )
-from meshknit.ztquiver import Pt, Section, equioriented_section
+from meshknit.ztquiver import Pt, Section, equioriented_section, plus_admissible_enumeration
 
 A2 = make_tree("A", 2)
 A7 = make_tree("A", 7)
@@ -195,3 +195,44 @@ def test_carpet_cells_equal_hom_sums(fig4):
         assert total == val, (p, val, total)
         checked += 1
     assert checked >= 2 * L * tree.rank
+
+
+def _assert_mesh_relation_on_carpet(tree, section, dims):
+    """Check a knit run against the mesh relation alone: across the mesh
+    from (l, x) to (l + 1, x), the two ends sum to the middle points plus
+    the projective-injective inserted at a knot."""
+    _, trace = knit_run(tree, section, dims)
+    order = plus_admissible_enumeration(section)
+    passes = len(trace.shift_vectors) - 1
+    assert trace.order == order * passes
+    cells = trace.cells
+    checked = 0
+    for (l1, x, _), end in cells.items():
+        start = cells.get(Pt(l1 - 1, x))
+        if start is None:
+            assert Pt(l1, x) == section.point_of(x)
+            continue
+        middle = [Pt(l1 - 1, y) if y > x else Pt(l1, y) for y in tree.neighbors[x]]
+        assert start + end == sum(cells[m] for m in middle) + trace.projective_dims.get(
+            Pt(l1 - 1, x), 0
+        ), (dims, l1, x)
+        checked += 1
+    assert checked == passes * tree.rank
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])
+def test_carpets_satisfy_the_mesh_relation(name):
+    from meshknit.classify import _pattern_vectors
+
+    tree = make_tree(name[0], int(name[1]))
+    section = equioriented_section(tree)
+    for dims in _pattern_vectors(tree):
+        _assert_mesh_relation_on_carpet(tree, section, dims)
+
+
+@pytest.mark.parametrize("name,levels", [("A5", (1, 0, 0, -1, -1)), ("D5", (1, 0, 0, -1, 0))])
+def test_carpets_on_a_staggered_section_satisfy_the_mesh_relation(name, levels, configs_cache):
+    tree = make_tree(name[0], int(name[1]))
+    section = Section(tree, levels)
+    for config in configs_cache(name):
+        _assert_mesh_relation_on_carpet(tree, section, dims_on_section(config, section))
