@@ -21,6 +21,7 @@ from .mesh import MeshTransporter, precedes
 from .ztquiver import (
     Configuration,
     Pt,
+    QuiverWindow,
     Section,
     build_window,
     plus_admissible_enumeration,
@@ -301,6 +302,11 @@ def _point_leq_section(window, p: Pt, section: Section) -> bool:
 def fundamental_domain_points(config: Configuration, section: Section) -> list[Pt]:
     """Configuration points between the Nakayama shift of a section and the
     section itself (inclusive behind, exclusive on the section)."""
+    return _domain_and_window(config, section)[0]
+
+
+def _domain_and_window(config: Configuration, section: Section) -> tuple[list[Pt], QuiverWindow]:
+    """The fundamental domain behind a section and the window it was found in."""
     tree = config.tree
     L = loewy_number(tree)
     lo = min(section.levels) - L - 1
@@ -319,19 +325,14 @@ def fundamental_domain_points(config: Configuration, section: Section) -> list[P
     assert len(domain) == tree.rank, (
         f"fundamental domain holds {len(domain)} configuration points, expected {tree.rank}"
     )
-    return domain
+    return domain, window
 
 
 def dims_on_section(config: Configuration, section: Section) -> Vec:
     """Total dimensions over the section: row sums of hom from the
     projectives of the fundamental domain one Nakayama period behind it."""
     tree = config.tree
-    L = loewy_number(tree)
-    domain = fundamental_domain_points(config, section)
-    lo = min(section.levels) - L - 1
-    hi = max(section.levels) + 1
-    window = build_window(tree, config, lo, hi)
-
+    domain, window = _domain_and_window(config, section)
     values = [0] * tree.rank
     for c in domain:
         tr = MeshTransporter(window, Pt(c.slice, c.vertex, True))

@@ -7,7 +7,8 @@ Two independent routes compute ``dim k(window)(x, y)``:
 * :class:`MeshTransporter` / :func:`hom_dim_oracle` -- exact rational linear
   algebra: the space spanned by paths modulo the subspace generated by the
   mesh sums, built level by level (dimension = path count minus the rank of
-  the relation rows).
+  the relation rows).  Entries are ``int`` unless a pivot scaling left a
+  ``Fraction``, so matrices of 0 and +-1 never touch ``Fraction``.
 
 The two must agree everywhere; the test suite enforces this, the library
 never cross-checks at runtime.  The transporter additionally carries the
@@ -17,12 +18,11 @@ arrow matrices of the quotient functor, which is what composition tests
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import WindowTooSmall
-from .linalg import RationalEchelon
+from .linalg import RationalEchelon, Scalar
 from .ztquiver import AffineMap, Configuration, Pt, QuiverWindow, build_window
 
 
@@ -82,7 +82,8 @@ class MeshTransporter:
     For every window point ``p`` a basis of the quotient of the path space
     by the mesh relations is fixed, and every arrow ``w -> p`` carries the
     induced rational matrix.  Classes of concrete paths are obtained by
-    multiplying those matrices; a class is a plain list of Fractions.
+    multiplying those matrices; a class is a list of exact scalars (``int``
+    or ``Fraction``), and the class of the source is ``[1]``.
     """
 
     def __init__(self, window: QuiverWindow, source: Pt):
@@ -91,7 +92,7 @@ class MeshTransporter:
         self.window = window
         self.source = source
         self.dims: dict[Pt, int] = {}
-        self.arrow_matrix: dict[tuple[Pt, Pt], list[list[Fraction]]] = {}
+        self.arrow_matrix: dict[tuple[Pt, Pt], list[list[Scalar]]] = {}
         lvl = window.level
         for p in sorted(window.points, key=lambda q: (lvl[q], q)):
             if p == source:
@@ -114,48 +115,60 @@ class MeshTransporter:
             ech = RationalEchelon()
             tz = None if p.proj else window.tau.get(p)
             if tz is not None and self.dims.get(tz, 0) > 0:
-                dtz = self.dims[tz]
-                for j in range(dtz):
-                    row: dict[int, Fraction] = {}
-                    unit = [Fraction(0)] * dtz
-                    unit[j] = Fraction(1)
+                # the mesh relations at p: the images of the basis of tz
+                for j in range(self.dims[tz]):
+                    row: dict[int, Scalar] = {}
                     for w in ins:
-                        mat = self.arrow_matrix.get((tz, w))
-                        if mat is None:
-                            continue
-                        img = [sum((r[c] * unit[c] for c in range(dtz)), Fraction(0)) for r in mat]
-                        for i, v in enumerate(img):
-                            if v:
-                                row[offsets[w] + i] = v
+                        for i, r in enumerate(self.arrow_matrix.get((tz, w), ())):
+                            if r[j]:
+                                row[offsets[w] + i] = r[j]
                     ech.insert(row)
-            free_cols = [c for c in range(total) if c not in _pivot_cols(ech)]
-            self.dims[p] = len(free_cols)
-            for w in ins:
-                mat = []
-                for c_local in range(self.dims[w]):
-                    col = {offsets[w] + c_local: Fraction(1)}
-                    reduced = _reduce_full(ech, col)
-                    mat.append([reduced.get(c, Fraction(0)) for c in free_cols])
-                # mat currently holds columns; transpose to rows
-                self.arrow_matrix[(w, p)] = [
-                    [mat[c][r] for c in range(self.dims[w])] for r in range(len(free_cols))
-                ]
+            piv = ech.pivots
+            free = [c for c in range(total) if c not in piv]
+            self.dims[p] = len(free)
+            # the quotient map: e_c for a free column c, -row_c for a pivot one
+            quot = [
+                [-piv[c].get(f, 0) if c in piv else int(c == f) for c in range(total)]
+                for f in free
+            ]
+            for w, d in zip(ins, widths):
+                off = offsets[w]
+                self.arrow_matrix[(w, p)] = [row[off : off + d] for row in quot]
+
+    def translated(self, shift: int) -> MeshTransporter:
+        """The transporter from the source moved up ``shift`` slices, a
+        non-negative multiple of the configuration's period, in the same
+        window.  A value at q depends only on the points between the source
+        and q, so the translate shares the matrices and does no arithmetic."""
+
+        def up(p: Pt) -> Pt:
+            return Pt(p.slice + shift, p.vertex, p.proj)
+
+        pts = self.window.points
+        tr = object.__new__(MeshTransporter)
+        tr.window = self.window
+        tr.source = up(self.source)
+        tr.dims = {q: d for p, d in self.dims.items() if (q := up(p)) in pts}
+        tr.arrow_matrix = {
+            (up(a), q): m for (a, b), m in self.arrow_matrix.items() if (q := up(b)) in pts
+        }
+        return tr
 
     def dim(self, p: Pt) -> int:
         return self.dims.get(p, 0)
 
-    def apply_arrow(self, a: Pt, b: Pt, vec: list[Fraction]) -> list[Fraction]:
+    def apply_arrow(self, a: Pt, b: Pt, vec: list[Scalar]) -> list[Scalar]:
         mat = self.arrow_matrix.get((a, b))
         if mat is None:
-            return [Fraction(0)] * self.dims.get(b, 0)
-        return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in mat]
+            return [0] * self.dims.get(b, 0)
+        return [sum(x * y for x, y in zip(row, vec)) for row in mat]
 
-    def path_class(self, path: list[Pt]) -> list[Fraction]:
+    def path_class(self, path: list[Pt]) -> list[Scalar]:
         """The class of a concrete path starting at the source."""
         assert path and path[0] == self.source
-        return self.transport([Fraction(1)], path)
+        return self.transport([1], path)
 
-    def transport(self, vec: list[Fraction], path: list[Pt]) -> list[Fraction]:
+    def transport(self, vec: list[Scalar], path: list[Pt]) -> list[Scalar]:
         """Push a class at ``path[0]`` along a path."""
         for a, b in zip(path, path[1:]):
             vec = self.apply_arrow(a, b, vec)
@@ -180,7 +193,7 @@ class MeshTransporter:
         if self.dim(target) == 0:
             return None
         reaches = self._reaching(target)
-        stack = [(self.source, [self.source], [Fraction(1)])]
+        stack = [(self.source, [self.source], [1])]
         while stack:
             p, path, vec = stack.pop()
             if p == target:
@@ -201,7 +214,7 @@ class MeshTransporter:
         ech = RationalEchelon()
         reaches = self._reaching(target)
 
-        def rec(p: Pt, path: list[Pt], vec: list[Fraction]) -> bool:
+        def rec(p: Pt, path: list[Pt], vec: list[Scalar]) -> bool:
             if p == target:
                 if ech.insert({i: v for i, v in enumerate(vec) if v}):
                     found.append(list(path))
@@ -213,31 +226,8 @@ class MeshTransporter:
                         return True
             return False
 
-        rec(self.source, [self.source], [Fraction(1)])
+        rec(self.source, [self.source], [1])
         return found
-
-
-def _pivot_cols(ech: RationalEchelon) -> set[int]:
-    return set(ech.pivots)
-
-
-def _reduce_full(ech: RationalEchelon, row: dict[int, Fraction]) -> dict[int, Fraction]:
-    row = {c: Fraction(v) for c, v in row.items() if v}
-    done = -1
-    while True:
-        cands = [c for c in row if c > done and c in ech.pivots]
-        if not cands:
-            return row
-        c = min(cands)
-        piv = ech.pivots[c]
-        factor = row[c] / piv[c]
-        for col, v in piv.items():
-            new = row.get(col, Fraction(0)) - factor * v
-            if new:
-                row[col] = new
-            else:
-                row.pop(col, None)
-        done = c
 
 
 def hom_dim_oracle(window: QuiverWindow, x: Pt, y: Pt) -> int:
@@ -314,7 +304,8 @@ class ProjectiveQuiver:
     An arrow p -> q exists when hom(p, q) is one-dimensional and no
     composite through a third projective realizes it (radical square test).
     All hom spaces between distinct projectives are at most one-dimensional;
-    this is asserted.
+    this is asserted.  One transporter is built per nu-orbit, at its lowest
+    node; the higher nodes get its translate (:meth:`MeshTransporter.translated`).
     """
 
     def __init__(self, config: Configuration, i_lo: int, i_hi: int):
@@ -326,8 +317,13 @@ class ProjectiveQuiver:
         self.nodes = tuple(Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi))
         self.transporters: dict[Pt, MeshTransporter] = {}
         self.hom: dict[tuple[Pt, Pt], int] = {}
-        for p in self.nodes:
-            tr = MeshTransporter(self.window, p)
+        lowest: dict[tuple[int, int], MeshTransporter] = {}
+        for p in self.nodes:  # sorted, so each orbit is met at its lowest node first
+            base = lowest.get((p.slice % L, p.vertex))
+            if base is None:
+                tr = lowest[(p.slice % L, p.vertex)] = MeshTransporter(self.window, p)
+            else:
+                tr = base.translated(p.slice - base.source.slice)
             self.transporters[p] = tr
             for q in self.nodes:
                 if q == p:
@@ -376,7 +372,7 @@ class ProjectiveQuiver:
         """Is the composite along a chain of projectives nonzero?"""
         p = vertices[0]
         tr = self.transporters[p]
-        vec: list[Fraction] | None = None
+        vec: list[Scalar] | None = None
         at = p
         for q in vertices[1:]:
             seg = self.rep_path(at, q)
@@ -388,34 +384,31 @@ class ProjectiveQuiver:
             at = q
         return vec is not None and any(vec)
 
+    def complete_pairs(self, members) -> list[tuple[Pt, Pt]]:
+        """All pairs (p, q) of a fundamental set carrying a complete morphism.
+
+        A nonzero p -> q is complete inside the subcategory when composing
+        with any of its arrows out of q, or into p, kills it.  Convexity
+        guarantees that testing the quiver arrows of the ambient category with
+        both ends in the set is enough.
+        """
+        out: list[tuple[Pt, Pt]] = []
+        member_set = set(members)
+        for p in members:
+            for q in members:
+                if q == p or (p, q) not in self.hom:
+                    continue
+                if any(
+                    z in member_set and self.composite_nonzero(p, q, z) for z in self.out_nb[q]
+                ) or any(w in member_set and self.composite_nonzero(w, p, q) for w in self.in_nb[p]):
+                    continue
+                out.append((p, q))
+        return sorted(out)
+
 
 def complete_morphisms(config: Configuration, fund: list[Pt]) -> list[tuple[Pt, Pt]]:
-    """All pairs (p, q) of the fundamental set carrying a complete morphism.
-
-    A nonzero p -> q is complete inside the subcategory when composing with
-    any of its arrows out of q, or into p, kills it.  Convexity guarantees
-    that testing the quiver arrows of the ambient category with both ends in
-    the set is enough.
-    """
+    """All pairs (p, q) of the fundamental set carrying a complete morphism."""
     from .present import _validated_fundamental  # local to avoid an import cycle
 
     pq, fund = _validated_fundamental(config, fund)
-    out: list[tuple[Pt, Pt]] = []
-    fund_set = set(fund)
-    for p in fund:
-        for q in fund:
-            if q == p or (p, q) not in pq.hom:
-                continue
-            ok = True
-            for z in pq.out_nb[q]:
-                if z in fund_set and pq.composite_nonzero(p, q, z):
-                    ok = False
-                    break
-            if ok:
-                for w in pq.in_nb[p]:
-                    if w in fund_set and pq.composite_nonzero(w, p, q):
-                        ok = False
-                        break
-            if ok:
-                out.append((p, q))
-    return sorted(out)
+    return pq.complete_pairs(fund)

@@ -23,7 +23,7 @@ from .errors import (
     NotSource,
     TooSmall,
 )
-from .mesh import MeshTransporter, ProjectiveQuiver, complete_morphisms
+from .mesh import MeshTransporter, ProjectiveQuiver
 from .ztquiver import AdmissibleGroup, Configuration, Pt, build_window, is_admissible
 
 # ---------------------------------------------------------------------------
@@ -128,9 +128,13 @@ def _normalize_min_shift(config: Configuration, points) -> tuple[Pt, ...]:
     return tuple(sorted(Pt(p.slice - k * L, p.vertex, True) for p in points))
 
 
-def _validated_fundamental(config: Configuration, points) -> tuple[ProjectiveQuiver, tuple[Pt, ...]]:
+def _validated_fundamental(
+    config: Configuration, points, reach: int = 0
+) -> tuple[ProjectiveQuiver, tuple[Pt, ...]]:
     """Check connectedness, convexity and nu-transversality; returns the
-    ambient projective quiver and the normalized point set."""
+    ambient projective quiver, reaching ``reach`` slices above the set (the
+    verdicts do not depend on it: paths between members stay in their band),
+    and the normalized point set."""
     tree = config.tree
     L = loewy_number(tree)
     fund = _normalize_min_shift(config, [Pt(p.slice, p.vertex, True) for p in points])
@@ -141,7 +145,7 @@ def _validated_fundamental(config: Configuration, points) -> tuple[ProjectiveQui
         raise NotFundamental("points do not represent the nu-orbits of the projectives")
     i_lo = min(p.slice for p in fund)
     i_hi = max(p.slice for p in fund)
-    pq = ProjectiveQuiver(config, i_lo, i_hi)
+    pq = ProjectiveQuiver(config, i_lo, i_hi + reach)
     if any(p not in pq.nodes for p in fund):
         raise NotFundamental("some points are not projectives of the configuration")
     defect = _shape_defect(pq, _between_sets(pq), fund)
@@ -317,12 +321,9 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     """
     tree = config.tree
     L = loewy_number(tree)
-    _, fund = _validated_fundamental(config, fund)
-    complete = complete_morphisms(config, list(fund))
-
     # wide ambient quiver: the base copy plus two more periods for relations
-    hi = max(p.slice for p in fund) + 2 * L + 1
-    pq = ProjectiveQuiver(config, min(p.slice for p in fund), hi)
+    pq, fund = _validated_fundamental(config, fund, reach=2 * L + 1)
+    complete = pq.complete_pairs(fund)
     fund_set = set(fund)
 
     internal = []

@@ -199,10 +199,6 @@ def test_axioms_match_bruteforce_membership_a3(residues):
     assert ok == member
 
 
-@pytest.mark.skipif(
-    __import__("os").environ.get("MESHKNIT_ALLOW_SLOW") != "1",
-    reason="E7 cross-validation takes minutes; set MESHKNIT_ALLOW_SLOW=1",
-)
 def test_e7_cross_method():
     tree = make_tree("E", 7)
     pats = {c.residues for c in enumerate_configurations(tree, "patterns")}

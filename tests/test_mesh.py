@@ -6,6 +6,7 @@ from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
 from meshknit.mesh import (
     MeshTransporter,
+    ProjectiveQuiver,
     complete_morphisms,
     hom_dim_oracle,
     nakayama,
@@ -204,3 +205,37 @@ def test_basis_paths_dimension():
     table = starting_function(tree, x, w)
     for p in sorted(w.points):
         assert len(tr.basis_paths(p)) == table[p]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_translated_transporters_match_fresh_builds(name, configs_cache, monkeypatch):
+    """Every node's transporter in a three-period ProjectiveQuiver equals a
+    transporter built from scratch at that node: dimensions at every window
+    point, matrices on every arrow and representative paths to every node;
+    the hom table and arrows equal those of a one-transporter-per-node build."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    configs = configs_cache(name)
+    if name == "E6":
+        configs = configs[:40]
+    for config in configs:
+        pq = ProjectiveQuiver(config, 0, 3 * L - 1)
+        w = pq.window
+        assert len(pq.nodes) == 3 * tree.rank
+        for p in pq.nodes:
+            tr, fresh = pq.transporters[p], MeshTransporter(w, p)
+            assert tr.source == p
+            assert all(tr.dim(q) == fresh.dim(q) for q in w.points), (config, p)
+            assert all(tr.arrow_matrix.get(a) == fresh.arrow_matrix.get(a) for a in w.arrows), (config, p)
+            for q in pq.nodes:
+                if q != p:
+                    assert tr.nonzero_path(q) == fresh.nonzero_path(q), (config, p, q)
+        with monkeypatch.context() as m:  # one transporter per node, no translates
+            m.setattr(
+                MeshTransporter,
+                "translated",
+                lambda tr, k: MeshTransporter(tr.window, Pt(tr.source.slice + k, tr.source.vertex, True)),
+            )
+            per_node = ProjectiveQuiver(config, 0, 3 * L - 1)
+        assert per_node.hom == pq.hom
+        assert per_node.arrows == pq.arrows
