@@ -27,6 +27,7 @@ from .ztquiver import (
     equioriented_section,
     extend_automorphism,
     glide_map,
+    reach,
 )
 
 
@@ -185,18 +186,7 @@ def _acting_maps(tree: DynkinTree):
 
 def _close_under_symmetry(tree: DynkinTree, seeds) -> set[frozenset[Residue]]:
     maps = _acting_maps(tree)
-    out: set[frozenset[Residue]] = set()
-    todo = list(seeds)
-    while todo:
-        res = todo.pop()
-        if res in out:
-            continue
-        out.add(res)
-        for _, m in maps:
-            img = frozenset(starmap(m, res))
-            if img not in out:
-                todo.append(img)
-    return out
+    return reach(seeds, lambda res: (frozenset(starmap(m, res)) for _, m in maps))
 
 
 def _pattern_vectors(tree: DynkinTree) -> list[tuple[int, ...]]:

@@ -151,6 +151,9 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_present(args) -> int:
     config = _load_config(args.config)
+    ok, axiom = classify.check_combinatorial_configuration(config.tree, config.residues)
+    if not ok:
+        raise InvalidInput(f"not a configuration: axiom {axiom} fails for {config}")
     if args.fundamental == "auto":
         section = equioriented_section(config.tree)
         fund = [

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import InvalidDimensionVector, InvalidInput
-from .mesh import MeshTransporter, precedes
+from .mesh import MeshTransporter
 from .ztquiver import (
     Configuration,
     Pt,
@@ -25,6 +25,7 @@ from .ztquiver import (
     Section,
     build_window,
     plus_admissible_enumeration,
+    reach,
     section_move,
 )
 
@@ -291,14 +292,6 @@ def knit_and_knot(tree: DynkinTree, section: Section, dims: Vec) -> Configuratio
 # dimensions of the modules on a section, from the configuration
 
 
-def _section_leq_point(window, section: Section, p: Pt) -> bool:
-    return any(precedes(window, section.point_of(v), p) for v in section.tree.vertices)
-
-
-def _point_leq_section(window, p: Pt, section: Section) -> bool:
-    return any(precedes(window, p, section.point_of(v)) for v in section.tree.vertices)
-
-
 def fundamental_domain_points(config: Configuration, section: Section) -> list[Pt]:
     """Configuration points between the Nakayama shift of a section and the
     section itself (inclusive behind, exclusive on the section)."""
@@ -312,16 +305,10 @@ def _domain_and_window(config: Configuration, section: Section) -> tuple[list[Pt
     lo = min(section.levels) - L - 1
     hi = max(section.levels) + 1
     window = build_window(tree, config, lo, hi)
-    nu_section = section.shifted(-L)
-    section_pts = set(section.points())
-
-    domain: list[Pt] = []
-    for i, x in config.lifts(lo + 1, hi):
-        c = Pt(i, x)
-        if c in section_pts:
-            continue
-        if _point_leq_section(window, c, section) and _section_leq_point(window, nu_section, c):
-            domain.append(c)
+    behind = reach(section.points(), window.in_nb.__getitem__)
+    ahead = reach(section.shifted(-L).points(), window.out_nb.__getitem__)
+    between = (behind & ahead) - set(section.points())
+    domain = [Pt(i, x) for i, x in config.lifts(lo + 1, hi) if Pt(i, x) in between]
     assert len(domain) == tree.rank, (
         f"fundamental domain holds {len(domain)} configuration points, expected {tree.rank}"
     )

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .dynkin import DynkinTree, loewy_number
 from .errors import WindowTooSmall
 from .linalg import RationalEchelon, Scalar
-from .ztquiver import AffineMap, Configuration, Pt, QuiverWindow, build_window
+from .ztquiver import AffineMap, Configuration, Pt, QuiverWindow, build_window, reach
 
 
 class HomTable:
@@ -39,11 +39,6 @@ class HomTable:
 
     def support(self) -> list[Pt]:
         return sorted(p for p, d in self.dims.items() if d > 0)
-
-    def basis_paths(self, target: Pt) -> list[list[Pt]]:
-        """Lexicographically smallest paths spanning hom(source, target)."""
-        tr = MeshTransporter(self.window, self.source)
-        return tr.basis_paths(target)
 
 
 def starting_function(
@@ -178,15 +173,8 @@ class MeshTransporter:
 
     def _reaching(self, target: Pt) -> set[Pt]:
         """Points of nonzero dimension with a path to ``target`` through such points."""
-        reaches = {target}
-        frontier = [target]
-        while frontier:
-            p = frontier.pop()
-            for w in self.window.in_nb[p]:
-                if self.dims.get(w, 0) > 0 and w not in reaches:
-                    reaches.add(w)
-                    frontier.append(w)
-        return reaches
+        in_nb, dims = self.window.in_nb, self.dims
+        return reach([target], lambda p: (w for w in in_nb[p] if dims.get(w, 0) > 0))
 
     def nonzero_path(self, target: Pt) -> list[Pt] | None:
         """The lexicographically smallest path with nonzero class, if any."""
@@ -243,21 +231,10 @@ def hom_dim_oracle(window: QuiverWindow, x: Pt, y: Pt) -> int:
 
 
 def precedes(window: QuiverWindow, x: Pt, y: Pt) -> bool:
-    """True when a path x -> y exists in the window."""
-    if x == y:
-        return True
-    seen = {x}
-    stack = [x]
-    ymax = window.level.get(y)
-    while stack:
-        p = stack.pop()
-        for q in window.out_nb[p]:
-            if q == y:
-                return True
-            if window.level[q] < ymax and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return False
+    """True when a path x -> y exists in the window.  Every arrow raises the
+    level by one, so the search never passes the level of y."""
+    ymax = window.level[y]
+    return y in reach([x], lambda p: (q for q in window.out_nb[p] if window.level[q] <= ymax))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     TooSmall,
 )
 from .mesh import MeshTransporter, ProjectiveQuiver
-from .ztquiver import AdmissibleGroup, Configuration, Pt, build_window, is_admissible
+from .ztquiver import AdmissibleGroup, Configuration, Pt, build_window, is_admissible, reach
 
 # ---------------------------------------------------------------------------
 # presentation containers
@@ -129,10 +129,10 @@ def _normalize_min_shift(config: Configuration, points) -> tuple[Pt, ...]:
 
 
 def _validated_fundamental(
-    config: Configuration, points, reach: int = 0
+    config: Configuration, points, above: int = 0
 ) -> tuple[ProjectiveQuiver, tuple[Pt, ...]]:
     """Check connectedness, convexity and nu-transversality; returns the
-    ambient projective quiver, reaching ``reach`` slices above the set (the
+    ambient projective quiver, reaching ``above`` slices above the set (the
     verdicts do not depend on it: paths between members stay in their band),
     and the normalized point set."""
     tree = config.tree
@@ -145,55 +145,30 @@ def _validated_fundamental(
         raise NotFundamental("points do not represent the nu-orbits of the projectives")
     i_lo = min(p.slice for p in fund)
     i_hi = max(p.slice for p in fund)
-    pq = ProjectiveQuiver(config, i_lo, i_hi + reach)
+    pq = ProjectiveQuiver(config, i_lo, i_hi + above)
     if any(p not in pq.nodes for p in fund):
         raise NotFundamental("some points are not projectives of the configuration")
-    defect = _shape_defect(pq, _between_sets(pq), fund)
+    defect = _shape_defect(pq, fund)
     if defect:
         raise NotFundamental(defect)
     return pq, fund
 
 
-def _shape_defect(pq: ProjectiveQuiver, between, points: tuple[Pt, ...]) -> str | None:
-    """Why a projective set is not connected and convex in the quiver, or None."""
+def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
+    """Why a projective set is not connected and convex in the quiver, or None.
+
+    The quiver is acyclic (hom(p, q) != 0 needs a higher level at q), so the
+    points on paths between members are exactly those both reachable from
+    and reaching the set.
+    """
     members = set(points)
-    # connectivity in the underlying graph of the quiver
-    seen = {points[0]}
-    todo = [points[0]]
-    while todo:
-        p = todo.pop()
-        for q in itertools.chain(pq.out_nb[p], pq.in_nb[p]):
-            if q in members and q not in seen:
-                seen.add(q)
-                todo.append(q)
-    if seen != members:
-        return "points are not connected in the quiver"
-    # convexity: directed quiver paths between members stay inside
-    for p in points:
-        for q in points:
-            if p != q and not between.get((p, q), frozenset()) <= members:
-                return f"quiver path from {p} to {q} leaves the set"
+    linked = reach(points[:1], lambda p: members.intersection(pq.out_nb[p] + pq.in_nb[p]))
+    if linked != members:
+        return f"points are not connected in the quiver: {min(members - linked)} is cut off"
+    between = reach(points, pq.out_nb.__getitem__) & reach(points, pq.in_nb.__getitem__)
+    if between - members:
+        return f"a quiver path between points of the set leaves it at {min(between - members)}"
     return None
-
-
-def _between_sets(pq: ProjectiveQuiver) -> dict[tuple[Pt, Pt], frozenset[Pt]]:
-    fwd: dict[Pt, set[Pt]] = {}
-    for p in pq.nodes:
-        reach = {p}
-        todo = [p]
-        while todo:
-            a = todo.pop()
-            for b in pq.out_nb[a]:
-                if b not in reach:
-                    reach.add(b)
-                    todo.append(b)
-        fwd[p] = reach
-    out = {}
-    for p in pq.nodes:
-        for q in pq.nodes:
-            if p != q and q in fwd[p]:
-                out[(p, q)] = frozenset(z for z in fwd[p] if q in fwd[z])
-    return out
 
 
 def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
@@ -202,7 +177,6 @@ def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     tree = config.tree
     L = loewy_number(tree)
     pq = ProjectiveQuiver(config, 0, 3 * L - 1)
-    between = _between_sets(pq)
     residues = sorted(config.residues)
     out = []
     for shifts in itertools.product(range(3), repeat=len(residues)):
@@ -211,21 +185,24 @@ def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
         cand = tuple(
             sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts))
         )
-        if _shape_defect(pq, between, cand) is None:
+        if _shape_defect(pq, cand) is None:
             out.append(cand)
     return sorted(out)
 
 
-def fundamental_sources(config: Configuration, fund) -> list[Pt]:
+def _fundamental_ends(config: Configuration, fund, side: str) -> list[Pt]:
+    """Members with no ``side`` neighbour (``in_nb`` or ``out_nb``) in the set."""
     pq, fund = _validated_fundamental(config, fund)
-    fund_set = set(fund)
-    return sorted(p for p in fund if not any(w in fund_set for w in pq.in_nb[p]))
+    neighbours = getattr(pq, side)
+    return sorted(p for p in fund if not set(neighbours[p]).intersection(fund))
+
+
+def fundamental_sources(config: Configuration, fund) -> list[Pt]:
+    return _fundamental_ends(config, fund, "in_nb")
 
 
 def fundamental_sinks(config: Configuration, fund) -> list[Pt]:
-    pq, fund = _validated_fundamental(config, fund)
-    fund_set = set(fund)
-    return sorted(p for p in fund if not any(z in fund_set for z in pq.out_nb[p]))
+    return _fundamental_ends(config, fund, "out_nb")
 
 
 def reflect_fundamental(config: Configuration, fund, x: Pt, direction: str) -> tuple[Pt, ...]:
@@ -322,7 +299,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     tree = config.tree
     L = loewy_number(tree)
     # wide ambient quiver: the base copy plus two more periods for relations
-    pq, fund = _validated_fundamental(config, fund, reach=2 * L + 1)
+    pq, fund = _validated_fundamental(config, fund, above=2 * L + 1)
     complete = pq.complete_pairs(fund)
     fund_set = set(fund)
 
@@ -525,17 +502,8 @@ def validate_brauer(q: BrauerQuiver) -> None:
     )
     if edges != len(cycles) - 1:
         raise InvalidBrauer("cycle-intersection graph is not a tree")
-    seen = set()
-    todo = [0]
-    while todo:
-        k = todo.pop()
-        if k in seen:
-            continue
-        seen.add(k)
-        for j, (_, cj) in enumerate(cycles):
-            if j not in seen and set(cycles[k][1]) & set(cj):
-                todo.append(j)
-    if len(seen) != len(cycles):
+    sets = [set(c) for _, c in cycles]
+    if len(reach([0], lambda k: (j for j, cj in enumerate(sets) if sets[k] & cj))) != len(sets):
         raise InvalidBrauer("cycle-intersection graph is not connected")
 
 

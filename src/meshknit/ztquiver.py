@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .dynkin import (
     DynkinTree,
@@ -31,6 +31,20 @@ from .errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource
 from .errors import UndefinedTau, WindowTooSmall, WrongFamily
 
 Residue = tuple[int, int]
+T = TypeVar("T")
+
+
+def reach(starts: Iterable[T], step: Callable[[T], Iterable[T]]) -> set[T]:
+    """Everything reachable from ``starts`` by repeatedly applying ``step``,
+    the starts included."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        for q in step(todo.pop()):
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
 
 
 class Pt(NamedTuple):

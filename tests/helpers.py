@@ -3,7 +3,8 @@
 ``naive_hom_dim`` enumerates every path between two window points and builds
 the full relation matrix (one row per ``q . mesh-sum . p`` combination),
 returning path count minus rank.  It shares no code with the incremental
-transporter; it anchors the oracle itself on small windows.
+transporter; it anchors the oracle itself on small windows.  ``path_exists``
+is a plain depth-first search, the reference for reachability.
 """
 
 from fractions import Fraction
@@ -25,6 +26,21 @@ def all_paths(window, x, y):
 
     dfs(x, [x])
     return out
+
+
+def path_exists(window, x, y) -> bool:
+    """Depth-first search for a path x -> y inside the window."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        p = stack.pop()
+        if p == y:
+            return True
+        for q in window.out_nb[p]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return False
 
 
 def naive_hom_dim(window, x, y) -> int:

@@ -1,7 +1,14 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meshknit
+from meshknit.classify import check_combinatorial_configuration, enumerate_configurations
 from meshknit.cli import run
 from meshknit.dotio import serialize_dot
 from meshknit.errors import UnsupportedObject
@@ -170,38 +177,99 @@ def test_knit_with_explicit_section(capsys):
 
 
 NO_RANK = json.dumps({"tree": {"family": "A"}, "period": 2, "points": [[0, 1], [1, 2]]})
+
+
+def a3_file(points) -> str:
+    tree = {"family": "A", "rank": 3}
+    return json.dumps({"tree": tree, "period": 3, "points": [list(p) for p in points]})
+
+
 # an A3 configuration with three fundamental algebras
-A3_CONFIG = json.dumps({"tree": {"family": "A", "rank": 3}, "period": 3, "points": [[0, 3], [1, 3], [2, 3]]})
+A3_CONFIG = a3_file([(0, 3), (1, 3), (2, 3)])
+# violates C2: hom((0,2), (1,2)) is nonzero
+A3_NOT_A_CONFIG = a3_file([(0, 2), (1, 2), (2, 2)])
+
+MALFORMED = [
+    pytest.param(["knit", "--tree", "A3", "--dims", "1,2"], None, id="knit-short-dims"),
+    pytest.param(["pedigree", "-n", "0"], None, id="pedigree-zero"),
+    pytest.param(["configs", "enumerate"], None, id="enumerate-no-tree"),
+    pytest.param(["configs", "check", "--file"], NO_RANK, id="check-no-rank"),
+    pytest.param(
+        ["quotient", "--tree", "A3", "--group", "rho", "--range=-4,4"], None, id="glide-odd-a"
+    ),
+    pytest.param(
+        ["knit", "--tree", "A3", "--section", "0,0", "--dims", "1,2,3"], None,
+        id="knit-short-section",
+    ),
+    pytest.param(
+        ["present", "--fundamental", "9", "--config"], A3_CONFIG,
+        id="present-fundamental-too-large",
+    ),
+    pytest.param(
+        ["present", "--fundamental=-1", "--config"], A3_CONFIG, id="present-fundamental-negative"
+    ),
+    pytest.param(["present", "--config"], A3_NOT_A_CONFIG, id="present-not-a-configuration"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv,file_text",
-    [
-        (["knit", "--tree", "A3", "--dims", "1,2"], None),
-        (["pedigree", "-n", "0"], None),
-        (["configs", "enumerate"], None),
-        (["configs", "check", "--file"], NO_RANK),
-        (["quotient", "--tree", "A3", "--group", "rho", "--range=-4,4"], None),
-        (["knit", "--tree", "A3", "--section", "0,0", "--dims", "1,2,3"], None),
-        (["present", "--fundamental", "9", "--config"], A3_CONFIG),
-        (["present", "--fundamental=-1", "--config"], A3_CONFIG),
-    ],
-    ids=[
-        "knit-short-dims",
-        "pedigree-zero",
-        "enumerate-no-tree",
-        "check-no-rank",
-        "glide-odd-a",
-        "knit-short-section",
-        "present-fundamental-too-large",
-        "present-fundamental-negative",
-    ],
-)
+def with_file(tmp_path, argv, file_text, name="c.json"):
+    if file_text is None:
+        return argv
+    path = tmp_path / name
+    path.write_text(file_text)
+    return argv + [str(path)]
+
+
+@pytest.mark.parametrize("argv,file_text", MALFORMED)
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, argv, file_text):
-    if file_text is not None:
-        path = tmp_path / "c.json"
-        path.write_text(file_text)
-        argv = argv + [str(path)]
-    code, _, err = run_capture(capsys, argv)
+    code, _, err = run_capture(capsys, with_file(tmp_path, argv, file_text))
     assert code == 2
     assert err.startswith("error[") and "Traceback" not in err
+
+
+def test_present_checks_the_configuration_axioms(tmp_path, capsys):
+    """Over all 84 three-point residue sets of A3, present succeeds exactly
+    on the five configurations and names the failed axiom otherwise."""
+    tree = make_tree("A", 3)
+    universe = [(i, x) for i in range(3) for x in tree.vertices]
+    path = tmp_path / "c.json"
+    accepted = set()
+    for points in itertools.combinations(universe, 3):
+        path.write_text(a3_file(points))
+        code, out, err = run_capture(capsys, ["present", "--config", str(path)])
+        if code == 0:
+            accepted.add(frozenset(points))
+            continue
+        _, axiom = check_combinatorial_configuration(tree, points)
+        assert code == 2 and "Traceback" not in err, (points, err)
+        assert err.startswith("error[INVALID_INPUT]") and f"axiom {axiom} fails" in err, err
+    assert accepted == {c.residues for c in enumerate_configurations(tree)}
+    assert len(accepted) == 5
+
+
+def test_malformed_input_exit_codes_survive_python_O(tmp_path, capsys):
+    """Validation must not rest on assert: under python -O every malformed
+    case exits as it does without it."""
+    argvs = [
+        with_file(tmp_path, case.values[0], case.values[1], f"{case.id}.json") for case in MALFORMED
+    ]
+    plain = [run_capture(capsys, argv)[0] for argv in argvs]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from meshknit.cli import run\n"
+        "assert not __debug__\n"
+        "codes = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    sink = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "        codes.append(run(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    src = str(Path(meshknit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=json.dumps(argvs), capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == plain == [2] * len(MALFORMED)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from helpers import path_exists
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import InvalidDimensionVector, NotSource
 from meshknit.knitting import (
@@ -13,7 +14,14 @@ from meshknit.knitting import (
     knit_run,
     propagate_dims,
 )
-from meshknit.ztquiver import Pt, Section, equioriented_section, plus_admissible_enumeration
+from meshknit.present import _all_section_shapes
+from meshknit.ztquiver import (
+    Pt,
+    Section,
+    build_window,
+    equioriented_section,
+    plus_admissible_enumeration,
+)
 
 A2 = make_tree("A", 2)
 A7 = make_tree("A", 7)
@@ -133,6 +141,34 @@ def test_fundamental_domain_has_rank_points(fig4):
     assert sorted((p.slice, p.vertex) for p in domain) == [
         (-7, 7), (-6, 1), (-5, 1), (-4, 5), (-3, 1), (-2, 6), (-1, 7)
     ]
+
+
+def _reference_domain(config, section):
+    """The defining search: configuration points c off the section with a
+    path from c to some section point and from some point of the Nakayama
+    shift of the section to c, one path search per section vertex."""
+    L = loewy_number(config.tree)
+    lo = min(section.levels) - L - 1
+    hi = max(section.levels) + 1
+    window = build_window(config.tree, config, lo, hi)
+    on, behind = section.points(), section.shifted(-L).points()
+    return [
+        c
+        for c in (Pt(i, x) for i, x in config.lifts(lo + 1, hi))
+        if c not in on
+        and any(path_exists(window, c, s) for s in on)
+        and any(path_exists(window, s, c) for s in behind)
+    ]
+
+
+@pytest.mark.parametrize("name", ["A5", "D5"])
+def test_fundamental_domain_matches_reference_search(name, configs_cache):
+    tree = make_tree(name[0], int(name[1]))
+    sections = [Section(tree, levels) for levels in _all_section_shapes(tree)]
+    for config in configs_cache(name):
+        for section in sections:
+            want = _reference_domain(config, section)
+            assert fundamental_domain_points(config, section) == want, (config, section)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5"])

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import naive_hom_dim
+from helpers import naive_hom_dim, path_exists
 
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
@@ -113,11 +113,16 @@ def test_nu_commutes_with_tau_and_tree_automorphisms():
                 assert nakayama(tree, Pt(i, x)) == Pt(j, y)
 
 
-def test_precedes():
+def test_precedes(fig4):
     w = build_window(A2, None, 0, 2)
     assert precedes(w, Pt(0, 1), Pt(0, 1))
     assert precedes(w, Pt(0, 1), Pt(1, 1))
     assert not precedes(w, Pt(1, 1), Pt(0, 1))
+    tree, _, _, config = fig4
+    w = build_window(tree, config, 0, 3)
+    for x in w.points:
+        for y in w.points:
+            assert precedes(w, x, y) == path_exists(w, x, y), (x, y)
 
 
 def test_projective_socle_behavior(fig4):

@@ -1,12 +1,15 @@
+import itertools
 import json
+import re
 
 import pytest
 
+from helpers import path_exists
 from meshknit.classify import Pedigree, enumerate_pedigrees
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import InvalidBrauer, NoSpecialArrow, NotFundamental, NotSource, TooSmall
 from meshknit.knitting import fundamental_domain_points, knit_and_knot
-from meshknit.mesh import complete_morphisms
+from meshknit.mesh import ProjectiveQuiver, complete_morphisms
 from meshknit.present import (
     BrauerQuiver,
     CommuteRel,
@@ -27,6 +30,7 @@ from meshknit.present import (
     reflect_fundamental,
     trivial_extension_presentation,
     validate_brauer,
+    _shape_defect,
     _validated_fundamental,
 )
 from meshknit.ztquiver import AdmissibleGroup, Pt, equioriented_section
@@ -60,6 +64,59 @@ def test_fundamental_algebra_validation_rejects_garbage(fig4):
             [Pt(0, 7, True), Pt(1 + 14, 1, True), Pt(2, 1, True), Pt(3 + 14, 5, True),
              Pt(4, 1, True), Pt(5 + 14, 6, True), Pt(6, 7, True)],
         )
+
+
+def _reference_between_sets(pq):
+    """For each pair p != q with a path p -> q, the nodes on such paths."""
+    fwd = {p: {z for z in pq.nodes if path_exists(pq, p, z)} for p in pq.nodes}
+    return {
+        (p, q): frozenset(z for z in fwd[p] if q in fwd[z])
+        for p in pq.nodes
+        for q in fwd[p]
+        if q != p
+    }
+
+
+def _reference_offenders(pq, between, points):
+    """Members cut off from the first point in the underlying graph; if
+    there are none, the non-members on paths between two members."""
+    members = set(points)
+    seen, todo = {points[0]}, [points[0]]
+    while todo:
+        p = todo.pop()
+        for q in pq.out_nb[p] + pq.in_nb[p]:
+            if q in members and q not in seen:
+                seen.add(q)
+                todo.append(q)
+    if seen != members:
+        return members - seen
+    return {z for p in points for q in points if p != q for z in between.get((p, q), ())} - members
+
+
+def test_shape_defect_matches_pairwise_between_sets(configs_cache):
+    """Every candidate of the fundamental-algebra search gets the verdict of
+    the pairwise definition, and a rejection names one of its offenders."""
+    kinds = set()
+    for name in ["A2", "A3", "A4", "A5", "D4", "D5"]:  # D5 has connected non-convex sets
+        for config in configs_cache(name):
+            L = loewy_number(config.tree)
+            pq = ProjectiveQuiver(config, 0, 3 * L - 1)
+            between = _reference_between_sets(pq)
+            residues = sorted(config.residues)
+            for shifts in itertools.product(range(3), repeat=len(residues)):
+                if min(shifts) != 0:
+                    continue
+                cand = tuple(sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts)))
+                offenders = _reference_offenders(pq, between, cand)
+                defect = _shape_defect(pq, cand)
+                assert (defect is None) == (not offenders), (config, cand, defect)
+                if defect is not None:
+                    witness = re.search(r"(-?\d+)_(\d+)_P", defect)
+                    assert Pt(int(witness[1]), int(witness[2]), True) in offenders, defect
+                    kinds.add(offenders <= set(cand))
+                else:
+                    kinds.add(None)
+    assert kinds == {None, True, False}  # accepted, disconnected and non-convex sets occur
 
 
 def test_chain_is_not_a_pattern_algebra(fig4):
