@@ -162,6 +162,12 @@ def check_combinatorial_configuration(tree: DynkinTree, residues) -> tuple[bool,
     return True, None
 
 
+def _require_configuration(config: Configuration) -> None:
+    ok, axiom = check_combinatorial_configuration(config.tree, config.residues)
+    if not ok:
+        raise InvalidInput(f"not a configuration: axiom {axiom} fails for {config}")
+
+
 # ---------------------------------------------------------------------------
 # the two enumeration methods
 

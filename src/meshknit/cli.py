@@ -151,9 +151,7 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_present(args) -> int:
     config = _load_config(args.config)
-    ok, axiom = classify.check_combinatorial_configuration(config.tree, config.residues)
-    if not ok:
-        raise InvalidInput(f"not a configuration: axiom {axiom} fails for {config}")
+    classify._require_configuration(config)
     if args.fundamental == "auto":
         section = equioriented_section(config.tree)
         fund = [
@@ -180,7 +178,10 @@ def _cmd_quotient(args) -> int:
     tree = tree_from_name(args.tree)
     config = _load_config(args.config) if args.config else None
     group = _parse_group(tree, args.group)
-    lo, hi = (int(v) for v in args.range.split(","))
+    try:
+        lo, hi = (int(v) for v in args.range.split(","))
+    except ValueError:
+        raise InvalidInput(f"--range must be two slices lo,hi, got {args.range!r}") from None
     window = build_window(tree, config, lo, hi)
     folded = quotient(window, group)
     if args.out == "dot":

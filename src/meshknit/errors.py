@@ -16,7 +16,7 @@ class InvalidType(MeshknitError):
     code = "INVALID_TYPE"
 
 
-class InvalidInput(MeshknitError):
+class InvalidInput(MeshknitError, ValueError):  # a ValueError too, for library callers
     code = "INVALID_INPUT"
 
 

@@ -318,6 +318,8 @@ def _domain_and_window(config: Configuration, section: Section) -> tuple[list[Pt
 def dims_on_section(config: Configuration, section: Section) -> Vec:
     """Total dimensions over the section: row sums of hom from the
     projectives of the fundamental domain one Nakayama period behind it."""
+    from .classify import _require_configuration  # local to avoid an import cycle
+    _require_configuration(config)
     tree = config.tree
     domain, window = _domain_and_window(config, section)
     values = [0] * tree.rank

@@ -134,7 +134,7 @@ class MeshTransporter:
         """The transporter from the source moved up ``shift`` slices, a
         non-negative multiple of the configuration's period, in the same
         window.  A value at q depends only on the points between the source
-        and q, so the translate shares the matrices and does no arithmetic."""
+        and q, so the translate shares the matrices and keeps nonzero dims."""
 
         def up(p: Pt) -> Pt:
             return Pt(p.slice + shift, p.vertex, p.proj)
@@ -143,7 +143,7 @@ class MeshTransporter:
         tr = object.__new__(MeshTransporter)
         tr.window = self.window
         tr.source = up(self.source)
-        tr.dims = {q: d for p, d in self.dims.items() if (q := up(p)) in pts}
+        tr.dims = {q: d for p, d in self.dims.items() if d and (q := up(p)) in pts}
         tr.arrow_matrix = {
             (up(a), q): m for (a, b), m in self.arrow_matrix.items() if (q := up(b)) in pts
         }

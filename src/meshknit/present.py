@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+from .classify import _require_configuration
 from .dynkin import loewy_number
 from .errors import (
     InvalidBrauer,
@@ -24,7 +25,7 @@ from .errors import (
     TooSmall,
 )
 from .mesh import MeshTransporter, ProjectiveQuiver
-from .ztquiver import AdmissibleGroup, Configuration, Pt, build_window, is_admissible, reach
+from .ztquiver import AdmissibleGroup, Configuration, Pt, _orbit_map, build_window, reach
 
 # ---------------------------------------------------------------------------
 # presentation containers
@@ -174,6 +175,7 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
 def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     """All connected convex nu-transversal projective sets, up to
     nu-translation, searched inside a window of three periods."""
+    _require_configuration(config)
     tree = config.tree
     L = loewy_number(tree)
     pq = ProjectiveQuiver(config, 0, 3 * L - 1)
@@ -427,23 +429,20 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     hom(p, g q) summed over the group, on orbit representatives."""
     tree = config.tree
     L = loewy_number(tree)
-    action = group.action(tree)
-    R = action.period
+    R = group.action(tree).period
     window = build_window(tree, config, -1, R + 2 * L + 2)
-    if not is_admissible(group, window):
-        raise NotAdmissible(f"{group.name(tree)} is not admissible for this configuration")
+    key, refusal = _orbit_map(group, window)
+    if refusal is not None:
+        raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
 
     # one orbit key per projective orbit, in the order the orbits are met
-    reps = list(
-        dict.fromkeys(action.representative(Pt(i, x, True)) for i, x in config.lifts(0, R - 1))
-    )
+    reps = list(dict.fromkeys(key[Pt(i, x, True)] for i, x in config.lifts(0, R - 1)))
+    orbits = {q: [t for t in window.projectives if key[t] == q] for q in reps}
     matrix: dict[tuple[Pt, Pt], int] = {}
     for p in reps:
         tr = MeshTransporter(window, p)
         for q in reps:
-            matrix[(p, q)] = sum(
-                tr.dim(t) for t in action.points_between(q, window.i_min, window.i_max)
-            )
+            matrix[(p, q)] = sum(tr.dim(t) for t in orbits[q])
     return reps, matrix
 
 

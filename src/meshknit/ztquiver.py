@@ -77,9 +77,9 @@ class Configuration:
         res = frozenset((i % L, x) for i, x in residues)
         for i, x in res:
             if x not in tree.vertices:
-                raise ValueError(f"bad vertex {x} in configuration")
+                raise InvalidInput(f"bad vertex {x} in configuration")
         if len(res) != tree.rank:
-            raise ValueError(f"configuration needs {tree.rank} residues, got {len(res)}")
+            raise InvalidInput(f"configuration needs {tree.rank} residues, got {len(res)}")
         self.tree = tree
         self.residues = res
 
@@ -273,7 +273,7 @@ class Section:
             )
         for lo, hi in self.tree.edges:
             if self.slice_of(lo) - self.slice_of(hi) not in (0, 1):
-                raise ValueError(f"levels {self.levels} do not form a section")
+                raise InvalidInput(f"levels {self.levels} do not form a section")
 
     def slice_of(self, v: int) -> int:
         return self.levels[v - 1]
@@ -471,15 +471,6 @@ class GroupAction:
             Pt(lo + (p.slice + g.shift[x] - lo) % P, g.perm[x], p.proj) for g in self.powers
         )
 
-    def points_between(self, p: Pt, lo: int, hi: int) -> list[Pt]:
-        """The points of p's orbit with slice in [lo, hi]; needs period > 0."""
-        x, P = p.vertex, self.period
-        out = []
-        for g in self.powers:
-            first = lo + (p.slice + g.shift[x] - lo) % P
-            out.extend(Pt(j, g.perm[x], p.proj) for j in range(first, hi + 1, P))
-        return out
-
 
 def twist_label(tree: DynkinTree, aut: TreeAutomorphism) -> str:
     if aut.is_identity:
@@ -596,36 +587,39 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
 # admissibility and quotients
 
 
-def _acts_on_window(group: AdmissibleGroup, window: QuiverWindow) -> bool:
-    """The group acts on the decorated quiver iff it maps the configured
-    point set onto itself."""
-    if window.residues is None:
-        return True
-    g = group.generator_map(window.tree).mod(loewy_number(window.tree))
-    return frozenset(starmap(g, window.residues)) == window.residues
+def _orbit_map(group: AdmissibleGroup, window: QuiverWindow, lo: int = 0) -> tuple:
+    """The orbit test, as ``(rep, refusal)``: ``rep`` maps each window point to
+    the least point of its orbit with slice in ``[lo, lo + period)``, and
+    ``refusal`` is None or a reason naming a witness: the least x whose cone
+    ``{x} u x+`` or ``{x} u x-`` meets one orbit twice, and the two members."""
+    tree = window.tree
+    action = group.action(tree)
+    span = window.i_max - window.i_min + 1
+    if span < action.period + 2:
+        raise WindowTooSmall(
+            f"window of {span} slices cannot hold a "
+            f"fundamental domain of {group.name(tree)} plus margins"
+        )
+    g = group.generator_map(tree).mod(loewy_number(tree))
+    moved = sorted(r for r in window.residues or () if g(*r) not in window.residues)
+    if moved:
+        return None, f"it maps configuration point {Pt(*moved[0])} off the configuration"
+    if not action.period:
+        return None, "its orbits are finite"  # a nontrivial power fixes every point
+
+    rep = {p: action.representative(p, lo) for p in window.points}
+    for p in sorted(window.points):
+        for cone in ([p, *window.out_nb[p]], [p, *window.in_nb[p]]):
+            keys = [rep[q] for q in cone]
+            if len(set(keys)) < len(cone):
+                j = next(j for j, k in enumerate(keys) if k in keys[:j])
+                return rep, f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
+    return rep, None
 
 
 def is_admissible(group: AdmissibleGroup, window: QuiverWindow) -> bool:
     """Orbit test: no orbit may meet ``{x} u x+`` or ``{x} u x-`` twice."""
-    tree = window.tree
-    action = group.action(tree)
-    if window.i_max - window.i_min + 1 < action.period + 2:
-        raise WindowTooSmall(
-            f"window of {window.i_max - window.i_min + 1} slices cannot hold a "
-            f"fundamental domain of {group.name(tree)} plus margins"
-        )
-    if not _acts_on_window(group, window):
-        return False
-    if not action.period:
-        return False  # finite orbits: a nontrivial power fixes every point
-
-    key = {p: action.representative(p) for p in window.points}
-    for p in window.points:
-        for nbs in (window.out_nb[p], window.in_nb[p]):
-            cone = [p, *nbs]
-            if len({key[q] for q in cone}) < len(cone):
-                return False
-    return True
+    return _orbit_map(group, window)[1] is None
 
 
 class FoldedQuiver:
@@ -647,19 +641,15 @@ class FoldedQuiver:
 def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:
     """Fold a window by an admissible group; points become orbit representatives."""
     tree = window.tree
-    if not is_admissible(group, window):
-        raise NotAdmissible(f"{group.name(tree)} is not admissible on this window")
-    action = group.action(tree)
-    period = action.period
+    period = group.action(tree).period
     span = window.i_max - window.i_min + 1
+    rep, refusal = _orbit_map(group, window, window.i_min + (span - period) // 2)
+    if refusal is not None:
+        raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
     if span < 2 * period:
         raise WindowTooSmall("quotient needs a window of at least two periods")
-    band_lo = window.i_min + (span - period) // 2
-    rep = {p: action.representative(p, band_lo) for p in window.points}
     points = tuple(sorted(set(rep.values())))
     arrows = tuple(sorted({(rep[a], rep[b]) for a, b in window.arrows}))
-    tau = {}
-    for p, q in window.tau.items():
-        tau.setdefault(rep[p], rep[q])
+    tau = {rep[p]: rep[q] for p, q in window.tau.items()}  # well defined: G commutes with tau
     projectives = tuple(sorted({rep[p] for p in window.points if p.proj}))
     return FoldedQuiver(points, arrows, tau, projectives, f"{tree.name}/{group.name(tree)}")

@@ -5,11 +5,19 @@ the full relation matrix (one row per ``q . mesh-sum . p`` combination),
 returning path count minus rank.  It shares no code with the incremental
 transporter; it anchors the oracle itself on small windows.  ``path_exists``
 is a plain depth-first search, the reference for reachability.
+``reference_is_admissible`` is the orbit test as it stood before the orbit
+map, and ``orbit_by_iteration`` lists orbit points by stepping a group's
+generator, with no closed form.  ``orbit_cases`` lists the (tree,
+configuration, group) triples the orbit test is swept over.
 """
 
 from fractions import Fraction
+from itertools import starmap
 
+from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
+from meshknit.errors import WindowTooSmall
 from meshknit.linalg import RationalEchelon
+from meshknit.ztquiver import AdmissibleGroup, Pt, table_groups
 
 
 def all_paths(window, x, y):
@@ -68,3 +76,89 @@ def naive_hom_dim(window, x, y) -> int:
                 if row:
                     ech.insert(row)
     return len(paths) - ech.rank
+
+
+def _acts_on_window(group, window) -> bool:
+    """The group acts on the decorated quiver iff it maps the configured
+    point set onto itself."""
+    if window.residues is None:
+        return True
+    g = group.generator_map(window.tree).mod(loewy_number(window.tree))
+    return frozenset(starmap(g, window.residues)) == window.residues
+
+
+def reference_is_admissible(group, window) -> bool:
+    """Orbit test: no orbit may meet ``{x} u x+`` or ``{x} u x-`` twice."""
+    tree = window.tree
+    action = group.action(tree)
+    if window.i_max - window.i_min + 1 < action.period + 2:
+        raise WindowTooSmall(
+            f"window of {window.i_max - window.i_min + 1} slices cannot hold a "
+            f"fundamental domain of {group.name(tree)} plus margins"
+        )
+    if not _acts_on_window(group, window):
+        return False
+    if not action.period:
+        return False  # finite orbits: a nontrivial power fixes every point
+
+    key = {p: action.representative(p) for p in window.points}
+    for p in window.points:
+        for nbs in (window.out_nb[p], window.in_nb[p]):
+            cone = [p, *nbs]
+            if len({key[q] for q in cone}) < len(cone):
+                return False
+    return True
+
+
+def orbit_by_iteration(group, tree, p, lo: int, hi: int) -> set:
+    """The points of p's orbit with slice in [lo, hi], by stepping the
+    generator g and its inverse one point at a time; needs infinite orbits."""
+    g = group.generator_map(tree)
+    preimage = {}  # x -> (slice offset, y) with g(i, y) = (i + offset, x)
+    for y in tree.vertices:
+        j, x = g(0, y)
+        preimage[x] = (j, y)
+    # the order d of g's permutation, the translation T of g^d, and the
+    # largest slice offset of g^r for r < d
+    images = {v: (0, v) for v in tree.vertices}
+    d, smax = 0, 0
+    while True:
+        images = {v: g(*images[v]) for v in tree.vertices}
+        d += 1
+        if all(y == v for v, (_, y) in images.items()):
+            break
+        smax = max(smax, *(abs(j) for j, _ in images.values()))
+    T = images[1][0]
+    assert T, "finite orbits"
+    bound = d * ((hi - lo + abs(p.slice - lo) + smax) // abs(T) + 2)
+    steps = (g, lambda i, x: (i - preimage[x][0], preimage[x][1]))
+    orbit = {p} if lo <= p.slice <= hi else set()
+    for step in steps:
+        i, x = p.slice, p.vertex
+        for _ in range(bound):
+            i, x = step(i, x)
+            if lo <= i <= hi:
+                orbit.add(Pt(i, x, p.proj))
+    return orbit
+
+
+def orbit_cases(configs):
+    """Every ``table_groups(s_max=2)`` group of every configuration of A2-A5,
+    D4 and D5, then groups the orbit test refuses: tau^0, tau^0 * phi on A3,
+    the glide on A2 and A4 with and without a configuration, and a twist that
+    moves the configuration.  ``configs(name)`` lists a tree's configurations."""
+    for name in ["A2", "A3", "A4", "A5", "D4", "D5"]:
+        tree = make_tree(name[0], int(name[1]))
+        for config in configs(name):
+            for group in table_groups(tree, config, s_max=2):
+                yield tree, config, group
+    a3 = make_tree("A", 3)
+    flip = AdmissibleGroup(0, flip_automorphism(a3))
+    for config in (None, configs("A3")[0]):
+        yield a3, config, AdmissibleGroup(0)
+        yield a3, config, flip
+    moved = next(c for c in configs("A3") if not flip.stabilizes(c))
+    yield a3, moved, AdmissibleGroup(3, flip.twist)
+    for tree in (make_tree("A", 2), make_tree("A", 4)):
+        for config in [None, *configs(tree.name)]:
+            yield tree, config, AdmissibleGroup(0, glide=True)

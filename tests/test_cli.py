@@ -142,7 +142,8 @@ def test_quotient_command(capsys):
         ["quotient", "--tree", "A2", "--group", "rho", "--range=-4,4"],
     )
     assert code == 3
-    assert "NOT_ADMISSIBLE" in err
+    witness = "-4_1 and -4_2 next to -4_1 lie in one orbit"
+    assert err == f"error[NOT_ADMISSIBLE]: rho is not admissible: {witness}\n"
 
 
 def test_reproduce_all_examples(capsys):
@@ -209,6 +210,16 @@ MALFORMED = [
         ["present", "--fundamental=-1", "--config"], A3_CONFIG, id="present-fundamental-negative"
     ),
     pytest.param(["present", "--config"], A3_NOT_A_CONFIG, id="present-not-a-configuration"),
+    pytest.param(
+        ["configs", "check", "--file"], a3_file([(0, 3), (1, 3), (2, 9)]), id="check-bad-vertex"
+    ),
+    pytest.param(["present", "--config"], a3_file([(0, 3), (1, 3)]), id="present-two-residues"),
+    pytest.param(
+        ["knit", "--tree", "A3", "--section", "0,2,0", "--dims", "1,2,3"], None, id="knit-not-a-section"
+    ),
+    pytest.param(
+        ["quotient", "--tree", "A2", "--group", "tau^1", "--range", "0"], None, id="quotient-one-slice"
+    ),
 ]
 
 

@@ -4,11 +4,18 @@ import re
 
 import pytest
 
-from helpers import path_exists
+from helpers import orbit_by_iteration, orbit_cases, path_exists
 from meshknit.classify import Pedigree, enumerate_pedigrees
 from meshknit.dynkin import loewy_number, make_tree
-from meshknit.errors import InvalidBrauer, NoSpecialArrow, NotFundamental, NotSource, TooSmall
-from meshknit.knitting import fundamental_domain_points, knit_and_knot
+from meshknit.errors import (
+    InvalidBrauer,
+    InvalidInput,
+    NoSpecialArrow,
+    NotFundamental,
+    NotSource,
+    TooSmall,
+)
+from meshknit.knitting import dims_on_section, fundamental_domain_points, knit_and_knot
 from meshknit.mesh import ProjectiveQuiver, complete_morphisms
 from meshknit.present import (
     BrauerQuiver,
@@ -33,7 +40,7 @@ from meshknit.present import (
     _shape_defect,
     _validated_fundamental,
 )
-from meshknit.ztquiver import AdmissibleGroup, Pt, equioriented_section
+from meshknit.ztquiver import AdmissibleGroup, Configuration, Pt, equioriented_section
 
 CHAIN_46 = [Pt(4, 1, True), Pt(5, 6, True), Pt(6, 7, True), Pt(7, 7, True),
             Pt(10, 5, True), Pt(15, 1, True), Pt(16, 1, True)]
@@ -239,26 +246,45 @@ def test_cartan_of_trivial_extension(configs_cache):
                         assert mat[(p, q)] in (0, 1)
 
 
-def test_cartan_against_direct_orbit_sum(fig4):
-    """Independent summation: entries equal hom dims summed over explicit
-    translates of the column's orbit."""
+def test_cartan_against_direct_orbit_sum(fig4, configs_cache):
+    """Independent summation: entries equal hom dims summed over the column's
+    orbit points in a wider window, found by stepping the generator.  Cases:
+    the nu^2 quotient of the A7 example and every orbit case with a
+    configuration; a refused group raises NotAdmissible with its reason."""
+    from meshknit.errors import NotAdmissible
     from meshknit.mesh import MeshTransporter
-    from meshknit.ztquiver import build_window
+    from meshknit.ztquiver import build_window, is_admissible
 
     tree, _, _, config = fig4
-    L = loewy_number(tree)
-    group = AdmissibleGroup(2 * L)  # the nu^2 quotient
-    reps, mat = cartan_matrix(config, group)
-    window = build_window(tree, config, -1, 5 * L)
-    for p in reps:
-        tr = MeshTransporter(window, p)
-        for q in reps:
-            direct = 0
-            for k in range(-2, 6):
-                target = Pt(q.slice + k * 2 * L, q.vertex, True)
-                if target in window.points:
-                    direct += tr.dim(target)
-            assert mat[(p, q)] == direct
+    cases = [(tree, config, AdmissibleGroup(2 * loewy_number(tree)))]
+    cases += [case for case in orbit_cases(configs_cache) if case[1] is not None]
+    for tree, config, group in cases:
+        action = group.action(tree)
+        window = build_window(tree, config, -1, action.period + 3 * loewy_number(tree))
+        if not is_admissible(group, window):
+            refused = f"^{re.escape(group.name(tree))} is not admissible: "
+            with pytest.raises(NotAdmissible, match=refused):
+                cartan_matrix(config, group)
+            continue
+        reps, mat = cartan_matrix(config, group)
+        assert len(set(reps)) == len(reps)
+        assert set(reps) == {action.representative(p) for p in window.projectives}
+        orbits = {q: orbit_by_iteration(group, tree, q, window.i_min, window.i_max) for q in reps}
+        for p in reps:
+            tr = MeshTransporter(window, p)
+            for q in reps:
+                assert mat[(p, q)] == sum(tr.dim(t) for t in orbits[q]), (config, group, p, q)
+
+
+def test_library_entry_points_reject_non_configurations():
+    """fundamental_algebras and dims_on_section check C1 and C2 themselves,
+    without an assert, and name the failed axiom."""
+    tree = make_tree("A", 3)
+    residues = Configuration(tree, {(0, 2), (1, 2), (2, 2)})  # hom((0,2), (1,2)) != 0
+    calls = [fundamental_algebras, lambda c: dims_on_section(c, equioriented_section(tree))]
+    for call in calls:
+        with pytest.raises(InvalidInput, match=r"^not a configuration: axiom C2 fails for "):
+            call(residues)
 
 
 def test_d4_fundamental_algebra_relation_split(configs_cache):

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from helpers import orbit_by_iteration, orbit_cases, reference_is_admissible
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, NotAdmissible, NotSink, NotSource, UndefinedTau, WindowTooSmall
 from meshknit.ztquiver import (
@@ -8,6 +11,7 @@ from meshknit.ztquiver import (
     Configuration,
     Pt,
     Section,
+    _orbit_map,
     build_window,
     equioriented_section,
     extend_automorphism,
@@ -370,3 +374,71 @@ def test_orbit_key_matches_brute_force_orbits(family, rank):
                     rep = action.representative(p, band_lo)
                     assert band_lo <= rep.slice < band_lo + abs(T)
                     assert action.representative(rep) == key[p]
+
+
+# ---------------------------------------------------------------------------
+# the orbit map against the previous orbit test and step-by-step orbits
+
+WITNESS = re.compile(r"(\S+) and (\S+) next to (\S+) lie in one orbit")
+MOVED = re.compile(r"it maps configuration point (\S+) off the configuration")
+
+
+def _parse_pt(text):
+    i, x, *proj = text.split("_")
+    return Pt(int(i), int(x), bool(proj))
+
+
+def _check_witness(tree, group, w, refusal):
+    """The named point is the least whose cone meets one orbit twice, and
+    the two named cone members lie in one orbit."""
+    a, b, x = map(_parse_pt, WITNESS.fullmatch(refusal).groups())
+    assert a != b
+    assert any({a, b} <= {x, *nbs} for nbs in (w.out_nb[x], w.in_nb[x]))
+    assert b in orbit_by_iteration(group, tree, a, w.i_min, w.i_max)
+    key = group.action(tree).representative
+    for p in sorted(w.points):
+        if p == x:
+            break
+        for nbs in (w.out_nb[p], w.in_nb[p]):
+            assert len({key(q) for q in (p, *nbs)}) == 1 + len(nbs), (p, refusal)
+
+
+def test_orbit_map_against_reference(configs_cache):
+    """On two windows per case: is_admissible agrees with the previous orbit
+    test, quotient with a fold by band representatives, and every refusal
+    names a witness that holds."""
+    cones = moves = 0
+    for tree, config, group in orbit_cases(configs_cache):
+        action = group.action(tree)
+        P = action.period
+        for lo, hi in ((0, 2 * P + 1), (-2, 3 * P + 3)):
+            w = build_window(tree, config, lo, hi)
+            admissible = is_admissible(group, w)
+            assert admissible == reference_is_admissible(group, w), (config, group)
+            if not admissible:
+                refusal = _orbit_map(group, w)[1]
+                with pytest.raises(NotAdmissible) as exc:
+                    quotient(w, group)
+                assert str(exc.value) == f"{group.name(tree)} is not admissible: {refusal}"
+                if WITNESS.fullmatch(refusal):
+                    cones += 1
+                    _check_witness(tree, group, w, refusal)
+                elif moved := MOVED.fullmatch(refusal):
+                    moves += 1
+                    i, x, _ = _parse_pt(moved[1])
+                    g = group.generator_map(tree).mod(loewy_number(tree))
+                    assert (i, x) in config.residues and g(i, x) not in config.residues
+                else:
+                    assert refusal == "its orbits are finite" and not P
+                continue
+            band_lo = lo + (hi - lo + 1 - P) // 2
+            band = {p: action.representative(p, band_lo) for p in w.points}
+            folded = quotient(w, group)
+            assert folded.points == tuple(sorted(set(band.values())))
+            assert folded.arrows == tuple(sorted({(band[a], band[b]) for a, b in w.arrows}))
+            tau = {}
+            for p, q in sorted(w.tau.items()):
+                tau.setdefault(band[p], band[q])
+            assert folded.tau == tau
+            assert folded.projectives == tuple(sorted({band[p] for p in w.points if p.proj}))
+    assert cones and moves
