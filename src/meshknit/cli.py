@@ -29,11 +29,23 @@ from .ztquiver import (
 )
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInput(f"{what}: {text!r} is not an integer") from None
+
+
+def _ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of a CLI field."""
+    return tuple(_int(v, what) for v in text.split(","))
+
+
 def _parse_point(text: str) -> Pt:
     parts = text.split(",")
     if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] not in ("p", "P")):
         raise InvalidType(f"cannot parse point {text!r}; expected i,x or i,x,p")
-    return Pt(int(parts[0]), int(parts[1]), len(parts) == 3)
+    return Pt(*(_int(v, f"point {text!r}") for v in parts[:2]), len(parts) == 3)
 
 
 def _parse_group(tree, text: str) -> AdmissibleGroup:
@@ -59,7 +71,7 @@ def _parse_group(tree, text: str) -> AdmissibleGroup:
             raise InvalidType(f"tree {tree.name} has no twist {name!r}")
     else:
         power = body
-    return AdmissibleGroup(int(power), twist, glide)
+    return AdmissibleGroup(_int(power, f"group {text!r}"), twist, glide)
 
 
 def _load_config(path: str) -> Configuration:
@@ -87,11 +99,11 @@ def _cmd_dynkin(args) -> int:
 def _cmd_knit(args) -> int:
     tree = tree_from_name(args.tree)
     if args.section != "equi":
-        levels = tuple(int(v) for v in args.section.split(","))
+        levels = _ints(args.section, "--section")
         section = Section(tree, levels)
     else:
         section = equioriented_section(tree)
-    dims = tuple(int(v) for v in args.dims.split(","))
+    dims = _ints(args.dims, "--dims")
     config, trace = knitting.knit_run(tree, section, dims)
     if args.emit == "carpet":
         print(trace.carpet())
@@ -178,10 +190,10 @@ def _cmd_quotient(args) -> int:
     tree = tree_from_name(args.tree)
     config = _load_config(args.config) if args.config else None
     group = _parse_group(tree, args.group)
-    try:
-        lo, hi = (int(v) for v in args.range.split(","))
-    except ValueError:
-        raise InvalidInput(f"--range must be two slices lo,hi, got {args.range!r}") from None
+    bounds = _ints(args.range, "--range")
+    if len(bounds) != 2:
+        raise InvalidInput(f"--range must be two slices lo,hi, got {args.range!r}")
+    lo, hi = bounds
     window = build_window(tree, config, lo, hi)
     folded = quotient(window, group)
     if args.out == "dot":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import InvalidDimensionVector, InvalidInput
-from .mesh import MeshTransporter
+from .mesh import starting_function
 from .ztquiver import (
     Configuration,
     Pt,
@@ -324,9 +324,9 @@ def dims_on_section(config: Configuration, section: Section) -> Vec:
     domain, window = _domain_and_window(config, section)
     values = [0] * tree.rank
     for c in domain:
-        tr = MeshTransporter(window, Pt(c.slice, c.vertex, True))
+        hom = starting_function(tree, Pt(c.slice, c.vertex, True), window)
         for v in tree.vertices:
-            values[v - 1] += tr.dim(section.point_of(v))
+            values[v - 1] += hom[section.point_of(v)]
     if any(v < 1 for v in values):
         raise InvalidDimensionVector(f"section dims {values} are not all positive")
     return tuple(values)

@@ -10,10 +10,14 @@ Two independent routes compute ``dim k(window)(x, y)``:
   the relation rows).  Entries are ``int`` unless a pivot scaling left a
   ``Fraction``, so matrices of 0 and +-1 never touch ``Fraction``.
 
-The two must agree everywhere; the test suite enforces this, the library
-never cross-checks at runtime.  The transporter additionally carries the
-arrow matrices of the quotient functor, which is what composition tests
-(radical-square, completeness) are made of.
+Both walk the window's level order (:attr:`QuiverWindow.order`).  Callers
+that need only dimensions (``present.cartan_matrix``,
+``knitting.dims_on_section``, the Nakayama map) use the recurrence.  The
+transporter additionally carries the arrow matrices of the quotient functor,
+which is what composition is made of: :class:`ProjectiveQuiver`'s
+radical-square test, completeness and relations.  The two must agree
+everywhere, configuration windows with projective sources included; the test
+suite enforces this, the library never cross-checks at runtime.
 """
 
 from __future__ import annotations
@@ -55,19 +59,19 @@ def starting_function(
         window = build_window(tree, config, x.slice, x.slice + L + 1)
     if x not in window.points:
         raise WindowTooSmall(f"window does not contain the source {x}")
+    lvl, in_nb, tau = window.level, window.in_nb, window.tau
+    lx = lvl[x]
     svals: dict[Pt, int] = {}
-    for p in sorted(window.points, key=lambda p: (window.level[p], p)):
+    for p in window.order:
         if p == x:
             svals[p] = 1
-        elif window.level[p] <= window.level[x]:
+        elif lvl[p] <= lx:
             svals[p] = 0
         elif p.proj:
             svals[p] = svals.get(Pt(p.slice, p.vertex), 0)
         else:
-            total = sum(svals.get(w, 0) for w in window.in_nb[p])
-            tz = window.tau.get(p)
-            back = svals.get(tz, 0) if tz is not None else 0
-            svals[p] = max(0, total - back)
+            total = sum(svals.get(w, 0) for w in in_nb[p])
+            svals[p] = max(0, total - svals.get(tau.get(p), 0))
     return HomTable(x, window, svals)
 
 
@@ -89,7 +93,7 @@ class MeshTransporter:
         self.dims: dict[Pt, int] = {}
         self.arrow_matrix: dict[tuple[Pt, Pt], list[list[Scalar]]] = {}
         lvl = window.level
-        for p in sorted(window.points, key=lambda q: (lvl[q], q)):
+        for p in window.order:
             if p == source:
                 self.dims[p] = 1
                 continue

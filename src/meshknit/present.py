@@ -24,7 +24,7 @@ from .errors import (
     NotSource,
     TooSmall,
 )
-from .mesh import MeshTransporter, ProjectiveQuiver
+from .mesh import ProjectiveQuiver, starting_function
 from .ztquiver import AdmissibleGroup, Configuration, Pt, _orbit_map, build_window, reach
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     ones: zero on minimal vanishing paths, commutativity on minimal
     parallel pairs, decided by mesh-dimension tests.
     """
+    _require_configuration(config)
     tree = config.tree
     L = loewy_number(tree)
     # wide ambient quiver: the base copy plus two more periods for relations
@@ -427,6 +428,7 @@ def trivial_extension_presentation(config: Configuration, fund) -> QuiverPresent
 def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     """Cartan numbers of the combinatorial quotient: entry (p, q) counts
     hom(p, g q) summed over the group, on orbit representatives."""
+    _require_configuration(config)
     tree = config.tree
     L = loewy_number(tree)
     R = group.action(tree).period
@@ -440,9 +442,9 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     orbits = {q: [t for t in window.projectives if key[t] == q] for q in reps}
     matrix: dict[tuple[Pt, Pt], int] = {}
     for p in reps:
-        tr = MeshTransporter(window, p)
+        hom = starting_function(tree, p, window)
         for q in reps:
-            matrix[(p, q)] = sum(tr.dim(t) for t in orbits[q])
+            matrix[(p, q)] = sum(hom[t] for t in orbits[q])
     return reps, matrix
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import starmap
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
@@ -222,6 +222,12 @@ class QuiverWindow:
         for a, b in self.arrows:
             self.out_nb[a].append(b)
             self.in_nb[b].append(a)
+
+    @cached_property
+    def order(self) -> tuple[Pt, ...]:
+        """The points sorted by ``(level, point)``: every arrow goes forward."""
+        lvl = self.level
+        return tuple(sorted(self.points, key=lambda p: (lvl[p], p)))
 
     @property
     def projectives(self) -> list[Pt]:

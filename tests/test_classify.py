@@ -206,6 +206,16 @@ def test_e7_cross_method():
     assert pats == brute
 
 
+@pytest.mark.e8
+def test_e8_cross_method():
+    """Opt-in (pytest -m e8): both methods give the same 17342 configurations."""
+    tree = make_tree("E", 8)
+    pats = {c.residues for c in enumerate_configurations(tree, "patterns")}
+    brute = {c.residues for c in enumerate_configurations(tree, "bruteforce")}
+    assert len(pats) == 17342
+    assert pats == brute
+
+
 def test_e7_bruteforce_needs_no_opt_in(monkeypatch):
     """Brute force is the fast method and runs without any environment switch."""
     monkeypatch.delenv("MESHKNIT_ALLOW_SLOW", raising=False)

@@ -220,6 +220,15 @@ MALFORMED = [
     pytest.param(
         ["quotient", "--tree", "A2", "--group", "tau^1", "--range", "0"], None, id="quotient-one-slice"
     ),
+    pytest.param(["knit", "--tree", "A3", "--dims", "1,x,3"], None, id="knit-non-integer-dims"),
+    pytest.param(
+        ["mesh", "homdim", "--tree", "D4", "--from", "0,a", "--to", "1,2"], None,
+        id="homdim-non-integer-point",
+    ),
+    pytest.param(
+        ["quotient", "--tree", "A2", "--group", "tau^x", "--range=-4,4"], None,
+        id="quotient-non-integer-power",
+    ),
 ]
 
 

@@ -4,6 +4,7 @@ from helpers import naive_hom_dim, path_exists
 
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
+from meshknit.knitting import _domain_and_window
 from meshknit.mesh import (
     MeshTransporter,
     ProjectiveQuiver,
@@ -71,6 +72,41 @@ def test_starting_function_agrees_with_oracle_a3_five_slices():
         tr = MeshTransporter(w, x)
         for p in sorted(w.points):
             assert table[p] == tr.dim(p)
+
+
+def _routes_agree(tree, window, source):
+    table = starting_function(tree, source, window)
+    tr = MeshTransporter(window, source)
+    wrong = [(p, table[p], tr.dim(p)) for p in window.order if table[p] != tr.dim(p)]
+    assert not wrong, (window.config, source, wrong[:3])
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])
+def test_starting_function_agrees_with_transporter_on_configuration_windows(name, configs_cache):
+    """The recurrence equals the transporter dimension at every point, from
+    projective sources, on the two window shapes of the dimension-only callers.
+
+    * cartan_matrix's ``[-1, R + 2L + 2]`` with R = L, from the lifts in
+      slices [0, L): one source per nu-orbit.  The window reaches past every
+      source's support, so the check is invariant under tau and one
+      configuration per tau-orbit covers them all.
+    * dims_on_section's window behind the equioriented section, from every
+      projective of the window.  It is clipped at the section, so every
+      configuration is checked (every tenth for E6).
+    """
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    section = equioriented_section(tree)
+    configs = configs_cache(name)
+    tau_orbits = {min(c.shifted(k).canonical_key() for k in range(L)): c for c in configs}
+    for config in tau_orbits.values():
+        w = build_window(tree, config, -1, 3 * L + 2)
+        for i, x in config.lifts(0, L - 1):
+            _routes_agree(tree, w, Pt(i, x, True))
+    for config in configs[:: 10 if name == "E6" else 1]:
+        _, w = _domain_and_window(config, section)
+        for p in w.projectives:
+            _routes_agree(tree, w, p)
 
 
 def test_nakayama_examples():

@@ -277,11 +277,16 @@ def test_cartan_against_direct_orbit_sum(fig4, configs_cache):
 
 
 def test_library_entry_points_reject_non_configurations():
-    """fundamental_algebras and dims_on_section check C1 and C2 themselves,
-    without an assert, and name the failed axiom."""
+    """fundamental_algebras, dims_on_section, cartan_matrix and quiver_of_AC
+    check C1 and C2 themselves, without an assert, and name the failed axiom."""
     tree = make_tree("A", 3)
     residues = Configuration(tree, {(0, 2), (1, 2), (2, 2)})  # hom((0,2), (1,2)) != 0
-    calls = [fundamental_algebras, lambda c: dims_on_section(c, equioriented_section(tree))]
+    calls = [
+        fundamental_algebras,
+        lambda c: dims_on_section(c, equioriented_section(tree)),
+        lambda c: cartan_matrix(c, AdmissibleGroup(3)),
+        lambda c: quiver_of_AC(c, [Pt(i, x, True) for i, x in sorted(c.residues)]),
+    ]
     for call in calls:
         with pytest.raises(InvalidInput, match=r"^not a configuration: axiom C2 fails for "):
             call(residues)
