@@ -154,6 +154,11 @@ def _cmd_mesh(args) -> int:
     src = _parse_point(args.src)
     dst = _parse_point(args.dst)
     config = _load_config(args.config) if args.config else None
+    for p in (src, dst):
+        if p.proj and not (config and config.contains(p.slice, p.vertex)):
+            raise InvalidInput(
+                f"projective point {p} needs ({p.slice},{p.vertex}) in the configuration"
+            )
     lo = min(src.slice, dst.slice) - 1
     hi = max(src.slice, dst.slice) + 1
     window = build_window(tree, config, lo, hi)

@@ -21,11 +21,9 @@ from .mesh import starting_function
 from .ztquiver import (
     Configuration,
     Pt,
-    QuiverWindow,
     Section,
     build_window,
     plus_admissible_enumeration,
-    reach,
     section_move,
 )
 
@@ -294,25 +292,17 @@ def knit_and_knot(tree: DynkinTree, section: Section, dims: Vec) -> Configuratio
 
 def fundamental_domain_points(config: Configuration, section: Section) -> list[Pt]:
     """Configuration points between the Nakayama shift of a section and the
-    section itself (inclusive behind, exclusive on the section)."""
-    return _domain_and_window(config, section)[0]
+    section itself (inclusive behind, exclusive on the section).
 
-
-def _domain_and_window(config: Configuration, section: Section) -> tuple[list[Pt], QuiverWindow]:
-    """The fundamental domain behind a section and the window it was found in."""
-    tree = config.tree
-    L = loewy_number(tree)
-    lo = min(section.levels) - L - 1
-    hi = max(section.levels) + 1
-    window = build_window(tree, config, lo, hi)
-    behind = reach(section.points(), window.in_nb.__getitem__)
-    ahead = reach(section.shifted(-L).points(), window.out_nb.__getitem__)
-    between = (behind & ahead) - set(section.points())
-    domain = [Pt(i, x) for i, x in config.lifts(lo + 1, hi) if Pt(i, x) in between]
-    assert len(domain) == tree.rank, (
-        f"fundamental domain holds {len(domain)} configuration points, expected {tree.rank}"
-    )
-    return domain, window
+    A section is convex, so the points with a path to it are the (i, x) with
+    i <= s_x, where s_x is its slice over x, and those reached from its
+    tau^L-shift are the (i, x) with i >= s_x - L: the domain is the lifts
+    with s_x - L <= i < s_x, one per residue.
+    """
+    L = loewy_number(config.tree)
+    s = section.slice_of
+    lifts = config.lifts(min(section.levels) - L, max(section.levels) - 1)
+    return [Pt(i, x) for i, x in lifts if s(x) - L <= i < s(x)]
 
 
 def dims_on_section(config: Configuration, section: Section) -> Vec:
@@ -321,9 +311,10 @@ def dims_on_section(config: Configuration, section: Section) -> Vec:
     from .classify import _require_configuration  # local to avoid an import cycle
     _require_configuration(config)
     tree = config.tree
-    domain, window = _domain_and_window(config, section)
+    L = loewy_number(tree)
+    window = build_window(tree, config, min(section.levels) - L - 1, max(section.levels) + 1)
     values = [0] * tree.rank
-    for c in domain:
+    for c in fundamental_domain_points(config, section):
         hom = starting_function(tree, Pt(c.slice, c.vertex, True), window)
         for v in tree.vertices:
             values[v - 1] += hom[section.point_of(v)]

@@ -10,19 +10,24 @@ Two independent routes compute ``dim k(window)(x, y)``:
   the relation rows).  Entries are ``int`` unless a pivot scaling left a
   ``Fraction``, so matrices of 0 and +-1 never touch ``Fraction``.
 
-Both walk the window's level order (:attr:`QuiverWindow.order`).  Callers
-that need only dimensions (``present.cartan_matrix``,
-``knitting.dims_on_section``, the Nakayama map) use the recurrence.  The
-transporter additionally carries the arrow matrices of the quotient functor,
-which is what composition is made of: :class:`ProjectiveQuiver`'s
-radical-square test, completeness and relations.  The two must agree
-everywhere, configuration windows with projective sources included; the test
-suite enforces this, the library never cross-checks at runtime.
+Both walk the window's level order (:attr:`QuiverWindow.order`) from the
+source and store nonzero values only.  Every arrow raises the level by one,
+and a value is at most the sum of the values at its in-neighbours, one level
+down; so once a whole level is zero every higher one is, and a walk stops at
+the first point two levels above its highest nonzero value.  Callers that
+need only dimensions (``present.cartan_matrix``, ``knitting.dims_on_section``,
+the Nakayama map) use the recurrence.  The transporter additionally carries
+the arrow matrices of the quotient functor, which is what composition is
+made of: :class:`ProjectiveQuiver`'s radical-square test, completeness and
+relations.  That quiver computes each transporter, hom value and arrow on
+first read, since its callers read only part of it.  The two routes must
+agree everywhere, configuration windows with projective sources included;
+the test suite enforces this, the library never cross-checks at runtime.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import WindowTooSmall
@@ -50,28 +55,29 @@ def starting_function(
 ) -> HomTable:
     """Hom dimensions from ``x`` by the knitting recurrence.
 
-    Points are processed in level order; each non-projective point ``z``
-    gets ``max(0, sum over in-neighbors - value at tau z)``, a projective
-    ``c*`` simply copies the value at ``c``.
+    Points are processed in level order from ``x``; each non-projective
+    point ``z`` gets ``max(0, sum over in-neighbors - value at tau z)``, a
+    projective ``c*`` simply copies the value at ``c``.  Only nonzero values
+    are stored.
     """
     if window is None:
         L = loewy_number(tree)
         window = build_window(tree, config, x.slice, x.slice + L + 1)
     if x not in window.points:
         raise WindowTooSmall(f"window does not contain the source {x}")
-    lvl, in_nb, tau = window.level, window.in_nb, window.tau
-    lx = lvl[x]
-    svals: dict[Pt, int] = {}
-    for p in window.order:
-        if p == x:
-            svals[p] = 1
-        elif lvl[p] <= lx:
-            svals[p] = 0
-        elif p.proj:
-            svals[p] = svals.get(Pt(p.slice, p.vertex), 0)
+    lvl, in_nb, tau, order = window.level, window.in_nb, window.tau, window.order
+    svals: dict[Pt, int] = {x: 1}
+    top = lvl[x]  # the highest level holding a nonzero value
+    for p in order[order.index(x) + 1 :]:
+        if lvl[p] > top + 1:
+            break
+        if p.proj:
+            v = svals.get(Pt(p.slice, p.vertex), 0)
         else:
-            total = sum(svals.get(w, 0) for w in in_nb[p])
-            svals[p] = max(0, total - svals.get(tau.get(p), 0))
+            v = sum(svals.get(w, 0) for w in in_nb[p]) - svals.get(tau.get(p), 0)
+        if v > 0:
+            svals[p] = v
+            top = lvl[p]
     return HomTable(x, window, svals)
 
 
@@ -90,22 +96,18 @@ class MeshTransporter:
             raise WindowTooSmall(f"window does not contain the source {source}")
         self.window = window
         self.source = source
-        self.dims: dict[Pt, int] = {}
+        self.dims: dict[Pt, int] = {source: 1}  # nonzero dimensions only
         self.arrow_matrix: dict[tuple[Pt, Pt], list[list[Scalar]]] = {}
-        lvl = window.level
-        for p in window.order:
-            if p == source:
-                self.dims[p] = 1
+        lvl, order, dims = window.level, window.order, self.dims
+        top = lvl[source]  # the highest level of nonzero dimension
+        for p in order[order.index(source) + 1 :]:
+            if lvl[p] > top + 1:
+                break
+            ins = [w for w in sorted(window.in_nb[p]) if w in dims]
+            if not ins:
                 continue
-            if lvl[p] <= lvl[source]:
-                self.dims[p] = 0
-                continue
-            ins = [w for w in sorted(window.in_nb[p]) if self.dims.get(w, 0) > 0]
-            widths = [self.dims[w] for w in ins]
+            widths = [dims[w] for w in ins]
             total = sum(widths)
-            if total == 0:
-                self.dims[p] = 0
-                continue
             offsets = {}
             run = 0
             for w, d in zip(ins, widths):
@@ -113,9 +115,9 @@ class MeshTransporter:
                 run += d
             ech = RationalEchelon()
             tz = None if p.proj else window.tau.get(p)
-            if tz is not None and self.dims.get(tz, 0) > 0:
+            if tz in dims:
                 # the mesh relations at p: the images of the basis of tz
-                for j in range(self.dims[tz]):
+                for j in range(dims[tz]):
                     row: dict[int, Scalar] = {}
                     for w in ins:
                         for i, r in enumerate(self.arrow_matrix.get((tz, w), ())):
@@ -124,7 +126,10 @@ class MeshTransporter:
                     ech.insert(row)
             piv = ech.pivots
             free = [c for c in range(total) if c not in piv]
-            self.dims[p] = len(free)
+            if not free:
+                continue
+            dims[p] = len(free)
+            top = lvl[p]
             # the quotient map: e_c for a free column c, -row_c for a pivot one
             quot = [
                 [-piv[c].get(f, 0) if c in piv else int(c == f) for c in range(total)]
@@ -138,7 +143,7 @@ class MeshTransporter:
         """The transporter from the source moved up ``shift`` slices, a
         non-negative multiple of the configuration's period, in the same
         window.  A value at q depends only on the points between the source
-        and q, so the translate shares the matrices and keeps nonzero dims."""
+        and q, so the translate shares the matrices."""
 
         def up(p: Pt) -> Pt:
             return Pt(p.slice + shift, p.vertex, p.proj)
@@ -147,7 +152,7 @@ class MeshTransporter:
         tr = object.__new__(MeshTransporter)
         tr.window = self.window
         tr.source = up(self.source)
-        tr.dims = {q: d for p, d in self.dims.items() if d and (q := up(p)) in pts}
+        tr.dims = {q: d for p, d in self.dims.items() if (q := up(p)) in pts}
         tr.arrow_matrix = {
             (up(a), q): m for (a, b), m in self.arrow_matrix.items() if (q := up(b)) in pts
         }
@@ -279,14 +284,34 @@ def nakayama(tree: DynkinTree, p: Pt) -> Pt:
 # the quiver of the infinite selfinjective category attached to a configuration
 
 
+class _OnDemand(dict):
+    """A dict that computes a missing value by ``fill(key)`` on first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class ProjectiveQuiver:
-    """Arrows and hom data among the projectives of a window.
+    """Arrows and hom data among the projectives of a window, on demand.
 
     An arrow p -> q exists when hom(p, q) is one-dimensional and no
     composite through a third projective realizes it (radical square test).
     All hom spaces between distinct projectives are at most one-dimensional;
-    this is asserted.  One transporter is built per nu-orbit, at its lowest
-    node; the higher nodes get its translate (:meth:`MeshTransporter.translated`).
+    this is asserted on every pair read.  Callers read a small part of the
+    quiver (``quiver_of_AC`` the arrows out of one nu-copy), so nothing is
+    computed up front: a node's transporter, the arrow decision for a pair,
+    ``out_nb[p]``, ``in_nb[q]`` and representative paths are computed on
+    first read and cached.  The lowest node of each nu-orbit gets a fresh
+    transporter; the higher nodes get its translate
+    (:meth:`MeshTransporter.translated`).  hom(p, q) is 0 without a
+    transporter when q is not above p in level, since every arrow raises the
+    level.  ``hom`` and ``arrows`` hold the whole table for callers that want
+    all of it.
     """
 
     def __init__(self, config: Configuration, i_lo: int, i_hi: int):
@@ -296,58 +321,61 @@ class ProjectiveQuiver:
         self.tree = tree
         self.window = build_window(tree, config, i_lo - 1, i_hi + L + 2)
         self.nodes = tuple(Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi))
-        self.transporters: dict[Pt, MeshTransporter] = {}
-        self.hom: dict[tuple[Pt, Pt], int] = {}
-        lowest: dict[tuple[int, int], MeshTransporter] = {}
-        for p in self.nodes:  # sorted, so each orbit is met at its lowest node first
-            base = lowest.get((p.slice % L, p.vertex))
-            if base is None:
-                tr = lowest[(p.slice % L, p.vertex)] = MeshTransporter(self.window, p)
-            else:
-                tr = base.translated(p.slice - base.source.slice)
-            self.transporters[p] = tr
-            for q in self.nodes:
-                if q == p:
-                    continue
-                d = tr.dim(q)
-                assert d <= 1, f"hom({p},{q}) = {d} > 1 between projectives"
-                if d:
-                    self.hom[(p, q)] = d
-        self._rep_paths: dict[tuple[Pt, Pt], list[Pt]] = {}
-        self.arrows: list[tuple[Pt, Pt]] = []
-        for (p, q), _ in sorted(self.hom.items()):
-            if not self._factors(p, q):
-                self.arrows.append((p, q))
-        self.out_nb: dict[Pt, list[Pt]] = {p: [] for p in self.nodes}
-        self.in_nb: dict[Pt, list[Pt]] = {p: [] for p in self.nodes}
-        for a, b in self.arrows:
-            self.out_nb[a].append(b)
-            self.in_nb[b].append(a)
+        lowest = {p: Pt(i_lo + (p.slice - i_lo) % L, p.vertex, True) for p in self.nodes}
+
+        def transporter(p: Pt) -> MeshTransporter:
+            base = lowest[p]
+            if base == p:
+                return MeshTransporter(self.window, p)
+            return self.transporters[base].translated(p.slice - base.slice)
+
+        self.transporters: dict[Pt, MeshTransporter] = _OnDemand(transporter)
+        self._is_arrow = _OnDemand(
+            lambda pair: self.hom_dim(*pair) == 1 and not self._factors(*pair)
+        )
+        self.out_nb: dict[Pt, list[Pt]] = _OnDemand(
+            lambda p: [q for q in self.nodes if self._is_arrow[(p, q)]]
+        )
+        self.in_nb: dict[Pt, list[Pt]] = _OnDemand(
+            lambda q: [p for p in self.nodes if self._is_arrow[(p, q)]]
+        )
+        self._rep_paths = _OnDemand(lambda pair: self.transporters[pair[0]].nonzero_path(pair[1]))
+
+    def hom_dim(self, p: Pt, q: Pt) -> int:
+        """dim hom(p, q) for nodes p != q; 0 for p == q."""
+        lvl = self.window.level
+        if lvl[q] <= lvl[p]:  # a nonzero hom raises the level
+            return 0
+        d = self.transporters[p].dim(q)
+        assert d <= 1, f"hom({p},{q}) = {d} > 1 between projectives"
+        return d
+
+    @cached_property
+    def hom(self) -> dict[tuple[Pt, Pt], int]:
+        """Every nonzero hom(p, q) between distinct nodes."""
+        return {(p, q): d for p in self.nodes for q in self.nodes if (d := self.hom_dim(p, q))}
+
+    @cached_property
+    def arrows(self) -> list[tuple[Pt, Pt]]:
+        return [(p, q) for p in self.nodes for q in self.out_nb[p]]
 
     def rep_path(self, p: Pt, q: Pt) -> list[Pt] | None:
-        key = (p, q)
-        if key not in self._rep_paths:
-            self._rep_paths[key] = self.transporters[p].nonzero_path(q)
-        return self._rep_paths[key]
+        return self._rep_paths[(p, q)]
 
     def composite_nonzero(self, p: Pt, r: Pt, q: Pt) -> bool:
-        """Is the composite hom(p,r) o hom(r,q) nonzero in the mesh category?"""
-        first = self.rep_path(p, r)
-        second = self.rep_path(r, q)
-        if first is None or second is None:
+        """Is the composite hom(p,r) o hom(r,q) nonzero in the mesh category?
+        hom(p, r) is at most one-dimensional, so its class at r is [1] up to
+        a scalar, and only the representative path r -> q is transported."""
+        if not self.hom_dim(p, r):
             return False
-        tr = self.transporters[p]
-        vec = tr.path_class(first)
-        vec = tr.transport(vec, second)
-        return any(vec)
+        second = self.rep_path(r, q)
+        return second is not None and any(self.transporters[p].transport([1], second))
 
     def _factors(self, p: Pt, q: Pt) -> bool:
-        for r in self.nodes:
-            if r in (p, q):
-                continue
-            if (p, r) in self.hom and (r, q) in self.hom and self.composite_nonzero(p, r, q):
-                return True
-        return False
+        return any(
+            self.hom_dim(p, r) and self.hom_dim(r, q) and self.composite_nonzero(p, r, q)
+            for r in self.nodes
+        )
 
     def path_nonzero(self, vertices: list[Pt]) -> bool:
         """Is the composite along a chain of projectives nonzero?"""
@@ -377,7 +405,7 @@ class ProjectiveQuiver:
         member_set = set(members)
         for p in members:
             for q in members:
-                if q == p or (p, q) not in self.hom:
+                if not self.hom_dim(p, q):
                     continue
                 if any(
                     z in member_set and self.composite_nonzero(p, q, z) for z in self.out_nb[q]

@@ -160,13 +160,17 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
 
     The quiver is acyclic (hom(p, q) != 0 needs a higher level at q), so the
     points on paths between members are exactly those both reachable from
-    and reaching the set.
+    and reaching the set; the forward search stops at the highest member's
+    level, above which nothing reaches the set.
     """
     members = set(points)
     linked = reach(points[:1], lambda p: members.intersection(pq.out_nb[p] + pq.in_nb[p]))
     if linked != members:
         return f"points are not connected in the quiver: {min(members - linked)} is cut off"
-    between = reach(points, pq.out_nb.__getitem__) & reach(points, pq.in_nb.__getitem__)
+    lvl = pq.window.level
+    top = max(lvl[p] for p in points)
+    ahead = reach(points, lambda p: (q for q in pq.out_nb[p] if lvl[q] <= top))
+    between = ahead & reach(points, pq.in_nb.__getitem__)
     if between - members:
         return f"a quiver path between points of the set leaves it at {min(between - members)}"
     return None
@@ -308,15 +312,14 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
 
     internal = []
     connecting = []
-    for a, b in pq.arrows:
-        if a not in fund_set:
-            continue
-        if b in fund_set:
-            internal.append((a, b, 0))
-        else:
-            base = Pt(b.slice - L, b.vertex, True)
-            assert base in fund_set, "arrow leaves the fundamental copy by more than one period"
-            connecting.append((a, base, 1))
+    for a in fund:
+        for b in pq.out_nb[a]:
+            if b in fund_set:
+                internal.append((a, b, 0))
+            else:
+                base = Pt(b.slice - L, b.vertex, True)
+                assert base in fund_set, "arrow leaves the fundamental copy by more than one period"
+                connecting.append((a, base, 1))
 
     labels: dict[tuple[Pt, Pt], str] = {}
     arrows = []

@@ -550,6 +550,8 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
     for ``1 <= s <= s_max``.  Twisted generators are emitted exactly when
     the twist stabilizes the configuration.
     """
+    from .classify import _require_configuration  # local to avoid an import cycle
+    _require_configuration(config)
     L = loewy_number(tree)
     e = config.period()
     translation_steps: list[int]

@@ -9,6 +9,11 @@ is a plain depth-first search, the reference for reachability.
 map, and ``orbit_by_iteration`` lists orbit points by stepping a group's
 generator, with no closed form.  ``orbit_cases`` lists the (tree,
 configuration, group) triples the orbit test is swept over.
+``eager_projective_quiver`` is the projective quiver computed in full, one
+fresh transporter per node, and ``closure_domain`` the fundamental domain
+found by two reachability closures in a window; they are the references for
+the on-demand ``ProjectiveQuiver`` and the closed-form
+``fundamental_domain_points``.
 """
 
 from fractions import Fraction
@@ -17,7 +22,8 @@ from itertools import starmap
 from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
 from meshknit.errors import WindowTooSmall
 from meshknit.linalg import RationalEchelon
-from meshknit.ztquiver import AdmissibleGroup, Pt, table_groups
+from meshknit.mesh import MeshTransporter
+from meshknit.ztquiver import AdmissibleGroup, Pt, build_window, reach, table_groups
 
 
 def all_paths(window, x, y):
@@ -162,3 +168,45 @@ def orbit_cases(configs):
     for tree in (make_tree("A", 2), make_tree("A", 4)):
         for config in [None, *configs(tree.name)]:
             yield tree, config, AdmissibleGroup(0, glide=True)
+
+
+def eager_projective_quiver(config, i_lo: int, i_hi: int):
+    """hom, arrows, out_nb and in_nb among the projective lifts in slices
+    [i_lo, i_hi], every pair computed: one fresh transporter per node, all hom
+    values, and the radical-square test on every nonzero pair, composing the
+    classes of both representative paths.  hom values are not bounded here."""
+    L = loewy_number(config.tree)
+    window = build_window(config.tree, config, i_lo - 1, i_hi + L + 2)
+    nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
+    tr = {p: MeshTransporter(window, p) for p in nodes}
+    hom = {(p, q): tr[p].dim(q) for p in nodes for q in nodes if q != p and tr[p].dim(q)}
+
+    def composite_nonzero(p, r, q):
+        first, second = tr[p].nonzero_path(r), tr[r].nonzero_path(q)
+        return any(tr[p].transport(tr[p].path_class(first), second))
+
+    arrows = [
+        (p, q)
+        for p, q in sorted(hom)
+        if not any(
+            (p, r) in hom and (r, q) in hom and composite_nonzero(p, r, q)
+            for r in nodes
+            if r not in (p, q)
+        )
+    ]
+    out_nb = {p: [q for a, q in arrows if a == p] for p in nodes}
+    in_nb = {q: [p for p, b in arrows if b == q] for q in nodes}
+    return hom, arrows, out_nb, in_nb
+
+
+def closure_domain(config, section):
+    """Configuration points behind the section and ahead of its shift by L
+    slices down, as the intersection of two reach closures in a window."""
+    L = loewy_number(config.tree)
+    lo = min(section.levels) - L - 1
+    hi = max(section.levels) + 1
+    window = build_window(config.tree, config, lo, hi)
+    behind = reach(section.points(), window.in_nb.__getitem__)
+    ahead = reach(section.shifted(-L).points(), window.out_nb.__getitem__)
+    between = (behind & ahead) - set(section.points())
+    return [Pt(i, x) for i, x in config.lifts(lo + 1, hi) if Pt(i, x) in between]

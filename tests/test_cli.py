@@ -113,6 +113,20 @@ def test_mesh_homdim(capsys):
     assert out.strip() == "0"
 
 
+def test_mesh_homdim_projective_points(tmp_path, capsys):
+    """A projective point needs its residue in the configuration; without
+    one, or with a configuration that lacks it, the error names the point."""
+    path = tmp_path / "c.json"
+    path.write_text(A3_CONFIG)  # (i, 3) for every i
+    homdim = ["mesh", "homdim", "--tree", "A3", "--to", "2,3"]
+    code, out, _ = run_capture(capsys, homdim + ["--from", "0,3,p", "--config", str(path)])
+    assert (code, out.strip()) == (0, "1")
+    for extra in ([], ["--config", str(path)]):
+        code, _, err = run_capture(capsys, homdim + ["--from", "0,2,p"] + extra)
+        assert code == 2
+        assert err.startswith("error[INVALID_INPUT]: projective point 0_2_P "), err
+
+
 def test_present_json_and_dot(tmp_path, capsys):
     tree = make_tree("A", 3)
     config = knit_and_knot(tree, equioriented_section(tree), (1, 2, 3))
@@ -228,6 +242,10 @@ MALFORMED = [
     pytest.param(
         ["quotient", "--tree", "A2", "--group", "tau^x", "--range=-4,4"], None,
         id="quotient-non-integer-power",
+    ),
+    pytest.param(
+        ["mesh", "homdim", "--tree", "D4", "--from", "0,2,p", "--to", "1,2"], None,
+        id="homdim-projective-without-config",
     ),
 ]
 

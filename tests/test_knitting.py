@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import path_exists
+from helpers import closure_domain, path_exists
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import InvalidDimensionVector, NotSource
 from meshknit.knitting import (
@@ -169,6 +169,22 @@ def test_fundamental_domain_matches_reference_search(name, configs_cache):
         for section in sections:
             want = _reference_domain(config, section)
             assert fundamental_domain_points(config, section) == want, (config, section)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_fundamental_domain_matches_closure(name, configs_cache):
+    """The closed form equals the two-closure definition on every
+    configuration and section shape (every 30th E6 configuration), with the
+    section at three translates."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    sections = [Section(tree, levels) for levels in _all_section_shapes(tree)]
+    for config in configs_cache(name)[:: 30 if name == "E6" else 1]:
+        for section in sections:
+            for k in (-L - 1, 0, 1):
+                shifted = section.shifted(k)
+                want = closure_domain(config, shifted)
+                assert fundamental_domain_points(config, shifted) == want, (config, shifted)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5"])

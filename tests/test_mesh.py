@@ -1,10 +1,9 @@
 import pytest
 
-from helpers import naive_hom_dim, path_exists
+from helpers import eager_projective_quiver, naive_hom_dim, path_exists
 
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
-from meshknit.knitting import _domain_and_window
 from meshknit.mesh import (
     MeshTransporter,
     ProjectiveQuiver,
@@ -36,6 +35,9 @@ def test_oracle_examples_za2():
         ("A2", [(0, 1), (1, 1)], 4),
         ("D4", None, 6),
         ("A2", [(0, 2), (1, 2)], 4),
+        # windows reaching well past the sources' supports (top slices 2 and 3)
+        ("A2", [(0, 1), (1, 1)], 8),
+        ("A3", [(0, 1), (1, 2), (2, 3)], 6),
     ],
 )
 def test_transporter_matches_naive_reference(name, config, span):
@@ -104,7 +106,7 @@ def test_starting_function_agrees_with_transporter_on_configuration_windows(name
         for i, x in config.lifts(0, L - 1):
             _routes_agree(tree, w, Pt(i, x, True))
     for config in configs[:: 10 if name == "E6" else 1]:
-        _, w = _domain_and_window(config, section)
+        w = build_window(tree, config, -L - 1, 1)  # dims_on_section's window
         for p in w.projectives:
             _routes_agree(tree, w, p)
 
@@ -278,5 +280,28 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache, monkeyp
                 lambda tr, k: MeshTransporter(tr.window, Pt(tr.source.slice + k, tr.source.vertex, True)),
             )
             per_node = ProjectiveQuiver(config, 0, 3 * L - 1)
-        assert per_node.hom == pq.hom
-        assert per_node.arrows == pq.arrows
+            # read inside the patch: the quiver builds transporters on demand
+            assert per_node.hom == pq.hom
+            assert per_node.arrows == pq.arrows
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_on_demand_quiver_matches_eager_reference(name, configs_cache):
+    """The on-demand ProjectiveQuiver of three periods equals the quiver
+    computed in full (helpers.eager_projective_quiver): in_nb of every node,
+    read first and from the top, out_nb of every node, hom and arrows, all in
+    order; and every hom between nodes is at most 1."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    configs = configs_cache(name)
+    if name == "E6":
+        configs = configs[:40]
+    for config in configs:
+        hom, arrows, out_nb, in_nb = eager_projective_quiver(config, 0, 3 * L - 1)
+        assert all(d <= 1 for d in hom.values()), config
+        pq = ProjectiveQuiver(config, 0, 3 * L - 1)
+        top_down = list(reversed(pq.nodes))
+        assert [pq.in_nb[q] for q in top_down] == [in_nb[q] for q in top_down], config
+        assert [pq.out_nb[p] for p in pq.nodes] == [out_nb[p] for p in pq.nodes], config
+        assert pq.hom == hom, config
+        assert pq.arrows == arrows, config

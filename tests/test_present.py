@@ -40,7 +40,7 @@ from meshknit.present import (
     _shape_defect,
     _validated_fundamental,
 )
-from meshknit.ztquiver import AdmissibleGroup, Configuration, Pt, equioriented_section
+from meshknit.ztquiver import AdmissibleGroup, Configuration, Pt, equioriented_section, table_groups
 
 CHAIN_46 = [Pt(4, 1, True), Pt(5, 6, True), Pt(6, 7, True), Pt(7, 7, True),
             Pt(10, 5, True), Pt(15, 1, True), Pt(16, 1, True)]
@@ -102,7 +102,7 @@ def _reference_offenders(pq, between, points):
 
 def test_shape_defect_matches_pairwise_between_sets(configs_cache):
     """Every candidate of the fundamental-algebra search gets the verdict of
-    the pairwise definition, and a rejection names one of its offenders."""
+    the pairwise definition, and a rejection names the least of its offenders."""
     kinds = set()
     for name in ["A2", "A3", "A4", "A5", "D4", "D5"]:  # D5 has connected non-convex sets
         for config in configs_cache(name):
@@ -119,7 +119,7 @@ def test_shape_defect_matches_pairwise_between_sets(configs_cache):
                 assert (defect is None) == (not offenders), (config, cand, defect)
                 if defect is not None:
                     witness = re.search(r"(-?\d+)_(\d+)_P", defect)
-                    assert Pt(int(witness[1]), int(witness[2]), True) in offenders, defect
+                    assert Pt(int(witness[1]), int(witness[2]), True) == min(offenders), defect
                     kinds.add(offenders <= set(cand))
                 else:
                     kinds.add(None)
@@ -277,8 +277,9 @@ def test_cartan_against_direct_orbit_sum(fig4, configs_cache):
 
 
 def test_library_entry_points_reject_non_configurations():
-    """fundamental_algebras, dims_on_section, cartan_matrix and quiver_of_AC
-    check C1 and C2 themselves, without an assert, and name the failed axiom."""
+    """fundamental_algebras, dims_on_section, cartan_matrix, quiver_of_AC and
+    table_groups check C1 and C2 themselves, without an assert, and name the
+    failed axiom."""
     tree = make_tree("A", 3)
     residues = Configuration(tree, {(0, 2), (1, 2), (2, 2)})  # hom((0,2), (1,2)) != 0
     calls = [
@@ -286,6 +287,7 @@ def test_library_entry_points_reject_non_configurations():
         lambda c: dims_on_section(c, equioriented_section(tree)),
         lambda c: cartan_matrix(c, AdmissibleGroup(3)),
         lambda c: quiver_of_AC(c, [Pt(i, x, True) for i, x in sorted(c.residues)]),
+        lambda c: table_groups(tree, c),
     ]
     for call in calls:
         with pytest.raises(InvalidInput, match=r"^not a configuration: axiom C2 fails for "):

@@ -237,8 +237,8 @@ def test_table_groups_d4(configs_cache):
 
 def test_table_groups_e7_and_d_rows(configs_cache):
     e7 = make_tree("E", 7)
-    fake = Configuration(e7, [(i, 1 + (i % 7)) for i in range(7)])
-    assert [g.name(e7) for g in table_groups(e7, fake, 1)] == ["tau^17"]
+    config = Configuration(e7, [(0, 1), (1, 1), (2, 1), (6, 6), (7, 6), (8, 6), (8, 7)])
+    assert [g.name(e7) for g in table_groups(e7, config, 1)] == ["tau^17"]
     d6 = make_tree("D", 6)
     sigma_stable = [c for c in configs_cache("D6") if c.period() == 3]
     assert sigma_stable
