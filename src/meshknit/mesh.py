@@ -19,8 +19,9 @@ need only dimensions (``present.cartan_matrix``, ``knitting.dims_on_section``,
 the Nakayama map) use the recurrence.  The transporter additionally carries
 the arrow matrices of the quotient functor, which is what composition is
 made of: :class:`ProjectiveQuiver`'s radical-square test, completeness and
-relations.  That quiver computes each transporter, hom value and arrow on
-first read, since its callers read only part of it.  The two routes must
+relations all ask :meth:`ProjectiveQuiver.path_nonzero`, the one composite
+test.  That quiver computes each transporter, hom value and arrow on first
+read, since its callers read only part of it.  The two routes must
 agree everywhere, configuration windows with projective sources included;
 the test suite enforces this, the library never cross-checks at runtime.
 """
@@ -167,11 +168,6 @@ class MeshTransporter:
             return [0] * self.dims.get(b, 0)
         return [sum(x * y for x, y in zip(row, vec)) for row in mat]
 
-    def path_class(self, path: list[Pt]) -> list[Scalar]:
-        """The class of a concrete path starting at the source."""
-        assert path and path[0] == self.source
-        return self.transport([1], path)
-
     def transport(self, vec: list[Scalar], path: list[Pt]) -> list[Scalar]:
         """Push a class at ``path[0]`` along a path."""
         for a, b in zip(path, path[1:]):
@@ -302,16 +298,17 @@ class ProjectiveQuiver:
     An arrow p -> q exists when hom(p, q) is one-dimensional and no
     composite through a third projective realizes it (radical square test).
     All hom spaces between distinct projectives are at most one-dimensional;
-    this is asserted on every pair read.  Callers read a small part of the
-    quiver (``quiver_of_AC`` the arrows out of one nu-copy), so nothing is
-    computed up front: a node's transporter, the arrow decision for a pair,
-    ``out_nb[p]``, ``in_nb[q]`` and representative paths are computed on
-    first read and cached.  The lowest node of each nu-orbit gets a fresh
-    transporter; the higher nodes get its translate
-    (:meth:`MeshTransporter.translated`).  hom(p, q) is 0 without a
-    transporter when q is not above p in level, since every arrow raises the
-    level.  ``hom`` and ``arrows`` hold the whole table for callers that want
-    all of it.
+    this is asserted on every pair read, and it is why one test,
+    :meth:`path_nonzero`, decides every composite from transports of
+    ``[1]``.  Callers read a small part of the quiver (``quiver_of_AC`` the
+    arrows out of one nu-copy), so nothing is computed up front: a node's
+    transporter, the arrow decision for a pair, ``out_nb[p]``, ``in_nb[q]``
+    and representative paths are computed on first read and cached.  The
+    lowest node of each nu-orbit gets a fresh transporter; the higher nodes
+    get its translate (:meth:`MeshTransporter.translated`).  hom(p, q) is 0
+    without a transporter when q is not above p in level, since every arrow
+    raises the level.  ``hom`` and ``arrows`` hold the whole table for
+    callers that want all of it.
     """
 
     def __init__(self, config: Configuration, i_lo: int, i_hi: int):
@@ -362,36 +359,27 @@ class ProjectiveQuiver:
     def rep_path(self, p: Pt, q: Pt) -> list[Pt] | None:
         return self._rep_paths[(p, q)]
 
-    def composite_nonzero(self, p: Pt, r: Pt, q: Pt) -> bool:
-        """Is the composite hom(p,r) o hom(r,q) nonzero in the mesh category?
-        hom(p, r) is at most one-dimensional, so its class at r is [1] up to
-        a scalar, and only the representative path r -> q is transported."""
-        if not self.hom_dim(p, r):
-            return False
-        second = self.rep_path(r, q)
-        return second is not None and any(self.transporters[p].transport([1], second))
+    def path_nonzero(self, chain: list[Pt]) -> bool:
+        """Is the composite along a chain of projectives nonzero?
 
-    def _factors(self, p: Pt, q: Pt) -> bool:
-        return any(
-            self.hom_dim(p, r) and self.hom_dim(r, q) and self.composite_nonzero(p, r, q)
-            for r in self.nodes
+        With p = chain[0], a nonzero prefix ending at r has a class in the
+        one-dimensional hom(p, r), a nonzero multiple of ``[1]``; so each
+        later step r -> q is decided by transporting ``[1]`` along the
+        representative path r -> q in p's transporter, never the whole
+        chain.  Every consecutive hom is read first, which also makes a
+        repeated node (hom(q, q) = 0 here) a zero chain.
+        """
+        if not all(self.hom_dim(r, q) for r, q in zip(chain, chain[1:])):
+            return False
+        p = chain[0]
+        tr = self.transporters[p]
+        return all(
+            self.hom_dim(p, r) and any(tr.transport([1], self.rep_path(r, q)))
+            for r, q in zip(chain[1:], chain[2:])
         )
 
-    def path_nonzero(self, vertices: list[Pt]) -> bool:
-        """Is the composite along a chain of projectives nonzero?"""
-        p = vertices[0]
-        tr = self.transporters[p]
-        vec: list[Scalar] | None = None
-        at = p
-        for q in vertices[1:]:
-            seg = self.rep_path(at, q)
-            if seg is None:
-                return False
-            vec = tr.path_class(seg) if vec is None else tr.transport(vec, seg)
-            if not any(vec):
-                return False
-            at = q
-        return vec is not None and any(vec)
+    def _factors(self, p: Pt, q: Pt) -> bool:
+        return any(self.path_nonzero([p, r, q]) for r in self.nodes)
 
     def complete_pairs(self, members) -> list[tuple[Pt, Pt]]:
         """All pairs (p, q) of a fundamental set carrying a complete morphism.
@@ -408,8 +396,8 @@ class ProjectiveQuiver:
                 if not self.hom_dim(p, q):
                     continue
                 if any(
-                    z in member_set and self.composite_nonzero(p, q, z) for z in self.out_nb[q]
-                ) or any(w in member_set and self.composite_nonzero(w, p, q) for w in self.in_nb[p]):
+                    z in member_set and self.path_nonzero([p, q, z]) for z in self.out_nb[q]
+                ) or any(w in member_set and self.path_nonzero([w, p, q]) for w in self.in_nb[p]):
                     continue
                 out.append((p, q))
         return sorted(out)

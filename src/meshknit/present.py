@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .classify import _require_configuration
 from .dynkin import loewy_number
@@ -91,27 +91,13 @@ class QuiverPresentation:
         return {a.label: a for a in self.arrows}
 
     def to_json(self) -> str:
-        rels = []
-        for r in self.relations:
-            if isinstance(r, ZeroRel):
-                rels.append({"kind": "zero", "path": list(r.path)})
-            elif isinstance(r, CommuteRel):
-                rels.append({"kind": "commute", "lhs": list(r.lhs), "rhs": list(r.rhs)})
-            elif isinstance(r, ScaledCommuteRel):
-                rels.append(
-                    {"kind": "scaled_commute", "lhs": list(r.lhs), "rhs": list(r.rhs), "a": r.a}
-                )
-            else:
-                rels.append(
-                    {"kind": "power_commute", "lhs": list(r.lhs), "m": r.m, "rhs": list(r.rhs)}
-                )
         data = {
             "points": list(self.points),
             "arrows": [
                 {"from": a.src, "to": a.dst, "label": a.label, "shift": a.shift}
                 for a in self.arrows
             ],
-            "relations": rels,
+            "relations": [{"kind": r.kind, **asdict(r)} for r in self.relations],
             "periodic": self.periodic,
         }
         return json.dumps(data, sort_keys=True)
@@ -238,23 +224,15 @@ def reflect_fundamental(config: Configuration, fund, x: Pt, direction: str) -> t
 
 def _all_section_shapes(tree) -> list[tuple[int, ...]]:
     """Level tuples of all sections with vertex 1 anchored at slice 0."""
-    shapes: list[dict[int, int]] = [{1: 0}]
-    for lo, hi in tree.edges:  # edges are listed parent-first per construction
-        new = []
-        for partial in shapes:
-            anchor = partial.get(lo)
-            if anchor is not None:
-                for l_hi in (anchor, anchor - 1):
-                    ext = dict(partial)
-                    ext[hi] = l_hi
-                    new.append(ext)
+    shapes = [{1: 0}]
+    for lo, hi in tree.edges:  # each edge is listed after one of its ends is placed
+        grown = []
+        for s in shapes:
+            if lo in s:
+                grown += [{**s, hi: s[lo]}, {**s, hi: s[lo] - 1}]
             else:
-                anchor = partial[hi]
-                for l_lo in (anchor, anchor + 1):
-                    ext = dict(partial)
-                    ext[lo] = l_lo
-                    new.append(ext)
-        shapes = new
+                grown += [{**s, lo: s[hi]}, {**s, lo: s[hi] + 1}]
+        shapes = grown
     return [tuple(s[v] for v in tree.vertices) for s in shapes]
 
 
@@ -344,7 +322,15 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
 
 def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Relation]:
     """Zero relations on minimal vanishing paths and commutativity relations
-    on minimal parallel pairs, for paths starting in the base copy."""
+    on minimal parallel pairs, for paths starting in the base copy.
+
+    The search extends only nonzero paths, and a subpath of a nonzero path is
+    nonzero.  So ``path + [nxt]`` is nonzero exactly when the composite
+    ``path[0] -> path[-1] -> nxt`` is, and a zero one is minimal exactly when
+    ``path[1:] + [nxt]`` is nonzero: a single arrow, or a nonzero composite
+    ``path[1] -> path[-1] -> nxt``.  That is at most two composites of at
+    most three nodes per extension.
+    """
     # unroll the labelled arrows over enough nu-copies
     node_set = set(pq.nodes)
     arrow_label: dict[tuple[Pt, Pt], str] = {}
@@ -362,18 +348,17 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
     nonzero_paths: dict[tuple[Pt, Pt], list[tuple[Pt, ...]]] = {}
 
     def explore(path: list[Pt]):
-        p = path[0]
+        p, last = path[0], path[-1]
         if len(path) > 1:
-            nonzero_paths.setdefault((p, path[-1]), []).append(tuple(path))
+            nonzero_paths.setdefault((p, last), []).append(tuple(path))
         if len(path) - 1 > L + 1:
             return
-        for nxt in sorted(out_arrows.get(path[-1], ())):
+        for nxt in sorted(out_arrows.get(last, ())):
             cand = path + [nxt]
-            if pq.path_nonzero(cand):
+            if pq.path_nonzero([p, nxt] if len(path) == 1 else [p, last, nxt]):
                 explore(cand)
-            else:
-                if len(cand) == 2 or pq.path_nonzero(cand[1:]):
-                    zeros.append(ZeroRel(tuple(arrow_label[(u, v)] for u, v in zip(cand, cand[1:]))))
+            elif len(path) == 2 or pq.path_nonzero([path[1], last, nxt]):
+                zeros.append(ZeroRel(tuple(arrow_label[(u, v)] for u, v in zip(cand, cand[1:]))))
 
     for p in sorted(fund):
         explore([p])
@@ -388,14 +373,8 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
                 lv = tuple(arrow_label[(a, b)] for a, b in zip(v, v[1:]))
                 commutes.add(CommuteRel(*sorted((lu, lv))))
 
-    # deduplicate zero relations (translates yield identical label paths)
-    seen = set()
-    uniq_zeros = []
-    for z in zeros:
-        if z.path not in seen:
-            seen.add(z.path)
-            uniq_zeros.append(z)
-    return uniq_zeros + sorted(commutes, key=lambda r: (r.lhs, r.rhs))
+    # translates yield identical label paths; keep the first of each
+    return list(dict.fromkeys(zeros)) + sorted(commutes, key=lambda r: (r.lhs, r.rhs))
 
 
 def trivial_extension_presentation(config: Configuration, fund) -> QuiverPresentation:

@@ -145,8 +145,8 @@ class Configuration:
 
     @staticmethod
     def from_json(text: str) -> "Configuration":
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             tree = make_tree(data["tree"]["family"], int(data["tree"]["rank"]))
             points = {(int(i), int(x)) for i, x in data["points"]}
         except (KeyError, TypeError, ValueError) as exc:

@@ -13,16 +13,20 @@ configuration, group) triples the orbit test is swept over.
 fresh transporter per node, and ``closure_domain`` the fundamental domain
 found by two reachability closures in a window; they are the references for
 the on-demand ``ProjectiveQuiver`` and the closed-form
-``fundamental_domain_points``.
+``fundamental_domain_points``.  ``reference_standard_relations`` finds the
+relations of a periodic presentation by transporting the whole class of every
+labelled path, the reference for the relation search of ``quiver_of_AC``.
 """
 
 from fractions import Fraction
-from itertools import starmap
+from functools import cache
+from itertools import combinations, starmap
 
 from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
 from meshknit.errors import WindowTooSmall
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import MeshTransporter
+from meshknit.present import CommuteRel, ZeroRel
 from meshknit.ztquiver import AdmissibleGroup, Pt, build_window, reach, table_groups
 
 
@@ -183,7 +187,7 @@ def eager_projective_quiver(config, i_lo: int, i_hi: int):
 
     def composite_nonzero(p, r, q):
         first, second = tr[p].nonzero_path(r), tr[r].nonzero_path(q)
-        return any(tr[p].transport(tr[p].path_class(first), second))
+        return any(tr[p].transport(tr[p].transport([1], first), second))
 
     arrows = [
         (p, q)
@@ -210,3 +214,80 @@ def closure_domain(config, section):
     ahead = reach(section.shifted(-L).points(), window.out_nb.__getitem__)
     between = (behind & ahead) - set(section.points())
     return [Pt(i, x) for i, x in config.lifts(lo + 1, hi) if Pt(i, x) in between]
+
+
+def reference_standard_relations(config, pres) -> tuple:
+    """The relations of a periodic presentation from ``quiver_of_AC``, found
+    again from its arrows alone.
+
+    Every labelled path from the base copy with at most L + 2 arrows is
+    decided by transporting the whole chain's class from its first node along
+    the representative paths of its steps, in fresh transporters, one per
+    node.  A zero path is a relation when dropping its first or its last
+    arrow leaves a nonzero path; a zero path is not extended, since every
+    extension has a zero prefix.  Nonzero paths with the same ends, apart at
+    both ends, commute.  Zero relations come in walk order, the first of
+    equal label paths kept; commutativity relations sorted.
+    """
+    L = loewy_number(config.tree)
+
+    def point(name, shift=0):
+        i, x = map(int, name.split("_"))
+        return Pt(i + shift * L, x, True)
+
+    fund = sorted(point(name) for name in pres.meta["fundamental"])
+    i_lo = min(p.slice for p in fund)
+    i_hi = max(p.slice for p in fund) + 2 * L + 1
+    nodes = {Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)}
+    window = build_window(config.tree, config, i_lo - 1, i_hi + L + 2)
+    label = {}
+    for a in pres.arrows:
+        src, dst = point(a.src), point(a.dst, a.shift)
+        for k in range(4):
+            ka, kb = Pt(src.slice + k * L, src.vertex, True), Pt(dst.slice + k * L, dst.vertex, True)
+            if ka in nodes and kb in nodes:
+                label[(ka, kb)] = a.label
+
+    @cache
+    def transporter(p):
+        return MeshTransporter(window, p)
+
+    @cache
+    def segment(r, q):
+        return transporter(r).nonzero_path(q)
+
+    def nonzero(chain):
+        vec = [1]
+        for r, q in zip(chain, chain[1:]):
+            path = segment(r, q)
+            if path is None:
+                return False
+            vec = transporter(chain[0]).transport(vec, path)
+            if not any(vec):
+                return False
+        return True
+
+    def labels(chain):
+        return tuple(label[(a, b)] for a, b in zip(chain, chain[1:]))
+
+    zeros, parallel = [], {}
+
+    def walk(chain):
+        for nxt in sorted(b for a, b in label if a == chain[-1]):
+            longer = chain + (nxt,)
+            if nonzero(longer):
+                parallel.setdefault((longer[0], nxt), []).append(longer)
+                if len(longer) - 1 < L + 2:
+                    walk(longer)
+            elif nonzero(longer[1:]):
+                zeros.append(ZeroRel(labels(longer)))
+
+    for p in fund:
+        walk((p,))
+    commutes = {
+        CommuteRel(*sorted((labels(u), labels(v))))
+        for paths in parallel.values()
+        for u, v in combinations(sorted(paths), 2)
+        if u[1] != v[1] and u[-2] != v[-2]
+    }
+    return tuple(dict.fromkeys(zeros)) + tuple(sorted(commutes, key=lambda r: (r.lhs, r.rhs)))

@@ -247,6 +247,7 @@ MALFORMED = [
         ["mesh", "homdim", "--tree", "D4", "--from", "0,2,p", "--to", "1,2"], None,
         id="homdim-projective-without-config",
     ),
+    pytest.param(["present", "--config"], "not json", id="present-not-json"),
 ]
 
 

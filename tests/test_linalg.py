@@ -107,5 +107,5 @@ def test_transporter_classes_are_exact(configs_cache):
             for y in w.points:
                 path = tr.nonzero_path(y)
                 if path is not None:
-                    vec = tr.path_class(path)
+                    vec = tr.transport([1], path)
                     assert any(vec) and all(_exact(v) for v in vec)

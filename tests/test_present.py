@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from helpers import orbit_by_iteration, orbit_cases, path_exists
+from helpers import orbit_by_iteration, orbit_cases, path_exists, reference_standard_relations
 from meshknit.classify import Pedigree, enumerate_pedigrees
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import (
@@ -274,6 +274,22 @@ def test_cartan_against_direct_orbit_sum(fig4, configs_cache):
             tr = MeshTransporter(window, p)
             for q in reps:
                 assert mat[(p, q)] == sum(tr.dim(t) for t in orbits[q]), (config, group, p, q)
+
+
+@pytest.mark.parametrize(
+    "name,step", [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("D4", 1), ("D5", 1), ("E6", 10)]
+)
+def test_relation_search_matches_whole_chain_reference(configs_cache, name, step):
+    """The relation search decides each extension by one short composite;
+    the reference transports the whole class of every path.  Every
+    configuration (every 10th of E6), up to three fundamental algebras each."""
+    checked = 0
+    for config in configs_cache(name)[::step]:
+        for fund in fundamental_algebras(config)[:3]:
+            pres = quiver_of_AC(config, fund)
+            assert pres.relations == reference_standard_relations(config, pres), (config, fund)
+            checked += 1
+    assert checked >= len(configs_cache(name)[::step])
 
 
 def test_library_entry_points_reject_non_configurations():
