@@ -369,6 +369,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        # argparse gives an empty list where a value was the separator "--"
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise InvalidInput(f"{name}: '--' is not a value")
         return args.func(args)
     except MeshknitError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -21,7 +21,10 @@ the arrow matrices of the quotient functor, which is what composition is
 made of: :class:`ProjectiveQuiver`'s radical-square test, completeness and
 relations all ask :meth:`ProjectiveQuiver.path_nonzero`, the one composite
 test.  That quiver computes each transporter, hom value and arrow on first
-read, since its callers read only part of it.  The two routes must
+read, since its callers read only part of it, and reads nu-periodicity at
+lookup: one transporter per nu-orbit, at its node in the base period, in a
+window of one period plus the L + 2 slices its walks read, and every query
+moved down into that period.  The two routes must
 agree everywhere, configuration windows with projective sources included;
 the test suite enforces this, the library never cross-checks at runtime.
 """
@@ -140,25 +143,6 @@ class MeshTransporter:
                 off = offsets[w]
                 self.arrow_matrix[(w, p)] = [row[off : off + d] for row in quot]
 
-    def translated(self, shift: int) -> MeshTransporter:
-        """The transporter from the source moved up ``shift`` slices, a
-        non-negative multiple of the configuration's period, in the same
-        window.  A value at q depends only on the points between the source
-        and q, so the translate shares the matrices."""
-
-        def up(p: Pt) -> Pt:
-            return Pt(p.slice + shift, p.vertex, p.proj)
-
-        pts = self.window.points
-        tr = object.__new__(MeshTransporter)
-        tr.window = self.window
-        tr.source = up(self.source)
-        tr.dims = {q: d for p, d in self.dims.items() if (q := up(p)) in pts}
-        tr.arrow_matrix = {
-            (up(a), q): m for (a, b), m in self.arrow_matrix.items() if (q := up(b)) in pts
-        }
-        return tr
-
     def dim(self, p: Pt) -> int:
         return self.dims.get(p, 0)
 
@@ -197,30 +181,6 @@ class MeshTransporter:
                 if any(nvec):
                     stack.append((q, path + [q], nvec))
         return None
-
-    def basis_paths(self, target: Pt) -> list[list[Pt]]:
-        """Greedy lex-ordered paths forming a basis of hom(source, target)."""
-        want = self.dim(target)
-        if want == 0:
-            return []
-        found: list[list[Pt]] = []
-        ech = RationalEchelon()
-        reaches = self._reaching(target)
-
-        def rec(p: Pt, path: list[Pt], vec: list[Scalar]) -> bool:
-            if p == target:
-                if ech.insert({i: v for i, v in enumerate(vec) if v}):
-                    found.append(list(path))
-                return len(found) == want
-            for q in sorted(w for w in self.window.out_nb[p] if w in reaches):
-                nvec = self.apply_arrow(p, q, vec)
-                if any(nvec):
-                    if rec(q, path + [q], nvec):
-                        return True
-            return False
-
-        rec(self.source, [self.source], [1])
-        return found
 
 
 def hom_dim_oracle(window: QuiverWindow, x: Pt, y: Pt) -> int:
@@ -292,8 +252,13 @@ class _OnDemand(dict):
         return value
 
 
+def _moved(p: Pt, k: int) -> Pt:
+    """p moved up k slices (down for negative k)."""
+    return Pt(p.slice + k, p.vertex, p.proj) if k else p
+
+
 class ProjectiveQuiver:
-    """Arrows and hom data among the projectives of a window, on demand.
+    """Arrows and hom data among the projectives of slices [i_lo, i_hi], on demand.
 
     An arrow p -> q exists when hom(p, q) is one-dimensional and no
     composite through a third projective realizes it (radical square test).
@@ -301,14 +266,21 @@ class ProjectiveQuiver:
     this is asserted on every pair read, and it is why one test,
     :meth:`path_nonzero`, decides every composite from transports of
     ``[1]``.  Callers read a small part of the quiver (``quiver_of_AC`` the
-    arrows out of one nu-copy), so nothing is computed up front: a node's
+    arrows out of one nu-copy), so nothing is computed up front: a
     transporter, the arrow decision for a pair, ``out_nb[p]``, ``in_nb[q]``
-    and representative paths are computed on first read and cached.  The
-    lowest node of each nu-orbit gets a fresh transporter; the higher nodes
-    get its translate (:meth:`MeshTransporter.translated`).  hom(p, q) is 0
-    without a transporter when q is not above p in level, since every arrow
-    raises the level.  ``hom`` and ``arrows`` hold the whole table for
-    callers that want all of it.
+    and representative paths are computed on first read and cached.
+
+    The category is periodic under nu = tau^L, so hom(p, q) = hom(p - kL,
+    q - kL).  Only the node of each nu-orbit in the base period, slices
+    [i_lo, i_lo + L), gets a transporter; a node k periods higher is read
+    through it, with the query moved down by kL slices.  The window is
+    therefore one period plus the margin its transporters read: from slice
+    i_lo - 1 to L + 2 slices above the top base node, which is
+    ``[i_lo - 1, i_lo + 2L + 1]`` once the nodes span a period, whatever
+    i_hi is.  hom(p, q) is 0 without a transporter when q is not above p in
+    ``level``, the node levels 2i + depth(x) + 1, since every arrow raises
+    the level.  ``hom`` and ``arrows`` hold the whole table for callers that
+    want all of it.
     """
 
     def __init__(self, config: Configuration, i_lo: int, i_hi: int):
@@ -316,17 +288,15 @@ class ProjectiveQuiver:
         L = loewy_number(tree)
         self.config = config
         self.tree = tree
-        self.window = build_window(tree, config, i_lo - 1, i_hi + L + 2)
+        self.window = build_window(tree, config, i_lo - 1, min(i_hi, i_lo + L - 1) + L + 2)
         self.nodes = tuple(Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi))
-        lowest = {p: Pt(i_lo + (p.slice - i_lo) % L, p.vertex, True) for p in self.nodes}
-
-        def transporter(p: Pt) -> MeshTransporter:
-            base = lowest[p]
-            if base == p:
-                return MeshTransporter(self.window, p)
-            return self.transporters[base].translated(p.slice - base.slice)
-
-        self.transporters: dict[Pt, MeshTransporter] = _OnDemand(transporter)
+        depth = tree.depth
+        self.level = {p: 2 * p.slice + depth[p.vertex] + 1 for p in self.nodes}
+        # the slices between a node and the node of its nu-orbit in the base period
+        self._shift = {p: (p.slice - i_lo) // L * L for p in self.nodes}
+        self.transporters: dict[Pt, MeshTransporter] = _OnDemand(
+            lambda p: MeshTransporter(self.window, p)
+        )
         self._is_arrow = _OnDemand(
             lambda pair: self.hom_dim(*pair) == 1 and not self._factors(*pair)
         )
@@ -336,14 +306,15 @@ class ProjectiveQuiver:
         self.in_nb: dict[Pt, list[Pt]] = _OnDemand(
             lambda q: [p for p in self.nodes if self._is_arrow[(p, q)]]
         )
-        self._rep_paths = _OnDemand(lambda pair: self.transporters[pair[0]].nonzero_path(pair[1]))
+        self._rep_paths = _OnDemand(self._base_rep_path)
 
     def hom_dim(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q) for nodes p != q; 0 for p == q."""
-        lvl = self.window.level
+        lvl = self.level
         if lvl[q] <= lvl[p]:  # a nonzero hom raises the level
             return 0
-        d = self.transporters[p].dim(q)
+        k = self._shift[p]
+        d = self.transporters[_moved(p, -k)].dim(_moved(q, -k))
         assert d <= 1, f"hom({p},{q}) = {d} > 1 between projectives"
         return d
 
@@ -359,6 +330,13 @@ class ProjectiveQuiver:
     def rep_path(self, p: Pt, q: Pt) -> list[Pt] | None:
         return self._rep_paths[(p, q)]
 
+    def _base_rep_path(self, pair: tuple[Pt, Pt]) -> list[Pt] | None:
+        """The base transporter's nonzero path, moved back up to p."""
+        p, q = pair
+        k = self._shift[p]
+        path = self.transporters[_moved(p, -k)].nonzero_path(_moved(q, -k))
+        return [_moved(r, k) for r in path] if path and k else path
+
     def path_nonzero(self, chain: list[Pt]) -> bool:
         """Is the composite along a chain of projectives nonzero?
 
@@ -367,10 +345,15 @@ class ProjectiveQuiver:
         later step r -> q is decided by transporting ``[1]`` along the
         representative path r -> q in p's transporter, never the whole
         chain.  Every consecutive hom is read first, which also makes a
-        repeated node (hom(q, q) = 0 here) a zero chain.
+        repeated node (hom(q, q) = 0 here) a zero chain.  The rest is read
+        with the chain moved down into p's base period: a nonzero hom never
+        lowers the slice, so the moved chain is again made of nodes.
         """
         if not all(self.hom_dim(r, q) for r, q in zip(chain, chain[1:])):
             return False
+        k = self._shift[chain[0]]
+        if k:
+            chain = [_moved(r, -k) for r in chain]
         p = chain[0]
         tr = self.transporters[p]
         return all(
@@ -379,7 +362,10 @@ class ProjectiveQuiver:
         )
 
     def _factors(self, p: Pt, q: Pt) -> bool:
-        return any(self.path_nonzero([p, r, q]) for r in self.nodes)
+        """Does hom(p, q) factor through a node r?  Only r strictly between p
+        and q in level can carry a nonzero composite."""
+        lo, hi = self.level[p], self.level[q]
+        return any(lo < self.level[r] < hi and self.path_nonzero([p, r, q]) for r in self.nodes)
 
     def complete_pairs(self, members) -> list[tuple[Pt, Pt]]:
         """All pairs (p, q) of a fundamental set carrying a complete morphism.

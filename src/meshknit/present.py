@@ -118,10 +118,11 @@ def _normalize_min_shift(config: Configuration, points) -> tuple[Pt, ...]:
 def _validated_fundamental(
     config: Configuration, points, above: int = 0
 ) -> tuple[ProjectiveQuiver, tuple[Pt, ...]]:
-    """Check connectedness, convexity and nu-transversality; returns the
-    ambient projective quiver, reaching ``above`` slices above the set (the
-    verdicts do not depend on it: paths between members stay in their band),
-    and the normalized point set."""
+    """Check C1/C2, connectedness, convexity and nu-transversality; returns
+    the ambient projective quiver, reaching ``above`` slices above the set
+    (the verdicts do not depend on it: paths between members stay in their
+    band), and the normalized point set."""
+    _require_configuration(config)
     tree = config.tree
     L = loewy_number(tree)
     fund = _normalize_min_shift(config, [Pt(p.slice, p.vertex, True) for p in points])
@@ -153,7 +154,7 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
     linked = reach(points[:1], lambda p: members.intersection(pq.out_nb[p] + pq.in_nb[p]))
     if linked != members:
         return f"points are not connected in the quiver: {min(members - linked)} is cut off"
-    lvl = pq.window.level
+    lvl = pq.level
     top = max(lvl[p] for p in points)
     ahead = reach(points, lambda p: (q for q in pq.out_nb[p] if lvl[q] <= top))
     between = ahead & reach(points, pq.in_nb.__getitem__)
@@ -280,9 +281,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     ones: zero on minimal vanishing paths, commutativity on minimal
     parallel pairs, decided by mesh-dimension tests.
     """
-    _require_configuration(config)
-    tree = config.tree
-    L = loewy_number(tree)
+    L = loewy_number(config.tree)
     # wide ambient quiver: the base copy plus two more periods for relations
     pq, fund = _validated_fundamental(config, fund, above=2 * L + 1)
     complete = pq.complete_pairs(fund)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshknit
 from meshknit.classify import check_combinatorial_configuration, enumerate_configurations
@@ -248,6 +252,9 @@ MALFORMED = [
         id="homdim-projective-without-config",
     ),
     pytest.param(["present", "--config"], "not json", id="present-not-json"),
+    # argparse hands a command an empty list where the value is "--"
+    pytest.param(["pedigree", "-n=--"], None, id="pedigree-separator-value"),
+    pytest.param(["dynkin", "info", "--", "--"], None, id="dynkin-separator-tree"),
 ]
 
 
@@ -312,3 +319,136 @@ def test_malformed_input_exit_codes_survive_python_O(tmp_path, capsys):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == plain == [2] * len(MALFORMED)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line
+
+FUZZ_TREES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "Z9", "A0", "D3", "E9", "E", "a3", ""]
+FUZZ_INT = st.integers(-8, 8)
+FUZZ_INTS = st.lists(FUZZ_INT, min_size=0, max_size=7).map(lambda vs: ",".join(map(str, vs)))
+FUZZ_POINT = st.builds(
+    lambda i, x, p: f"{i},{x}{p}", FUZZ_INT, st.integers(-1, 8), st.sampled_from(["", ",p", ",q", ","])
+)
+FUZZ_GROUP = st.one_of(
+    st.sampled_from(["rho", "tau", "tau^", "sigma", "tau^1*", "tau^x"]),
+    st.builds(
+        lambda k, twist: f"tau^{k}{twist}",
+        FUZZ_INT,
+        st.sampled_from(["", "*rho", "*sigma", "*phi", "*psi", "*chi", "*nu"]),
+    ),
+)
+FUZZ_JUNK = st.sampled_from(["", "x", "-", "--", "1,", ",", "--help", "-n", "1,,2"])
+
+
+def _fuzz_files(directory) -> list[str]:
+    """Paths to small configuration files: valid ones of several trees, a
+    non-configuration and malformed ones."""
+    texts = [
+        A3_CONFIG,
+        A3_NOT_A_CONFIG,
+        NO_RANK,
+        "not json",
+        "[]",
+        "7",
+        "{}",
+        a3_file([(0, 3), (1, 3)]),
+        a3_file([(0, 3), (1, 3), (2, 9)]),
+        a3_file([]),
+        json.dumps({"tree": {"family": "A", "rank": 3}, "points": [[0]]}),
+        json.dumps({"tree": {"family": "A", "rank": 3}, "points": [[0, 1, 2]]}),
+        json.dumps({"tree": {"family": "A", "rank": 3}, "points": "x"}),
+        json.dumps({"tree": {"family": "A", "rank": 3}, "points": None}),
+        json.dumps({"tree": {"family": "A", "rank": 3}, "points": [["a", 1]]}),
+        json.dumps({"tree": "A3", "points": [[0, 3]]}),
+        json.dumps({"tree": {"family": "Z", "rank": 3}, "points": [[0, 1]]}),
+        json.dumps({"tree": {"family": "E", "rank": 9}, "points": [[0, 1]]}),
+        json.dumps({"tree": {"family": "A", "rank": 0}, "points": []}),
+        json.dumps({"tree": {"family": "A", "rank": -2}, "points": [[0, 1]]}),
+        json.dumps({"tree": {"family": "D", "rank": 3}, "points": [[0, 1]]}),
+        json.dumps({"tree": {"family": "A", "rank": 3.5}, "points": [[0, 1]]}),
+    ]
+    for name in ["A1", "A2", "D4", "E6"]:
+        tree = make_tree(name[0], int(name[1]))
+        texts.append(enumerate_configurations(tree)[-1].to_json())
+    paths = []
+    for k, text in enumerate(texts):
+        path = directory / f"fuzz{k}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths + [str(directory / "missing.json"), str(directory)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return _fuzz_files(tmp_path_factory.mktemp("fuzz"))
+
+
+def _fuzz_argv(draw, files):
+    """An argv of one real subcommand with a random subset of its flags,
+    sometimes with a junk word inserted."""
+    tree = st.sampled_from(FUZZ_TREES)
+    file = st.sampled_from(files)
+    commands = {
+        "dynkin": ([st.just("info"), tree], {}),
+        "knit": ([], {
+            "--tree": tree,
+            "--section": st.one_of(st.just("equi"), FUZZ_INTS),
+            "--dims": FUZZ_INTS,
+            "--emit": st.sampled_from(["config", "carpet"]),
+        }),
+        "configs": ([st.sampled_from(["enumerate", "check"])], {
+            "--tree": tree,
+            "--method": st.sampled_from(["patterns", "bruteforce"]),
+            "--up-to-aut": None,
+            "--out": st.just("jsonl"),
+            "--file": file,
+        }),
+        "pedigree": ([], {"-n": st.one_of(FUZZ_INT.map(str), FUZZ_JUNK)}),
+        "mesh": ([st.just("homdim")], {
+            "--tree": tree, "--from": FUZZ_POINT, "--to": FUZZ_POINT, "--config": file,
+        }),
+        "present": ([], {
+            "--config": file,
+            "--fundamental": st.one_of(st.just("auto"), FUZZ_INT.map(str), FUZZ_JUNK),
+            "--quotient": st.sampled_from(["nu", "none"]),
+            "--out": st.sampled_from(["json", "dot"]),
+        }),
+        "quotient": ([], {
+            "--tree": tree,
+            "--config": file,
+            "--group": FUZZ_GROUP,
+            "--range": st.one_of(FUZZ_INTS, FUZZ_JUNK),
+            "--out": st.sampled_from(["dot", "json"]),
+        }),
+        "reproduce": ([st.sampled_from(["fig4-a7", "d4-census", "d3m-cartan", "brauer-roundtrip", "x"])], {}),
+    }
+    verb = draw(st.sampled_from(sorted(commands)))
+    positional, flags = commands[verb]
+    argv = [verb] + [draw(s) for s in positional]
+    for flag, value in flags.items():
+        if draw(st.integers(0, 4)) == 0:  # most runs keep a flag, so some succeed
+            continue
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):  # a value starting with '-' parses only this way
+            argv.append(f"{flag}={draw(value)}")
+        else:
+            argv += [flag, draw(value)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(FUZZ_JUNK))
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_cli_fuzz_exits_0_2_or_3(fuzz_files, data):
+    """Any argv of real subcommands, flags, trees up to E6, small integers,
+    group strings and small valid or malformed files ends in exit 0, 2 or 3
+    and raises nothing."""
+    argv = data.draw(st.composite(_fuzz_argv)(fuzz_files), label="argv")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = run(argv)
+    assert code in (0, 2, 3), (argv, sink.getvalue()[-500:])
+    assert "Traceback" not in sink.getvalue()

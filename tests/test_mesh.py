@@ -66,14 +66,20 @@ def test_starting_function_seed_and_support():
 
 
 def test_starting_function_agrees_with_oracle_a3_five_slices():
-    tree = make_tree("A", 3)
-    w = build_window(tree, None, 0, 4)
-    for v in tree.vertices:
-        x = Pt(0, v)
-        table = starting_function(tree, x, w)
-        tr = MeshTransporter(w, x)
-        for p in sorted(w.points):
-            assert table[p] == tr.dim(p)
+    """Also on the stable D4 window, where the fork-to-fork middle carries a
+    two-dimensional hom space."""
+    for name, span, top_dim in [("A3", 4, 1), ("D4", 6, 2)]:
+        tree = make_tree(name[0], int(name[1]))
+        w = build_window(tree, None, 0, span)
+        dims = set()
+        for v in tree.vertices:
+            x = Pt(0, v)
+            table = starting_function(tree, x, w)
+            tr = MeshTransporter(w, x)
+            for p in sorted(w.points):
+                assert table[p] == tr.dim(p)
+                dims.add(table[p])
+        assert max(dims) == top_dim
 
 
 def _routes_agree(tree, window, source):
@@ -235,54 +241,36 @@ def test_one_point_fundamental_algebra_has_no_complete_morphisms():
     assert complete_morphisms(config, [Pt(0, 1, True)]) == []
 
 
-def test_basis_paths_dimension():
-    tree = make_tree("D", 4)
-    w = build_window(tree, None, 0, 6)
-    x = Pt(0, 2)
-    tr = MeshTransporter(w, x)
-    # the fork-to-fork middle carries a two-dimensional hom space
-    two = [p for p in sorted(w.points) if tr.dim(p) == 2]
-    assert two
-    paths = tr.basis_paths(two[0])
-    assert len(paths) == 2
-    table = starting_function(tree, x, w)
-    for p in sorted(w.points):
-        assert len(tr.basis_paths(p)) == table[p]
-
-
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
-def test_translated_transporters_match_fresh_builds(name, configs_cache, monkeypatch):
-    """Every node's transporter in a three-period ProjectiveQuiver equals a
-    transporter built from scratch at that node: dimensions at every window
-    point, matrices on every arrow and representative paths to every node;
-    the hom table and arrows equal those of a one-transporter-per-node build."""
+def test_translated_transporters_match_fresh_builds(name, configs_cache):
+    """A three-period ProjectiveQuiver reads every node through the
+    transporter of its nu-orbit in the base period, with the query moved into
+    that period.  hom_dim and rep_path of every pair of nodes equal those of a
+    transporter built from scratch at the node in the full window of the
+    nodes' slices plus L + 2; only base-period nodes get a transporter; and
+    each base transporter's support ends at least two levels below the top of
+    the quiver's window, so its walk stopped inside it.  The base period
+    starts at slice 1, not at a multiple of L."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     configs = configs_cache(name)
     if name == "E6":
         configs = configs[:40]
+    i_lo, i_hi = 1, 3 * L
     for config in configs:
-        pq = ProjectiveQuiver(config, 0, 3 * L - 1)
-        w = pq.window
+        pq = ProjectiveQuiver(config, i_lo, i_hi)
         assert len(pq.nodes) == 3 * tree.rank
+        full = build_window(tree, config, i_lo - 1, i_hi + L + 2)
         for p in pq.nodes:
-            tr, fresh = pq.transporters[p], MeshTransporter(w, p)
-            assert tr.source == p
-            assert all(tr.dim(q) == fresh.dim(q) for q in w.points), (config, p)
-            assert all(tr.arrow_matrix.get(a) == fresh.arrow_matrix.get(a) for a in w.arrows), (config, p)
+            fresh = MeshTransporter(full, p)
             for q in pq.nodes:
-                if q != p:
-                    assert tr.nonzero_path(q) == fresh.nonzero_path(q), (config, p, q)
-        with monkeypatch.context() as m:  # one transporter per node, no translates
-            m.setattr(
-                MeshTransporter,
-                "translated",
-                lambda tr, k: MeshTransporter(tr.window, Pt(tr.source.slice + k, tr.source.vertex, True)),
-            )
-            per_node = ProjectiveQuiver(config, 0, 3 * L - 1)
-            # read inside the patch: the quiver builds transporters on demand
-            assert per_node.hom == pq.hom
-            assert per_node.arrows == pq.arrows
+                assert pq.hom_dim(p, q) == (fresh.dim(q) if q != p else 0), (config, p, q)
+                assert pq.rep_path(p, q) == fresh.nonzero_path(q), (config, p, q)
+        assert set(pq.transporters) == {p for p in pq.nodes if p.slice < i_lo + L}, config
+        w = pq.window
+        top = max(w.level.values())
+        for tr in pq.transporters.values():
+            assert max(w.level[q] for q in tr.dims) <= top - 2, (config, tr.source)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])

@@ -29,6 +29,7 @@ from meshknit.present import (
     exceptional_cover,
     exceptional_cycle_presentation,
     fundamental_algebras,
+    fundamental_sinks,
     fundamental_sources,
     is_pattern_algebra,
     pedigree_from_brauer,
@@ -293,17 +294,24 @@ def test_relation_search_matches_whole_chain_reference(configs_cache, name, step
 
 
 def test_library_entry_points_reject_non_configurations():
-    """fundamental_algebras, dims_on_section, cartan_matrix, quiver_of_AC and
-    table_groups check C1 and C2 themselves, without an assert, and name the
-    failed axiom."""
+    """fundamental_algebras, dims_on_section, cartan_matrix, table_groups and
+    every call that validates a fundamental set (quiver_of_AC,
+    complete_morphisms, sources, sinks, reflection, is_pattern_algebra) check
+    C1 and C2 themselves, without an assert, and name the failed axiom."""
     tree = make_tree("A", 3)
     residues = Configuration(tree, {(0, 2), (1, 2), (2, 2)})  # hom((0,2), (1,2)) != 0
+    fund = [Pt(i, x, True) for i, x in sorted(residues.residues)]
     calls = [
         fundamental_algebras,
         lambda c: dims_on_section(c, equioriented_section(tree)),
         lambda c: cartan_matrix(c, AdmissibleGroup(3)),
-        lambda c: quiver_of_AC(c, [Pt(i, x, True) for i, x in sorted(c.residues)]),
+        lambda c: quiver_of_AC(c, fund),
         lambda c: table_groups(tree, c),
+        lambda c: complete_morphisms(c, fund),
+        lambda c: fundamental_sources(c, fund),
+        lambda c: fundamental_sinks(c, fund),
+        lambda c: reflect_fundamental(c, fund, fund[0], "source"),
+        lambda c: is_pattern_algebra(c, fund),
     ]
     for call in calls:
         with pytest.raises(InvalidInput, match=r"^not a configuration: axiom C2 fails for "):
