@@ -17,7 +17,7 @@ from itertools import starmap
 
 from .dynkin import DynkinTree, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
-from .knitting import dims_on_section, knit_and_knot
+from .knitting import knit_and_knot, knit_run
 from .mesh import starting_function
 from .ztquiver import (
     AffineMap,
@@ -27,7 +27,6 @@ from .ztquiver import (
     equioriented_section,
     extend_automorphism,
     glide_map,
-    reach,
 )
 
 
@@ -49,11 +48,17 @@ class Pedigree:
         return 1 + (self.beta.size if self.beta else 0) + (self.alpha.size if self.alpha else 0)
 
 
+# the largest n with Catalan(n) <= 10**6; n = 12 holds 208012 pedigrees in 48 MB
+_MAX_PEDIGREE_NODES = 13
+
+
 @lru_cache(maxsize=None)
 def enumerate_pedigrees(n: int) -> tuple[Pedigree, ...]:
     """All pedigrees with n nodes, ordered by beta-subtree size, then shape."""
     if n < 1:
         raise InvalidInput(f"a pedigree has at least one node, got n = {n}")
+    if n > _MAX_PEDIGREE_NODES:
+        raise InvalidInput(f"pedigrees are enumerated up to n = {_MAX_PEDIGREE_NODES}, got n = {n}")
     if n == 1:
         return (Pedigree(),)
     out = []
@@ -191,61 +196,55 @@ def _acting_maps(tree: DynkinTree):
 
 
 def _close_under_symmetry(tree: DynkinTree, seeds) -> set[frozenset[Residue]]:
+    """Every image of a seed; one pass suffices because the acting maps
+    form a group on residues."""
     maps = _acting_maps(tree)
-    return reach(seeds, lambda res: (frozenset(starmap(m, res)) for _, m in maps))
+    return {frozenset(starmap(m, res)) for res in seeds for _, m in maps}
+
+
+def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
+    """The dimension vector on the all-zero section S of every configuration.
+
+    For A these are the pedigree vectors.  Otherwise each configuration is
+    tau^k g C, for a seed C and an extended automorphism g, and has on S the
+    dimensions of C on g^-1(S + k): cells of the carpet knitting C forward
+    from S.  The carpet holds S + j for 0 <= j <= 2L at least, and g^-1
+    shifts slices by at most 2, so one period of k from the least k that
+    keeps every shift at or above S fits."""
+    if tree.family == "A":
+        return set(_pattern_vectors(tree))
+    L = loewy_number(tree)
+    section = equioriented_section(tree)
+    inverses = [extend_automorphism(tree, aut).inverse() for aut in tree_automorphisms(tree)]
+    k0 = -min(s for g in inverses for s in g.shift[1:])
+    out = set()
+    for vec in _pattern_vectors(tree):
+        cells = knit_run(tree, section, vec)[1].cells  # a missing cell raises KeyError
+        for g in inverses:
+            for k in range(k0, k0 + L):
+                out.add(tuple(cells[Pt(k + g.shift[v], g.perm[v])] for v in tree.vertices))
+    return out
 
 
 def _pattern_vectors(tree: DynkinTree) -> list[tuple[int, ...]]:
     """Dimension vectors seeding the patterns method, on the all-zero section.
 
-    For A this is the complete list (pedigree vectors).  For D and E the
-    vectors come from one-point extensions of the next smaller tree: the
-    vector of a smaller-tree pattern, plus a new entry one above the value
-    at the attaching vertex, which plants a configuration point right
-    behind the new branch end.
-    """
+    For A these are the pedigree vectors, one per configuration.  D_n and E_n
+    extend the section vectors of the tree without vertex n - 1 (A_{n-1},
+    D5, E6 or E7, its vertex n - 1 becoming n) by one point: one above the
+    value at vertex n - 2, planting a configuration point right behind it."""
     n = tree.rank
     if tree.family == "A":
         return [pedigree_dimension_vector(p) for p in enumerate_pedigrees(n)]
-    if tree.family == "D":
-        # drop fork vertex n-1: the chain 1..n-2 plus n is an equioriented
-        # A_{n-1} section, vertex n sitting in the last chain slot
-        out = []
-        for p in enumerate_pedigrees(n - 1):
-            bv = pedigree_dimension_vector(p)
-            out.append(tuple(bv[: n - 2]) + (1 + bv[n - 3], bv[n - 2]))
-        return sorted(set(out))
-    # E trees: drop the end of the longest branch; what remains is the next
-    # smaller tree carrying its own all-zero section
-    sub_tree = {6: make_tree("D", 5), 7: make_tree("E", 6), 8: make_tree("E", 7)}[n]
-    vmap = {
-        6: {1: 1, 2: 2, 3: 3, 4: 4, 5: 6},
-        7: {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 7},
-        8: {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 8},
-    }[n]
-    new_vertex = sub_tree.rank
-    sub_vecs = sorted(
-        {
-            dims_on_section(c, equioriented_section(sub_tree))
-            for c in enumerate_configurations(sub_tree, method="patterns")
-        }
-    )
-    out = []
-    for sv in sub_vecs:
-        d = [0] * n
-        for sub_v, our_v in vmap.items():
-            d[our_v - 1] = sv[sub_v - 1]
-        d[new_vertex - 1] = 1 + d[new_vertex - 2]
-        out.append(tuple(d))
-    return sorted(set(out))
+    sub = make_tree("A" if tree.family == "D" else "D" if n == 6 else "E", n - 1)
+    return sorted({sv[: n - 2] + (1 + sv[n - 3], sv[n - 2]) for sv in _section_vectors(sub)})
 
 
 def _enumerate_patterns(tree: DynkinTree) -> set[frozenset[Residue]]:
     section = equioriented_section(tree)
     seeds = {knit_and_knot(tree, section, vec).residues for vec in _pattern_vectors(tree)}
-    if tree.family == "A":
-        return seeds  # already complete: patterns biject with configurations
-    return _close_under_symmetry(tree, seeds)
+    # type A patterns biject with configurations, so the seeds are complete
+    return seeds if tree.family == "A" else _close_under_symmetry(tree, seeds)
 
 
 def _enumerate_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
@@ -299,8 +298,8 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
 
     Both methods return the same set; the test suite cross-validates them.
     Brute force is the faster method on the exceptional trees (seconds for
-    E8); patterns over E7/E8 spend most of their time in the
-    :func:`dims_on_section` calls that seed the one-point extensions.
+    E8); patterns spend most of their time in the knit runs of their own
+    seeds, and the rest reading the smaller tree's carpets.
     """
     if method == "patterns":
         residue_sets = _enumerate_patterns(tree)
@@ -325,16 +324,10 @@ def dn_corner_count(config: Configuration) -> tuple[int, list[Residue]]:
     tree = config.tree
     if tree.family != "D" or tree.rank < 5:
         raise WrongFamily("corner counts are defined for D_n with n >= 5 only")
-    n = tree.rank
-    high = sorted((i, x) for i, x in config.residues if x >= n - 1)
-    h = len(high)
-    assert h in (2, 3), f"high point count {h} outside the classification"
-    slices = [i for i, _ in high]
-    if h == 2:
-        assert slices[0] == slices[1], "two-cornered high points must share a slice"
-    else:
-        assert len(set(slices)) == 3, "three-cornered high points must differ in slice"
-    return h, high
+    high = sorted((i, x) for i, x in config.residues if x >= tree.rank - 1)
+    slices = {i for i, _ in high}
+    assert (len(high), len(slices)) in ((2, 1), (3, 3)), f"high points {high} unclassified"
+    return len(high), high
 
 
 @dataclass
@@ -360,9 +353,7 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
     for cfg in sorted(configs, key=lambda c: c.canonical_key()):
         if cfg.residues in seen:
             continue
-        orbit = set()
-        for _, m in maps:
-            orbit.add(frozenset(starmap(m, cfg.residues)))
+        orbit = {frozenset(starmap(m, cfg.residues)) for _, m in maps}
         seen |= orbit
         rep = Configuration(tree, min(orbit, key=lambda r: tuple(sorted(r))))
         stab = tuple(

@@ -609,8 +609,14 @@ def exceptional_cycle_presentation(q: BrauerQuiver, cycle: tuple, m: int) -> Qui
     agree, the exceptional one raised to the m-th power.  m = 1 is the plain
     Brauer-quiver algebra."""
     validate_brauer(q)
+    if q.reduced:
+        raise InvalidBrauer("the presentation expects the unreduced quiver")
     cycles = q.cycles()
-    assert any(tuple(cycle) == c for _, c in cycles), "cycle must belong to the quiver"
+    exc = tuple(cycle)
+    if exc not in [c for _, c in cycles]:
+        raise InvalidBrauer(f"{exc} is not a cycle of the quiver")
+    if m < 1:
+        raise InvalidBrauer(f"the multiplicity must be at least 1, got m = {m}")
     arrows = tuple(
         PArrow(_cycle_label(flavor, a, b), str(a), str(b), 0) for a, b, flavor in q.arrows()
     )
@@ -627,11 +633,8 @@ def exceptional_cycle_presentation(q: BrauerQuiver, cycle: tuple, m: int) -> Qui
                     relations.append(
                         ZeroRel((_cycle_label(fin, a, p), _cycle_label(fout, p, b)))
                     )
-    exc = tuple(cycle)
     for p in q.points:
-        containing = [(flavor, c) for flavor, c in cycles if p in c]
-        assert len(containing) == 2
-        (f1, c1), (f2, c2) = containing
+        (f1, c1), (f2, c2) = [(flavor, c) for flavor, c in cycles if p in c]
         z1, z2 = _zeta(q, p, f1, c1), _zeta(q, p, f2, c2)
         if exc in (c1, c2) and m > 1:
             z_exc, z_other = (z1, z2) if c1 == exc else (z2, z1)

@@ -147,11 +147,18 @@ class Configuration:
     def from_json(text: str) -> "Configuration":
         try:
             data = json.loads(text)
-            tree = make_tree(data["tree"]["family"], int(data["tree"]["rank"]))
-            points = {(int(i), int(x)) for i, x in data["points"]}
+            tree = make_tree(data["tree"]["family"], _json_int(data["tree"]["rank"]))
+            points = {(_json_int(i), _json_int(x)) for i, x in data["points"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed configuration JSON: {type(exc).__name__} {exc}") from None
         return Configuration(tree, points)
+
+
+def _json_int(value) -> int:
+    """A JSON integer; floats, booleans and strings are refused, not rounded."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
 
 
 def _as_residues(tree: DynkinTree, config) -> frozenset[Residue] | None:
@@ -162,12 +169,6 @@ def _as_residues(tree: DynkinTree, config) -> frozenset[Residue] | None:
         return config.residues
     L = loewy_number(tree)
     return frozenset((i % L, x) for i, x in config)
-
-
-def high_vertex_count(config: Configuration) -> int:
-    """Number of residues on the two fork vertices of a D-tree."""
-    n = config.tree.rank
-    return sum(1 for _, x in config.residues if x >= n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +573,7 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
                     twists.append(a)
                     break
     elif tree.family == "D":
-        h = high_vertex_count(config)
-        if h == 2:
+        if sum(x >= tree.rank - 1 for _, x in config.residues) == 2:  # two high points
             translation_steps = [L]
             twists.append(flip_automorphism(tree))
         else:

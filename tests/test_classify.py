@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,12 @@ from meshknit.classify import (
     pedigree_from_dims,
     period,
     _acting_maps,
+    _section_vectors,
 )
-from meshknit.dynkin import make_tree
+from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import NotAPedigreeVector, WrongFamily
+from meshknit.knitting import dims_on_section
+from meshknit.ztquiver import equioriented_section
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -197,6 +202,53 @@ def test_axioms_match_bruteforce_membership_a3(residues):
         return
     member = normalized in {c.residues for c in enumerate_configurations(tree)}
     assert ok == member
+
+
+SECTION_VECTOR_TREES = [f"A{n}" for n in range(2, 8)] + [f"D{n}" for n in range(4, 8)] + ["E6"]
+
+
+@pytest.mark.parametrize(
+    "name", SECTION_VECTOR_TREES + [pytest.param("E7", marks=pytest.mark.e8)]
+)
+def test_section_vectors_match_hom_dimensions(name):
+    """The carpet reading gives the section vector of every configuration,
+    as the hom-dimension route computes it from brute-force enumeration."""
+    tree = make_tree(name[0], int(name[1:]))
+    section = equioriented_section(tree)
+    configs = enumerate_configurations(tree, "bruteforce")
+    assert _section_vectors(tree) == {dims_on_section(c, section) for c in configs}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
+)
+def test_acting_maps_form_a_group_on_residues(name):
+    """Distinct on residues and closed under composition, so one pass of
+    seeds times maps closes a seed set under symmetry."""
+    tree = make_tree(name[0], int(name[1:]))
+    L = loewy_number(tree)
+
+    def key(m):
+        return tuple(s % L for s in m.shift), m.perm
+
+    maps = [m for _, m in _acting_maps(tree)]
+    keys = {key(m) for m in maps}
+    assert len(keys) == len(maps)
+    assert all(key(a.compose(b)) in keys for a in maps for b in maps)
+
+
+@pytest.mark.parametrize(
+    "n", [4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.e8)]
+)
+def test_dn_counts_match_closed_form(configs_cache, n):
+    """Both methods give (3n - 4)/n * C(2n - 3, n - 1) configurations of D_n
+    (Riedtmann, class D_n, 1983): 20, 77, 294, 1122, 4290, 16445."""
+    want = (3 * n - 4) * comb(2 * n - 3, n - 1) // n
+    pats = configs_cache(f"D{n}", "patterns")
+    brute = configs_cache(f"D{n}", "bruteforce")
+    assert len(pats) == want
+    assert [c.residues for c in pats] == [c.residues for c in brute]
 
 
 def test_e7_cross_method():

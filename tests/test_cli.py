@@ -198,19 +198,24 @@ def test_knit_with_explicit_section(capsys):
 NO_RANK = json.dumps({"tree": {"family": "A"}, "period": 2, "points": [[0, 1], [1, 2]]})
 
 
-def a3_file(points) -> str:
-    tree = {"family": "A", "rank": 3}
+def a3_file(points, rank=3) -> str:
+    tree = {"family": "A", "rank": rank}
     return json.dumps({"tree": tree, "period": 3, "points": [list(p) for p in points]})
 
 
 # an A3 configuration with three fundamental algebras
-A3_CONFIG = a3_file([(0, 3), (1, 3), (2, 3)])
+A3_POINTS = [(0, 3), (1, 3), (2, 3)]
+A3_CONFIG = a3_file(A3_POINTS)
 # violates C2: hom((0,2), (1,2)) is nonzero
 A3_NOT_A_CONFIG = a3_file([(0, 2), (1, 2), (2, 2)])
 
 MALFORMED = [
     pytest.param(["knit", "--tree", "A3", "--dims", "1,2"], None, id="knit-short-dims"),
     pytest.param(["pedigree", "-n", "0"], None, id="pedigree-zero"),
+    # past n = 13 (Catalan(14) > 10**6) enumeration refuses before recursing
+    pytest.param(["pedigree", "-n", "14"], None, id="pedigree-14"),
+    pytest.param(["pedigree", "-n", "5000"], None, id="pedigree-5000"),
+    pytest.param(["pedigree", "-n", str(10**30)], None, id="pedigree-1e30"),
     pytest.param(["configs", "enumerate"], None, id="enumerate-no-tree"),
     pytest.param(["configs", "check", "--file"], NO_RANK, id="check-no-rank"),
     pytest.param(
@@ -252,6 +257,13 @@ MALFORMED = [
         id="homdim-projective-without-config",
     ),
     pytest.param(["present", "--config"], "not json", id="present-not-json"),
+    # each would load as a configuration if the field were passed through int()
+    pytest.param(["configs", "check", "--file"], a3_file(A3_POINTS, 3.7), id="check-float-rank"),
+    pytest.param(["configs", "check", "--file"], a3_file([(0, 1)], True), id="check-bool-rank"),
+    pytest.param(["configs", "check", "--file"], a3_file(A3_POINTS, "3"), id="check-string-rank"),
+    pytest.param(["present", "--config"], a3_file([(0, 3), (1, 3), (2.9, 3)]), id="float-point"),
+    pytest.param(["present", "--config"], a3_file([(0, 3), (True, 3), (2, 3)]), id="bool-point"),
+    pytest.param(["present", "--config"], a3_file([(0, 3), (1, 3), ("2", 3)]), id="string-point"),
     # argparse hands a command an empty list where the value is "--"
     pytest.param(["pedigree", "-n=--"], None, id="pedigree-separator-value"),
     pytest.param(["dynkin", "info", "--", "--"], None, id="dynkin-separator-tree"),

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meshknit
 from helpers import orbit_by_iteration, orbit_cases, path_exists, reference_standard_relations
 from meshknit.classify import Pedigree, enumerate_pedigrees
 from meshknit.dynkin import loewy_number, make_tree
@@ -413,6 +418,43 @@ def test_exceptional_presentation_m1_equals_plain():
     exc = exceptional_cycle_presentation(q, q.alpha_cycles[0], 3)
     powers = [r for r in exc.relations if isinstance(r, PowerCommuteRel)]
     assert len(powers) == 2 and all(r.m == 3 for r in powers)
+
+
+# three calls that exceptional_cycle_presentation refuses: a cycle that is not
+# in the quiver, a reduced quiver, and a multiplicity below 1
+EXCEPTIONAL_REFUSALS = """
+import json
+from meshknit.classify import Pedigree
+from meshknit.errors import InvalidBrauer
+from meshknit.present import BrauerQuiver, brauer_from_pedigree, exceptional_cycle_presentation
+
+q = brauer_from_pedigree(Pedigree(alpha=Pedigree()))
+reduced = BrauerQuiver(("u", "v"), (("u", "v"),), (), reduced=True)
+refused = []
+for args in [(q, ("nowhere",), 2), (reduced, ("u", "v"), 2), (q, q.alpha_cycles[0], 0)]:
+    try:
+        exceptional_cycle_presentation(*args)
+        refused.append(None)
+    except InvalidBrauer as exc:
+        refused.append(str(exc))
+print(json.dumps(refused))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_exceptional_presentation_refuses_bad_input(flags):
+    """The checks are typed errors, not asserts that python -O strips."""
+    src = str(Path(meshknit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", EXCEPTIONAL_REFUSALS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    cycle, reduced, multiplicity = json.loads(done.stdout)
+    assert cycle == "('nowhere',) is not a cycle of the quiver"
+    assert reduced == "the presentation expects the unreduced quiver"
+    assert multiplicity == "the multiplicity must be at least 1, got m = 0"
 
 
 def test_exceptional_family_cycle_plus_loop():
