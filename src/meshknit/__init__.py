@@ -56,7 +56,6 @@ from .ztquiver import (
     quotient,
     section_move,
     table_groups,
-    tau_apply,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

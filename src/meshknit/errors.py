@@ -24,10 +24,6 @@ class EmptyRange(MeshknitError):
     code = "EMPTY_RANGE"
 
 
-class UndefinedTau(MeshknitError):
-    code = "UNDEFINED_TAU"
-
-
 class NotSource(MeshknitError):
     code = "NOT_SOURCE"
 

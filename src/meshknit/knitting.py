@@ -107,52 +107,43 @@ def _knit_toward(
     """Knit from the section backward (``d = -1``) or forward (``d = 1``)
     until every orbit has ended; return the end points and all dimensions.
 
-    The live orbits form a moving section fragment; each step moves its
-    least live sink (backward) or source (forward).  Canonical edges satisfy
-    lo < hi, so the neighbor over ``y`` of a point ``(l, x)`` in direction
-    ``d`` sits at slice ``l + off``: ``off = (y < x)`` forward and
-    ``-(y > x)`` backward.  The mover's arrows to live neighbors all point
-    along ``d``; along an edge pointing the other way the slice difference
-    is ``off - d``.
+    Each pass moves every live orbit once, in the order of ``(d * level,
+    vertex)``; the forward order is the one ``knit_run`` sweeps.  A pass
+    moves every live orbit two levels, so the order never changes, and when
+    an orbit moves from level ``l`` its live neighbours all sit at level
+    ``l + d``: those at ``l - d`` came earlier in the pass.  The mesh reads
+    the neighbour over ``y`` at level ``l + d``, on slice
+    ``(l + d - depth(y)) / 2``; an ended neighbour that never reached it
+    counts 0.
     """
     name = "forward" if d > 0 else "backward"
-    nbrs = {
-        x: tuple((y, (y < x) if d > 0 else -(y > x)) for y in ys)
-        for x, ys in tree.neighbors.items()
-    }
-    levels = [0, *section.levels]
+    depth, nbrs = tree.depth, tree.neighbors
+    level = [0, *map(section.level, tree.vertices)]
     values = [0, *dims]
-    live = [False] + [True] * tree.rank
-    recorded = {Pt(levels[v], v): values[v] for v in tree.vertices}
+    recorded = {section.point_of(v): values[v] for v in tree.vertices}
     ends: set[Pt] = set()
-
-    def can_move(x: int) -> bool:
-        l = levels[x]
-        for y, off in nbrs[x]:
-            if live[y] and levels[y] - l != off:
-                assert levels[y] - l == off - d, "live fragment lost sectional shape"
-                return False
-        return True
-
+    live = sorted(tree.vertices, key=lambda v: (d * level[v], v))
     steps = 0
-    while len(ends) < tree.rank:
-        steps += 1
-        if steps > budget:
-            raise InvalidDimensionVector(f"{name} knitting does not terminate")
-        x = next(v for v in tree.vertices if live[v] and can_move(v))
-        l = levels[x]
-        s = sum(recorded.get(Pt(l + off, y), 0) for y, off in nbrs[x]) - values[x]
-        if s >= 1:
-            levels[x] = l + d
-            values[x] = s
-            recorded[Pt(l + d, x)] = s
-        elif s == -1:
-            ends.add(Pt(l, x))
-            live[x] = False
-        else:
-            raise InvalidDimensionVector(
-                f"{name} count {s} at vertex {x}: not a pattern vector"
-            )
+    while live:
+        moved = []
+        for x in live:
+            steps += 1
+            if steps > budget:
+                raise InvalidDimensionVector(f"{name} knitting does not terminate")
+            l = level[x] + d
+            s = sum(recorded.get(Pt((l - depth[y]) // 2, y), 0) for y in nbrs[x]) - values[x]
+            if s >= 1:
+                level[x] = l + d
+                values[x] = s
+                recorded[Pt((l + d - depth[x]) // 2, x)] = s
+                moved.append(x)
+            elif s == -1:
+                ends.add(Pt((l - d - depth[x]) // 2, x))
+            else:
+                raise InvalidDimensionVector(
+                    f"{name} count {s} at vertex {x}: not a pattern vector"
+                )
+        live = moved
     return ends, recorded
 
 
@@ -169,10 +160,12 @@ def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
     projectives, all_dims = _knit_toward(tree, section, dims, -1, budget)
     injectives, forward_dims = _knit_toward(tree, section, dims, 1, budget)
     all_dims.update(forward_dims)
-    for v in tree.vertices:
-        lo = min(p.slice for p in projectives if p.vertex == v)
-        hi = max(p.slice for p in injectives if p.vertex == v)
-        assert lo <= section.slice_of(v) <= hi, "section leaves the pattern quiver"
+    # An orbit starts on the section and only moves away from it, so it ends
+    # behind the section backward and ahead of it forward.
+    slice_of = section.slice_of
+    assert all(p.slice <= slice_of(p.vertex) for p in projectives) and all(
+        p.slice >= slice_of(p.vertex) for p in injectives
+    ), "section leaves the pattern quiver"
     return Pattern(tree, section, frozenset(projectives), frozenset(injectives), all_dims)
 
 
@@ -257,8 +250,12 @@ def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configurati
         if detected is None and shift >= max_shifts:
             raise InvalidDimensionVector("knit-and-knot run never became periodic")
 
-    # Consistency check: once the dimension vector repeats across a period,
-    # the knot pattern of the two blocks must be translates of each other.
+    # Two checks that no input reaches.  A pass depends only on the vector it
+    # starts from, so once the vector repeats after L passes, the next L
+    # passes repeat the last L one period higher, knots included.  The
+    # vectors knit_pattern accepts are the section vectors of configurations
+    # (the classification behind the patterns method), and the knots of such
+    # a run are the configuration's points: rank of them per period.
     def knot_block(first_shift: int) -> frozenset[tuple[int, int]]:
         pts = set()
         for p in trace.knots:

@@ -603,6 +603,16 @@ def _zeta(q: BrauerQuiver, point, flavor: str, cyc: tuple) -> tuple[str, ...]:
     return tuple(_cycle_label(flavor, a, b) for a, b in zip(order, order[1:]))
 
 
+def _exceptional_cycle(q: BrauerQuiver, cycle: tuple, m: int) -> tuple:
+    """The cycle as a tuple, once it is a cycle of q and m >= 1."""
+    exc = tuple(cycle)
+    if exc not in [c for _, c in q.cycles()]:
+        raise InvalidBrauer(f"{exc} is not a cycle of the quiver")
+    if m < 1:
+        raise InvalidBrauer(f"the multiplicity must be at least 1, got m = {m}")
+    return exc
+
+
 def exceptional_cycle_presentation(q: BrauerQuiver, cycle: tuple, m: int) -> QuiverPresentation:
     """Presentation of the Brauer-quiver algebra with one exceptional cycle:
     mixed length-two paths vanish and the two cycle paths at each point
@@ -612,11 +622,7 @@ def exceptional_cycle_presentation(q: BrauerQuiver, cycle: tuple, m: int) -> Qui
     if q.reduced:
         raise InvalidBrauer("the presentation expects the unreduced quiver")
     cycles = q.cycles()
-    exc = tuple(cycle)
-    if exc not in [c for _, c in cycles]:
-        raise InvalidBrauer(f"{exc} is not a cycle of the quiver")
-    if m < 1:
-        raise InvalidBrauer(f"the multiplicity must be at least 1, got m = {m}")
+    exc = _exceptional_cycle(q, cycle, m)
     arrows = tuple(
         PArrow(_cycle_label(flavor, a, b), str(a), str(b), 0) for a, b, flavor in q.arrows()
     )
@@ -654,7 +660,7 @@ def exceptional_cover(q: BrauerQuiver, cycle: tuple, m: int) -> BrauerQuiver:
     cycle lifts to m disjoint copies."""
     validate_brauer(q)
     cycles = q.cycles()
-    special = tuple(cycle)
+    special = _exceptional_cycle(q, cycle, m)
 
     def lift_point(p, j):
         return (p, j % m)

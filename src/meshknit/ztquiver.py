@@ -28,7 +28,7 @@ from .dynkin import (
     tree_automorphisms,
 )
 from .errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource
-from .errors import UndefinedTau, WindowTooSmall, WrongFamily
+from .errors import WindowTooSmall, WrongFamily
 
 Residue = tuple[int, int]
 T = TypeVar("T")
@@ -242,18 +242,6 @@ def build_window(tree: DynkinTree, config, i_min: int, i_max: int) -> QuiverWind
     return QuiverWindow(tree, config, i_min, i_max)
 
 
-def tau_apply(p: Pt, k: int, tree: DynkinTree | None = None, config=None) -> Pt:
-    """tau^k of a point; on projectives only multiples of L are defined."""
-    if not p.proj:
-        return Pt(p.slice - k, p.vertex)
-    if tree is None or config is None:
-        raise UndefinedTau("tau of a projective point needs the configuration")
-    L = loewy_number(tree)
-    if k % L != 0:
-        raise UndefinedTau(f"tau^{k} undefined on projective {p}")
-    return Pt(p.slice - k, p.vertex, True)
-
-
 # ---------------------------------------------------------------------------
 # sections
 
@@ -262,11 +250,12 @@ def tau_apply(p: Pt, k: int, tree: DynkinTree | None = None, config=None) -> Pt:
 class Section:
     """A connected full subquiver meeting each tau-orbit exactly once.
 
-    ``levels[v-1]`` is the slice of the point over vertex ``v``.  Along a
-    canonical edge ``(lo, hi)`` the slices satisfy
-    ``slice(lo) - slice(hi) in {0, 1}``: equality puts the arrow
-    ``lo -> hi`` inside the section, a difference of one the arrow
-    ``hi -> lo``.
+    ``levels[v-1]`` is the slice of the point over vertex ``v``; its level
+    ``2 * slice + depth(v)`` rises by one along every arrow of the quiver.
+    The points form a section exactly when the levels of adjacent vertices
+    differ by one (along a canonical edge ``(lo, hi)``, when
+    ``slice(lo) - slice(hi) in {0, 1}``); each section arrow runs from the
+    lower level to the higher.
     """
 
     tree: DynkinTree
@@ -279,11 +268,19 @@ class Section:
                 f"{self.tree.name} needs {self.tree.rank}"
             )
         for lo, hi in self.tree.edges:
-            if self.slice_of(lo) - self.slice_of(hi) not in (0, 1):
-                raise InvalidInput(f"levels {self.levels} do not form a section")
+            gap = abs(self.level(lo) - self.level(hi))
+            if gap != 1:
+                raise InvalidInput(
+                    f"levels {self.levels} do not form a section: "
+                    f"vertices {lo} and {hi} are {gap} levels apart"
+                )
 
     def slice_of(self, v: int) -> int:
         return self.levels[v - 1]
+
+    def level(self, v: int) -> int:
+        """The level ``2 * slice + depth`` of the point over ``v``."""
+        return 2 * self.levels[v - 1] + self.tree.depth[v]
 
     def point_of(self, v: int) -> Pt:
         return Pt(self.slice_of(v), v)
@@ -291,23 +288,16 @@ class Section:
     def points(self) -> list[Pt]:
         return [self.point_of(v) for v in self.tree.vertices]
 
-    def arrows(self) -> list[tuple[int, int]]:
-        """The arrows of the section, as (source vertex, target vertex)."""
-        out = []
-        for lo, hi in self.tree.edges:
-            if self.slice_of(lo) == self.slice_of(hi):
-                out.append((lo, hi))
-            else:
-                out.append((hi, lo))
-        return out
-
     def sources(self) -> list[int]:
-        targets = {b for _, b in self.arrows()}
-        return sorted(v for v in self.tree.vertices if v not in targets)
+        return self._turning(1)
 
     def sinks(self) -> list[int]:
-        starts = {a for a, _ in self.arrows()}
-        return sorted(v for v in self.tree.vertices if v not in starts)
+        return self._turning(-1)
+
+    def _turning(self, d: int) -> list[int]:
+        """The vertices whose neighbours all sit one level above (d = 1) or below (d = -1)."""
+        lvl, nbrs = self.level, self.tree.neighbors
+        return [v for v in self.tree.vertices if all(lvl(y) == lvl(v) + d for y in nbrs[v])]
 
     def shifted(self, k: int) -> "Section":
         """tau^{-k} of the section: all slices rise by k."""
@@ -339,19 +329,12 @@ def section_move(section: Section, x: int, direction: str) -> Section:
 def plus_admissible_enumeration(section: Section) -> list[int]:
     """A source order x_1, ..., x_r moving the section to tau^{-1} of itself.
 
-    Each vertex occurs exactly once; at every step the smallest not yet
-    used source is taken.  Any valid order yields the same shifted section.
+    The vertices sorted by ``(level, vertex)``.  A vertex's neighbours one
+    level below come earlier and have already moved up two levels when its
+    turn comes, and those one level above have not moved yet: every
+    neighbour then sits one level above it, so it is a source.
     """
-    order: list[int] = []
-    used: set[int] = set()
-    current = section
-    for _ in range(section.tree.rank):
-        x = next(v for v in current.sources() if v not in used)
-        order.append(x)
-        used.add(x)
-        current = section_move(current, x, "plus")
-    assert current.levels == tuple(l + 1 for l in section.levels)
-    return order
+    return sorted(section.tree.vertices, key=lambda v: (section.level(v), v))
 
 
 # ---------------------------------------------------------------------------

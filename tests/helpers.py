@@ -16,6 +16,10 @@ the on-demand ``ProjectiveQuiver`` and the closed-form
 ``fundamental_domain_points``.  ``reference_standard_relations`` finds the
 relations of a periodic presentation by transporting the whole class of every
 labelled path, the reference for the relation search of ``quiver_of_AC``.
+``edge_rule_section`` orients a section edge by edge from slice differences,
+and ``greedy_knit_toward`` knits by moving the least movable live orbit one
+step at a time; they are the references for the level function of
+``Section`` and the level-ordered passes of ``knit_pattern``.
 """
 
 from fractions import Fraction
@@ -23,7 +27,7 @@ from functools import cache
 from itertools import combinations, starmap
 
 from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
-from meshknit.errors import WindowTooSmall
+from meshknit.errors import InvalidDimensionVector, WindowTooSmall
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import MeshTransporter
 from meshknit.present import CommuteRel, ZeroRel
@@ -291,3 +295,70 @@ def reference_standard_relations(config, pres) -> tuple:
         if u[1] != v[1] and u[-2] != v[-2]
     }
     return tuple(dict.fromkeys(zeros)) + tuple(sorted(commutes, key=lambda r: (r.lhs, r.rhs)))
+
+
+def edge_rule_section(tree, levels):
+    """``(sources, sinks)`` of the slice tuple ``levels``, or None when it is
+    not a section.  Along a canonical edge ``(lo, hi)`` the slices must
+    satisfy ``slice(lo) - slice(hi) in {0, 1}``: equality gives the arrow
+    ``lo -> hi``, a difference of one the arrow ``hi -> lo``."""
+    arrows = []
+    for lo, hi in tree.edges:
+        gap = levels[lo - 1] - levels[hi - 1]
+        if gap not in (0, 1):
+            return None
+        arrows.append((lo, hi) if gap == 0 else (hi, lo))
+    targets = {b for _, b in arrows}
+    starts = {a for a, _ in arrows}
+    return (
+        [v for v in tree.vertices if v not in targets],
+        [v for v in tree.vertices if v not in starts],
+    )
+
+
+def greedy_knit_toward(tree, section, dims, d, budget):
+    """Knit from the section backward (``d = -1``) or forward (``d = 1``)
+    until every orbit has ended; return the end points and all dimensions.
+
+    Each step moves the least live orbit whose live neighbours all sit one
+    arrow ahead of it in direction ``d``.  Canonical edges satisfy lo < hi,
+    so the neighbour over ``y`` of a point ``(l, x)`` in direction ``d`` sits
+    at slice ``l + off``: ``off = (y < x)`` forward and ``-(y > x)``
+    backward."""
+    name = "forward" if d > 0 else "backward"
+    nbrs = {
+        x: tuple((y, (y < x) if d > 0 else -(y > x)) for y in ys)
+        for x, ys in tree.neighbors.items()
+    }
+    levels = [0, *section.levels]
+    values = [0, *dims]
+    live = [False] + [True] * tree.rank
+    recorded = {Pt(levels[v], v): values[v] for v in tree.vertices}
+    ends = set()
+
+    def can_move(x):
+        l = levels[x]
+        for y, off in nbrs[x]:
+            if live[y] and levels[y] - l != off:
+                assert levels[y] - l == off - d, "live fragment lost sectional shape"
+                return False
+        return True
+
+    steps = 0
+    while len(ends) < tree.rank:
+        steps += 1
+        if steps > budget:
+            raise InvalidDimensionVector(f"{name} knitting does not terminate")
+        x = next(v for v in tree.vertices if live[v] and can_move(v))
+        l = levels[x]
+        s = sum(recorded.get(Pt(l + off, y), 0) for y, off in nbrs[x]) - values[x]
+        if s >= 1:
+            levels[x] = l + d
+            values[x] = s
+            recorded[Pt(l + d, x)] = s
+        elif s == -1:
+            ends.add(Pt(l, x))
+            live[x] = False
+        else:
+            raise InvalidDimensionVector(f"{name} count {s} at vertex {x}: not a pattern vector")
+    return ends, recorded

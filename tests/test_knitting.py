@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import closure_domain, path_exists
+from helpers import closure_domain, greedy_knit_toward, path_exists
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import InvalidDimensionVector, NotSource
 from meshknit.knitting import (
@@ -86,6 +86,64 @@ def test_knit_pattern_fig4_has_seven_projectives(fig4):
     for v in tree.vertices:
         pros = [p for p in pat.projective_points if p.vertex == v]
         assert len(pros) == 1 and pros[0].slice <= section.slice_of(v)
+
+
+def _greedy_pattern(tree, section, dims):
+    budget = 6 * loewy_number(tree) * tree.rank
+    projectives, dims_back = greedy_knit_toward(tree, section, dims, -1, budget)
+    injectives, dims_ahead = greedy_knit_toward(tree, section, dims, 1, budget)
+    return projectives, injectives, {**dims_back, **dims_ahead}
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "D4", "D5", "D6", "E6"])
+def test_knit_pattern_matches_greedy_reference(name):
+    """Level-ordered passes find the projectives, injectives and dimensions
+    that the least-movable-orbit knitting finds, on every pattern vector."""
+    from meshknit.classify import _pattern_vectors
+
+    tree = make_tree(name[0], int(name[1]))
+    section = equioriented_section(tree)
+    for dims in _pattern_vectors(tree):
+        pat = knit_pattern(tree, section, dims)
+        assert (pat.projective_points, pat.injective_points, pat.dims) == _greedy_pattern(
+            tree, section, dims
+        ), dims
+
+
+@pytest.mark.parametrize("name,top", [("A4", 3), ("D4", 3)])
+def test_knit_pattern_refuses_what_the_greedy_reference_refuses(name, top):
+    tree = make_tree(name[0], int(name[1]))
+    section = Section(tree, (1,) + (0,) * (tree.rank - 1))
+    refused = 0
+    for dims in itertools.product(range(1, top + 1), repeat=tree.rank):
+        try:
+            want = _greedy_pattern(tree, section, dims)
+        except InvalidDimensionVector:
+            refused += 1
+            with pytest.raises(InvalidDimensionVector):
+                knit_pattern(tree, section, dims)
+            continue
+        pat = knit_pattern(tree, section, dims)
+        assert (pat.projective_points, pat.injective_points, pat.dims) == want, dims
+    assert 0 < refused < top**tree.rank
+
+
+@pytest.mark.parametrize("name", ["A4", "A5", "D4"])
+def test_accepted_vectors_are_section_vectors(name, configs_cache):
+    """In a box holding every section vector, knit_pattern accepts exactly
+    the section vectors of configurations, and each runs to its own
+    configuration: the knot-block checks of knit_run see no other input."""
+    tree = make_tree(name[0], int(name[1]))
+    section = equioriented_section(tree)
+    want = {dims_on_section(c, section): c for c in configs_cache(name)}
+    accepted = {}
+    for dims in itertools.product(range(1, max(map(max, want)) + 1), repeat=tree.rank):
+        try:
+            knit_pattern(tree, section, dims)
+        except InvalidDimensionVector:
+            continue
+        accepted[dims] = knit_and_knot(tree, section, dims)
+    assert accepted == want
 
 
 def test_knit_run_fig4(fig4):

@@ -420,20 +420,30 @@ def test_exceptional_presentation_m1_equals_plain():
     assert len(powers) == 2 and all(r.m == 3 for r in powers)
 
 
-# three calls that exceptional_cycle_presentation refuses: a cycle that is not
-# in the quiver, a reduced quiver, and a multiplicity below 1
+# calls that exceptional_cycle_presentation refuses (a cycle that is not in
+# the quiver, a reduced quiver, a multiplicity below 1) and that
+# exceptional_cover refuses (a cycle that is not in the quiver, m = 0, m = -1)
 EXCEPTIONAL_REFUSALS = """
 import json
 from meshknit.classify import Pedigree
 from meshknit.errors import InvalidBrauer
-from meshknit.present import BrauerQuiver, brauer_from_pedigree, exceptional_cycle_presentation
+from meshknit.present import (
+    BrauerQuiver, brauer_from_pedigree, exceptional_cover, exceptional_cycle_presentation,
+)
 
 q = brauer_from_pedigree(Pedigree(alpha=Pedigree()))
 reduced = BrauerQuiver(("u", "v"), (("u", "v"),), (), reduced=True)
 refused = []
-for args in [(q, ("nowhere",), 2), (reduced, ("u", "v"), 2), (q, q.alpha_cycles[0], 0)]:
+for call, args in [
+    (exceptional_cycle_presentation, (q, ("nowhere",), 2)),
+    (exceptional_cycle_presentation, (reduced, ("u", "v"), 2)),
+    (exceptional_cycle_presentation, (q, q.alpha_cycles[0], 0)),
+    (exceptional_cover, (q, ("nowhere",), 2)),
+    (exceptional_cover, (q, q.alpha_cycles[0], 0)),
+    (exceptional_cover, (q, q.alpha_cycles[0], -1)),
+]:
     try:
-        exceptional_cycle_presentation(*args)
+        call(*args)
         refused.append(None)
     except InvalidBrauer as exc:
         refused.append(str(exc))
@@ -451,10 +461,11 @@ def test_exceptional_presentation_refuses_bad_input(flags):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    cycle, reduced, multiplicity = json.loads(done.stdout)
-    assert cycle == "('nowhere',) is not a cycle of the quiver"
+    cycle, reduced, multiplicity, cover_cycle, cover_zero, cover_negative = json.loads(done.stdout)
+    assert cycle == cover_cycle == "('nowhere',) is not a cycle of the quiver"
     assert reduced == "the presentation expects the unreduced quiver"
-    assert multiplicity == "the multiplicity must be at least 1, got m = 0"
+    assert multiplicity == cover_zero == "the multiplicity must be at least 1, got m = 0"
+    assert cover_negative == "the multiplicity must be at least 1, got m = -1"
 
 
 def test_exceptional_family_cycle_plus_loop():

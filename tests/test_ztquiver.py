@@ -1,10 +1,12 @@
+import itertools
 import re
 
 import pytest
 
-from helpers import orbit_by_iteration, orbit_cases, reference_is_admissible
+from helpers import edge_rule_section, orbit_by_iteration, orbit_cases, reference_is_admissible
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
-from meshknit.errors import EmptyRange, NotAdmissible, NotSink, NotSource, UndefinedTau, WindowTooSmall
+from meshknit.errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource, WindowTooSmall
+from meshknit.present import _all_section_shapes
 from meshknit.ztquiver import (
     AdmissibleGroup,
     AffineMap,
@@ -21,11 +23,13 @@ from meshknit.ztquiver import (
     quotient,
     section_move,
     table_groups,
-    tau_apply,
 )
 
 A2 = make_tree("A", 2)
 A3 = make_tree("A", 3)
+ALL_TREES = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
+)
 
 
 def test_build_window_a2_bare():
@@ -58,15 +62,6 @@ def test_level_increases_along_arrows(fig4):
         assert w.level[b] == w.level[a] + 1
 
 
-def test_tau_apply():
-    assert tau_apply(Pt(3, 2), 1) == Pt(2, 2)
-    assert tau_apply(Pt(0, 1), -1) == Pt(1, 1)
-    with pytest.raises(UndefinedTau):
-        tau_apply(Pt(0, 1, True), 1, A2, [(0, 1)])
-    cfg = [(0, 1), (0, 2)]
-    assert tau_apply(Pt(0, 1, True), 2, A2, cfg) == Pt(-2, 1, True)
-
-
 def test_section_move_examples():
     s = equioriented_section(A3)
     moved = section_move(s, 1, "plus")
@@ -81,14 +76,61 @@ def test_section_move_examples():
 
 def test_plus_admissible_enumeration():
     assert plus_admissible_enumeration(equioriented_section(A3)) == [1, 2, 3]
-    # source in the middle: first the middle vertex, then index order
+    # levels (2, 1, 2): first the middle vertex, then the two ends
     assert plus_admissible_enumeration(Section(A3, (1, 0, 0))) == [2, 1, 3]
     assert plus_admissible_enumeration(equioriented_section(make_tree("A", 1))) == [1]
 
 
 def test_invalid_section_levels_rejected():
+    """A refusal names the first canonical edge whose ends are not one level
+    apart, with the level gap."""
     with pytest.raises(ValueError):
         Section(A3, (0, 1, 0))
+    for levels, witness in [
+        ((0, 1, 0), "vertices 1 and 2 are 3 levels apart"),
+        ((0, 2, 0), "vertices 1 and 2 are 5 levels apart"),
+        ((0, 0, 2), "vertices 2 and 3 are 5 levels apart"),
+        ((1, 0, 1), "vertices 2 and 3 are 3 levels apart"),
+    ]:
+        with pytest.raises(InvalidInput, match=re.escape(f"levels {levels} do not form a section: {witness}")):
+            Section(A3, levels)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
+def test_level_rule_matches_edge_rule_on_every_shape(family, rank):
+    tree = make_tree(family, rank)
+    for levels in _all_section_shapes(tree):
+        section = Section(tree, levels)
+        assert (section.sources(), section.sinks()) == edge_rule_section(tree, levels), levels
+
+
+@pytest.mark.parametrize("name", ["A4", "D5"])
+def test_level_rule_matches_edge_rule_on_a_box(name):
+    """Every slice tuple in [-2, 2]^r: the same tuples are refused, and the
+    accepted ones have the same sources and sinks."""
+    tree = make_tree(name[0], int(name[1]))
+    accepted = 0
+    for levels in itertools.product(range(-2, 3), repeat=tree.rank):
+        want = edge_rule_section(tree, levels)
+        if want is None:
+            with pytest.raises(InvalidInput):
+                Section(tree, levels)
+        else:
+            section = Section(tree, levels)
+            assert (section.sources(), section.sinks()) == want, levels
+            accepted += 1
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
+def test_plus_admissible_enumeration_moves_to_the_shift(family, rank):
+    tree = make_tree(family, rank)
+    for levels in _all_section_shapes(tree):
+        section = Section(tree, levels)
+        current = section
+        for x in plus_admissible_enumeration(section):
+            current = section_move(current, x, "plus")  # raises NotSource
+        assert current == section.shifted(1), levels
 
 
 def test_window_translation_equivariance(fig4):
@@ -291,11 +333,6 @@ def test_period_one_line_configuration():
 
 # ---------------------------------------------------------------------------
 # the closed-form group action against step-by-step iteration
-
-ALL_TREES = (
-    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
-)
-
 
 def _groups(tree):
     """tau powers {0, 1, L, 2L}, each with every twist and, on even A, the glide."""
