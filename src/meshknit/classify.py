@@ -324,8 +324,12 @@ def dn_corner_count(config: Configuration) -> tuple[int, list[Residue]]:
     tree = config.tree
     if tree.family != "D" or tree.rank < 5:
         raise WrongFamily("corner counts are defined for D_n with n >= 5 only")
+    _require_configuration(config)
     high = sorted((i, x) for i, x in config.residues if x >= tree.rank - 1)
     slices = {i for i, _ in high}
+    # An invariant once the axioms hold: every D_n configuration is two- or
+    # three-cornered (Riedtmann's classification of type D_n); the tests
+    # check every configuration of D5 and D6.
     assert (len(high), len(slices)) in ((2, 1), (3, 3)), f"high points {high} unclassified"
     return len(high), high
 

@@ -14,19 +14,23 @@ Both walk the window's level order (:attr:`QuiverWindow.order`) from the
 source and store nonzero values only.  Every arrow raises the level by one,
 and a value is at most the sum of the values at its in-neighbours, one level
 down; so once a whole level is zero every higher one is, and a walk stops at
-the first point two levels above its highest nonzero value.  Callers that
-need only dimensions (``present.cartan_matrix``, ``knitting.dims_on_section``,
-the Nakayama map) use the recurrence.  The transporter additionally carries
-the arrow matrices of the quotient functor, which is what composition is
-made of: :class:`ProjectiveQuiver`'s radical-square test, completeness and
+the first point two levels above its highest nonzero value.  Every library
+caller but ``meshknit mesh homdim`` reads dimensions by the recurrence:
+``present.cartan_matrix``, ``knitting.dims_on_section``, the Nakayama map
+and :class:`ProjectiveQuiver`, whose radical-square test, completeness and
 relations all ask :meth:`ProjectiveQuiver.path_nonzero`, the one composite
-test.  That quiver computes each transporter, hom value and arrow on first
-read, since its callers read only part of it, and reads nu-periodicity at
-lookup: one transporter per nu-orbit, at its node in the base period, in a
-window of one period plus the L + 2 slices its walks read, and every query
-moved down into that period.  The two routes must
-agree everywhere, configuration windows with projective sources included;
-the test suite enforces this, the library never cross-checks at runtime.
+test.  Hom spaces
+between projectives are at most one-dimensional, and that test decides a
+composite by hom dimensions alone.  The quiver computes each hom table, hom
+value and arrow on first read, since its callers read only part of it, and
+reads nu-periodicity at lookup: one table per nu-orbit, at its node in the
+base period, in a window of one period plus the L + 2 slices its walks read,
+and every query moved down into that period.  The transporter, which also
+carries the arrow matrices of the quotient functor, is the exact second route
+behind ``meshknit mesh homdim`` and the tests' oracle for composites.  The
+two routes must agree everywhere, configuration windows with projective
+sources included; the test suite enforces this, the library never
+cross-checks at runtime.
 """
 
 from __future__ import annotations
@@ -217,6 +221,9 @@ def _nu_inverse_map(tree: DynkinTree) -> AffineMap:
         lvl = hom.window.level
         want = lvl[src] + L - 1
         cands = [p for p in hom.support() if lvl[p] == want and not p.proj]
+        # An invariant, not an input check: trees come from make_tree, so
+        # Delta is Dynkin, and there hom(x, -) on Z Delta has exactly one
+        # point at its top level L - 1 above x, namely nu^{-1}(x).
         assert len(cands) == 1, f"nu^-1({src}) not unique: {cands}"
         images.append(cands[0])
     return AffineMap((0,) + tuple(p.slice for p in images), (0,) + tuple(p.vertex for p in images))
@@ -263,21 +270,20 @@ class ProjectiveQuiver:
     An arrow p -> q exists when hom(p, q) is one-dimensional and no
     composite through a third projective realizes it (radical square test).
     All hom spaces between distinct projectives are at most one-dimensional;
-    this is asserted on every pair read, and it is why one test,
-    :meth:`path_nonzero`, decides every composite from transports of
-    ``[1]``.  Callers read a small part of the quiver (``quiver_of_AC`` the
-    arrows out of one nu-copy), so nothing is computed up front: a
-    transporter, the arrow decision for a pair, ``out_nb[p]``, ``in_nb[q]``
-    and representative paths are computed on first read and cached.
+    this is asserted on every pair read, and it is why hom dimensions alone
+    decide every composite (:meth:`path_nonzero`).  Callers read a small part
+    of the quiver (``quiver_of_AC`` the arrows out of one nu-copy), so
+    nothing is computed up front: a hom table, the arrow decision for a pair,
+    ``out_nb[p]`` and ``in_nb[q]`` are computed on first read and cached.
 
     The category is periodic under nu = tau^L, so hom(p, q) = hom(p - kL,
     q - kL).  Only the node of each nu-orbit in the base period, slices
-    [i_lo, i_lo + L), gets a transporter; a node k periods higher is read
-    through it, with the query moved down by kL slices.  The window is
-    therefore one period plus the margin its transporters read: from slice
-    i_lo - 1 to L + 2 slices above the top base node, which is
-    ``[i_lo - 1, i_lo + 2L + 1]`` once the nodes span a period, whatever
-    i_hi is.  hom(p, q) is 0 without a transporter when q is not above p in
+    [i_lo, i_lo + L), gets a :func:`starting_function` table; a node k
+    periods higher is read through it, with the query moved down by kL
+    slices.  The window is therefore one period plus the margin its walks
+    read: from slice i_lo - 1 to L + 2 slices above the top base node, which
+    is ``[i_lo - 1, i_lo + 2L + 1]`` once the nodes span a period, whatever
+    i_hi is.  hom(p, q) is 0 without a table when q is not above p in
     ``level``, the node levels 2i + depth(x) + 1, since every arrow raises
     the level.  ``hom`` and ``arrows`` hold the whole table for callers that
     want all of it.
@@ -294,8 +300,8 @@ class ProjectiveQuiver:
         self.level = {p: 2 * p.slice + depth[p.vertex] + 1 for p in self.nodes}
         # the slices between a node and the node of its nu-orbit in the base period
         self._shift = {p: (p.slice - i_lo) // L * L for p in self.nodes}
-        self.transporters: dict[Pt, MeshTransporter] = _OnDemand(
-            lambda p: MeshTransporter(self.window, p)
+        self._homs: dict[Pt, HomTable] = _OnDemand(
+            lambda p: starting_function(tree, p, self.window)
         )
         self._is_arrow = _OnDemand(
             lambda pair: self.hom_dim(*pair) == 1 and not self._factors(*pair)
@@ -306,7 +312,6 @@ class ProjectiveQuiver:
         self.in_nb: dict[Pt, list[Pt]] = _OnDemand(
             lambda q: [p for p in self.nodes if self._is_arrow[(p, q)]]
         )
-        self._rep_paths = _OnDemand(self._base_rep_path)
 
     def hom_dim(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q) for nodes p != q; 0 for p == q."""
@@ -314,7 +319,12 @@ class ProjectiveQuiver:
         if lvl[q] <= lvl[p]:  # a nonzero hom raises the level
             return 0
         k = self._shift[p]
-        d = self.transporters[_moved(p, -k)].dim(_moved(q, -k))
+        d = self._homs[_moved(p, -k)][_moved(q, -k)]
+        # An invariant, not an input check: every caller validates the
+        # configuration first, and the hom spaces between projectives of
+        # k(Z Delta_C) are then at most one-dimensional.  The test suite
+        # checks this on every pair of three periods of each configuration
+        # it sweeps.
         assert d <= 1, f"hom({p},{q}) = {d} > 1 between projectives"
         return d
 
@@ -327,38 +337,22 @@ class ProjectiveQuiver:
     def arrows(self) -> list[tuple[Pt, Pt]]:
         return [(p, q) for p in self.nodes for q in self.out_nb[p]]
 
-    def rep_path(self, p: Pt, q: Pt) -> list[Pt] | None:
-        return self._rep_paths[(p, q)]
-
-    def _base_rep_path(self, pair: tuple[Pt, Pt]) -> list[Pt] | None:
-        """The base transporter's nonzero path, moved back up to p."""
-        p, q = pair
-        k = self._shift[p]
-        path = self.transporters[_moved(p, -k)].nonzero_path(_moved(q, -k))
-        return [_moved(r, k) for r in path] if path and k else path
-
     def path_nonzero(self, chain: list[Pt]) -> bool:
         """Is the composite along a chain of projectives nonzero?
 
-        With p = chain[0], a nonzero prefix ending at r has a class in the
-        one-dimensional hom(p, r), a nonzero multiple of ``[1]``; so each
-        later step r -> q is decided by transporting ``[1]`` along the
-        representative path r -> q in p's transporter, never the whole
-        chain.  Every consecutive hom is read first, which also makes a
-        repeated node (hom(q, q) = 0 here) a zero chain.  The rest is read
-        with the chain moved down into p's base period: a nonzero hom never
-        lowers the slice, so the moved chain is again made of nodes.
+        It is when every consecutive hom is nonzero and so is hom(chain[0],
+        q) for every later q.  Hom spaces between nodes are at most
+        one-dimensional, and a composite of basis maps is zero or a basis map
+        (Bautista-Gabriel-Roiter-Salmeron, 1985).  That the composite
+        p -> r -> q of basis maps is nonzero exactly when hom(p, q) is
+        nonzero is checked, not derived: the test suite compares it with the
+        exact composite of :class:`MeshTransporter` classes on every such
+        chain of three periods of the configurations it sweeps.  A repeated
+        node (hom(q, q) = 0 here) makes a zero chain.
         """
-        if not all(self.hom_dim(r, q) for r, q in zip(chain, chain[1:])):
-            return False
-        k = self._shift[chain[0]]
-        if k:
-            chain = [_moved(r, -k) for r in chain]
         p = chain[0]
-        tr = self.transporters[p]
-        return all(
-            self.hom_dim(p, r) and any(tr.transport([1], self.rep_path(r, q)))
-            for r, q in zip(chain[1:], chain[2:])
+        return all(self.hom_dim(r, q) for r, q in zip(chain, chain[1:])) and all(
+            self.hom_dim(p, q) for q in chain[2:]
         )
 
     def _factors(self, p: Pt, q: Pt) -> bool:

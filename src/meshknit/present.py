@@ -799,54 +799,3 @@ def d3m_quotient_presentations(q: BrauerQuiver) -> tuple[QuiverPresentation, Qui
     a0 = QuiverPresentation(points, arrows, relations_for(0), meta=dict(meta, a=0))
     a1 = QuiverPresentation(points, arrows, relations_for(1), meta=dict(meta, a=1))
     return a0, a1
-
-
-# ---------------------------------------------------------------------------
-# isomorphism of finite presentations
-
-
-def _relation_pointform(pres: QuiverPresentation, mapping: dict[str, str]):
-    """Relations as point sequences under a vertex mapping."""
-    by_label = pres.arrow_by_label()
-
-    def path_points(path):
-        pts = [mapping[by_label[path[0]].src]]
-        for lab in path:
-            pts.append(mapping[by_label[lab].dst])
-        return tuple(pts)
-
-    out = set()
-    for r in pres.relations:
-        if isinstance(r, ZeroRel):
-            out.add(("zero", path_points(r.path)))
-        elif isinstance(r, CommuteRel):
-            out.add(("commute", frozenset((path_points(r.lhs), path_points(r.rhs)))))
-        elif isinstance(r, ScaledCommuteRel):
-            out.add(
-                ("scaled", frozenset((path_points(r.lhs), path_points(r.rhs))), r.a)
-            )
-        else:
-            out.add(("power", path_points(r.lhs), r.m, path_points(r.rhs)))
-    return out
-
-
-def presentation_isomorphic(p1: QuiverPresentation, p2: QuiverPresentation) -> bool:
-    """Quiver-with-relations isomorphism via digraph matching."""
-    import networkx as nx
-    from networkx.algorithms.isomorphism import DiGraphMatcher
-
-    if len(p1.points) != len(p2.points) or len(p1.arrows) != len(p2.arrows):
-        return False
-    g1, g2 = nx.DiGraph(), nx.DiGraph()
-    g1.add_nodes_from(p1.points)
-    g2.add_nodes_from(p2.points)
-    for a in p1.arrows:
-        g1.add_edge(a.src, a.dst)
-    for a in p2.arrows:
-        g2.add_edge(a.src, a.dst)
-    ident = {p: p for p in p2.points}
-    target = _relation_pointform(p2, ident)
-    for mapping in DiGraphMatcher(g1, g2).isomorphisms_iter():
-        if _relation_pointform(p1, mapping) == target:
-            return True
-    return False

@@ -10,9 +10,10 @@ map, and ``orbit_by_iteration`` lists orbit points by stepping a group's
 generator, with no closed form.  ``orbit_cases`` lists the (tree,
 configuration, group) triples the orbit test is swept over.
 ``eager_projective_quiver`` is the projective quiver computed in full, one
-fresh transporter per node, and ``closure_domain`` the fundamental domain
-found by two reachability closures in a window; they are the references for
-the on-demand ``ProjectiveQuiver`` and the closed-form
+fresh transporter per node, with composites decided by the exact
+``composite_nonzero``, and ``closure_domain`` the fundamental domain found by
+two reachability closures in a window; they are the references for the
+on-demand ``ProjectiveQuiver`` and the closed-form
 ``fundamental_domain_points``.  ``reference_standard_relations`` finds the
 relations of a periodic presentation by transporting the whole class of every
 labelled path, the reference for the relation search of ``quiver_of_AC``.
@@ -20,17 +21,22 @@ labelled path, the reference for the relation search of ``quiver_of_AC``.
 and ``greedy_knit_toward`` knits by moving the least movable live orbit one
 step at a time; they are the references for the level function of
 ``Section`` and the level-ordered passes of ``knit_pattern``.
+``presentation_isomorphic`` decides whether two finite presentations are
+isomorphic as quivers with relations, by digraph matching.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, starmap
 
+import networkx as nx
+from networkx.algorithms.isomorphism import DiGraphMatcher
+
 from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
 from meshknit.errors import InvalidDimensionVector, WindowTooSmall
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import MeshTransporter
-from meshknit.present import CommuteRel, ZeroRel
+from meshknit.present import CommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
 from meshknit.ztquiver import AdmissibleGroup, Pt, build_window, reach, table_groups
 
 
@@ -178,6 +184,15 @@ def orbit_cases(configs):
             yield tree, config, AdmissibleGroup(0, glide=True)
 
 
+def composite_nonzero(tr, p, r, q) -> bool:
+    """Is the composite p -> r -> q of projectives nonzero, for nonzero
+    hom(p, r) and hom(r, q)?  ``tr`` maps a node to its transporter.  The
+    class of p's representative path to r is pushed along r's representative
+    path to q, in p's transporter."""
+    first, second = tr[p].nonzero_path(r), tr[r].nonzero_path(q)
+    return any(tr[p].transport(tr[p].transport([1], first), second))
+
+
 def eager_projective_quiver(config, i_lo: int, i_hi: int):
     """hom, arrows, out_nb and in_nb among the projective lifts in slices
     [i_lo, i_hi], every pair computed: one fresh transporter per node, all hom
@@ -188,16 +203,11 @@ def eager_projective_quiver(config, i_lo: int, i_hi: int):
     nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
     tr = {p: MeshTransporter(window, p) for p in nodes}
     hom = {(p, q): tr[p].dim(q) for p in nodes for q in nodes if q != p and tr[p].dim(q)}
-
-    def composite_nonzero(p, r, q):
-        first, second = tr[p].nonzero_path(r), tr[r].nonzero_path(q)
-        return any(tr[p].transport(tr[p].transport([1], first), second))
-
     arrows = [
         (p, q)
         for p, q in sorted(hom)
         if not any(
-            (p, r) in hom and (r, q) in hom and composite_nonzero(p, r, q)
+            (p, r) in hom and (r, q) in hom and composite_nonzero(tr, p, r, q)
             for r in nodes
             if r not in (p, q)
         )
@@ -362,3 +372,47 @@ def greedy_knit_toward(tree, section, dims, d, budget):
         else:
             raise InvalidDimensionVector(f"{name} count {s} at vertex {x}: not a pattern vector")
     return ends, recorded
+
+
+def _relation_pointform(pres: QuiverPresentation, mapping: dict[str, str]):
+    """Relations as point sequences under a vertex mapping."""
+    by_label = pres.arrow_by_label()
+
+    def path_points(path):
+        pts = [mapping[by_label[path[0]].src]]
+        for lab in path:
+            pts.append(mapping[by_label[lab].dst])
+        return tuple(pts)
+
+    out = set()
+    for r in pres.relations:
+        if isinstance(r, ZeroRel):
+            out.add(("zero", path_points(r.path)))
+        elif isinstance(r, CommuteRel):
+            out.add(("commute", frozenset((path_points(r.lhs), path_points(r.rhs)))))
+        elif isinstance(r, ScaledCommuteRel):
+            out.add(
+                ("scaled", frozenset((path_points(r.lhs), path_points(r.rhs))), r.a)
+            )
+        else:
+            out.add(("power", path_points(r.lhs), r.m, path_points(r.rhs)))
+    return out
+
+
+def presentation_isomorphic(p1: QuiverPresentation, p2: QuiverPresentation) -> bool:
+    """Quiver-with-relations isomorphism via digraph matching."""
+    if len(p1.points) != len(p2.points) or len(p1.arrows) != len(p2.arrows):
+        return False
+    g1, g2 = nx.DiGraph(), nx.DiGraph()
+    g1.add_nodes_from(p1.points)
+    g2.add_nodes_from(p2.points)
+    for a in p1.arrows:
+        g1.add_edge(a.src, a.dst)
+    for a in p2.arrows:
+        g2.add_edge(a.src, a.dst)
+    ident = {p: p for p in p2.points}
+    target = _relation_pointform(p2, ident)
+    for mapping in DiGraphMatcher(g1, g2).isomorphisms_iter():
+        if _relation_pointform(p1, mapping) == target:
+            return True
+    return False

@@ -19,9 +19,9 @@ from meshknit.classify import (
     _section_vectors,
 )
 from meshknit.dynkin import loewy_number, make_tree
-from meshknit.errors import NotAPedigreeVector, WrongFamily
+from meshknit.errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from meshknit.knitting import dims_on_section
-from meshknit.ztquiver import equioriented_section
+from meshknit.ztquiver import Configuration, equioriented_section
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -131,6 +131,21 @@ def test_dn_corner_count(configs_cache):
         dn_corner_count(configs_cache("D4")[0])
     with pytest.raises(WrongFamily):
         dn_corner_count(configs_cache("A4")[0])
+
+
+@pytest.mark.parametrize(
+    "residues",
+    [
+        [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)],  # no high point
+        [(0, 4), (1, 5), (2, 1), (3, 1), (4, 1)],  # two high points on two slices
+    ],
+)
+def test_dn_corner_count_refuses_non_configurations(residues):
+    """A D5 residue set that breaks the axioms is refused with a typed error
+    before the corner invariant is read."""
+    config = Configuration(make_tree("D", 5), residues)
+    with pytest.raises(InvalidInput, match="not a configuration"):
+        dn_corner_count(config)
 
 
 def test_three_cornered_sigma_stability_needs_triple_rank(configs_cache):

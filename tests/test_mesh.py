@@ -1,12 +1,13 @@
 import pytest
 
-from helpers import eager_projective_quiver, naive_hom_dim, path_exists
+from helpers import composite_nonzero, eager_projective_quiver, naive_hom_dim, path_exists
 
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
 from meshknit.mesh import (
     MeshTransporter,
     ProjectiveQuiver,
+    _OnDemand,
     complete_morphisms,
     hom_dim_oracle,
     nakayama,
@@ -243,14 +244,14 @@ def test_one_point_fundamental_algebra_has_no_complete_morphisms():
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
 def test_translated_transporters_match_fresh_builds(name, configs_cache):
-    """A three-period ProjectiveQuiver reads every node through the
-    transporter of its nu-orbit in the base period, with the query moved into
-    that period.  hom_dim and rep_path of every pair of nodes equal those of a
+    """A three-period ProjectiveQuiver reads every node through the hom table
+    of its nu-orbit in the base period, with the query moved into that
+    period.  hom_dim of every pair of nodes equals the dimension read off a
     transporter built from scratch at the node in the full window of the
-    nodes' slices plus L + 2; only base-period nodes get a transporter; and
-    each base transporter's support ends at least two levels below the top of
-    the quiver's window, so its walk stopped inside it.  The base period
-    starts at slice 1, not at a multiple of L."""
+    nodes' slices plus L + 2; only base-period nodes get a table; and each
+    table's support ends at least two levels below the top of the quiver's
+    window, so its walk stopped inside it.  The base period starts at slice
+    1, not at a multiple of L."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     configs = configs_cache(name)
@@ -265,12 +266,60 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
             fresh = MeshTransporter(full, p)
             for q in pq.nodes:
                 assert pq.hom_dim(p, q) == (fresh.dim(q) if q != p else 0), (config, p, q)
-                assert pq.rep_path(p, q) == fresh.nonzero_path(q), (config, p, q)
-        assert set(pq.transporters) == {p for p in pq.nodes if p.slice < i_lo + L}, config
+        assert set(pq._homs) == {p for p in pq.nodes if p.slice < i_lo + L}, config
         w = pq.window
         top = max(w.level.values())
-        for tr in pq.transporters.values():
-            assert max(w.level[q] for q in tr.dims) <= top - 2, (config, tr.source)
+        for table in pq._homs.values():
+            assert max(w.level[q] for q in table.dims) <= top - 2, (config, table.source)
+
+
+class _PathMemo(MeshTransporter):
+    """A transporter that keeps each representative path it finds: a chain
+    reads the path p -> r once for every q, and on E8 the search is slow."""
+
+    def nonzero_path(self, target):
+        paths = self.__dict__.setdefault("_paths", {})
+        if target not in paths:
+            paths[target] = super().nonzero_path(target)
+        return paths[target]
+
+
+@pytest.mark.parametrize(
+    "name,step",
+    [
+        *((n, 1) for n in ["A2", "A3", "A4", "A5", "D4", "D5"]),
+        ("A6", 3),
+        ("D6", 3),
+        ("E6", 20),
+        *(pytest.param(n, k, marks=pytest.mark.e8) for n, k in
+          [("A7", 7), ("D7", 13), ("E6", 1), ("E7", 41), ("E8", 4999)]),
+    ],
+)
+def test_composite_rule_matches_transporter(name, step, configs_cache):
+    """path_nonzero decides a three-node chain p -> r -> q by hom dimensions
+    alone: with hom(p, r) and hom(r, q) nonzero, the composite is nonzero
+    exactly when hom(p, q) is.  Here it is compared with the exact composite
+    of transporter classes (helpers.composite_nonzero) for every p in the base
+    period and every r, q of a three-period quiver, in fresh transporters over
+    the full window of the nodes' slices plus L + 2."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    i_lo, i_hi = 1, 3 * L
+    for config in configs_cache(name)[::step]:
+        pq = ProjectiveQuiver(config, i_lo, i_hi)
+        full = build_window(tree, config, i_lo - 1, i_hi + L + 2)
+        tr = _OnDemand(lambda p: _PathMemo(full, p))
+        for p in pq.nodes:
+            if p.slice >= i_lo + L:
+                continue
+            for r in pq.nodes:
+                if r == p or not tr[p].dim(r):
+                    continue
+                for q in pq.nodes:
+                    if q == r or not tr[r].dim(q):
+                        continue
+                    want = composite_nonzero(tr, p, r, q)
+                    assert pq.path_nonzero([p, r, q]) == want, (config, p, r, q)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])

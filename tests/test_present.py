@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import meshknit
-from helpers import orbit_by_iteration, orbit_cases, path_exists, reference_standard_relations
+from helpers import (
+    orbit_by_iteration,
+    orbit_cases,
+    path_exists,
+    presentation_isomorphic,
+    reference_standard_relations,
+)
 from meshknit.classify import Pedigree, enumerate_pedigrees
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import (
@@ -38,7 +44,6 @@ from meshknit.present import (
     fundamental_sources,
     is_pattern_algebra,
     pedigree_from_brauer,
-    presentation_isomorphic,
     quiver_of_AC,
     reflect_fundamental,
     trivial_extension_presentation,
