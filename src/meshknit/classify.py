@@ -136,6 +136,9 @@ def _residue_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
     out = {}
     for x in tree.vertices:
         support = _stable_support(tree, x)
+        # distinct lifts of one residue never see each other: path lengths
+        # inside a hom support stay below L, a full period away needs 2L
+        assert not any(p.vertex == x and p.slice > 0 and p.slice % L == 0 for p in support)
         for i in range(L):
             out[(i, x)] = frozenset(((i + p.slice) % L, p.vertex) for p in support)
     return out
@@ -154,12 +157,6 @@ def check_combinatorial_configuration(tree: DynkinTree, residues) -> tuple[bool,
     for e in sorted(E):
         if (reach[e] & E) - {e}:
             return False, "C2"
-        # distinct lifts of one residue never see each other: path lengths
-        # inside a hom support stay below L, a full period away needs 2L
-        assert not any(
-            p.vertex == e[1] and p.slice > 0 and p.slice % L == 0
-            for p in _stable_support(tree, e[1])
-        )
     for i in range(L):
         for x in tree.vertices:
             if not (reach[(i, x)] & E):

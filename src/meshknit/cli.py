@@ -79,6 +79,18 @@ def _load_config(path: str) -> Configuration:
         return Configuration.from_json(fh.read())
 
 
+def _load_config_of(tree, path: str) -> Configuration:
+    """``--config`` of a command that also takes ``--tree``: a configuration
+    of that tree that satisfies the axioms."""
+    config = _load_config(path)
+    if config.tree != tree:
+        raise InvalidInput(
+            f"--config holds a configuration of {config.tree.name}, not of {tree.name}"
+        )
+    classify._require_configuration(config)
+    return config
+
+
 def _cmd_dynkin(args) -> int:
     tree = tree_from_name(args.tree)
     if args.action == "info":
@@ -153,7 +165,7 @@ def _cmd_mesh(args) -> int:
     tree = tree_from_name(args.tree)
     src = _parse_point(args.src)
     dst = _parse_point(args.dst)
-    config = _load_config(args.config) if args.config else None
+    config = _load_config_of(tree, args.config) if args.config else None
     for p in (src, dst):
         if p.proj and not (config and config.contains(p.slice, p.vertex)):
             raise InvalidInput(
@@ -193,7 +205,7 @@ def _cmd_present(args) -> int:
 
 def _cmd_quotient(args) -> int:
     tree = tree_from_name(args.tree)
-    config = _load_config(args.config) if args.config else None
+    config = _load_config_of(tree, args.config) if args.config else None
     group = _parse_group(tree, args.group)
     bounds = _ints(args.range, "--range")
     if len(bounds) != 2:

@@ -412,20 +412,25 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     _require_configuration(config)
     tree = config.tree
     L = loewy_number(tree)
-    R = group.action(tree).period
+    action = group.action(tree)
+    R = action.period
     window = build_window(tree, config, -1, R + 2 * L + 2)
     key, refusal = _orbit_map(group, window)
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
 
-    # one orbit key per projective orbit, in the order the orbits are met
-    reps = list(dict.fromkeys(key[Pt(i, x, True)] for i, x in config.lifts(0, R - 1)))
-    orbits = {q: [t for t in window.projectives if key[t] == q] for q in reps}
+    orbits: dict[Pt, list[Pt]] = {}
+    for t in window.projectives:
+        orbits.setdefault(key[t], []).append(t)
+    # one key per projective orbit, in the order the orbits are met; the
+    # output names each orbit by its canonical key, its least point in [0, R)
+    keys = dict.fromkeys(key[Pt(i, x, True)] for i, x in config.lifts(0, R - 1))
+    reps = [action.representative(k) for k in keys]
     matrix: dict[tuple[Pt, Pt], int] = {}
     for p in reps:
         hom = starting_function(tree, p, window)
-        for q in reps:
-            matrix[(p, q)] = sum(hom[t] for t in orbits[q])
+        for q, k in zip(reps, keys):
+            matrix[(p, q)] = sum(hom[t] for t in orbits[k])
     return reps, matrix
 
 

@@ -176,50 +176,54 @@ def _as_residues(tree: DynkinTree, config) -> frozenset[Residue] | None:
 
 
 class QuiverWindow:
-    """A finite slice ``[i_min, i_max]`` of the (decorated) translation quiver."""
+    """A finite slice ``[i_min, i_max]`` of the (decorated) translation quiver.
+
+    Each point is built once, one ``Pt`` per (slice, vertex) and one per
+    projective; the arrows, ``tau``, ``level`` and both neighbour lists hold
+    those same objects.  ``arrows`` is sorted, and each neighbour list follows
+    it.  A configuration must belong to ``tree``; a raw residue iterable is
+    taken as it is.  The orbit maps of :func:`_orbit_map` are cached on the
+    window, one per group.
+    """
 
     def __init__(self, tree: DynkinTree, config, i_min: int, i_max: int):
         if i_min > i_max:
             raise EmptyRange(f"slice range [{i_min}, {i_max}] is empty")
+        if isinstance(config, Configuration) and config.tree != tree:
+            raise InvalidInput(f"{config} does not decorate a window of {tree.name}")
         self.tree = tree
         self.residues = _as_residues(tree, config)
         self.config = config if isinstance(config, Configuration) else None
         self.i_min = i_min
         self.i_max = i_max
+        self._orbit_maps: dict[AdmissibleGroup, tuple] = {}
         L = loewy_number(tree)
         depth = tree.depth
+        slices = range(i_min, i_max + 1)
+        n = tree.rank
 
-        pts: set[Pt] = set()
-        for i in range(i_min, i_max + 1):
-            for x in tree.vertices:
-                pts.add(Pt(i, x))
-                if self.residues is not None and (i % L, x) in self.residues:
-                    pts.add(Pt(i, x, True))
-
+        stable = {(i, x): Pt(i, x) for i in slices for x in tree.vertices}
+        residues = self.residues or frozenset()
+        star = {(i, x): Pt(i, x, True) for i, x in stable if (i % L, x) in residues}
         arrows: list[tuple[Pt, Pt]] = []
-        for i in range(i_min, i_max + 1):
+        for i in slices:
             for lo, hi in tree.edges:
-                arrows.append((Pt(i, lo), Pt(i, hi)))
-                if i + 1 <= i_max:
-                    arrows.append((Pt(i, hi), Pt(i + 1, lo)))
-        for p in sorted(pts):
-            if p.proj:
-                base = Pt(p.slice, p.vertex)
-                arrows.append((base, p))
-                succ = Pt(p.slice + 1, p.vertex)
-                if succ in pts:
-                    arrows.append((p, succ))
+                arrows.append((stable[i, lo], stable[i, hi]))
+                if i < i_max:
+                    arrows.append((stable[i, hi], stable[i + 1, lo]))
+        for (i, x), p in star.items():
+            arrows.append((stable[i, x], p))
+            if i < i_max:
+                arrows.append((p, stable[i + 1, x]))
 
-        self.points = frozenset(pts)
+        self.points = frozenset([*stable.values(), *star.values()])
         self.arrows = tuple(sorted(arrows))
-        self.tau = {
-            Pt(i, x): Pt(i - 1, x)
-            for i in range(i_min + 1, i_max + 1)
-            for x in tree.vertices
-        }
-        self.level = {p: 2 * p.slice + depth[p.vertex] + (1 if p.proj else 0) for p in pts}
-        self.out_nb: dict[Pt, list[Pt]] = {p: [] for p in pts}
-        self.in_nb: dict[Pt, list[Pt]] = {p: [] for p in pts}
+        row_major = list(stable.values())
+        self.tau = dict(zip(row_major[n:], row_major[:-n]))  # (i, x) -> (i - 1, x)
+        self.level = {p: 2 * i + depth[x] for (i, x), p in stable.items()}
+        self.level.update((p, 2 * i + depth[x] + 1) for (i, x), p in star.items())
+        self.out_nb: dict[Pt, list[Pt]] = {p: [] for p in self.points}
+        self.in_nb: dict[Pt, list[Pt]] = {p: [] for p in self.points}
         for a, b in self.arrows:
             self.out_nb[a].append(b)
             self.in_nb[b].append(a)
@@ -578,15 +582,40 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
 # admissibility and quotients
 
 
-def _orbit_map(group: AdmissibleGroup, window: QuiverWindow, lo: int = 0) -> tuple:
-    """The orbit test, as ``(rep, refusal)``: ``rep`` maps each window point to
-    the least point of its orbit with slice in ``[lo, lo + period)``, and
+def _orbit_map(group: AdmissibleGroup, window: QuiverWindow) -> tuple:
+    """The orbit test, as ``(rep, refusal)``.  It is built once per (window,
+    group) and cached on the window, so :func:`is_admissible` and
+    :func:`quotient` on one window share it.
+
+    ``rep`` maps each window point to the least point of its orbit in the
+    middle band of ``period`` slices, the band :func:`quotient` folds onto.
     ``refusal`` is None or a reason naming a witness: the least x whose cone
-    ``{x} u x+`` or ``{x} u x-`` meets one orbit twice, and the two members."""
+    ``{x} u x+`` or ``{x} u x-`` meets one orbit twice, and the two members.
+    A band representative separates orbits as the canonical key does, so the
+    verdict does not depend on the band.
+
+    ``representative(p, lo)`` depends on p only through
+    ``((slice - lo) mod period, vertex, proj)``, so it is found once per such
+    residue.  Once no configuration point is moved, each group element is an
+    automorphism of the decorated quiver, and every orbit meets the band
+    ``[i_min + 1, i_min + period]``: every cone, a truncated one at the
+    window's edges too, lies in a group translate of the full cone of a band
+    point.  Those full cones lie in the window, which has at least
+    ``period + 2`` slices, so only the band's cones are tested; all points
+    are scanned in sorted order only after a band cone fails, to name the
+    least witness.
+    """
+    if group not in window._orbit_maps:
+        window._orbit_maps[group] = _orbit_test(group, window)
+    return window._orbit_maps[group]
+
+
+def _orbit_test(group: AdmissibleGroup, window: QuiverWindow) -> tuple:
     tree = window.tree
     action = group.action(tree)
+    P = action.period
     span = window.i_max - window.i_min + 1
-    if span < action.period + 2:
+    if span < P + 2:
         raise WindowTooSmall(
             f"window of {span} slices cannot hold a "
             f"fundamental domain of {group.name(tree)} plus margins"
@@ -595,17 +624,34 @@ def _orbit_map(group: AdmissibleGroup, window: QuiverWindow, lo: int = 0) -> tup
     moved = sorted(r for r in window.residues or () if g(*r) not in window.residues)
     if moved:
         return None, f"it maps configuration point {Pt(*moved[0])} off the configuration"
-    if not action.period:
+    if not P:
         return None, "its orbits are finite"  # a nontrivial power fixes every point
 
-    rep = {p: action.representative(p, lo) for p in window.points}
-    for p in sorted(window.points):
+    lo = window.i_min + (span - P) // 2
+    key: dict[tuple[int, int], tuple[Pt, Pt]] = {}  # residue -> (stable, projective) rep
+    for r in range(P):
+        for x in tree.vertices:
+            if (r, x) not in key:  # met first in sorted order: the least of its orbit
+                least = (Pt(lo + r, x), Pt(lo + r, x, True))
+                for h in action.powers:
+                    key[(r + h.shift[x]) % P, h.perm[x]] = least
+    rep = {p: key[(p.slice - lo) % P, p.vertex][p.proj] for p in window.points}
+    band = [p for p in window.points if window.i_min < p.slice <= window.i_min + P]
+    if _cone_witness(window, rep, band) is None:
+        return rep, None
+    return rep, _cone_witness(window, rep, sorted(window.points))
+
+
+def _cone_witness(window: QuiverWindow, rep: dict, points) -> str | None:
+    """The first of ``points`` whose cone meets one orbit twice, with the two
+    cone members, or None."""
+    for p in points:
         for cone in ([p, *window.out_nb[p]], [p, *window.in_nb[p]]):
             keys = [rep[q] for q in cone]
             if len(set(keys)) < len(cone):
                 j = next(j for j, k in enumerate(keys) if k in keys[:j])
-                return rep, f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
-    return rep, None
+                return f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
+    return None
 
 
 def is_admissible(group: AdmissibleGroup, window: QuiverWindow) -> bool:
@@ -632,12 +678,10 @@ class FoldedQuiver:
 def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:
     """Fold a window by an admissible group; points become orbit representatives."""
     tree = window.tree
-    period = group.action(tree).period
-    span = window.i_max - window.i_min + 1
-    rep, refusal = _orbit_map(group, window, window.i_min + (span - period) // 2)
+    rep, refusal = _orbit_map(group, window)
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
-    if span < 2 * period:
+    if window.i_max - window.i_min + 1 < 2 * group.action(tree).period:
         raise WindowTooSmall("quotient needs a window of at least two periods")
     points = tuple(sorted(set(rep.values())))
     arrows = tuple(sorted({(rep[a], rep[b]) for a, b in window.arrows}))

@@ -5,9 +5,12 @@ the full relation matrix (one row per ``q . mesh-sum . p`` combination),
 returning path count minus rank.  It shares no code with the incremental
 transporter; it anchors the oracle itself on small windows.  ``path_exists``
 is a plain depth-first search, the reference for reachability.
-``reference_is_admissible`` is the orbit test as it stood before the orbit
-map, and ``orbit_by_iteration`` lists orbit points by stepping a group's
-generator, with no closed form.  ``orbit_cases`` lists the (tree,
+``ReferenceWindow`` is the window constructor as it stood before points
+were shared, building a fresh ``Pt`` wherever one is needed; it is the
+reference for ``QuiverWindow``.  ``reference_is_admissible`` is the orbit
+test as it stood before the orbit map, ``reference_witness`` the orbit map's
+cone refusal as it stood before the band scan, and ``orbit_by_iteration``
+lists orbit points by stepping a group's generator, with no closed form.  ``orbit_cases`` lists the (tree,
 configuration, group) triples the orbit test is swept over.
 ``eager_projective_quiver`` is the projective quiver computed in full, one
 fresh transporter per node, with composites decided by the exact
@@ -26,18 +29,26 @@ isomorphic as quivers with relations, by digraph matching.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, starmap
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
-from meshknit.errors import InvalidDimensionVector, WindowTooSmall
+from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import MeshTransporter
 from meshknit.present import CommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
-from meshknit.ztquiver import AdmissibleGroup, Pt, build_window, reach, table_groups
+from meshknit.ztquiver import (
+    AdmissibleGroup,
+    Configuration,
+    Pt,
+    _as_residues,
+    build_window,
+    reach,
+    table_groups,
+)
 
 
 def all_paths(window, x, y):
@@ -98,6 +109,67 @@ def naive_hom_dim(window, x, y) -> int:
     return len(paths) - ech.rank
 
 
+class ReferenceWindow:
+    """The window constructor before points were shared: the same fields as
+    ``QuiverWindow``, each point built afresh wherever it is used."""
+
+    def __init__(self, tree, config, i_min: int, i_max: int):
+        if i_min > i_max:
+            raise EmptyRange(f"slice range [{i_min}, {i_max}] is empty")
+        self.tree = tree
+        self.residues = _as_residues(tree, config)
+        self.config = config if isinstance(config, Configuration) else None
+        self.i_min = i_min
+        self.i_max = i_max
+        L = loewy_number(tree)
+        depth = tree.depth
+
+        pts: set[Pt] = set()
+        for i in range(i_min, i_max + 1):
+            for x in tree.vertices:
+                pts.add(Pt(i, x))
+                if self.residues is not None and (i % L, x) in self.residues:
+                    pts.add(Pt(i, x, True))
+
+        arrows: list[tuple[Pt, Pt]] = []
+        for i in range(i_min, i_max + 1):
+            for lo, hi in tree.edges:
+                arrows.append((Pt(i, lo), Pt(i, hi)))
+                if i + 1 <= i_max:
+                    arrows.append((Pt(i, hi), Pt(i + 1, lo)))
+        for p in sorted(pts):
+            if p.proj:
+                base = Pt(p.slice, p.vertex)
+                arrows.append((base, p))
+                succ = Pt(p.slice + 1, p.vertex)
+                if succ in pts:
+                    arrows.append((p, succ))
+
+        self.points = frozenset(pts)
+        self.arrows = tuple(sorted(arrows))
+        self.tau = {
+            Pt(i, x): Pt(i - 1, x)
+            for i in range(i_min + 1, i_max + 1)
+            for x in tree.vertices
+        }
+        self.level = {p: 2 * p.slice + depth[p.vertex] + (1 if p.proj else 0) for p in pts}
+        self.out_nb: dict[Pt, list[Pt]] = {p: [] for p in pts}
+        self.in_nb: dict[Pt, list[Pt]] = {p: [] for p in pts}
+        for a, b in self.arrows:
+            self.out_nb[a].append(b)
+            self.in_nb[b].append(a)
+
+    @cached_property
+    def order(self) -> tuple[Pt, ...]:
+        """The points sorted by ``(level, point)``: every arrow goes forward."""
+        lvl = self.level
+        return tuple(sorted(self.points, key=lambda p: (lvl[p], p)))
+
+    @property
+    def projectives(self) -> list[Pt]:
+        return sorted(p for p in self.points if p.proj)
+
+
 def _acts_on_window(group, window) -> bool:
     """The group acts on the decorated quiver iff it maps the configured
     point set onto itself."""
@@ -128,6 +200,20 @@ def reference_is_admissible(group, window) -> bool:
             if len({key[q] for q in cone}) < len(cone):
                 return False
     return True
+
+
+def reference_witness(group, window) -> str | None:
+    """The orbit map's cone refusal as it stood before the band scan: every
+    window point in sorted order, keyed by canonical orbit representatives;
+    None when no cone meets an orbit twice."""
+    key = group.action(window.tree).representative
+    for p in sorted(window.points):
+        for cone in ([p, *window.out_nb[p]], [p, *window.in_nb[p]]):
+            keys = [key(q) for q in cone]
+            if len(set(keys)) < len(cone):
+                j = next(j for j, k in enumerate(keys) if k in keys[:j])
+                return f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
+    return None
 
 
 def orbit_by_iteration(group, tree, p, lo: int, hi: int) -> set:

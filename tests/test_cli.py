@@ -208,6 +208,9 @@ A3_POINTS = [(0, 3), (1, 3), (2, 3)]
 A3_CONFIG = a3_file(A3_POINTS)
 # violates C2: hom((0,2), (1,2)) is nonzero
 A3_NOT_A_CONFIG = a3_file([(0, 2), (1, 2), (2, 2)])
+D4_CONFIG = json.dumps(
+    {"tree": {"family": "D", "rank": 4}, "period": 5, "points": [[0, 1], [1, 1], [2, 3], [2, 4]]}
+)
 
 MALFORMED = [
     pytest.param(["knit", "--tree", "A3", "--dims", "1,2"], None, id="knit-short-dims"),
@@ -257,6 +260,27 @@ MALFORMED = [
         id="homdim-projective-without-config",
     ),
     pytest.param(["present", "--config"], "not json", id="present-not-json"),
+    # --config must be a configuration of --tree
+    pytest.param(
+        ["quotient", "--tree", "A3", "--group", "tau^4", "--range=0,12", "--config"], D4_CONFIG,
+        id="quotient-d4-config-on-a3",
+    ),
+    pytest.param(
+        ["quotient", "--tree", "D4", "--group", "tau^6", "--range=0,14", "--config"], A3_CONFIG,
+        id="quotient-a3-config-on-d4",
+    ),
+    pytest.param(
+        ["mesh", "homdim", "--tree", "D4", "--from", "0,1", "--to", "2,1", "--config"], A3_CONFIG,
+        id="homdim-a3-config-on-d4",
+    ),
+    pytest.param(
+        ["quotient", "--tree", "A3", "--group", "tau^3", "--range=0,8", "--config"],
+        A3_NOT_A_CONFIG, id="quotient-not-a-configuration",
+    ),
+    pytest.param(
+        ["mesh", "homdim", "--tree", "A3", "--from", "0,2,p", "--to", "2,2,p", "--config"],
+        A3_NOT_A_CONFIG, id="homdim-not-a-configuration",
+    ),
     # each would load as a configuration if the field were passed through int()
     pytest.param(["configs", "check", "--file"], a3_file(A3_POINTS, 3.7), id="check-float-rank"),
     pytest.param(["configs", "check", "--file"], a3_file([(0, 1)], True), id="check-bool-rank"),
@@ -283,6 +307,25 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, argv, file_text):
     code, _, err = run_capture(capsys, with_file(tmp_path, argv, file_text))
     assert code == 2
     assert err.startswith("error[") and "Traceback" not in err
+
+
+def test_config_must_fit_the_tree_and_the_axioms(tmp_path, capsys):
+    """quotient and mesh homdim name a configuration of another tree, and the
+    failed axiom of a residue set that is not a configuration."""
+    cases = [
+        (["quotient", "--tree", "A3", "--group", "tau^4", "--range=0,12"], D4_CONFIG,
+         "--config holds a configuration of D4, not of A3"),
+        (["mesh", "homdim", "--tree", "D4", "--from", "0,1", "--to", "2,1"], A3_CONFIG,
+         "--config holds a configuration of A3, not of D4"),
+        (["quotient", "--tree", "A3", "--group", "tau^3", "--range=0,8"], A3_NOT_A_CONFIG,
+         "not a configuration: axiom C2 fails"),
+        (["mesh", "homdim", "--tree", "A3", "--from", "0,2,p", "--to", "2,2,p"], A3_NOT_A_CONFIG,
+         "not a configuration: axiom C2 fails"),
+    ]
+    for argv, text, message in cases:
+        code, out, err = run_capture(capsys, with_file(tmp_path, argv + ["--config"], text))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error[INVALID_INPUT]: {message}"), err
 
 
 def test_present_checks_the_configuration_axioms(tmp_path, capsys):

@@ -3,7 +3,15 @@ import re
 
 import pytest
 
-from helpers import edge_rule_section, orbit_by_iteration, orbit_cases, reference_is_admissible
+from helpers import (
+    ReferenceWindow,
+    edge_rule_section,
+    orbit_by_iteration,
+    orbit_cases,
+    reference_is_admissible,
+    reference_witness,
+)
+from meshknit.classify import check_combinatorial_configuration
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource, WindowTooSmall
 from meshknit.present import _all_section_shapes
@@ -441,14 +449,16 @@ def _check_witness(tree, group, w, refusal):
 
 
 def test_orbit_map_against_reference(configs_cache):
-    """On two windows per case: is_admissible agrees with the previous orbit
-    test, quotient with a fold by band representatives, and every refusal
-    names a witness that holds."""
-    cones = moves = 0
+    """On three windows per case, one of exactly period + 2 slices:
+    is_admissible agrees with the previous orbit test, quotient with a fold
+    by band representatives, and every refusal names a witness that holds;
+    a cone witness is the one the previous full scan names, also where the
+    witness point lies on an edge slice of the window, whose cones are cut."""
+    cones = moves = edges = 0
     for tree, config, group in orbit_cases(configs_cache):
         action = group.action(tree)
         P = action.period
-        for lo, hi in ((0, 2 * P + 1), (-2, 3 * P + 3)):
+        for lo, hi in ((0, 2 * P + 1), (-2, 3 * P + 3), (1, P + 2)):
             w = build_window(tree, config, lo, hi)
             admissible = is_admissible(group, w)
             assert admissible == reference_is_admissible(group, w), (config, group)
@@ -459,6 +469,8 @@ def test_orbit_map_against_reference(configs_cache):
                 assert str(exc.value) == f"{group.name(tree)} is not admissible: {refusal}"
                 if WITNESS.fullmatch(refusal):
                     cones += 1
+                    assert refusal == reference_witness(group, w), (config, group, lo, hi)
+                    edges += _parse_pt(WITNESS.fullmatch(refusal)[3]).slice in (lo, hi)
                     _check_witness(tree, group, w, refusal)
                 elif moved := MOVED.fullmatch(refusal):
                     moves += 1
@@ -467,6 +479,10 @@ def test_orbit_map_against_reference(configs_cache):
                     assert (i, x) in config.residues and g(i, x) not in config.residues
                 else:
                     assert refusal == "its orbits are finite" and not P
+                continue
+            if hi - lo + 1 < 2 * P:
+                with pytest.raises(WindowTooSmall):
+                    quotient(w, group)
                 continue
             band_lo = lo + (hi - lo + 1 - P) // 2
             band = {p: action.representative(p, band_lo) for p in w.points}
@@ -478,4 +494,91 @@ def test_orbit_map_against_reference(configs_cache):
                 tau.setdefault(band[p], band[q])
             assert folded.tau == tau
             assert folded.projectives == tuple(sorted({band[p] for p in w.points if p.proj}))
-    assert cones and moves
+    assert cones and moves and edges
+
+
+def _outcome(group, w, quotient_first: bool):
+    """is_admissible and quotient of one group on w, in the given call order;
+    a refusal as its type and text."""
+    def fold():
+        try:
+            f = quotient(w, group)
+        except (NotAdmissible, WindowTooSmall) as exc:
+            return type(exc), str(exc)
+        return f.points, f.arrows, f.tau, f.projectives, f.label
+
+    if quotient_first:
+        folded = fold()
+        return is_admissible(group, w), folded
+    return is_admissible(group, w), fold()
+
+
+def test_orbit_maps_are_shared_per_window(configs_cache):
+    """One window answers is_admissible and quotient for several groups, in
+    either order of the groups and of the two calls, exactly as a fresh
+    window answers each."""
+    tree = make_tree("A", 4)
+    for config in configs_cache("A4")[:3]:
+        groups = [
+            *table_groups(tree, config, s_max=2),
+            AdmissibleGroup(0),
+            AdmissibleGroup(0, glide=True),
+        ]
+        hi = 2 * max(g.action(tree).period for g in groups) + 1
+        fresh = {g: _outcome(g, build_window(tree, config, 0, hi), False) for g in groups}
+        assert any(ok for ok, _ in fresh.values()) and not all(ok for ok, _ in fresh.values())
+        for order, quotient_first in ((groups, False), (groups[::-1], True)):
+            w = build_window(tree, config, 0, hi)
+            for g in order:
+                assert _outcome(g, w, quotient_first) == fresh[g], (config, g)
+
+
+# ---------------------------------------------------------------------------
+# the window against the previous constructor
+
+# the first brute-force configuration of E8, written out: enumerating E8 takes seconds
+E8_CONFIG = [(0, 1), (1, 1), (2, 1), (11, 7), (12, 7), (13, 7), (14, 7), (14, 8)]
+
+
+@pytest.mark.parametrize("family,rank", ALL_TREES)
+def test_window_matches_the_previous_constructor(configs_cache, family, rank):
+    """Bare and configured windows, one-slice ones among them, have the
+    fields of the previous constructor, in the same order, and each point is
+    one object wherever the window holds it."""
+    tree = make_tree(family, rank)
+    if tree.name == "E8":
+        config = Configuration(tree, E8_CONFIG)
+        assert check_combinatorial_configuration(tree, config.residues) == (True, None)
+    else:
+        config = configs_cache(tree.name, "bruteforce")[0]
+    L = loewy_number(tree)
+    for decoration in (None, config):
+        for lo, hi in ((0, 0), (-3, -3), (L - 1, L - 1), (-1, L + 2), (2, 2 * L + 3)):
+            w = build_window(tree, decoration, lo, hi)
+            ref = ReferenceWindow(tree, decoration, lo, hi)
+            assert (w.residues, w.config) == (ref.residues, ref.config)
+            assert w.points == ref.points
+            assert w.arrows == ref.arrows
+            assert list(w.tau.items()) == list(ref.tau.items())
+            assert w.level == ref.level
+            assert w.out_nb == ref.out_nb and w.in_nb == ref.in_nb  # lists in order
+            assert w.projectives == ref.projectives
+            assert w.order == ref.order
+            own = {p: p for p in w.points}
+            held = [
+                *(p for arrow in w.arrows for p in arrow),
+                *(p for pair in w.tau.items() for p in pair),
+                *w.level,
+                *(q for nbs in (w.out_nb, w.in_nb) for p, qs in nbs.items() for q in (p, *qs)),
+            ]
+            assert all(p is own[p] for p in held)
+
+
+def test_window_refuses_a_configuration_of_another_tree(configs_cache):
+    """A Configuration must belong to the window's tree; raw residues are
+    taken as they are."""
+    d4 = configs_cache("D4")[0]
+    with pytest.raises(InvalidInput, match="does not decorate a window of A3"):
+        build_window(A3, d4, 0, 4)
+    raw = build_window(A3, [(0, 1), (1, 1), (2, 1)], 0, 4)
+    assert raw.config is None and raw.projectives == [Pt(i, 1, True) for i in range(5)]
