@@ -12,7 +12,6 @@ dimensions off a section of a configuration inverts the construction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .dynkin import DynkinTree, loewy_number
@@ -59,17 +58,12 @@ class PropagationStep:
     projective_dim: int | None = None
 
 
-def _mesh_count(values: Sequence[int], x: int, nbrs: tuple[int, ...]) -> int:
-    """The mesh count at source ``x``: its neighbors' values minus its own."""
-    return sum(values[y - 1] for y in nbrs) - values[x - 1]
-
-
 def propagate_dims(d: DimensionVector, x: int) -> PropagationStep:
     """One knit-or-knot move at a source vertex of the section."""
     section = d.section
     new_section = section_move(section, x, "plus")  # raises NotSource
-    s = _mesh_count(d.values, x, section.tree.neighbors[x])
     values = list(d.values)
+    s = sum(values[y - 1] for y in section.tree.neighbors[x]) - values[x - 1]  # the mesh count
     if s > 0:
         values[x - 1] = s
         return PropagationStep("knit", DimensionVector(new_section, tuple(values)))
@@ -188,66 +182,54 @@ class KnitTrace:
         if not self.cells:
             return ""
         knots = set(self.knots)
-        vs = sorted({p.vertex for p in self.cells}, reverse=True)
         lo = min(p.slice for p in self.cells)
         hi = max(p.slice for p in self.cells)
-        lines = []
-        for v in vs:
-            row = []
-            for i in range(lo, hi + 1):
-                p = Pt(i, v)
-                if p in self.cells:
-                    row.append(f"{self.cells[p]}{'*' if p in knots else ' '}".rjust(4))
-                else:
-                    row.append("    ")
-            lines.append(f"v{v} |" + "".join(row))
-        return "\n".join(lines)
+
+        def cell(p: Pt) -> str:
+            if p not in self.cells:
+                return "    "
+            return f"{self.cells[p]}{'*' if p in knots else ' '}".rjust(4)
+
+        rows = sorted({p.vertex for p in self.cells}, reverse=True)
+        span = range(lo, hi + 1)
+        return "\n".join(f"v{v} |" + "".join(cell(Pt(i, v)) for i in span) for v in rows)
 
 
-def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configuration, KnitTrace]:
-    """Run the knit-and-knot loop on a validated pattern vector.
+def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
+    """The sweep of ``knit_run``, on a vector that ``knit_pattern`` has accepted.
 
-    The run stops as soon as the dimension vector repeats across one full
-    period of section shifts (the knot pattern then repeats too, which is
-    asserted), or after the guaranteed bound of 6 * L * rank source steps.
+    Returns the configuration, the knots as ``(slice, vertex)`` pairs in sweep
+    order, their projective dimensions, the vector after each pass (the
+    section's first) and the pass after which the vector repeated.  Every pass
+    raises each level by one, so each later pass starts from a translate of
+    the section and the same source order is valid again.
     """
-    knit_pattern(tree, section, dims)  # raises on invalid vectors
     L = loewy_number(tree)
-    max_shifts = 6 * L
-    # Every pass raises each level by one, so each later pass starts from a
-    # translate of the section and the same source order is valid again.
+    slices = section.levels
     order = plus_admissible_enumeration(section)
-    sweep = [(x, section.slice_of(x), tree.neighbors[x]) for x in order]
-    trace = KnitTrace(section0=section, order=[])
-    cells, knots, projective_dims = trace.cells, trace.knots, trace.projective_dims
-    for v in tree.vertices:
-        cells[section.point_of(v)] = dims[v - 1]
-    trace.shift_vectors.append(dims)
+    sweep = [(x - 1, slices[x - 1], tuple(y - 1 for y in tree.neighbors[x])) for x in order]
     values = list(dims)
-
-    detected: int | None = None
-    shift = 0
+    get = values.__getitem__
+    vectors, knots, knot_dims = [dims], [], []
+    detected, shift = None, 0
     while True:
-        for x, level, nbrs in sweep:
-            s = _mesh_count(values, x, nbrs)
+        for k, slice_, nbrs in sweep:
+            s = sum(map(get, nbrs)) - values[k]
             if s > 0:
-                values[x - 1] = s
+                values[k] = s
             else:
-                p = Pt(level + shift, x)
                 if s != -1:
+                    p = Pt(slice_ + shift, k + 1)
                     raise InvalidDimensionVector(f"knot count {s} at {p}: vector is inconsistent")
-                knots.append(p)
-                projective_dims[p] = values[x - 1] + 1
-            cells[Pt(level + shift + 1, x)] = values[x - 1]
-        trace.order.extend(order)
+                knots.append((slice_ + shift, k + 1))
+                knot_dims.append(values[k] + 1)
         shift += 1
-        trace.shift_vectors.append(tuple(values))
-        if detected is None and shift >= L and trace.shift_vectors[shift] == trace.shift_vectors[shift - L]:
+        vectors.append(tuple(values))
+        if detected is None and shift >= L and vectors[shift] == vectors[shift - L]:
             detected = shift
-            trace.periodic_after = detected
         if detected is not None and shift >= detected + L:
             break
-        if detected is None and shift >= max_shifts:
+        if detected is None and shift >= 6 * L:
             raise InvalidDimensionVector("knit-and-knot run never became periodic")
 
     # Two checks that no input reaches.  A pass depends only on the vector it
@@ -256,13 +238,8 @@ def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configurati
     # vectors knit_pattern accepts are the section vectors of configurations
     # (the classification behind the patterns method), and the knots of such
     # a run are the configuration's points: rank of them per period.
-    def knot_block(first_shift: int) -> frozenset[tuple[int, int]]:
-        pts = set()
-        for p in trace.knots:
-            rel = p.slice - section.slice_of(p.vertex)
-            if first_shift <= rel < first_shift + L:
-                pts.add((p.slice, p.vertex))
-        return frozenset(pts)
+    def knot_block(first: int) -> frozenset[tuple[int, int]]:
+        return frozenset((i, x) for i, x in knots if first <= i - slices[x - 1] < first + L)
 
     first = knot_block(detected - L)
     second = knot_block(detected)
@@ -272,15 +249,33 @@ def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configurati
     assert len(first) == tree.rank, (
         f"period block holds {len(first)} knots, expected {tree.rank}"
     )
+    return Configuration(tree, {(i % L, x) for i, x in first}), knots, knot_dims, vectors, detected
 
-    config = Configuration(tree, {(i % L, x) for i, x in first})
-    return config, trace
+
+def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configuration, KnitTrace]:
+    """Run the knit-and-knot loop on a validated pattern vector.
+
+    The run stops as soon as the dimension vector repeats across one full
+    period of section shifts (the knot pattern then repeats too, which is
+    asserted), or after the guaranteed bound of 6 * L * rank source steps.
+    The trace holds the section's cells, then each pass's in sweep order.
+    """
+    knit_pattern(tree, section, dims)  # raises on invalid vectors
+    config, knots, knot_dims, vectors, periodic_after = _knit_knots(tree, section, dims)
+    order = plus_admissible_enumeration(section)
+    passes = len(vectors) - 1
+    cells = {section.point_of(v): dims[v - 1] for v in tree.vertices}
+    for shift in range(1, passes + 1):
+        cells.update((Pt(section.slice_of(x) + shift, x), vectors[shift][x - 1]) for x in order)
+    pts = [Pt(i, x) for i, x in knots]
+    pdims = dict(zip(pts, knot_dims))
+    return config, KnitTrace(section, order * passes, cells, pts, pdims, vectors, periodic_after)
 
 
 def knit_and_knot(tree: DynkinTree, section: Section, dims: Vec) -> Configuration:
     """The configuration determined by a pattern vector on a section."""
-    config, _ = knit_run(tree, section, dims)
-    return config
+    knit_pattern(tree, section, dims)  # raises on invalid vectors
+    return _knit_knots(tree, section, dims)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ labelled path, the reference for the relation search of ``quiver_of_AC``.
 and ``greedy_knit_toward`` knits by moving the least movable live orbit one
 step at a time; they are the references for the level function of
 ``Section`` and the level-ordered passes of ``knit_pattern``.
+``reference_knit_run`` is ``knit_run`` as it stood before its sweep moved into
+the private ``_knit_knots``, writing every cell and knot of its trace as the
+sweep meets it; it is the reference for the trace ``knit_run`` builds from
+that kernel's output.
 ``presentation_isomorphic`` decides whether two finite presentations are
 isomorphic as quivers with relations, by digraph matching.
 """
@@ -37,6 +41,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
+from meshknit.knitting import KnitTrace, knit_pattern
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import MeshTransporter
 from meshknit.present import CommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
@@ -46,6 +51,7 @@ from meshknit.ztquiver import (
     Pt,
     _as_residues,
     build_window,
+    plus_admissible_enumeration,
     reach,
     table_groups,
 )
@@ -458,6 +464,73 @@ def greedy_knit_toward(tree, section, dims, d, budget):
         else:
             raise InvalidDimensionVector(f"{name} count {s} at vertex {x}: not a pattern vector")
     return ends, recorded
+
+
+def reference_knit_run(tree, section, dims):
+    """Run the knit-and-knot loop on a validated pattern vector.
+
+    The run stops as soon as the dimension vector repeats across one full
+    period of section shifts (the knot pattern then repeats too, which is
+    asserted), or after the guaranteed bound of 6 * L * rank source steps.
+    """
+    knit_pattern(tree, section, dims)  # raises on invalid vectors
+    L = loewy_number(tree)
+    max_shifts = 6 * L
+    # Every pass raises each level by one, so each later pass starts from a
+    # translate of the section and the same source order is valid again.
+    order = plus_admissible_enumeration(section)
+    sweep = [(x, section.slice_of(x), tree.neighbors[x]) for x in order]
+    trace = KnitTrace(section0=section, order=[])
+    cells, knots, projective_dims = trace.cells, trace.knots, trace.projective_dims
+    for v in tree.vertices:
+        cells[section.point_of(v)] = dims[v - 1]
+    trace.shift_vectors.append(dims)
+    values = list(dims)
+
+    detected = None
+    shift = 0
+    while True:
+        for x, level, nbrs in sweep:
+            s = sum(values[y - 1] for y in nbrs) - values[x - 1]
+            if s > 0:
+                values[x - 1] = s
+            else:
+                p = Pt(level + shift, x)
+                if s != -1:
+                    raise InvalidDimensionVector(f"knot count {s} at {p}: vector is inconsistent")
+                knots.append(p)
+                projective_dims[p] = values[x - 1] + 1
+            cells[Pt(level + shift + 1, x)] = values[x - 1]
+        trace.order.extend(order)
+        shift += 1
+        trace.shift_vectors.append(tuple(values))
+        if detected is None and shift >= L and trace.shift_vectors[shift] == trace.shift_vectors[shift - L]:
+            detected = shift
+            trace.periodic_after = detected
+        if detected is not None and shift >= detected + L:
+            break
+        if detected is None and shift >= max_shifts:
+            raise InvalidDimensionVector("knit-and-knot run never became periodic")
+
+    def knot_block(first_shift):
+        pts = set()
+        for p in trace.knots:
+            rel = p.slice - section.slice_of(p.vertex)
+            if first_shift <= rel < first_shift + L:
+                pts.add((p.slice, p.vertex))
+        return frozenset(pts)
+
+    first = knot_block(detected - L)
+    second = knot_block(detected)
+    assert second == frozenset((i + L, x) for i, x in first), (
+        "knot blocks fail to repeat after the dimension vector does"
+    )
+    assert len(first) == tree.rank, (
+        f"period block holds {len(first)} knots, expected {tree.rank}"
+    )
+
+    config = Configuration(tree, {(i % L, x) for i, x in first})
+    return config, trace
 
 
 def _relation_pointform(pres: QuiverPresentation, mapping: dict[str, str]):

@@ -284,6 +284,6 @@ def test_e8_cross_method():
 
 
 def test_e7_bruteforce_needs_no_opt_in(monkeypatch):
-    """Brute force is the fast method and runs without any environment switch."""
+    """E7 brute force takes well under a second and runs without any environment switch."""
     monkeypatch.delenv("MESHKNIT_ALLOW_SLOW", raising=False)
     assert len(enumerate_configurations(make_tree("E", 7), "bruteforce")) == 2431

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from helpers import closure_domain, greedy_knit_toward, path_exists
+from helpers import closure_domain, greedy_knit_toward, path_exists, reference_knit_run
+from meshknit.classify import _pattern_vectors
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import InvalidDimensionVector, NotSource
 from meshknit.knitting import (
     DimensionVector,
+    _knit_knots,
     dims_on_section,
     fundamental_domain_points,
     knit_and_knot,
@@ -99,8 +101,6 @@ def _greedy_pattern(tree, section, dims):
 def test_knit_pattern_matches_greedy_reference(name):
     """Level-ordered passes find the projectives, injectives and dimensions
     that the least-movable-orbit knitting finds, on every pattern vector."""
-    from meshknit.classify import _pattern_vectors
-
     tree = make_tree(name[0], int(name[1]))
     section = equioriented_section(tree)
     for dims in _pattern_vectors(tree):
@@ -154,6 +154,56 @@ def test_knit_run_fig4(fig4):
     assert sorted(cfg.residues) == [(0, 7), (1, 1), (2, 1), (3, 5), (4, 1), (5, 6), (6, 7)]
     carpet = trace.carpet()
     assert "4*" in carpet and carpet.count("\n") == 6
+
+
+def _trace_fields(config, trace):
+    return (
+        config,
+        trace.section0,
+        list(trace.cells.items()),
+        trace.knots,
+        list(trace.projective_dims.items()),
+        trace.shift_vectors,
+        trace.order,
+        trace.periodic_after,
+        trace.carpet(),
+    )
+
+
+def test_knit_run_fig4_matches_reference(fig4):
+    tree, section, dims, _ = fig4
+    assert _trace_fields(*knit_run(tree, section, dims)) == _trace_fields(
+        *reference_knit_run(tree, section, dims)
+    )
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])
+def test_knit_run_matches_reference(name):
+    """The trace built from the knit kernel's output is the one the former
+    cell-by-cell loop wrote, insertion order included."""
+    tree = make_tree(name[0], int(name[1]))
+    section = equioriented_section(tree)
+    for dims in _pattern_vectors(tree):
+        assert _trace_fields(*knit_run(tree, section, dims)) == _trace_fields(
+            *reference_knit_run(tree, section, dims)
+        ), dims
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", pytest.param("E8", marks=pytest.mark.e8)],
+)
+def test_pattern_vectors_pass_knit_pattern(name):
+    """classify knits its own seed vectors with the unvalidated kernel: every
+    one is a pattern vector, and the kernel knits it to the configuration the
+    validating entry point gives."""
+    tree = make_tree(name[0], int(name[1]))
+    section = equioriented_section(tree)
+    for dims in _pattern_vectors(tree):
+        knit_pattern(tree, section, dims)  # raises unless a pattern vector
+        assert _knit_knots(tree, section, dims)[0] == knit_and_knot(tree, section, dims), dims
 
 
 def test_knit_and_knot_a2():
@@ -332,8 +382,6 @@ def _assert_mesh_relation_on_carpet(tree, section, dims):
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])
 def test_carpets_satisfy_the_mesh_relation(name):
-    from meshknit.classify import _pattern_vectors
-
     tree = make_tree(name[0], int(name[1]))
     section = equioriented_section(tree)
     for dims in _pattern_vectors(tree):
