@@ -28,7 +28,6 @@ from .classify import (
     pedigree_count,
     pedigree_dimension_vector,
     pedigree_from_dims,
-    period,
 )
 from .present import (
     BrauerQuiver,

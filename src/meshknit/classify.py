@@ -371,7 +371,3 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
         out.append(ConfigurationClass(rep, len(orbit), stab))
     return out
 
-
-def period(config: Configuration) -> int:
-    """Smallest e with tau^e C = C; divides the storage modulus."""
-    return config.period()

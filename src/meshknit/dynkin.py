@@ -157,6 +157,8 @@ def _perm(tree: DynkinTree, images: dict[int, int]) -> TreeAutomorphism:
     mapping = tuple(images.get(v, v) for v in tree.vertices)
     aut = TreeAutomorphism(mapping)
     edge_set = {frozenset(e) for e in tree.edges}
+    # holds by construction: every caller passes one of the fixed symmetries
+    # of tree_automorphisms and rotation_automorphism, never user input
     assert all(frozenset((aut(a), aut(b))) in edge_set for a, b in tree.edges)
     return aut
 

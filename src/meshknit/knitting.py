@@ -210,7 +210,7 @@ def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
     sweep = [(x - 1, slices[x - 1], tuple(y - 1 for y in tree.neighbors[x])) for x in order]
     values = list(dims)
     get = values.__getitem__
-    vectors, knots, knot_dims = [dims], [], []
+    vectors, knots, knot_dims = [tuple(dims)], [], []
     detected, shift = None, 0
     while True:
         for k, slice_, nbrs in sweep:

@@ -19,23 +19,23 @@ caller but ``meshknit mesh homdim`` reads dimensions by the recurrence:
 ``present.cartan_matrix``, ``knitting.dims_on_section``, the Nakayama map
 and :class:`ProjectiveQuiver`, whose radical-square test, completeness and
 relations all ask :meth:`ProjectiveQuiver.path_nonzero`, the one composite
-test.  Hom spaces
-between projectives are at most one-dimensional, and that test decides a
-composite by hom dimensions alone.  The quiver computes each hom table, hom
-value and arrow on first read, since its callers read only part of it, and
-reads nu-periodicity at lookup: one table per nu-orbit, at its node in the
-base period, in a window of one period plus the L + 2 slices its walks read,
-and every query moved down into that period.  The transporter, which also
-carries the arrow matrices of the quotient functor, is the exact second route
-behind ``meshknit mesh homdim`` and the tests' oracle for composites.  The
-two routes must agree everywhere, configuration windows with projective
-sources included; the test suite enforces this, the library never
-cross-checks at runtime.
+test.  Hom spaces between projectives are at most one-dimensional, and that
+test decides a composite by hom dimensions alone.  The quiver is stored by
+residue, since k(Z Delta_C) is periodic under nu = tau^L: one hom table and
+one arrow list per nu-orbit, at its lift in slices [0, L), each computed on
+first read on the one window [-1, 2L + 1].  Any projective is read through
+its residue, moved down by whole periods, so the quiver covers all of
+k(Z Delta_C) and every search over it bounds itself by level.  The
+transporter, which also carries the arrow matrices of the quotient functor,
+is the exact second route behind ``meshknit mesh homdim`` and the tests'
+oracle for composites.  The two routes must agree everywhere, configuration
+windows with projective sources included; the test suite enforces this, the
+library never cross-checks at runtime.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import WindowTooSmall
@@ -170,15 +170,22 @@ class MeshTransporter:
         return reach([target], lambda p: (w for w in in_nb[p] if dims.get(w, 0) > 0))
 
     def nonzero_path(self, target: Pt) -> list[Pt] | None:
-        """The lexicographically smallest path with nonzero class, if any."""
+        """The lexicographically smallest path with nonzero class, if any.  A
+        depth-first search; it skips a (point, class) state popped before,
+        since the quiver is acyclic and every path through its first pop failed."""
         if self.dim(target) == 0:
             return None
         reaches = self._reaching(target)
         stack = [(self.source, [self.source], [1])]
+        popped = set()
         while stack:
             p, path, vec = stack.pop()
             if p == target:
                 return path
+            state = (p, tuple(vec))
+            if state in popped:
+                continue
+            popped.add(state)
             succ = sorted((q for q in self.window.out_nb[p] if q in reaches), reverse=True)
             for q in succ:
                 nvec = self.apply_arrow(p, q, vec)
@@ -265,7 +272,7 @@ def _moved(p: Pt, k: int) -> Pt:
 
 
 class ProjectiveQuiver:
-    """Arrows and hom data among the projectives of slices [i_lo, i_hi], on demand.
+    """Arrows and hom data among the projectives of k(Z Delta_C), on demand.
 
     An arrow p -> q exists when hom(p, q) is one-dimensional and no
     composite through a third projective realizes it (radical square test).
@@ -273,69 +280,49 @@ class ProjectiveQuiver:
     this is asserted on every pair read, and it is why hom dimensions alone
     decide every composite (:meth:`path_nonzero`).  Callers read a small part
     of the quiver (``quiver_of_AC`` the arrows out of one nu-copy), so
-    nothing is computed up front: a hom table, the arrow decision for a pair,
-    ``out_nb[p]`` and ``in_nb[q]`` are computed on first read and cached.
+    nothing is computed up front: a hom table, ``out_nb[p]`` and ``in_nb[q]``
+    are computed on first read and cached.
 
     The category is periodic under nu = tau^L, so hom(p, q) = hom(p - kL,
-    q - kL).  Only the node of each nu-orbit in the base period, slices
-    [i_lo, i_lo + L), gets a :func:`starting_function` table; a node k
-    periods higher is read through it, with the query moved down by kL
-    slices.  The window is therefore one period plus the margin its walks
-    read: from slice i_lo - 1 to L + 2 slices above the top base node, which
-    is ``[i_lo - 1, i_lo + 2L + 1]`` once the nodes span a period, whatever
-    i_hi is.  hom(p, q) is 0 without a table when q is not above p in
-    ``level``, the node levels 2i + depth(x) + 1, since every arrow raises
-    the level.  ``hom`` and ``arrows`` hold the whole table for callers that
-    want all of it.
+    q - kL), and the arrows at p are those at p - kL moved up kL slices.  Each
+    nu-orbit gets one :func:`starting_function` table and one list of arrows
+    out of it, at its lift in slices [0, L), on the window [-1, 2L + 1] that
+    such a walk reads; any projective is read through its lift.  So
+    ``hom_dim``, ``out_nb`` and ``in_nb`` cover the infinite quiver, and a
+    search over it bounds itself by ``level``, which every arrow raises.
     """
 
-    def __init__(self, config: Configuration, i_lo: int, i_hi: int):
+    def __init__(self, config: Configuration):
         tree = config.tree
         L = loewy_number(tree)
-        self.config = config
-        self.tree = tree
-        self.window = build_window(tree, config, i_lo - 1, min(i_hi, i_lo + L - 1) + L + 2)
-        self.nodes = tuple(Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi))
-        depth = tree.depth
-        self.level = {p: 2 * p.slice + depth[p.vertex] + 1 for p in self.nodes}
-        # the slices between a node and the node of its nu-orbit in the base period
-        self._shift = {p: (p.slice - i_lo) // L * L for p in self.nodes}
-        self._homs: dict[Pt, HomTable] = _OnDemand(
-            lambda p: starting_function(tree, p, self.window)
-        )
-        self._is_arrow = _OnDemand(
-            lambda pair: self.hom_dim(*pair) == 1 and not self._factors(*pair)
-        )
-        self.out_nb: dict[Pt, list[Pt]] = _OnDemand(
-            lambda p: [q for q in self.nodes if self._is_arrow[(p, q)]]
-        )
-        self.in_nb: dict[Pt, list[Pt]] = _OnDemand(
-            lambda q: [p for p in self.nodes if self._is_arrow[(p, q)]]
-        )
+        window = build_window(tree, config, -1, 2 * L + 1)
+        self._period = L
+        self._depth = tree.depth
+        self._lifts = [Pt(i, x, True) for i, x in sorted(config.residues)]
+        # _homs and _out are keyed by the lifts in [0, L)
+        self._homs: dict[Pt, HomTable] = _OnDemand(lambda p: starting_function(tree, p, window))
+        self._out: dict[Pt, list[Pt]] = _OnDemand(self._arrows_from)
+        self.out_nb: dict[Pt, list[Pt]] = _OnDemand(self._moved_out)
+        self.in_nb: dict[Pt, list[Pt]] = _OnDemand(self._arrows_into)
+
+    def level(self, p: Pt) -> int:
+        return 2 * p.slice + self._depth[p.vertex] + 1
+
+    def _moved_out(self, p: Pt) -> list[Pt]:
+        k = p.slice - p.slice % self._period
+        return [_moved(q, k) for q in self._out[_moved(p, -k)]]
 
     def hom_dim(self, p: Pt, q: Pt) -> int:
-        """dim hom(p, q) for nodes p != q; 0 for p == q."""
-        lvl = self.level
-        if lvl[q] <= lvl[p]:  # a nonzero hom raises the level
+        """dim hom(p, q) for projectives p != q; 0 for p == q."""
+        if self.level(q) <= self.level(p):  # a nonzero hom raises the level
             return 0
-        k = self._shift[p]
+        k = p.slice - p.slice % self._period  # p - k is the lift in [0, L)
         d = self._homs[_moved(p, -k)][_moved(q, -k)]
         # An invariant, not an input check: every caller validates the
-        # configuration first, and the hom spaces between projectives of
-        # k(Z Delta_C) are then at most one-dimensional.  The test suite
-        # checks this on every pair of three periods of each configuration
-        # it sweeps.
+        # configuration first, and hom spaces between its projectives are then
+        # at most one-dimensional (the tests check three periods of each).
         assert d <= 1, f"hom({p},{q}) = {d} > 1 between projectives"
         return d
-
-    @cached_property
-    def hom(self) -> dict[tuple[Pt, Pt], int]:
-        """Every nonzero hom(p, q) between distinct nodes."""
-        return {(p, q): d for p in self.nodes for q in self.nodes if (d := self.hom_dim(p, q))}
-
-    @cached_property
-    def arrows(self) -> list[tuple[Pt, Pt]]:
-        return [(p, q) for p in self.nodes for q in self.out_nb[p]]
 
     def path_nonzero(self, chain: list[Pt]) -> bool:
         """Is the composite along a chain of projectives nonzero?
@@ -355,11 +342,28 @@ class ProjectiveQuiver:
             self.hom_dim(p, q) for q in chain[2:]
         )
 
-    def _factors(self, p: Pt, q: Pt) -> bool:
-        """Does hom(p, q) factor through a node r?  Only r strictly between p
-        and q in level can carry a nonzero composite."""
-        lo, hi = self.level[p], self.level[q]
-        return any(lo < self.level[r] < hi and self.path_nonzero([p, r, q]) for r in self.nodes)
+    def _arrows_from(self, p: Pt) -> list[Pt]:
+        """The sorted heads of the arrows out of a lift p in [0, L).  Each
+        lies in the support of hom(p, -), and so does every r of a nonzero
+        composite p -> r -> q, strictly between p and q in level."""
+        lvl = self.level
+        support = sorted(q for q in self._homs[p].dims if q.proj and q != p)
+        return [
+            q
+            for q in support
+            if self.hom_dim(p, q) == 1
+            and not any(lvl(r) < lvl(q) and self.path_nonzero([p, r, q]) for r in support)
+        ]
+
+    def _arrows_into(self, q: Pt) -> list[Pt]:
+        """The sorted tails of the arrows into q: each arrow out of a lift in
+        [0, L) that ends in q's nu-orbit, moved to end at q."""
+        return sorted(
+            _moved(p, q.slice - r.slice)
+            for p in self._lifts
+            for r in self._out[p]
+            if r.vertex == q.vertex and (r.slice - q.slice) % self._period == 0
+        )
 
     def complete_pairs(self, members) -> list[tuple[Pt, Pt]]:
         """All pairs (p, q) of a fundamental set carrying a complete morphism.

@@ -24,7 +24,7 @@ from .errors import (
     NotSource,
     TooSmall,
 )
-from .mesh import ProjectiveQuiver, starting_function
+from .mesh import ProjectiveQuiver, _moved, starting_function
 from .ztquiver import AdmissibleGroup, Configuration, Pt, _orbit_map, build_window, reach
 
 # ---------------------------------------------------------------------------
@@ -116,12 +116,12 @@ def _normalize_min_shift(config: Configuration, points) -> tuple[Pt, ...]:
 
 
 def _validated_fundamental(
-    config: Configuration, points, above: int = 0
+    config: Configuration, points
 ) -> tuple[ProjectiveQuiver, tuple[Pt, ...]]:
     """Check C1/C2, connectedness, convexity and nu-transversality; returns
-    the ambient projective quiver, reaching ``above`` slices above the set
-    (the verdicts do not depend on it: paths between members stay in their
-    band), and the normalized point set."""
+    the projective quiver of the configuration and the normalized point set.
+    Meeting the residues of the configuration makes every point one of its
+    projectives."""
     _require_configuration(config)
     tree = config.tree
     L = loewy_number(tree)
@@ -131,11 +131,7 @@ def _validated_fundamental(
     orbits = {(p.slice % L, p.vertex) for p in fund}
     if len(orbits) != tree.rank or orbits != config.residues:
         raise NotFundamental("points do not represent the nu-orbits of the projectives")
-    i_lo = min(p.slice for p in fund)
-    i_hi = max(p.slice for p in fund)
-    pq = ProjectiveQuiver(config, i_lo, i_hi + above)
-    if any(p not in pq.nodes for p in fund):
-        raise NotFundamental("some points are not projectives of the configuration")
+    pq = ProjectiveQuiver(config)
     defect = _shape_defect(pq, fund)
     if defect:
         raise NotFundamental(defect)
@@ -147,17 +143,20 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
 
     The quiver is acyclic (hom(p, q) != 0 needs a higher level at q), so the
     points on paths between members are exactly those both reachable from
-    and reaching the set; the forward search stops at the highest member's
-    level, above which nothing reaches the set.
+    and reaching the set.  The quiver is infinite: the forward search stops
+    at the highest member's level, above which nothing reaches the set, and
+    the backward one at the lowest member's level, below which nothing is
+    reached from it.
     """
     members = set(points)
     linked = reach(points[:1], lambda p: members.intersection(pq.out_nb[p] + pq.in_nb[p]))
     if linked != members:
         return f"points are not connected in the quiver: {min(members - linked)} is cut off"
     lvl = pq.level
-    top = max(lvl[p] for p in points)
-    ahead = reach(points, lambda p: (q for q in pq.out_nb[p] if lvl[q] <= top))
-    between = ahead & reach(points, pq.in_nb.__getitem__)
+    bottom, top = min(map(lvl, points)), max(map(lvl, points))
+    ahead = reach(points, lambda p: (q for q in pq.out_nb[p] if lvl(q) <= top))
+    behind = reach(points, lambda q: (p for p in pq.in_nb[q] if lvl(p) >= bottom))
+    between = ahead & behind
     if between - members:
         return f"a quiver path between points of the set leaves it at {min(between - members)}"
     return None
@@ -165,19 +164,16 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
 
 def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     """All connected convex nu-transversal projective sets, up to
-    nu-translation, searched inside a window of three periods."""
+    nu-translation, searched among the lifts of the residues to three periods."""
     _require_configuration(config)
-    tree = config.tree
-    L = loewy_number(tree)
-    pq = ProjectiveQuiver(config, 0, 3 * L - 1)
+    L = loewy_number(config.tree)
+    pq = ProjectiveQuiver(config)
     residues = sorted(config.residues)
     out = []
     for shifts in itertools.product(range(3), repeat=len(residues)):
         if min(shifts) != 0:
             continue
-        cand = tuple(
-            sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts))
-        )
+        cand = tuple(sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts)))
         if _shape_defect(pq, cand) is None:
             out.append(cand)
     return sorted(out)
@@ -282,8 +278,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     parallel pairs, decided by mesh-dimension tests.
     """
     L = loewy_number(config.tree)
-    # wide ambient quiver: the base copy plus two more periods for relations
-    pq, fund = _validated_fundamental(config, fund, above=2 * L + 1)
+    pq, fund = _validated_fundamental(config, fund)
     complete = pq.complete_pairs(fund)
     fund_set = set(fund)
 
@@ -294,7 +289,12 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
             if b in fund_set:
                 internal.append((a, b, 0))
             else:
-                base = Pt(b.slice - L, b.vertex, True)
+                base = _moved(b, -L)
+                # An invariant of a validated set F, not an input check.  Say
+                # b = f + kL for the member f of b's residue.  hom(f, f + L)
+                # is the socle of f, and every nonzero a -> b extends to
+                # a -> a + L.  So k >= 2 gives paths f -> f + L -> a, and k <= 0
+                # a path a -> b -> f: convexity puts f + L or b in F as well.
                 assert base in fund_set, "arrow leaves the fundamental copy by more than one period"
                 connecting.append((a, base, 1))
 
@@ -302,8 +302,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     arrows = []
     for k, (a, base_dst, shift) in enumerate(sorted(internal + connecting)):
         label = f"a{k}"
-        actual_dst = Pt(base_dst.slice + shift * L, base_dst.vertex, True)
-        labels[(a, actual_dst)] = label
+        labels[(a, _moved(base_dst, shift * L))] = label
         arrows.append(PArrow(label, _point_name(a), _point_name(base_dst), shift))
 
     relations = _standard_relations(pq, fund, labels, L)
@@ -328,20 +327,16 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
     ``path[0] -> path[-1] -> nxt`` is, and a zero one is minimal exactly when
     ``path[1:] + [nxt]`` is nonzero: a single arrow, or a nonzero composite
     ``path[1] -> path[-1] -> nxt``.  That is at most two composites of at
-    most three nodes per extension.
+    most three nodes per extension.  An arrow is labelled as its nu-translate
+    out of the fundamental member of its tail's residue.
     """
-    # unroll the labelled arrows over enough nu-copies
-    node_set = set(pq.nodes)
-    arrow_label: dict[tuple[Pt, Pt], str] = {}
-    for (a, b), lab in base_labels.items():
-        for k in range(0, 4):
-            ka = Pt(a.slice + k * L, a.vertex, True)
-            kb = Pt(b.slice + k * L, b.vertex, True)
-            if ka in node_set and kb in node_set:
-                arrow_label[(ka, kb)] = lab
-    out_arrows: dict[Pt, list[Pt]] = {}
-    for a, b in arrow_label:
-        out_arrows.setdefault(a, []).append(b)
+    home = {(p.slice % L, p.vertex): p.slice for p in fund}
+
+    def labels(path) -> tuple[str, ...]:
+        shifts = (a.slice - home[(a.slice % L, a.vertex)] for a in path)
+        return tuple(
+            base_labels[(_moved(a, -k), _moved(b, -k))] for a, b, k in zip(path, path[1:], shifts)
+        )
 
     zeros: list[ZeroRel] = []
     nonzero_paths: dict[tuple[Pt, Pt], list[tuple[Pt, ...]]] = {}
@@ -352,12 +347,12 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
             nonzero_paths.setdefault((p, last), []).append(tuple(path))
         if len(path) - 1 > L + 1:
             return
-        for nxt in sorted(out_arrows.get(last, ())):
+        for nxt in pq.out_nb[last]:
             cand = path + [nxt]
             if pq.path_nonzero([p, nxt] if len(path) == 1 else [p, last, nxt]):
                 explore(cand)
             elif len(path) == 2 or pq.path_nonzero([path[1], last, nxt]):
-                zeros.append(ZeroRel(tuple(arrow_label[(u, v)] for u, v in zip(cand, cand[1:]))))
+                zeros.append(ZeroRel(labels(cand)))
 
     for p in sorted(fund):
         explore([p])
@@ -368,9 +363,7 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
             continue
         for u, v in itertools.combinations(sorted(paths), 2):
             if u[1] != v[1] and u[-2] != v[-2]:
-                lu = tuple(arrow_label[(a, b)] for a, b in zip(u, u[1:]))
-                lv = tuple(arrow_label[(a, b)] for a, b in zip(v, v[1:]))
-                commutes.add(CommuteRel(*sorted((lu, lv))))
+                commutes.add(CommuteRel(*sorted((labels(u), labels(v)))))
 
     # translates yield identical label paths; keep the first of each
     return list(dict.fromkeys(zeros)) + sorted(commutes, key=lambda r: (r.lhs, r.rhs))
@@ -390,6 +383,9 @@ def trivial_extension_presentation(config: Configuration, fund) -> QuiverPresent
     seen_pairs = set()
     for a in periodic.arrows:
         src, dst = fold_name(a.src), fold_name(a.dst)
+        # An invariant, not an input check: two arrows a -> b and a -> b + L
+        # cannot both exist, since hom(a, b), hom(b, b + L) and hom(a, b + L)
+        # nonzero make a -> b + L the composite a -> b -> b + L.
         assert (src, dst) not in seen_pairs, "folded quiver would carry a double arrow"
         seen_pairs.add((src, dst))
         arrows.append(PArrow(a.label, src, dst, 0))
@@ -720,6 +716,8 @@ def d3m_quotient_presentations(q: BrauerQuiver) -> tuple[QuiverPresentation, Qui
     # src onto c0 and turns the special arrow into the loop gamma
     k = cyc.index(dst)
     ordered = [cyc[(k + j) % len(cyc)] for j in range(len(cyc))]
+    # holds by construction: (src, dst) is a step of the cycle, and
+    # validate_brauer refused a cycle through a point twice
     assert ordered[-1] == src
     c0, *mid = ordered[:-1]
     t = len(mid)

@@ -12,6 +12,8 @@ test as it stood before the orbit map, ``reference_witness`` the orbit map's
 cone refusal as it stood before the band scan, and ``orbit_by_iteration``
 lists orbit points by stepping a group's generator, with no closed form.  ``orbit_cases`` lists the (tree,
 configuration, group) triples the orbit test is swept over.
+``reference_nonzero_path`` is the transporter's path search without its memo
+of popped states, the reference for ``MeshTransporter.nonzero_path``.
 ``eager_projective_quiver`` is the projective quiver computed in full, one
 fresh transporter per node, with composites decided by the exact
 ``composite_nonzero``, and ``closure_domain`` the fundamental domain found by
@@ -274,6 +276,26 @@ def orbit_cases(configs):
     for tree in (make_tree("A", 2), make_tree("A", 4)):
         for config in [None, *configs(tree.name)]:
             yield tree, config, AdmissibleGroup(0, glide=True)
+
+
+def reference_nonzero_path(tr, target):
+    """``MeshTransporter.nonzero_path`` as it stood before it skipped states
+    already popped: a plain depth-first search over whole paths in the
+    transporter ``tr``, exponential on E8, the reference for the path found."""
+    if tr.dim(target) == 0:
+        return None
+    reaches = tr._reaching(target)
+    stack = [(tr.source, [tr.source], [1])]
+    while stack:
+        p, path, vec = stack.pop()
+        if p == target:
+            return path
+        succ = sorted((q for q in tr.window.out_nb[p] if q in reaches), reverse=True)
+        for q in succ:
+            nvec = tr.apply_arrow(p, q, vec)
+            if any(nvec):
+                stack.append((q, path + [q], nvec))
+    return None
 
 
 def composite_nonzero(tr, p, r, q) -> bool:

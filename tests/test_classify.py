@@ -14,7 +14,6 @@ from meshknit.classify import (
     pedigree_count,
     pedigree_dimension_vector,
     pedigree_from_dims,
-    period,
     _acting_maps,
     _section_vectors,
 )
@@ -192,18 +191,18 @@ def test_canonical_form_is_true_invariant(configs_cache):
 
 def test_period_examples(fig4):
     _, _, _, config = fig4
-    assert period(config) == 7
+    assert config.period() == 7
     a2 = make_tree("A", 2)
     from meshknit.ztquiver import Configuration
 
     # both A2 configurations live on one vertex line, hence are tau-invariant
-    assert period(Configuration(a2, {(0, 2), (1, 2)})) == 1
-    assert any(period(c) == 2 for c in enumerate_configurations(make_tree("A", 4)))
+    assert Configuration(a2, {(0, 2), (1, 2)}).period() == 1
+    assert any(c.period() == 2 for c in enumerate_configurations(make_tree("A", 4)))
     for name in ["A4", "D4"]:
         tree = make_tree(name[0], int(name[1]))
         L = 2 * tree.rank - 3 if name[0] == "D" else tree.rank
         for config in enumerate_configurations(tree)[:10]:
-            assert L % period(config) == 0
+            assert L % config.period() == 0
 
 
 @given(st.sets(st.tuples(st.integers(0, 2), st.integers(1, 3)), min_size=3, max_size=3))

@@ -170,6 +170,16 @@ def _trace_fields(config, trace):
     )
 
 
+def test_knit_run_takes_a_list(fig4):
+    """A list vector knits as its tuple does: vector 0 is kept as a tuple, so
+    the repeat after L passes is seen and periodic_after is 7, not 8."""
+    tree, section, dims, config = fig4
+    cfg, trace = knit_run(tree, section, list(dims))
+    assert cfg == config
+    assert trace.periodic_after == 7
+    assert _trace_fields(cfg, trace) == _trace_fields(*knit_run(tree, section, dims))
+
+
 def test_knit_run_fig4_matches_reference(fig4):
     tree, section, dims, _ = fig4
     assert _trace_fields(*knit_run(tree, section, dims)) == _trace_fields(

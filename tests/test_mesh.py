@@ -1,6 +1,12 @@
 import pytest
 
-from helpers import composite_nonzero, eager_projective_quiver, naive_hom_dim, path_exists
+from helpers import (
+    composite_nonzero,
+    eager_projective_quiver,
+    naive_hom_dim,
+    path_exists,
+    reference_nonzero_path,
+)
 
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
@@ -244,14 +250,14 @@ def test_one_point_fundamental_algebra_has_no_complete_morphisms():
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
 def test_translated_transporters_match_fresh_builds(name, configs_cache):
-    """A three-period ProjectiveQuiver reads every node through the hom table
-    of its nu-orbit in the base period, with the query moved into that
-    period.  hom_dim of every pair of nodes equals the dimension read off a
-    transporter built from scratch at the node in the full window of the
-    nodes' slices plus L + 2; only base-period nodes get a table; and each
-    table's support ends at least two levels below the top of the quiver's
-    window, so its walk stopped inside it.  The base period starts at slice
-    1, not at a multiple of L."""
+    """ProjectiveQuiver reads every projective through the hom table of its
+    residue's lift in [0, L), with the query moved down by whole periods.
+    hom_dim of every pair of lifts in slices [1, 3L] equals the dimension
+    read off a transporter built from scratch at the first of them, in the
+    full window of those slices plus L + 2; there is exactly one table per
+    residue, at its lift in [0, L); and each table's support ends at least
+    two levels below the top of its window, so its walk stopped inside it.
+    The lifts start at slice 1, not at a multiple of L."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     configs = configs_cache(name)
@@ -259,18 +265,19 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
         configs = configs[:40]
     i_lo, i_hi = 1, 3 * L
     for config in configs:
-        pq = ProjectiveQuiver(config, i_lo, i_hi)
-        assert len(pq.nodes) == 3 * tree.rank
+        pq = ProjectiveQuiver(config)
+        nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
+        assert len(nodes) == 3 * tree.rank
         full = build_window(tree, config, i_lo - 1, i_hi + L + 2)
-        for p in pq.nodes:
+        for p in nodes:
             fresh = MeshTransporter(full, p)
-            for q in pq.nodes:
+            for q in nodes:
                 assert pq.hom_dim(p, q) == (fresh.dim(q) if q != p else 0), (config, p, q)
-        assert set(pq._homs) == {p for p in pq.nodes if p.slice < i_lo + L}, config
-        w = pq.window
-        top = max(w.level.values())
+        assert sorted(pq._homs) == [Pt(i, x, True) for i, x in sorted(config.residues)], config
         for table in pq._homs.values():
-            assert max(w.level[q] for q in table.dims) <= top - 2, (config, table.source)
+            lvl = table.window.level
+            top = max(lvl.values())
+            assert max(lvl[q] for q in table.dims) <= top - 2, (config, table.source)
 
 
 class _PathMemo(MeshTransporter):
@@ -292,7 +299,7 @@ class _PathMemo(MeshTransporter):
         ("D6", 3),
         ("E6", 20),
         *(pytest.param(n, k, marks=pytest.mark.e8) for n, k in
-          [("A7", 7), ("D7", 13), ("E6", 1), ("E7", 41), ("E8", 4999)]),
+          [("A7", 7), ("D7", 13), ("E6", 1), ("E7", 41), ("E8", 89)]),
     ],
 )
 def test_composite_rule_matches_transporter(name, step, configs_cache):
@@ -300,22 +307,23 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
     alone: with hom(p, r) and hom(r, q) nonzero, the composite is nonzero
     exactly when hom(p, q) is.  Here it is compared with the exact composite
     of transporter classes (helpers.composite_nonzero) for every p in the base
-    period and every r, q of a three-period quiver, in fresh transporters over
-    the full window of the nodes' slices plus L + 2."""
+    period and every r, q among the lifts to three periods, in fresh
+    transporters over the full window of those slices plus L + 2."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     i_lo, i_hi = 1, 3 * L
     for config in configs_cache(name)[::step]:
-        pq = ProjectiveQuiver(config, i_lo, i_hi)
+        pq = ProjectiveQuiver(config)
+        nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
         full = build_window(tree, config, i_lo - 1, i_hi + L + 2)
         tr = _OnDemand(lambda p: _PathMemo(full, p))
-        for p in pq.nodes:
+        for p in nodes:
             if p.slice >= i_lo + L:
                 continue
-            for r in pq.nodes:
+            for r in nodes:
                 if r == p or not tr[p].dim(r):
                     continue
-                for q in pq.nodes:
+                for q in nodes:
                     if q == r or not tr[r].dim(q):
                         continue
                     want = composite_nonzero(tr, p, r, q)
@@ -324,10 +332,12 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
 def test_on_demand_quiver_matches_eager_reference(name, configs_cache):
-    """The on-demand ProjectiveQuiver of three periods equals the quiver
-    computed in full (helpers.eager_projective_quiver): in_nb of every node,
-    read first and from the top, out_nb of every node, hom and arrows, all in
-    order; and every hom between nodes is at most 1."""
+    """The on-demand ProjectiveQuiver equals the quiver computed in full
+    among the lifts to three periods (helpers.eager_projective_quiver).  The
+    reference cuts arrows off at both ends, so in_nb, read first and from the
+    top, and out_nb are compared on its middle period, where nothing is cut
+    off.  hom_dim is compared on every pair of lifts, and so are the arrows
+    between them, in order; and every hom between lifts is at most 1."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     configs = configs_cache(name)
@@ -336,9 +346,27 @@ def test_on_demand_quiver_matches_eager_reference(name, configs_cache):
     for config in configs:
         hom, arrows, out_nb, in_nb = eager_projective_quiver(config, 0, 3 * L - 1)
         assert all(d <= 1 for d in hom.values()), config
-        pq = ProjectiveQuiver(config, 0, 3 * L - 1)
-        top_down = list(reversed(pq.nodes))
+        pq = ProjectiveQuiver(config)
+        nodes = [Pt(i, x, True) for i, x in config.lifts(0, 3 * L - 1)]
+        middle = [p for p in nodes if L <= p.slice < 2 * L]
+        top_down = list(reversed(middle))
         assert [pq.in_nb[q] for q in top_down] == [in_nb[q] for q in top_down], config
-        assert [pq.out_nb[p] for p in pq.nodes] == [out_nb[p] for p in pq.nodes], config
-        assert pq.hom == hom, config
-        assert pq.arrows == arrows, config
+        assert [pq.out_nb[p] for p in middle] == [out_nb[p] for p in middle], config
+        assert {(p, q): d for p in nodes for q in nodes if (d := pq.hom_dim(p, q))} == hom, config
+        node_set = set(nodes)
+        assert [(p, q) for p in nodes for q in pq.out_nb[p] if q in node_set] == arrows, config
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5"])
+def test_nonzero_path_matches_plain_search(name, configs_cache):
+    """The path search that skips popped (point, class) states finds the path
+    the plain depth-first search finds (helpers.reference_nonzero_path), from
+    every projective lift in [0, L) to every point of nonzero dimension."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    for config in configs_cache(name):
+        window = build_window(tree, config, -1, 2 * L + 1)
+        for i, x in sorted(config.residues):
+            tr = MeshTransporter(window, Pt(i, x, True))
+            for q in sorted(tr.dims):
+                assert tr.nonzero_path(q) == reference_nonzero_path(tr, q), (config, tr.source, q)

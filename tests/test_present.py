@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,12 +85,15 @@ def test_fundamental_algebra_validation_rejects_garbage(fig4):
         )
 
 
-def _reference_between_sets(pq):
-    """For each pair p != q with a path p -> q, the nodes on such paths."""
-    fwd = {p: {z for z in pq.nodes if path_exists(pq, p, z)} for p in pq.nodes}
+def _reference_between_sets(pq, nodes):
+    """For each pair p != q of nodes with a path p -> q, the nodes on such
+    paths.  The quiver is infinite, so the search runs on the finite set
+    ``nodes`` and the arrows among them."""
+    inside = SimpleNamespace(out_nb={p: [q for q in pq.out_nb[p] if q in nodes] for p in nodes})
+    fwd = {p: {z for z in nodes if path_exists(inside, p, z)} for p in nodes}
     return {
         (p, q): frozenset(z for z in fwd[p] if q in fwd[z])
-        for p in pq.nodes
+        for p in nodes
         for q in fwd[p]
         if q != p
     }
@@ -118,8 +122,9 @@ def test_shape_defect_matches_pairwise_between_sets(configs_cache):
     for name in ["A2", "A3", "A4", "A5", "D4", "D5"]:  # D5 has connected non-convex sets
         for config in configs_cache(name):
             L = loewy_number(config.tree)
-            pq = ProjectiveQuiver(config, 0, 3 * L - 1)
-            between = _reference_between_sets(pq)
+            pq = ProjectiveQuiver(config)
+            nodes = {Pt(i, x, True) for i, x in config.lifts(-1, 3 * L)}
+            between = _reference_between_sets(pq, nodes)
             residues = sorted(config.residues)
             for shifts in itertools.product(range(3), repeat=len(residues)):
                 if min(shifts) != 0:
