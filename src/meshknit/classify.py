@@ -18,11 +18,10 @@ from itertools import starmap
 from .dynkin import DynkinTree, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from .knitting import _knit_knots
-from .mesh import starting_function
+from .mesh import _stable_hom
 from .ztquiver import (
     AffineMap,
     Configuration,
-    Pt,
     Residue,
     equioriented_section,
     extend_automorphism,
@@ -123,19 +122,12 @@ def pedigree_from_dims(dims) -> Pedigree:
 
 
 @lru_cache(maxsize=None)
-def _stable_support(tree: DynkinTree, vertex: int) -> tuple[Pt, ...]:
-    """Support of the hom functor from (0, vertex) in the stable quiver."""
-    table = starting_function(tree, Pt(0, vertex))
-    return tuple(p for p in table.support() if not p.proj)
-
-
-@lru_cache(maxsize=None)
 def _residue_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
     """For each fundamental-domain point, the residues its homs can hit."""
     L = loewy_number(tree)
     out = {}
     for x in tree.vertices:
-        support = _stable_support(tree, x)
+        support = _stable_hom(tree, x).support()
         # distinct lifts of one residue never see each other: path lengths
         # inside a hom support stay below L, a full period away needs 2L
         assert not any(p.vertex == x and p.slice > 0 and p.slice % L == 0 for p in support)
@@ -357,6 +349,8 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
     seen: set[frozenset[Residue]] = set()
     out = []
     for cfg in sorted(configs, key=lambda c: c.canonical_key()):
+        if cfg.tree != tree:
+            raise InvalidInput(f"{cfg} belongs to {cfg.tree.name}, not to {tree.name}")
         if cfg.residues in seen:
             continue
         orbit = {frozenset(starmap(m, cfg.residues)) for _, m in maps}

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import InvalidDimensionVector, InvalidInput
-from .mesh import starting_function
+from .mesh import projective_quiver
 from .ztquiver import (
     Configuration,
     Pt,
     Section,
-    build_window,
     plus_admissible_enumeration,
     section_move,
 )
@@ -301,15 +300,13 @@ def dims_on_section(config: Configuration, section: Section) -> Vec:
     """Total dimensions over the section: row sums of hom from the
     projectives of the fundamental domain one Nakayama period behind it."""
     from .classify import _require_configuration  # local to avoid an import cycle
-    _require_configuration(config)
     tree = config.tree
-    L = loewy_number(tree)
-    window = build_window(tree, config, min(section.levels) - L - 1, max(section.levels) + 1)
-    values = [0] * tree.rank
-    for c in fundamental_domain_points(config, section):
-        hom = starting_function(tree, Pt(c.slice, c.vertex, True), window)
-        for v in tree.vertices:
-            values[v - 1] += hom[section.point_of(v)]
+    if section.tree != tree:
+        raise InvalidInput(f"the section belongs to {section.tree.name}, not to {tree.name}")
+    _require_configuration(config)
+    pq = projective_quiver(config)
+    fund = [Pt(c.slice, c.vertex, True) for c in fundamental_domain_points(config, section)]
+    values = [sum(pq.hom(p, section.point_of(v)) for p in fund) for v in tree.vertices]
     if any(v < 1 for v in values):
         raise InvalidDimensionVector(f"section dims {values} are not all positive")
     return tuple(values)

@@ -15,27 +15,28 @@ source and store nonzero values only.  Every arrow raises the level by one,
 and a value is at most the sum of the values at its in-neighbours, one level
 down; so once a whole level is zero every higher one is, and a walk stops at
 the first point two levels above its highest nonzero value.  Every library
-caller but ``meshknit mesh homdim`` reads dimensions by the recurrence:
-``present.cartan_matrix``, ``knitting.dims_on_section``, the Nakayama map
-and :class:`ProjectiveQuiver`, whose radical-square test, completeness and
-relations all ask :meth:`ProjectiveQuiver.path_nonzero`, the one composite
-test.  Hom spaces between projectives are at most one-dimensional, and that
-test decides a composite by hom dimensions alone.  The quiver is stored by
-residue, since k(Z Delta_C) is periodic under nu = tau^L: one hom table and
-one arrow list per nu-orbit, at its lift in slices [0, L), each computed on
-first read on the one window [-1, 2L + 1].  Any projective is read through
-its residue, moved down by whole periods, so the quiver covers all of
-k(Z Delta_C) and every search over it bounds itself by level.  The
-transporter, which also carries the arrow matrices of the quotient functor,
-is the exact second route behind ``meshknit mesh homdim`` and the tests'
-oracle for composites.  The two routes must agree everywhere, configuration
-windows with projective sources included; the test suite enforces this, the
-library never cross-checks at runtime.
+caller but ``meshknit mesh homdim`` reads dimensions by the recurrence, from
+two stores: one stable table per vertex of a tree (:func:`_stable_hom`, read
+by the C1/C2 test of ``classify`` and the Nakayama map), and
+:class:`ProjectiveQuiver`, the one store of hom(P, -) for the projectives P of
+k(Z Delta_C).  ``knitting.dims_on_section`` and ``present.cartan_matrix`` sum
+its tables; its radical-square test, completeness and relations ask
+:meth:`ProjectiveQuiver.path_nonzero`, the one composite test, which decides
+a composite by hom dimensions alone.  Since k(Z Delta_C) is periodic under
+nu = tau^L, the quiver keeps one hom table and one arrow list per nu-orbit, at
+its lift in slices [0, L), each computed on first read on the one window
+[-1, 2L + 1]; any projective is read through its lift, so the quiver covers
+all of k(Z Delta_C).  :func:`projective_quiver` keeps the last quiver built,
+so calls in a row on one configuration share it.  The transporter, which also
+carries the arrow matrices of the quotient functor, is the exact second route
+behind ``meshknit mesh homdim`` and the tests' oracle.  The two routes must
+agree everywhere; the test suite enforces this, the library never cross-checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import WindowTooSmall
@@ -58,10 +59,8 @@ class HomTable:
         return sorted(p for p, d in self.dims.items() if d > 0)
 
 
-def starting_function(
-    tree: DynkinTree, x: Pt, window: QuiverWindow | None = None, config=None
-) -> HomTable:
-    """Hom dimensions from ``x`` by the knitting recurrence.
+def starting_function(tree: DynkinTree, x: Pt, window: QuiverWindow | None = None) -> HomTable:
+    """Hom dimensions from ``x`` by the knitting recurrence (on Z Delta, unless a window is given).
 
     Points are processed in level order from ``x``; each non-projective
     point ``z`` gets ``max(0, sum over in-neighbors - value at tau z)``, a
@@ -69,8 +68,7 @@ def starting_function(
     are stored.
     """
     if window is None:
-        L = loewy_number(tree)
-        window = build_window(tree, config, x.slice, x.slice + L + 1)
+        window = build_window(tree, None, x.slice, x.slice + loewy_number(tree) + 1)
     if x not in window.points:
         raise WindowTooSmall(f"window does not contain the source {x}")
     lvl, in_nb, tau, order = window.level, window.in_nb, window.tau, window.order
@@ -116,11 +114,7 @@ class MeshTransporter:
                 continue
             widths = [dims[w] for w in ins]
             total = sum(widths)
-            offsets = {}
-            run = 0
-            for w, d in zip(ins, widths):
-                offsets[w] = run
-                run += d
+            offsets = dict(zip(ins, accumulate(widths, initial=0)))
             ech = RationalEchelon()
             tz = None if p.proj else window.tau.get(p)
             if tz in dims:
@@ -218,20 +212,25 @@ def precedes(window: QuiverWindow, x: Pt, y: Pt) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _stable_hom(tree: DynkinTree, vertex: int) -> HomTable:
+    """hom((0, vertex), -) on the stable quiver Z Delta, once per tree."""
+    return starting_function(tree, Pt(0, vertex))
+
+
+@lru_cache(maxsize=None)
 def _nu_inverse_map(tree: DynkinTree) -> AffineMap:
     """nu^{-1} on stable points; (0, v) goes to the top of hom((0, v), -)."""
     L = loewy_number(tree)
     images = []
     for v in tree.vertices:
-        src = Pt(0, v)
-        hom = starting_function(tree, src)
+        hom = _stable_hom(tree, v)
         lvl = hom.window.level
-        want = lvl[src] + L - 1
-        cands = [p for p in hom.support() if lvl[p] == want and not p.proj]
+        want = lvl[hom.source] + L - 1
+        cands = [p for p in hom.support() if lvl[p] == want]
         # An invariant, not an input check: trees come from make_tree, so
         # Delta is Dynkin, and there hom(x, -) on Z Delta has exactly one
         # point at its top level L - 1 above x, namely nu^{-1}(x).
-        assert len(cands) == 1, f"nu^-1({src}) not unique: {cands}"
+        assert len(cands) == 1, f"nu^-1({hom.source}) not unique: {cands}"
         images.append(cands[0])
     return AffineMap((0,) + tuple(p.slice for p in images), (0,) + tuple(p.vertex for p in images))
 
@@ -287,9 +286,9 @@ class ProjectiveQuiver:
     q - kL), and the arrows at p are those at p - kL moved up kL slices.  Each
     nu-orbit gets one :func:`starting_function` table and one list of arrows
     out of it, at its lift in slices [0, L), on the window [-1, 2L + 1] that
-    such a walk reads; any projective is read through its lift.  So
-    ``hom_dim``, ``out_nb`` and ``in_nb`` cover the infinite quiver, and a
-    search over it bounds itself by ``level``, which every arrow raises.
+    such a walk reads; any projective is read through its lift.  So ``hom``
+    and ``support`` (stable points too), ``hom_dim``, ``out_nb`` and ``in_nb``
+    cover the infinite quiver; a search over it bounds itself by ``level``.
     """
 
     def __init__(self, config: Configuration):
@@ -312,12 +311,21 @@ class ProjectiveQuiver:
         k = p.slice - p.slice % self._period
         return [_moved(q, k) for q in self._out[_moved(p, -k)]]
 
+    def hom(self, p: Pt, q: Pt) -> int:
+        """dim hom(p, q) for a projective p and any point q."""
+        k = p.slice - p.slice % self._period  # p - k is the lift in [0, L)
+        return self._homs[_moved(p, -k)][_moved(q, -k)]
+
+    def support(self, p: Pt) -> list[Pt]:
+        """The sorted points q with hom(p, q) != 0, for a projective p."""
+        k = p.slice - p.slice % self._period
+        return [_moved(q, k) for q in self._homs[_moved(p, -k)].support()]
+
     def hom_dim(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q) for projectives p != q; 0 for p == q."""
         if self.level(q) <= self.level(p):  # a nonzero hom raises the level
             return 0
-        k = p.slice - p.slice % self._period  # p - k is the lift in [0, L)
-        d = self._homs[_moved(p, -k)][_moved(q, -k)]
+        d = self.hom(p, q)
         # An invariant, not an input check: every caller validates the
         # configuration first, and hom spaces between its projectives are then
         # at most one-dimensional (the tests check three periods of each).
@@ -385,6 +393,13 @@ class ProjectiveQuiver:
                     continue
                 out.append((p, q))
         return sorted(out)
+
+
+@lru_cache(maxsize=1)
+def projective_quiver(config: Configuration) -> ProjectiveQuiver:
+    """The projective quiver of a configuration.  The last one is kept, so calls
+    in a row on one configuration share its tables, and at most one set is held."""
+    return ProjectiveQuiver(config)
 
 
 def complete_morphisms(config: Configuration, fund: list[Pt]) -> list[tuple[Pt, Pt]]:

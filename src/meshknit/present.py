@@ -24,7 +24,7 @@ from .errors import (
     NotSource,
     TooSmall,
 )
-from .mesh import ProjectiveQuiver, _moved, starting_function
+from .mesh import ProjectiveQuiver, _moved, projective_quiver
 from .ztquiver import AdmissibleGroup, Configuration, Pt, _orbit_map, build_window, reach
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def _validated_fundamental(
     orbits = {(p.slice % L, p.vertex) for p in fund}
     if len(orbits) != tree.rank or orbits != config.residues:
         raise NotFundamental("points do not represent the nu-orbits of the projectives")
-    pq = ProjectiveQuiver(config)
+    pq = projective_quiver(config)
     defect = _shape_defect(pq, fund)
     if defect:
         raise NotFundamental(defect)
@@ -167,7 +167,7 @@ def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     nu-translation, searched among the lifts of the residues to three periods."""
     _require_configuration(config)
     L = loewy_number(config.tree)
-    pq = ProjectiveQuiver(config)
+    pq = projective_quiver(config)
     residues = sorted(config.residues)
     out = []
     for shifts in itertools.product(range(3), repeat=len(residues)):
@@ -404,29 +404,24 @@ def trivial_extension_presentation(config: Configuration, fund) -> QuiverPresent
 
 def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     """Cartan numbers of the combinatorial quotient: entry (p, q) counts
-    hom(p, g q) summed over the group, on orbit representatives."""
+    hom(p, g q) summed over the group, on orbit representatives, each the
+    least point of its orbit in slices [0, R)."""
     _require_configuration(config)
     tree = config.tree
-    L = loewy_number(tree)
     action = group.action(tree)
     R = action.period
-    window = build_window(tree, config, -1, R + 2 * L + 2)
-    key, refusal = _orbit_map(group, window)
+    _, refusal = _orbit_map(group, build_window(tree, config, -1, R))
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
-
-    orbits: dict[Pt, list[Pt]] = {}
-    for t in window.projectives:
-        orbits.setdefault(key[t], []).append(t)
-    # one key per projective orbit, in the order the orbits are met; the
-    # output names each orbit by its canonical key, its least point in [0, R)
-    keys = dict.fromkeys(key[Pt(i, x, True)] for i, x in config.lifts(0, R - 1))
-    reps = [action.representative(k) for k in keys]
-    matrix: dict[tuple[Pt, Pt], int] = {}
+    pq = projective_quiver(config)
+    # in the order the orbits are met; the group moves no configuration point
+    lifts = config.lifts(0, R - 1)
+    reps = list(dict.fromkeys(action.representative(Pt(i, x, True)) for i, x in lifts))
+    matrix = dict.fromkeys(itertools.product(reps, reps), 0)
     for p in reps:
-        hom = starting_function(tree, p, window)
-        for q, k in zip(reps, keys):
-            matrix[(p, q)] = sum(hom[t] for t in orbits[k])
+        for t in pq.support(p):
+            if t.proj:
+                matrix[(p, action.representative(t))] += pq.hom(p, t)
     return reps, matrix
 
 

@@ -126,11 +126,10 @@ class Configuration:
 
     def period(self) -> int:
         """Smallest e >= 1 with tau^e C = C; always a divisor of L."""
-        L = self.modulus
-        for e in sorted(d for d in range(1, L + 1) if L % d == 0):
-            if self.shifted(e).residues == self.residues:
-                return e
-        return L
+        L, res = self.modulus, self.residues
+        return next(
+            e for e in range(1, L + 1) if L % e == 0 and {((i - e) % L, x) for i, x in res} == res
+        )
 
     def canonical_key(self) -> tuple:
         return tuple(sorted(self.residues))

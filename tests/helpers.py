@@ -32,6 +32,9 @@ sweep meets it; it is the reference for the trace ``knit_run`` builds from
 that kernel's output.
 ``presentation_isomorphic`` decides whether two finite presentations are
 isomorphic as quivers with relations, by digraph matching.
+``reference_period`` is ``Configuration.period`` as it stood when it built a
+shifted configuration per divisor of L; it is the reference for the period
+read off the residue set directly.
 """
 
 from fractions import Fraction
@@ -597,3 +600,13 @@ def presentation_isomorphic(p1: QuiverPresentation, p2: QuiverPresentation) -> b
         if _relation_pointform(p1, mapping) == target:
             return True
     return False
+
+
+def reference_period(config) -> int:
+    """Smallest e >= 1 with tau^e C = C, tried over the divisors of L by
+    building each shifted configuration through an affine map."""
+    L = config.modulus
+    for e in sorted(d for d in range(1, L + 1) if L % d == 0):
+        if config.shifted(e).residues == config.residues:
+            return e
+    return L

@@ -147,6 +147,15 @@ def test_dn_corner_count_refuses_non_configurations(residues):
         dn_corner_count(config)
 
 
+@pytest.mark.parametrize("tree_name,config_name", [("A3", "D4"), ("D4", "A3")])
+def test_up_to_aut_refuses_configurations_of_another_tree(tree_name, config_name, configs_cache):
+    """Configurations of another tree are refused by name, before any map of
+    the wrong tree is applied to them."""
+    tree = make_tree(tree_name[0], int(tree_name[1]))
+    with pytest.raises(InvalidInput, match=f"belongs to {config_name}, not to {tree_name}"):
+        configurations_up_to_aut(tree, configs_cache(config_name))
+
+
 def test_three_cornered_sigma_stability_needs_triple_rank(configs_cache):
     """Configurations with period below the full modulus exist for D6 (3 | 6)
     but not for D5."""

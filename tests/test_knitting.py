@@ -5,7 +5,7 @@ import pytest
 from helpers import closure_domain, greedy_knit_toward, path_exists, reference_knit_run
 from meshknit.classify import _pattern_vectors
 from meshknit.dynkin import loewy_number, make_tree
-from meshknit.errors import InvalidDimensionVector, NotSource
+from meshknit.errors import InvalidDimensionVector, InvalidInput, NotSource
 from meshknit.knitting import (
     DimensionVector,
     _knit_knots,
@@ -243,6 +243,15 @@ def test_dims_on_section_a1():
     a1 = make_tree("A", 1)
     cfg = knit_and_knot(a1, equioriented_section(a1), (1,))
     assert dims_on_section(cfg, equioriented_section(a1)) == (1,)
+
+
+@pytest.mark.parametrize("other", ["D4", "A4", "A2"])
+def test_dims_on_section_refuses_a_section_of_another_tree(other, configs_cache):
+    """A section of another tree is refused by name, not read as if it were
+    one of the configuration's tree (once (3, 2, 1), or an IndexError)."""
+    section = equioriented_section(make_tree(other[0], int(other[1])))
+    with pytest.raises(InvalidInput, match=f"section belongs to {other}, not to A3"):
+        dims_on_section(configs_cache("A3")[0], section)
 
 
 def test_dims_on_section_shift_invariance(fig4):

@@ -19,9 +19,10 @@ from meshknit.mesh import (
     nakayama,
     nu_inverse,
     precedes,
+    projective_quiver,
     starting_function,
 )
-from meshknit.ztquiver import Pt, build_window, equioriented_section, extend_automorphism
+from meshknit.ztquiver import Configuration, Pt, build_window, equioriented_section, extend_automorphism
 
 A2 = make_tree("A", 2)
 
@@ -99,14 +100,14 @@ def _routes_agree(tree, window, source):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])
 def test_starting_function_agrees_with_transporter_on_configuration_windows(name, configs_cache):
     """The recurrence equals the transporter dimension at every point, from
-    projective sources, on the two window shapes of the dimension-only callers.
+    projective sources, on a wide window and on a clipped one.
 
-    * cartan_matrix's ``[-1, R + 2L + 2]`` with R = L, from the lifts in
-      slices [0, L): one source per nu-orbit.  The window reaches past every
-      source's support, so the check is invariant under tau and one
-      configuration per tau-orbit covers them all.
-    * dims_on_section's window behind the equioriented section, from every
-      projective of the window.  It is clipped at the section, so every
+    * ``[-1, 3L + 2]``, from the lifts in slices [0, L): one source per
+      nu-orbit.  The window reaches past every source's support, so the check
+      is invariant under tau and one configuration per tau-orbit covers them
+      all.
+    * ``[-L - 1, 1]``, the slices behind the equioriented section, from every
+      projective of the window.  Walks are cut off at its top, so every
       configuration is checked (every tenth for E6).
     """
     tree = make_tree(name[0], int(name[1]))
@@ -119,9 +120,53 @@ def test_starting_function_agrees_with_transporter_on_configuration_windows(name
         for i, x in config.lifts(0, L - 1):
             _routes_agree(tree, w, Pt(i, x, True))
     for config in configs[:: 10 if name == "E6" else 1]:
-        w = build_window(tree, config, -L - 1, 1)  # dims_on_section's window
+        w = build_window(tree, config, -L - 1, 1)
         for p in w.projectives:
             _routes_agree(tree, w, p)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])
+def test_starting_function_agrees_with_transporter_on_the_quiver_window(name, configs_cache):
+    """On the window [-1, 2L + 1] of ProjectiveQuiver, from every lift in
+    slices [0, L), the recurrence equals the transporter dimension at every
+    point, stable points included: the tables that ``hom`` and ``support``
+    read, for every configuration."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    for config in configs_cache(name):
+        w = build_window(tree, config, -1, 2 * L + 1)
+        for i, x in config.lifts(0, L - 1):
+            _routes_agree(tree, w, Pt(i, x, True))
+
+
+def test_projective_quiver_is_shared_by_calls_in_a_row(configs_cache):
+    """``projective_quiver`` keeps the last quiver only: an equal configuration
+    gets the same object, any other a newly built quiver, even one seen two
+    calls before.  Alternating the configurations of two trees, every read
+    equals a fresh quiver's."""
+    a3, d4 = configs_cache("A3"), configs_cache("D4")
+    sequence = [a3[0], d4[0], a3[0], a3[1], a3[1], d4[1], d4[0], a3[1]]
+    built = []
+    previous = before = None
+    for config in sequence:
+        pq = projective_quiver(Configuration(config.tree, config.residues))
+        if config == before:
+            assert pq is previous, config
+        else:
+            assert not any(pq is q for q in built), config
+            built.append(pq)
+        assert projective_quiver(config) is pq
+        fresh = ProjectiveQuiver(config)
+        L = loewy_number(config.tree)
+        w = build_window(config.tree, config, -2 * L, 3 * L)
+        lifts = [Pt(i, x, True) for i, x in config.lifts(-L, 2 * L - 1)]
+        for p in lifts:
+            homs = [pq.hom(p, q) for q in w.order]
+            assert homs == [fresh.hom(p, q) for q in w.order], (config, p)
+            assert pq.support(p) == fresh.support(p) == sorted(q for q, d in zip(w.order, homs) if d)
+            assert [pq.hom_dim(p, q) for q in lifts] == [fresh.hom_dim(p, q) for q in lifts]
+            assert pq.out_nb[p] == fresh.out_nb[p] and pq.in_nb[p] == fresh.in_nb[p]
+        previous, before = pq, config
 
 
 def test_nakayama_examples():

@@ -9,6 +9,7 @@ from helpers import (
     orbit_by_iteration,
     orbit_cases,
     reference_is_admissible,
+    reference_period,
     reference_witness,
 )
 from meshknit.classify import check_combinatorial_configuration
@@ -337,6 +338,14 @@ def test_period_one_line_configuration():
 
     assert check_combinatorial_configuration(tree, line.residues) == (True, None)
     assert line.period() == 1
+
+
+@pytest.mark.parametrize("family,rank", [t for t in ALL_TREES if t != ("E", 8)])
+def test_period_matches_reference(family, rank, configs_cache):
+    """The period read off the residue set equals the smallest divisor e of L
+    with tau^e C = C, found by building shifted configurations."""
+    configs = configs_cache(f"{family}{rank}")
+    assert [c.period() for c in configs] == [reference_period(c) for c in configs]
 
 
 # ---------------------------------------------------------------------------
