@@ -18,7 +18,7 @@ from itertools import starmap
 from .dynkin import DynkinTree, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from .knitting import _knit_knots
-from .mesh import _stable_hom
+from .mesh import _stable_support
 from .ztquiver import (
     AffineMap,
     Configuration,
@@ -127,7 +127,7 @@ def _residue_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
     L = loewy_number(tree)
     out = {}
     for x in tree.vertices:
-        support = _stable_hom(tree, x).support()
+        support = _stable_support(tree, x)
         # distinct lifts of one residue never see each other: path lengths
         # inside a hom support stay below L, a full period away needs 2L
         assert not any(p.vertex == x and p.slice > 0 and p.slice % L == 0 for p in support)

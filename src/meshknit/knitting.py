@@ -299,11 +299,9 @@ def fundamental_domain_points(config: Configuration, section: Section) -> list[P
 def dims_on_section(config: Configuration, section: Section) -> Vec:
     """Total dimensions over the section: row sums of hom from the
     projectives of the fundamental domain one Nakayama period behind it."""
-    from .classify import _require_configuration  # local to avoid an import cycle
     tree = config.tree
     if section.tree != tree:
         raise InvalidInput(f"the section belongs to {section.tree.name}, not to {tree.name}")
-    _require_configuration(config)
     pq = projective_quiver(config)
     fund = [Pt(c.slice, c.vertex, True) for c in fundamental_domain_points(config, section)]
     values = [sum(pq.hom(p, section.point_of(v)) for p in fund) for v in tree.vertices]

@@ -16,8 +16,8 @@ and a value is at most the sum of the values at its in-neighbours, one level
 down; so once a whole level is zero every higher one is, and a walk stops at
 the first point two levels above its highest nonzero value.  Every library
 caller but ``meshknit mesh homdim`` reads dimensions by the recurrence, from
-two stores: one stable table per vertex of a tree (:func:`_stable_hom`, read
-by the C1/C2 test of ``classify`` and the Nakayama map), and
+two stores: one stable support per vertex of a tree (:func:`_stable_support`,
+read by the C1/C2 test of ``classify`` and the Nakayama map), and
 :class:`ProjectiveQuiver`, the one store of hom(P, -) for the projectives P of
 k(Z Delta_C).  ``knitting.dims_on_section`` and ``present.cartan_matrix`` sum
 its tables; its radical-square test, completeness and relations ask
@@ -36,7 +36,6 @@ agree everywhere; the test suite enforces this, the library never cross-checks.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import WindowTooSmall
@@ -114,7 +113,11 @@ class MeshTransporter:
                 continue
             widths = [dims[w] for w in ins]
             total = sum(widths)
-            offsets = dict(zip(ins, accumulate(widths, initial=0)))
+            offsets = {}
+            run = 0
+            for w, d in zip(ins, widths):
+                offsets[w] = run
+                run += d
             ech = RationalEchelon()
             tz = None if p.proj else window.tau.get(p)
             if tz in dims:
@@ -212,25 +215,23 @@ def precedes(window: QuiverWindow, x: Pt, y: Pt) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _stable_hom(tree: DynkinTree, vertex: int) -> HomTable:
-    """hom((0, vertex), -) on the stable quiver Z Delta, once per tree."""
-    return starting_function(tree, Pt(0, vertex))
+def _stable_support(tree: DynkinTree, vertex: int) -> tuple[Pt, ...]:
+    """The support of hom((0, vertex), -) on the stable quiver Z Delta, once per tree."""
+    return tuple(starting_function(tree, Pt(0, vertex)).support())
 
 
 @lru_cache(maxsize=None)
 def _nu_inverse_map(tree: DynkinTree) -> AffineMap:
     """nu^{-1} on stable points; (0, v) goes to the top of hom((0, v), -)."""
-    L = loewy_number(tree)
+    L, depth = loewy_number(tree), tree.depth
     images = []
     for v in tree.vertices:
-        hom = _stable_hom(tree, v)
-        lvl = hom.window.level
-        want = lvl[hom.source] + L - 1
-        cands = [p for p in hom.support() if lvl[p] == want]
+        want = depth[v] + L - 1  # the level of (0, v) is depth[v]
+        cands = [p for p in _stable_support(tree, v) if 2 * p.slice + depth[p.vertex] == want]
         # An invariant, not an input check: trees come from make_tree, so
         # Delta is Dynkin, and there hom(x, -) on Z Delta has exactly one
         # point at its top level L - 1 above x, namely nu^{-1}(x).
-        assert len(cands) == 1, f"nu^-1({hom.source}) not unique: {cands}"
+        assert len(cands) == 1, f"nu^-1({Pt(0, v)}) not unique: {cands}"
         images.append(cands[0])
     return AffineMap((0,) + tuple(p.slice for p in images), (0,) + tuple(p.vertex for p in images))
 
@@ -326,9 +327,9 @@ class ProjectiveQuiver:
         if self.level(q) <= self.level(p):  # a nonzero hom raises the level
             return 0
         d = self.hom(p, q)
-        # An invariant, not an input check: every caller validates the
-        # configuration first, and hom spaces between its projectives are then
-        # at most one-dimensional (the tests check three periods of each).
+        # An invariant, not an input check: projective_quiver validates the
+        # configuration, and hom spaces between its projectives are then at
+        # most one-dimensional (the tests check three periods of each).
         assert d <= 1, f"hom({p},{q}) = {d} > 1 between projectives"
         return d
 
@@ -397,8 +398,10 @@ class ProjectiveQuiver:
 
 @lru_cache(maxsize=1)
 def projective_quiver(config: Configuration) -> ProjectiveQuiver:
-    """The projective quiver of a configuration.  The last one is kept, so calls
-    in a row on one configuration share its tables, and at most one set is held."""
+    """The projective quiver of a configuration that satisfies C1/C2.  The last
+    one is kept: calls in a row on one configuration share it, and check it once."""
+    from .classify import _require_configuration  # local to avoid an import cycle
+    _require_configuration(config)
     return ProjectiveQuiver(config)
 
 

@@ -13,7 +13,6 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
-from .classify import _require_configuration
 from .dynkin import loewy_number
 from .errors import (
     InvalidBrauer,
@@ -122,7 +121,7 @@ def _validated_fundamental(
     the projective quiver of the configuration and the normalized point set.
     Meeting the residues of the configuration makes every point one of its
     projectives."""
-    _require_configuration(config)
+    pq = projective_quiver(config)
     tree = config.tree
     L = loewy_number(tree)
     fund = _normalize_min_shift(config, [Pt(p.slice, p.vertex, True) for p in points])
@@ -131,7 +130,6 @@ def _validated_fundamental(
     orbits = {(p.slice % L, p.vertex) for p in fund}
     if len(orbits) != tree.rank or orbits != config.residues:
         raise NotFundamental("points do not represent the nu-orbits of the projectives")
-    pq = projective_quiver(config)
     defect = _shape_defect(pq, fund)
     if defect:
         raise NotFundamental(defect)
@@ -165,9 +163,8 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
 def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     """All connected convex nu-transversal projective sets, up to
     nu-translation, searched among the lifts of the residues to three periods."""
-    _require_configuration(config)
-    L = loewy_number(config.tree)
     pq = projective_quiver(config)
+    L = loewy_number(config.tree)
     residues = sorted(config.residues)
     out = []
     for shifts in itertools.product(range(3), repeat=len(residues)):
@@ -406,14 +403,13 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     """Cartan numbers of the combinatorial quotient: entry (p, q) counts
     hom(p, g q) summed over the group, on orbit representatives, each the
     least point of its orbit in slices [0, R)."""
-    _require_configuration(config)
+    pq = projective_quiver(config)
     tree = config.tree
     action = group.action(tree)
     R = action.period
     _, refusal = _orbit_map(group, build_window(tree, config, -1, R))
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
-    pq = projective_quiver(config)
     # in the order the orbits are met; the group moves no configuration point
     lifts = config.lifts(0, R - 1)
     reps = list(dict.fromkeys(action.representative(Pt(i, x, True)) for i, x in lifts))
