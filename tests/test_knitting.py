@@ -248,7 +248,7 @@ def test_dims_on_section_a1():
 @pytest.mark.parametrize("other", ["D4", "A4", "A2"])
 def test_dims_on_section_refuses_a_section_of_another_tree(other, configs_cache):
     """A section of another tree is refused by name, not read as if it were
-    one of the configuration's tree (once (3, 2, 1), or an IndexError)."""
+    one of the configuration's tree."""
     section = equioriented_section(make_tree(other[0], int(other[1])))
     with pytest.raises(InvalidInput, match=f"section belongs to {other}, not to A3"):
         dims_on_section(configs_cache("A3")[0], section)
