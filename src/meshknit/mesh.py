@@ -277,7 +277,7 @@ class ProjectiveQuiver:
     An arrow p -> q exists when hom(p, q) is one-dimensional and no
     composite through a third projective realizes it (radical square test).
     All hom spaces between distinct projectives are at most one-dimensional;
-    this is asserted on every pair read, and it is why hom dimensions alone
+    ``hom_dim`` asserts it on every pair, and it is why hom dimensions alone
     decide every composite (:meth:`path_nonzero`).  Callers read a small part
     of the quiver (``quiver_of_AC`` the arrows out of one nu-copy), so
     nothing is computed up front: a hom table, ``out_nb[p]`` and ``in_nb[q]``
