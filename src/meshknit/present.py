@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from .dynkin import loewy_number
 from .errors import (
     InvalidBrauer,
+    InvalidInput,
     NoSpecialArrow,
     NotAdmissible,
     NotFundamental,
@@ -210,7 +211,7 @@ def reflect_fundamental(config: Configuration, fund, x: Pt, direction: str) -> t
             raise NotSink(f"{x} is not a sink of the fundamental algebra")
         moved = Pt(x.slice - L, x.vertex, True)
     else:
-        raise ValueError("direction must be 'source' or 'sink'")
+        raise InvalidInput(f"direction must be 'source' or 'sink', got {direction!r}")
     new = [p for p in fund if p != x] + [moved]
     _, normalized = _validated_fundamental(config, new)
     return normalized

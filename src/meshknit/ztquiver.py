@@ -323,7 +323,7 @@ def section_move(section: Section, x: int, direction: str) -> Section:
             raise NotSink(f"vertex {x} is not a sink of the section")
         delta = -1
     else:
-        raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
+        raise InvalidInput(f"direction must be 'plus' or 'minus', got {direction!r}")
     levels = list(section.levels)
     levels[x - 1] += delta
     return Section(section.tree, tuple(levels))

@@ -35,6 +35,9 @@ isomorphic as quivers with relations, by digraph matching.
 ``reference_period`` is ``Configuration.period`` as it stood when it built a
 shifted configuration per divisor of L; it is the reference for the period
 read off the residue set directly.
+``reference_bruteforce`` is ``classify._enumerate_bruteforce`` as it stood
+before the exact-cover search: a search for independent sets of exactly rank
+points, filtered by the covering axiom; it is the reference for that search.
 """
 
 from fractions import Fraction
@@ -44,7 +47,8 @@ from itertools import combinations, starmap
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
-from meshknit.dynkin import flip_automorphism, loewy_number, make_tree
+from meshknit.classify import _residue_reach
+from meshknit.dynkin import DynkinTree, flip_automorphism, loewy_number, make_tree
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, knit_pattern
 from meshknit.linalg import RationalEchelon
@@ -54,6 +58,7 @@ from meshknit.ztquiver import (
     AdmissibleGroup,
     Configuration,
     Pt,
+    Residue,
     _as_residues,
     build_window,
     plus_admissible_enumeration,
@@ -610,3 +615,49 @@ def reference_period(config) -> int:
         if config.shifted(e).residues == config.residues:
             return e
     return L
+
+
+def reference_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
+    """Independent-set search over the pair-exclusion graph of one
+    fundamental domain, filtered by the covering axiom C1."""
+    L = loewy_number(tree)
+    universe = [(i, x) for i in range(L) for x in tree.vertices]
+    index = {u: k for k, u in enumerate(universe)}
+    m = len(universe)
+    reach = _residue_reach(tree)
+
+    conflict = [0] * m
+    for u in universe:
+        for v in reach[u]:
+            if v != u:
+                conflict[index[u]] |= 1 << index[v]
+                conflict[index[v]] |= 1 << index[u]
+
+    covered_by = [0] * m  # covered_by[u] = residues whose support contains u
+    for u in universe:
+        for v in reach[u]:
+            covered_by[index[u]] |= 1 << index[v]
+
+    results: set[frozenset[Residue]] = set()
+    want = tree.rank
+    full = (1 << m) - 1
+
+    def dfs(start: int, chosen: list[int], chosen_mask: int, banned: int):
+        if len(chosen) == want:
+            if all(covered_by[k] & chosen_mask for k in range(m)):
+                results.add(frozenset(universe[k] for k in chosen))
+            return
+        avail = full & ~banned & ~((1 << start) - 1)
+        if bin(avail).count("1") + len(chosen) < want:
+            return
+        pool = chosen_mask | avail
+        for k in range(m):
+            if not (covered_by[k] & pool):
+                return
+        for k in range(start, m):
+            bit = 1 << k
+            if avail & bit:
+                dfs(k + 1, chosen + [k], chosen_mask | bit, banned | bit | conflict[k])
+
+    dfs(0, [], 0, 0)
+    return results

@@ -1,9 +1,12 @@
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_bruteforce
+from meshknit import classify
 from meshknit.classify import (
     Pedigree,
     check_combinatorial_configuration,
@@ -108,6 +111,57 @@ def test_methods_agree_small(configs_cache):
         pats = {c.residues for c in configs_cache(name, "patterns")}
         brute = {c.residues for c in configs_cache(name, "bruteforce")}
         assert pats == brute, name
+
+
+@pytest.mark.parametrize(
+    "name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"]
+)
+def test_bruteforce_matches_reference(configs_cache, name):
+    """The exact-cover search, which assumes no set size, finds the sets of
+    the former search for independent sets of exactly rank points."""
+    tree = make_tree(name[0], int(name[1:]))
+    assert {c.residues for c in configs_cache(name, "bruteforce")} == reference_bruteforce(tree)
+
+
+def _subsets_passing_the_axioms(tree):
+    """Every subset of the fundamental domain, of any size, passing C1 and C2."""
+    domain = [(i, x) for i in range(loewy_number(tree)) for x in tree.vertices]
+    subsets = (
+        frozenset(u for k, u in enumerate(domain) if mask >> k & 1)
+        for mask in range(1 << len(domain))
+    )
+    return {e for e in subsets if check_combinatorial_configuration(tree, e)[0]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bruteforce_is_every_subset_passing_the_axioms(configs_cache, n):
+    """Oracle: every subset of the fundamental domain of A_n, of any size,
+    that passes C1 and C2, and only those, is a brute-force configuration."""
+    expected = {c.residues for c in configs_cache(f"A{n}", "bruteforce")}
+    assert _subsets_passing_the_axioms(make_tree("A", n)) == expected
+
+
+def test_bruteforce_follows_any_reach_relation(monkeypatch):
+    """The search reads C1 and C2 through ``_residue_reach`` alone, and on
+    random reach relations among the residues of A3 it still finds exactly
+    the subsets passing both axioms.  Unlike the mesh category's, these
+    relations have no duality between reaching and being reached, so a search
+    that reads C1 backwards fails here."""
+    tree = make_tree("A", 3)
+    domain = [(i, x) for i in range(3) for x in tree.vertices]
+    rng = random.Random(0)
+    for trial in range(60):
+        p = (0.1, 0.2, 0.3)[trial % 3]
+        rel = {u: frozenset({u} | {v for v in domain if rng.random() < p}) for u in domain}
+        monkeypatch.setattr(classify, "_residue_reach", lambda tree, rel=rel: rel)
+        assert classify._enumerate_bruteforce(tree) == _subsets_passing_the_axioms(tree), trial
+
+
+def test_enumerate_configurations_refuses_an_unknown_method():
+    """A typed refusal that library callers may still catch as ValueError."""
+    with pytest.raises(InvalidInput, match="'foo'") as err:
+        enumerate_configurations(make_tree("A", 3), "foo")
+    assert isinstance(err.value, ValueError)
 
 
 def test_type_a_set_closed_under_tau(configs_cache):
@@ -261,15 +315,15 @@ def test_acting_maps_form_a_group_on_residues(name):
     assert all(key(a.compose(b)) in keys for a in maps for b in maps)
 
 
-@pytest.mark.parametrize(
-    "n", [4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.e8)]
-)
-def test_dn_counts_match_closed_form(configs_cache, n):
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_dn_counts_match_closed_form(n):
     """Both methods give (3n - 4)/n * C(2n - 3, n - 1) configurations of D_n
     (Riedtmann, class D_n, 1983): 20, 77, 294, 1122, 4290, 16445."""
     want = (3 * n - 4) * comb(2 * n - 3, n - 1) // n
-    pats = configs_cache(f"D{n}", "patterns")
-    brute = configs_cache(f"D{n}", "bruteforce")
+    tree = make_tree("D", n)
+    # not kept in configs_cache: D9 alone would hold 32890 configurations
+    pats = enumerate_configurations(tree, "patterns")
+    brute = enumerate_configurations(tree, "bruteforce")
     assert len(pats) == want
     assert [c.residues for c in pats] == [c.residues for c in brute]
 
@@ -281,14 +335,15 @@ def test_e7_cross_method():
     assert pats == brute
 
 
-@pytest.mark.e8
 def test_e8_cross_method():
-    """Opt-in (pytest -m e8): both methods give the same 17342 configurations."""
+    """Both methods give the same 17342 configurations, each of 8 points:
+    brute force assumes no size, so this checks the count."""
     tree = make_tree("E", 8)
     pats = {c.residues for c in enumerate_configurations(tree, "patterns")}
     brute = {c.residues for c in enumerate_configurations(tree, "bruteforce")}
     assert len(pats) == 17342
     assert pats == brute
+    assert {len(res) for res in brute} == {8}
 
 
 def test_e7_bruteforce_needs_no_opt_in(monkeypatch):

@@ -215,6 +215,16 @@ def test_reflection_moves(fig4):
         reflect_fundamental(config, fund, Pt(5, 6, True), "source")
 
 
+def test_reflect_fundamental_refuses_an_unknown_direction(fig4):
+    """A typed refusal that library callers may still catch as ValueError."""
+    _, _, _, config = fig4
+    _, fund = _validated_fundamental(config, CHAIN_46)
+    x = fundamental_sources(config, fund)[0]
+    with pytest.raises(InvalidInput, match="'up'") as err:
+        reflect_fundamental(config, fund, x, "up")
+    assert isinstance(err.value, ValueError)
+
+
 def test_iterated_reflections_reach_a_pattern(fig4):
     _, _, _, config = fig4
     _, cur = _validated_fundamental(config, CHAIN_46)

@@ -83,6 +83,13 @@ def test_section_move_examples():
     assert back == s
 
 
+def test_section_move_refuses_an_unknown_direction():
+    """A typed refusal that library callers may still catch as ValueError."""
+    with pytest.raises(InvalidInput, match="'up'") as err:
+        section_move(equioriented_section(A3), 1, "up")
+    assert isinstance(err.value, ValueError)
+
+
 def test_plus_admissible_enumeration():
     assert plus_admissible_enumeration(equioriented_section(A3)) == [1, 2, 3]
     # levels (2, 1, 2): first the middle vertex, then the two ends
