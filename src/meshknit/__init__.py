@@ -5,7 +5,7 @@ knit-and-knot algorithm, enumeration and symmetry classes, and
 quiver-with-relations presentations of the resulting algebras.
 """
 
-from .dynkin import DynkinTree, TreeAutomorphism, loewy_number, make_tree, tree_automorphisms
+from .dynkin import AffineMap, DynkinTree, loewy_number, make_tree, tree_automorphisms
 from .errors import MeshknitError
 from .knitting import (
     DimensionVector,

@@ -15,18 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
 
-from .dynkin import DynkinTree, loewy_number, make_tree, tree_automorphisms
+from .dynkin import AffineMap, DynkinTree, Residue, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from .knitting import _knit_knots
 from .mesh import _stable_support
-from .ztquiver import (
-    AffineMap,
-    Configuration,
-    Residue,
-    equioriented_section,
-    extend_automorphism,
-    glide_map,
-)
+from .ztquiver import Configuration, equioriented_section, glide_map
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +166,9 @@ def _acting_maps(tree: DynkinTree):
     L = loewy_number(tree)
     maps = []
     if tree.family == "A" and tree.rank % 2 == 0 and tree.rank >= 2:
-        bases = [("", extend_automorphism(tree, tree_automorphisms(tree)[0]))]
-        bases.append(("rho", glide_map(tree)))
+        bases = [("", tree_automorphisms(tree)[0]), ("rho", glide_map(tree))]
     else:
-        bases = [("", extend_automorphism(tree, aut)) for aut in tree_automorphisms(tree)]
+        bases = [("", aut) for aut in tree_automorphisms(tree)]
     for k in range(L):
         for tag, base in bases:
             name = f"tau^{k}{'*' + tag if tag else ''}"
@@ -205,7 +197,7 @@ def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
         return set(_pattern_vectors(tree))
     L = loewy_number(tree)
     section = equioriented_section(tree)
-    inverses = [extend_automorphism(tree, aut).inverse() for aut in tree_automorphisms(tree)]
+    inverses = [aut.inverse() for aut in tree_automorphisms(tree)]
     shifts = [s for g in inverses for s in g.shift[1:]]
     k0 = -min(shifts)
     reads = [[(g.shift[v], g.perm[v] - 1) for v in tree.vertices] for g in inverses]

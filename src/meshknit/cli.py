@@ -26,6 +26,7 @@ from .ztquiver import (
     build_window,
     equioriented_section,
     quotient,
+    twist_label,
 )
 
 
@@ -61,14 +62,13 @@ def _parse_group(tree, text: str) -> AdmissibleGroup:
         power, name = body.split("*", 1)
         if name == "rho":
             glide = True
-        elif name == "sigma":
-            twist = rotation_automorphism(tree)
-        elif name in ("phi", "psi", "chi"):
-            twist = flip_automorphism(tree)
+        elif name in ("sigma", "phi", "psi", "chi"):
+            twist = rotation_automorphism(tree) if name == "sigma" else flip_automorphism(tree)
+            # each twist goes by the one name AdmissibleGroup.name prints
+            if twist is None or twist_label(tree, twist) != name:
+                raise InvalidType(f"tree {tree.name} has no twist {name!r}")
         else:
             raise InvalidType(f"unknown twist {name!r}")
-        if twist is None and not glide:
-            raise InvalidType(f"tree {tree.name} has no twist {name!r}")
     else:
         power = body
     return AdmissibleGroup(_int(power, f"group {text!r}"), twist, glide)

@@ -1,5 +1,8 @@
 """Canonical Dynkin trees, their numerology and graph automorphisms.
 
+Graph automorphisms are :class:`AffineMap` point maps of the translation
+quiver, the one type for tau, twists, the glide and group generators.
+
 Canonical labelings:
 
 * ``A_n``  -- chain ``1 - 2 - ... - n``.
@@ -14,6 +17,7 @@ the arrow pattern of the stable translation quiver built in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -120,52 +124,94 @@ def loewy_number(tree: DynkinTree) -> int:
     return {6: 11, 7: 17, 8: 29}[tree.rank]
 
 
+Residue = tuple[int, int]
+
+
 @dataclass(frozen=True)
-class TreeAutomorphism:
-    """A permutation of the vertices preserving the edge set."""
+class AffineMap:
+    """The point map ``(i, x) -> (i + shift[x], perm[x])`` of the translation
+    quiver (see :mod:`meshknit.ztquiver`).
 
-    mapping: tuple[int, ...]  # mapping[v - 1] = image of vertex v
+    Tau, the graph automorphisms, the glide and every group generator are
+    of this form.  Both tuples are indexed by vertex; index 0 is unused and
+    holds ``(0, 0)``, so composition needs no offsets.  With ``modulus > 0``
+    image slices are reduced mod ``modulus``: the map then acts on residues.
+    """
 
-    def __call__(self, v: int) -> int:
-        return self.mapping[v - 1]
+    shift: tuple[int, ...]
+    perm: tuple[int, ...]
+    modulus: int = 0
+
+    @staticmethod
+    def translation(tree: DynkinTree, t: int) -> "AffineMap":
+        """tau^{-t}: every slice rises by t."""
+        return AffineMap((0,) + (t,) * tree.rank, tuple(range(tree.rank + 1)))
+
+    def __call__(self, i: int, x: int) -> Residue:
+        j = i + self.shift[x]
+        return (j % self.modulus if self.modulus else j), self.perm[x]
+
+    def mod(self, modulus: int) -> "AffineMap":
+        return AffineMap(self.shift, self.perm, modulus)
+
+    def compose(self, other: "AffineMap") -> "AffineMap":
+        """self after other."""
+        return AffineMap(
+            tuple(s + self.shift[y] for s, y in zip(other.shift, other.perm)),
+            tuple(self.perm[y] for y in other.perm),
+            self.modulus,
+        )
+
+    def _cycle(self, x: int) -> list[int]:
+        cycle = [x]
+        while self.perm[cycle[-1]] != x:
+            cycle.append(self.perm[cycle[-1]])
+        return cycle
 
     @property
     def order(self) -> int:
-        n = len(self.mapping)
-        k, perm = 1, list(self.mapping)
-        while perm != list(range(1, n + 1)):
-            perm = [self.mapping[w - 1] for w in perm]
-            k += 1
-        return k
+        """The order of the vertex permutation."""
+        return math.lcm(*(len(self._cycle(x)) for x in range(len(self.perm))))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(self(v) == v for v in range(1, len(self.mapping) + 1))
+    def power(self, k: int) -> "AffineMap":
+        """self^k for any integer k: along the cycle of x, k = q c + r steps
+        shift by q times the cycle sum plus the first r shifts."""
+        shift, perm = [], []
+        for x in range(len(self.perm)):
+            cycle = self._cycle(x)
+            steps = [self.shift[y] for y in cycle]
+            q, r = divmod(k, len(cycle))
+            shift.append(q * sum(steps) + sum(steps[:r]))
+            perm.append(cycle[r])
+        return AffineMap(tuple(shift), tuple(perm), self.modulus)
 
-    def compose(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
-        """self after other."""
-        return TreeAutomorphism(tuple(self(other(v)) for v in range(1, len(self.mapping) + 1)))
-
-    def inverse(self) -> "TreeAutomorphism":
-        inv = [0] * len(self.mapping)
-        for v, w in enumerate(self.mapping, start=1):
-            inv[w - 1] = v
-        return TreeAutomorphism(tuple(inv))
+    def inverse(self) -> "AffineMap":
+        return self.power(-1)
 
 
-def _perm(tree: DynkinTree, images: dict[int, int]) -> TreeAutomorphism:
-    mapping = tuple(images.get(v, v) for v in tree.vertices)
-    aut = TreeAutomorphism(mapping)
+def _perm(tree: DynkinTree, images: dict[int, int]) -> AffineMap:
+    """The graph automorphism moving each vertex v to ``images.get(v, v)``,
+    extended to the translation quiver.
+
+    The per-vertex slice correction keeps every arrow an arrow; it is the
+    unique extension up to composing with powers of tau that raises every
+    level ``2 * slice + depth`` by kappa in {0, 1}.
+    """
+    perm = (0,) + tuple(images.get(v, v) for v in tree.vertices)
     edge_set = {frozenset(e) for e in tree.edges}
     # holds by construction: every caller passes one of the fixed symmetries
     # of tree_automorphisms and rotation_automorphism, never user input
-    assert all(frozenset((aut(a), aut(b))) in edge_set for a, b in tree.edges)
-    return aut
+    assert all(frozenset((perm[a], perm[b])) in edge_set for a, b in tree.edges)
+    depth = tree.depth
+    kappa = (depth[perm[1]] - depth[1]) % 2
+    shift = (0,) + tuple((depth[v] - depth[perm[v]] + kappa) // 2 for v in tree.vertices)
+    return AffineMap(shift, perm)
 
 
 @lru_cache(maxsize=None)
-def tree_automorphisms(tree: DynkinTree) -> tuple[TreeAutomorphism, ...]:
-    """The full automorphism group of the underlying graph.
+def tree_automorphisms(tree: DynkinTree) -> tuple[AffineMap, ...]:
+    """The full automorphism group of the underlying graph, each extended to
+    the translation quiver.
 
     Identity first; order 2 for A_n (n >= 2), D_n (n >= 5) and E6, the
     symmetric group on the three outer vertices for D_4, trivial for A_1,
@@ -190,15 +236,15 @@ def tree_automorphisms(tree: DynkinTree) -> tuple[TreeAutomorphism, ...]:
     return tuple(auts)
 
 
-def flip_automorphism(tree: DynkinTree) -> TreeAutomorphism | None:
+def flip_automorphism(tree: DynkinTree) -> AffineMap | None:
     """The canonical nontrivial involution (phi/psi/chi), if any."""
     for aut in tree_automorphisms(tree):
-        if not aut.is_identity and aut.order == 2:
+        if aut.order == 2:
             return aut
     return None
 
 
-def rotation_automorphism(tree: DynkinTree) -> TreeAutomorphism | None:
+def rotation_automorphism(tree: DynkinTree) -> AffineMap | None:
     """The canonical 3-cycle of D_4 (1 -> 3 -> 4 -> 1)."""
     if (tree.family, tree.rank) != ("D", 4):
         return None

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .dynkin import DynkinTree, loewy_number
+from .dynkin import AffineMap, DynkinTree, loewy_number
 from .errors import WindowTooSmall
 from .linalg import RationalEchelon, Scalar
-from .ztquiver import AffineMap, Configuration, Pt, QuiverWindow, build_window, reach
+from .ztquiver import Configuration, Pt, QuiverWindow, build_window, reach
 
 
 class HomTable:

@@ -277,7 +277,6 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     """
     L = loewy_number(config.tree)
     pq, fund = _validated_fundamental(config, fund)
-    complete = pq.complete_pairs(fund)
     fund_set = set(fund)
 
     internal = []
@@ -309,10 +308,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
         arrows=tuple(arrows),
         relations=tuple(relations),
         periodic=True,
-        meta={
-            "complete_morphisms": [(_point_name(p), _point_name(q)) for p, q in complete],
-            "fundamental": [_point_name(p) for p in fund],
-        },
+        meta={"fundamental": [_point_name(p) for p in fund]},
     )
 
 

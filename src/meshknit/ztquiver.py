@@ -13,15 +13,15 @@ windows ``[i_min, i_max]`` of slices.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import starmap
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .dynkin import (
+    AffineMap,
     DynkinTree,
-    TreeAutomorphism,
+    Residue,
     flip_automorphism,
     loewy_number,
     make_tree,
@@ -30,7 +30,6 @@ from .dynkin import (
 from .errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource
 from .errors import WindowTooSmall, WrongFamily
 
-Residue = tuple[int, int]
 T = TypeVar("T")
 
 
@@ -344,82 +343,6 @@ def plus_admissible_enumeration(section: Section) -> list[int]:
 # automorphisms of the translation quiver
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """The point map ``(i, x) -> (i + shift[x], perm[x])``.
-
-    Tau, the extended graph automorphisms, the glide and every group
-    generator are of this form.  Both tuples are indexed by vertex; index 0
-    is unused and holds ``(0, 0)``, so composition needs no offsets.  With
-    ``modulus > 0`` image slices are reduced mod ``modulus``: the map then
-    acts on residues.
-    """
-
-    shift: tuple[int, ...]
-    perm: tuple[int, ...]
-    modulus: int = 0
-
-    @staticmethod
-    def translation(tree: DynkinTree, t: int) -> "AffineMap":
-        """tau^{-t}: every slice rises by t."""
-        return AffineMap((0,) + (t,) * tree.rank, tuple(range(tree.rank + 1)))
-
-    def __call__(self, i: int, x: int) -> Residue:
-        j = i + self.shift[x]
-        return (j % self.modulus if self.modulus else j), self.perm[x]
-
-    def mod(self, modulus: int) -> "AffineMap":
-        return AffineMap(self.shift, self.perm, modulus)
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other."""
-        return AffineMap(
-            tuple(s + self.shift[y] for s, y in zip(other.shift, other.perm)),
-            tuple(self.perm[y] for y in other.perm),
-            self.modulus,
-        )
-
-    def _cycle(self, x: int) -> list[int]:
-        cycle = [x]
-        while self.perm[cycle[-1]] != x:
-            cycle.append(self.perm[cycle[-1]])
-        return cycle
-
-    @property
-    def order(self) -> int:
-        """The order of the vertex permutation."""
-        return math.lcm(*(len(self._cycle(x)) for x in range(len(self.perm))))
-
-    def power(self, k: int) -> "AffineMap":
-        """self^k for any integer k: along the cycle of x, k = q c + r steps
-        shift by q times the cycle sum plus the first r shifts."""
-        shift, perm = [], []
-        for x in range(len(self.perm)):
-            cycle = self._cycle(x)
-            steps = [self.shift[y] for y in cycle]
-            q, r = divmod(k, len(cycle))
-            shift.append(q * sum(steps) + sum(steps[:r]))
-            perm.append(cycle[r])
-        return AffineMap(tuple(shift), tuple(perm), self.modulus)
-
-    def inverse(self) -> "AffineMap":
-        return self.power(-1)
-
-
-def extend_automorphism(tree: DynkinTree, aut: TreeAutomorphism) -> AffineMap:
-    """Extend a tree automorphism to the translation quiver.
-
-    The per-vertex slice correction keeps every arrow an arrow; it is the
-    unique extension up to composing with powers of tau.
-    """
-    depth = tree.depth
-    kappa = (depth[aut(1)] - depth[1]) % 2
-    return AffineMap(
-        (0,) + tuple((depth[v] - depth[aut(v)] + kappa) // 2 for v in tree.vertices),
-        (0,) + aut.mapping,
-    )
-
-
 def glide_map(tree: DynkinTree) -> AffineMap:
     """The glide reflection rho of Z A_{2n}; rho o rho = tau."""
     if tree.family != "A" or tree.rank % 2:
@@ -437,7 +360,8 @@ class GroupAction:
     With d the order of g's vertex permutation, g^d is the pure translation
     by T slices (g keeps arrows arrows, so g^d shifts every vertex alike),
     and g^(q d + r) is g^r followed by q T slices.  ``powers`` holds
-    g^0 .. g^(d-1); ``period`` is |T|.
+    g^0 .. g^(d-1); ``period`` is |T|.  ``orbit_key`` maps each residue
+    ``(slice mod period, vertex)`` to the least residue of its orbit.
     """
 
     def __init__(self, g: AffineMap):
@@ -451,22 +375,34 @@ class GroupAction:
         g = self.powers[r]
         return Pt(p.slice + g.shift[p.vertex] + q * self.translation, g.perm[p.vertex], p.proj)
 
+    @cached_property
+    def orbit_key(self) -> dict[Residue, Residue]:
+        """Residues are met in sorted order, so the first of an orbit is its
+        least; g^(q d + r) moves a residue as g^r does, as g^d shifts by ±P."""
+        P, key = self.period, {}
+        vertices = range(1, len(self.powers[0].perm))
+        for r in range(P):
+            for x in vertices:
+                if (r, x) not in key:
+                    for g in self.powers:
+                        key[(r + g.shift[x]) % P, g.perm[x]] = (r, x)
+        return key
+
     def representative(self, p: Pt, lo: int = 0) -> Pt:
         """The least point of p's orbit with slice in [lo, lo + period).
 
         With ``lo = 0`` this is the canonical orbit key.  A finite orbit
         (period 0) is represented by its least point.
         """
-        x, P = p.vertex, self.period
-        if not P:
+        if not self.period:
+            x = p.vertex
             return min(Pt(p.slice + g.shift[x], g.perm[x], p.proj) for g in self.powers)
-        return min(
-            Pt(lo + (p.slice + g.shift[x] - lo) % P, g.perm[x], p.proj) for g in self.powers
-        )
+        r, x = self.orbit_key[(p.slice - lo) % self.period, p.vertex]
+        return Pt(lo + r, x, p.proj)
 
 
-def twist_label(tree: DynkinTree, aut: TreeAutomorphism) -> str:
-    if aut.is_identity:
+def twist_label(tree: DynkinTree, aut: AffineMap) -> str:
+    if aut.order == 1:
         return "id"
     if aut.order == 3:
         return "sigma"
@@ -481,18 +417,19 @@ def twist_label(tree: DynkinTree, aut: TreeAutomorphism) -> str:
 class AdmissibleGroup:
     """An infinite cyclic group generated by tau^tau_power composed with a twist.
 
-    ``twist`` is a tree automorphism; ``glide`` selects the glide reflection
-    of A_{2n} instead (the generator is then tau^tau_power o rho).
+    ``twist`` is a graph automorphism of :func:`tree_automorphisms`;
+    ``glide`` selects the glide reflection of A_{2n} instead (the generator
+    is then tau^tau_power o rho).
     """
 
     tau_power: int
-    twist: TreeAutomorphism | None = None
+    twist: AffineMap | None = None
     glide: bool = False
 
     def name(self, tree: DynkinTree | None = None) -> str:
         if self.glide:
             return "rho" if self.tau_power == 0 else f"tau^{self.tau_power}*rho"
-        if self.twist is None or self.twist.is_identity:
+        if self.twist is None or self.twist.order == 1:
             return f"tau^{self.tau_power}"
         label = twist_label(tree, self.twist) if tree is not None else "twist"
         return f"tau^{self.tau_power}*{label}"
@@ -501,7 +438,7 @@ class AdmissibleGroup:
         if self.glide:
             base = glide_map(tree)
         elif self.twist is not None:
-            base = extend_automorphism(tree, self.twist)
+            base = self.twist
         else:
             base = AffineMap.translation(tree, 0)
         return AffineMap.translation(tree, -self.tau_power).compose(base)
@@ -517,8 +454,14 @@ class AdmissibleGroup:
     def apply(self, tree: DynkinTree, p: Pt, k: int = 1) -> Pt:
         return self.action(tree).apply(p, k)
 
+    def moved(self, tree: DynkinTree, residues: frozenset[Residue]) -> list[Residue]:
+        """The residues the generator maps off the set, least first; none
+        exactly when it stabilizes the set, as it acts injectively."""
+        g = self.generator_map(tree).mod(loewy_number(tree))
+        return sorted(r for r in residues if g(*r) not in residues)
+
     def stabilizes(self, config: Configuration) -> bool:
-        return config.mapped(self.generator_map(config.tree)).residues == config.residues
+        return not self.moved(config.tree, config.residues)
 
 
 @lru_cache(maxsize=None)
@@ -542,7 +485,7 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
     L = loewy_number(tree)
     e = config.period()
     translation_steps: list[int]
-    twists: list[TreeAutomorphism] = []
+    twists: list[AffineMap] = []
 
     if tree.family == "A":
         translation_steps = [e]
@@ -552,9 +495,9 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
                 twists.append(flip)
     elif tree.family == "D" and tree.rank == 4:
         translation_steps = [L]
-        auts = [a for a in tree_automorphisms(tree) if not a.is_identity]
+        auts = sorted(tree_automorphisms(tree), key=lambda a: a.perm)
         for wanted_order in (2, 3):
-            for a in sorted((a for a in auts if a.order == wanted_order), key=lambda a: a.mapping):
+            for a in (a for a in auts if a.order == wanted_order):
                 if AdmissibleGroup(0, a).stabilizes(config):
                     twists.append(a)
                     break
@@ -594,8 +537,8 @@ def _orbit_map(group: AdmissibleGroup, window: QuiverWindow) -> tuple:
     verdict does not depend on the band.
 
     ``representative(p, lo)`` depends on p only through
-    ``((slice - lo) mod period, vertex, proj)``, so it is found once per such
-    residue.  Once no configuration point is moved, each group element is an
+    ``((slice - lo) mod period, vertex, proj)``, so it is read off the
+    action's ``orbit_key`` once per such residue.  Once no configuration point is moved, each group element is an
     automorphism of the decorated quiver, and every orbit meets the band
     ``[i_min + 1, i_min + period]``: every cone, a truncated one at the
     window's edges too, lies in a group translate of the full cone of a band
@@ -619,21 +562,15 @@ def _orbit_test(group: AdmissibleGroup, window: QuiverWindow) -> tuple:
             f"window of {span} slices cannot hold a "
             f"fundamental domain of {group.name(tree)} plus margins"
         )
-    g = group.generator_map(tree).mod(loewy_number(tree))
-    moved = sorted(r for r in window.residues or () if g(*r) not in window.residues)
+    moved = group.moved(tree, window.residues or frozenset())
     if moved:
         return None, f"it maps configuration point {Pt(*moved[0])} off the configuration"
     if not P:
         return None, "its orbits are finite"  # a nontrivial power fixes every point
 
     lo = window.i_min + (span - P) // 2
-    key: dict[tuple[int, int], tuple[Pt, Pt]] = {}  # residue -> (stable, projective) rep
-    for r in range(P):
-        for x in tree.vertices:
-            if (r, x) not in key:  # met first in sorted order: the least of its orbit
-                least = (Pt(lo + r, x), Pt(lo + r, x, True))
-                for h in action.powers:
-                    key[(r + h.shift[x]) % P, h.perm[x]] = least
+    # residue -> (stable, projective) representative in the band from lo
+    key = {res: (Pt(lo + r, x), Pt(lo + r, x, True)) for res, (r, x) in action.orbit_key.items()}
     rep = {p: key[(p.slice - lo) % P, p.vertex][p.proj] for p in window.points}
     band = [p for p in window.points if window.i_min < p.slice <= window.i_min + P]
     if _cone_witness(window, rep, band) is None:
@@ -667,11 +604,6 @@ class FoldedQuiver:
         self.tau = tau
         self.projectives = projectives
         self.label = label
-        self.out_nb = {p: [] for p in points}
-        self.in_nb = {p: [] for p in points}
-        for a, b in arrows:
-            self.out_nb[a].append(b)
-            self.in_nb[b].append(a)
 
 
 def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:

@@ -38,6 +38,11 @@ read off the residue set directly.
 ``reference_bruteforce`` is ``classify._enumerate_bruteforce`` as it stood
 before the exact-cover search: a search for independent sets of exactly rank
 points, filtered by the covering axiom; it is the reference for that search.
+``reference_extend_automorphism`` is ``ztquiver.extend_automorphism`` as it
+stood while graph automorphisms were vertex permutations, the reference for
+the maps ``tree_automorphisms`` returns; ``reference_representative`` is
+``GroupAction.representative`` as it stood before the orbit-key table, a
+minimum over the generator's powers.
 """
 
 from fractions import Fraction
@@ -48,7 +53,7 @@ import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from meshknit.classify import _residue_reach
-from meshknit.dynkin import DynkinTree, flip_automorphism, loewy_number, make_tree
+from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_number, make_tree
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, knit_pattern
 from meshknit.linalg import RationalEchelon
@@ -661,3 +666,26 @@ def reference_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
 
     dfs(0, [], 0, 0)
     return results
+
+
+def reference_extend_automorphism(tree: DynkinTree, mapping: tuple[int, ...]) -> AffineMap:
+    """The tree automorphism ``v -> mapping[v - 1]`` extended to the
+    translation quiver, with the per-vertex slice correction that keeps every
+    arrow an arrow."""
+    depth = tree.depth
+    kappa = (depth[mapping[0]] - depth[1]) % 2
+    return AffineMap(
+        (0,) + tuple((depth[v] - depth[mapping[v - 1]] + kappa) // 2 for v in tree.vertices),
+        (0,) + tuple(mapping),
+    )
+
+
+def reference_representative(action, p: Pt, lo: int = 0) -> Pt:
+    """The least point of p's orbit with slice in [lo, lo + period), the
+    minimum over ``action.powers``; a finite orbit by its least point."""
+    x, P = p.vertex, action.period
+    if not P:
+        return min(Pt(p.slice + g.shift[x], g.perm[x], p.proj) for g in action.powers)
+    return min(
+        Pt(lo + (p.slice + g.shift[x] - lo) % P, g.perm[x], p.proj) for g in action.powers
+    )

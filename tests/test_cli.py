@@ -164,6 +164,24 @@ def test_quotient_command(capsys):
     assert err == f"error[NOT_ADMISSIBLE]: rho is not admissible: {witness}\n"
 
 
+def test_twist_names_are_the_printed_labels(capsys):
+    """A twist is accepted only under the name the quotient label prints:
+    phi on A, psi on D, chi on E6, sigma on D4."""
+    def quotient_of(tree, group, hi):
+        return run_capture(
+            capsys, ["quotient", "--tree", tree, "--group", group, f"--range=0,{hi}", "--out", "dot"]
+        )
+
+    code, out, _ = quotient_of("D5", "tau^7*psi", 29)
+    assert code == 0 and out.startswith('digraph "D5/tau^7*psi"')
+    for tree, group, hi in [("A3", "tau^3*phi", 13), ("E6", "tau^11*chi", 45), ("D4", "tau^5*sigma", 31)]:
+        code, out, _ = quotient_of(tree, group, hi)
+        assert code == 0 and out.startswith(f'digraph "{tree}/{group}"')
+    for tree, wrong in [("D5", "phi"), ("D5", "chi"), ("A3", "psi"), ("E6", "phi"), ("D5", "sigma")]:
+        code, _, err = quotient_of(tree, f"tau^7*{wrong}", 29)
+        assert code == 2 and err == f"error[INVALID_TYPE]: tree {tree} has no twist {wrong!r}\n"
+
+
 def test_reproduce_all_examples(capsys):
     for example in ["fig4-a7", "d4-census", "d3m-cartan", "brauer-roundtrip"]:
         code, out, _ = run_capture(capsys, ["reproduce", example])

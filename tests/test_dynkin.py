@@ -2,8 +2,10 @@ from itertools import permutations
 
 import pytest
 
+from helpers import reference_extend_automorphism
+
 from meshknit.dynkin import (
-    TreeAutomorphism,
+    AffineMap,
     flip_automorphism,
     loewy_number,
     make_tree,
@@ -88,29 +90,29 @@ def test_automorphism_group_orders(name, order):
     tree = tree_from_name(name)
     auts = tree_automorphisms(tree)
     assert len(auts) == order
-    assert sorted(a.mapping for a in auts) == brute_force_automorphisms(tree)
+    assert sorted(a.perm[1:] for a in auts) == brute_force_automorphisms(tree)
 
 
 def test_a5_generator_is_the_flip():
     tree = make_tree("A", 5)
     flip = flip_automorphism(tree)
-    assert flip.mapping == tuple(6 - i for i in range(1, 6))
+    assert flip.perm[1:] == tuple(6 - i for i in range(1, 6))
     assert flip.order == 2
 
 
 def test_d4_group_is_symmetric_on_outer_vertices():
     tree = make_tree("D", 4)
     auts = tree_automorphisms(tree)
-    assert all(a(2) == 2 for a in auts)
+    assert all(a.perm[2] == 2 for a in auts)
     assert {a.order for a in auts} == {1, 2, 3}
     rot = rotation_automorphism(tree)
     assert rot.order == 3
     # closed under composition and inverse
-    mappings = {a.mapping for a in auts}
+    mappings = {a.perm[1:] for a in auts}
     for a in auts:
-        assert a.inverse().mapping in mappings
+        assert a.inverse().perm[1:] in mappings
         for b in auts:
-            assert a.compose(b).mapping in mappings
+            assert a.compose(b).perm[1:] in mappings
 
 
 def test_branch_vertex_fixed():
@@ -118,7 +120,7 @@ def test_branch_vertex_fixed():
         tree = tree_from_name(name)
         branch = tree.branch_vertex
         for aut in tree_automorphisms(tree):
-            assert aut(branch) == branch
+            assert aut.perm[branch] == branch
 
 
 def test_depth_map_follows_edges():
@@ -129,5 +131,17 @@ def test_depth_map_follows_edges():
 
 
 def test_automorphism_order_and_identity():
-    ident = TreeAutomorphism((1, 2, 3))
-    assert ident.is_identity and ident.order == 1
+    ident = tree_automorphisms(make_tree("A", 3))[0]
+    assert ident == AffineMap.translation(make_tree("A", 3), 0) and ident.order == 1
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A5", "A6", "D4", "D5", "D8", "E6", "E7", "E8"])
+def test_automorphisms_are_the_reference_extensions(name):
+    """Each graph automorphism is the extension of its vertex permutation
+    that the reference builds, and every permutation preserving the edges
+    occurs once; the D4 rotation too."""
+    tree = tree_from_name(name)
+    want = [reference_extend_automorphism(tree, m) for m in brute_force_automorphisms(tree)]
+    assert sorted(tree_automorphisms(tree), key=lambda a: a.perm) == want
+    if name == "D4":
+        assert rotation_automorphism(tree) == reference_extend_automorphism(tree, (3, 2, 4, 1))

@@ -26,7 +26,7 @@ from pathlib import Path
 from meshknit import enumerate_configurations, make_tree
 from meshknit.classify import _acting_maps, configurations_up_to_aut
 from meshknit.dynkin import tree_automorphisms
-from meshknit.ztquiver import extend_automorphism, table_groups
+from meshknit.ztquiver import table_groups
 
 DIGESTS = Path(__file__).with_name("group_digests.json")
 AUT_TREES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
@@ -52,9 +52,7 @@ def group_digests(configs_of) -> dict:
     automorphisms, acting = {}, {}
     for name in AUT_TREES:
         tree = _tree(name)
-        automorphisms[name] = [
-            _point_map(extend_automorphism(tree, aut)) for aut in tree_automorphisms(tree)
-        ]
+        automorphisms[name] = [_point_map(aut) for aut in tree_automorphisms(tree)]
         maps = _acting_maps(tree)
         acting[name] = [[n for n, _ in maps], _digest([_point_map(m) for _, m in maps])]
     groups = {}

@@ -22,7 +22,7 @@ from meshknit.mesh import (
     projective_quiver,
     starting_function,
 )
-from meshknit.ztquiver import Configuration, Pt, build_window, equioriented_section, extend_automorphism
+from meshknit.ztquiver import Configuration, Pt, build_window, equioriented_section
 
 A2 = make_tree("A", 2)
 
@@ -199,8 +199,7 @@ def test_nu_commutes_with_tau_and_tree_automorphisms():
             assert nakayama(tree, Pt(p.slice - 3, p.vertex)) == Pt(
                 nakayama(tree, p).slice - 3, nakayama(tree, p).vertex
             )
-        for aut in tree_automorphisms(tree):
-            m = extend_automorphism(tree, aut)
+        for m in tree_automorphisms(tree):
             for v in tree.vertices:
                 p = Pt(0, v)
                 np_ = nakayama(tree, p)

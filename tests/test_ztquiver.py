@@ -10,6 +10,7 @@ from helpers import (
     orbit_cases,
     reference_is_admissible,
     reference_period,
+    reference_representative,
     reference_witness,
 )
 from meshknit.classify import check_combinatorial_configuration
@@ -25,7 +26,6 @@ from meshknit.ztquiver import (
     _orbit_map,
     build_window,
     equioriented_section,
-    extend_automorphism,
     glide_map,
     is_admissible,
     plus_admissible_enumeration,
@@ -244,8 +244,8 @@ def test_quotient_preserves_point_degrees(fig4):
         lift = p
         if not (5 <= lift.slice <= 15):
             continue
-        assert len(q.out_nb[p]) == len(w.out_nb[lift])
-        assert len(q.in_nb[p]) == len(w.in_nb[lift])
+        assert sum(a == p for a, _ in q.arrows) == len(w.out_nb[lift])
+        assert sum(b == p for _, b in q.arrows) == len(w.in_nb[lift])
 
 
 def test_glide_squares_to_tau():
@@ -261,8 +261,7 @@ def test_extended_automorphisms_preserve_arrows():
     for name in ["A3", "A4", "D4", "D5", "E6"]:
         tree = make_tree(name[0], int(name[1]))
         w = build_window(tree, None, -3, 3)
-        for aut in tree_automorphisms(tree):
-            m = extend_automorphism(tree, aut)
+        for m in tree_automorphisms(tree):
             for a, b in w.arrows:
                 ia, xa = m(a.slice, a.vertex)
                 ib, xb = m(b.slice, b.vertex)
@@ -435,6 +434,19 @@ def test_orbit_key_matches_brute_force_orbits(family, rank):
                     rep = action.representative(p, band_lo)
                     assert band_lo <= rep.slice < band_lo + abs(T)
                     assert action.representative(rep) == key[p]
+
+
+@pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
+def test_representative_matches_min_over_powers(family, rank):
+    """The orbit-key table gives the least orbit point of every band that
+    the minimum over the generator's powers gives, finite orbits included."""
+    tree = make_tree(family, rank)
+    points = [Pt(i, v, proj) for i in range(-5, 6) for v in tree.vertices for proj in (False, True)]
+    for group in _groups(tree):
+        action = group.action(tree)
+        for lo in (-7, -1, 0, 3):
+            for p in points:
+                assert action.representative(p, lo) == reference_representative(action, p, lo)
 
 
 # ---------------------------------------------------------------------------
