@@ -13,6 +13,7 @@ dimensions off a section of a configuration inverts the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .dynkin import DynkinTree, loewy_number
 from .errors import InvalidDimensionVector, InvalidInput
@@ -194,6 +195,14 @@ class KnitTrace:
         return "\n".join(f"v{v} |" + "".join(cell(Pt(i, v)) for i in span) for v in rows)
 
 
+@lru_cache(maxsize=None)
+def _sweep(section: Section) -> tuple:
+    """``(index, slice, neighbour indices)`` of each vertex, in the source order."""
+    slices, nbrs = section.levels, section.tree.neighbors
+    order = plus_admissible_enumeration(section)
+    return tuple((x - 1, slices[x - 1], tuple(y - 1 for y in nbrs[x])) for x in order)
+
+
 def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
     """The sweep of ``knit_run``, on a vector that ``knit_pattern`` has accepted.
 
@@ -205,8 +214,7 @@ def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
     """
     L = loewy_number(tree)
     slices = section.levels
-    order = plus_admissible_enumeration(section)
-    sweep = [(x - 1, slices[x - 1], tuple(y - 1 for y in tree.neighbors[x])) for x in order]
+    sweep = _sweep(section)
     values = list(dims)
     get = values.__getitem__
     vectors, knots, knot_dims = [tuple(dims)], [], []

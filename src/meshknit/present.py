@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .dynkin import loewy_number
 from .errors import (
@@ -25,7 +25,8 @@ from .errors import (
     TooSmall,
 )
 from .mesh import ProjectiveQuiver, _moved, projective_quiver
-from .ztquiver import AdmissibleGroup, Configuration, Pt, _orbit_map, build_window, reach
+from .ztquiver import AdmissibleGroup, Configuration, Pt, build_window, reach
+from .ztquiver import _cones_admissible, _orbit_refusal, _orbit_test
 
 # ---------------------------------------------------------------------------
 # presentation containers
@@ -97,7 +98,7 @@ class QuiverPresentation:
                 {"from": a.src, "to": a.dst, "label": a.label, "shift": a.shift}
                 for a in self.arrows
             ],
-            "relations": [{"kind": r.kind, **asdict(r)} for r in self.relations],
+            "relations": [{"kind": r.kind, **vars(r)} for r in self.relations],
             "periodic": self.periodic,
         }
         return json.dumps(data, sort_keys=True)
@@ -404,7 +405,9 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     tree = config.tree
     action = group.action(tree)
     R = action.period
-    _, refusal = _orbit_map(group, build_window(tree, config, -1, R))
+    refusal = _orbit_refusal(group, tree, config.residues)
+    if refusal is None and not _cones_admissible(group, tree):
+        refusal = _orbit_test(group, build_window(tree, config, -1, R))
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
     # in the order the orbits are met; the group moves no configuration point

@@ -180,8 +180,7 @@ class QuiverWindow:
     projective; the arrows, ``tau``, ``level`` and both neighbour lists hold
     those same objects.  ``arrows`` is sorted, and each neighbour list follows
     it.  A configuration must belong to ``tree``; a raw residue iterable is
-    taken as it is.  The orbit maps of :func:`_orbit_map` are cached on the
-    window, one per group.
+    taken as it is.
     """
 
     def __init__(self, tree: DynkinTree, config, i_min: int, i_max: int):
@@ -194,7 +193,6 @@ class QuiverWindow:
         self.config = config if isinstance(config, Configuration) else None
         self.i_min = i_min
         self.i_max = i_max
-        self._orbit_maps: dict[AdmissibleGroup, tuple] = {}
         L = loewy_number(tree)
         depth = tree.depth
         slices = range(i_min, i_max + 1)
@@ -524,58 +522,73 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
 # admissibility and quotients
 
 
-def _orbit_map(group: AdmissibleGroup, window: QuiverWindow) -> tuple:
-    """The orbit test, as ``(rep, refusal)``.  It is built once per (window,
-    group) and cached on the window, so :func:`is_admissible` and
-    :func:`quotient` on one window share it.
-
-    ``rep`` maps each window point to the least point of its orbit in the
-    middle band of ``period`` slices, the band :func:`quotient` folds onto.
-    ``refusal`` is None or a reason naming a witness: the least x whose cone
-    ``{x} u x+`` or ``{x} u x-`` meets one orbit twice, and the two members.
-    A band representative separates orbits as the canonical key does, so the
-    verdict does not depend on the band.
+def _orbit_map(group: AdmissibleGroup, window: QuiverWindow) -> dict[Pt, Pt]:
+    """Each window point's least orbit point in the window's middle band of
+    ``period`` slices, the band :func:`quotient` folds onto.
 
     ``representative(p, lo)`` depends on p only through
     ``((slice - lo) mod period, vertex, proj)``, so it is read off the
-    action's ``orbit_key`` once per such residue.  Once no configuration point is moved, each group element is an
-    automorphism of the decorated quiver, and every orbit meets the band
-    ``[i_min + 1, i_min + period]``: every cone, a truncated one at the
-    window's edges too, lies in a group translate of the full cone of a band
-    point.  Those full cones lie in the window, which has at least
-    ``period + 2`` slices, so only the band's cones are tested; all points
-    are scanned in sorted order only after a band cone fails, to name the
-    least witness.
+    action's ``orbit_key`` once per such residue.  A band representative
+    separates orbits as the canonical key does.
     """
-    if group not in window._orbit_maps:
-        window._orbit_maps[group] = _orbit_test(group, window)
-    return window._orbit_maps[group]
-
-
-def _orbit_test(group: AdmissibleGroup, window: QuiverWindow) -> tuple:
-    tree = window.tree
-    action = group.action(tree)
+    action = group.action(window.tree)
     P = action.period
+    lo = window.i_min + (window.i_max - window.i_min + 1 - P) // 2
+    # residue -> (stable, projective) representative in the band from lo
+    key = {res: (Pt(lo + r, x), Pt(lo + r, x, True)) for res, (r, x) in action.orbit_key.items()}
+    return {p: key[(p.slice - lo) % P, p.vertex][p.proj] for p in window.points}
+
+
+def _orbit_refusal(group: AdmissibleGroup, tree: DynkinTree, residues) -> str | None:
+    """The refusals that need no window: a moved point, or finite orbits."""
+    moved = group.moved(tree, residues)
+    if moved:
+        return f"it maps configuration point {Pt(*moved[0])} off the configuration"
+    if not group.action(tree).period:
+        return "its orbits are finite"  # a nontrivial power fixes every point
+    return None
+
+
+def _orbit_test(group: AdmissibleGroup, window: QuiverWindow) -> str | None:
+    """The orbit test on a window: None, or a reason naming a witness.
+
+    It checks the window size, a moved configuration point, finite orbits
+    and then the cones, in this order.  Only after the cached cone verdict
+    fails are all points scanned in sorted order, to name the least x whose
+    cone ``{x} u x+`` or ``{x} u x-`` meets one orbit twice, and the pair.
+    """
+    tree = window.tree
     span = window.i_max - window.i_min + 1
-    if span < P + 2:
+    if span < group.action(tree).period + 2:
         raise WindowTooSmall(
             f"window of {span} slices cannot hold a "
             f"fundamental domain of {group.name(tree)} plus margins"
         )
-    moved = group.moved(tree, window.residues or frozenset())
-    if moved:
-        return None, f"it maps configuration point {Pt(*moved[0])} off the configuration"
-    if not P:
-        return None, "its orbits are finite"  # a nontrivial power fixes every point
+    refusal = _orbit_refusal(group, tree, window.residues or frozenset())
+    if refusal is not None or _cones_admissible(group, tree):
+        return refusal
+    return _cone_witness(window, _orbit_map(group, window), sorted(window.points))
 
-    lo = window.i_min + (span - P) // 2
-    # residue -> (stable, projective) representative in the band from lo
-    key = {res: (Pt(lo + r, x), Pt(lo + r, x, True)) for res, (r, x) in action.orbit_key.items()}
-    rep = {p: key[(p.slice - lo) % P, p.vertex][p.proj] for p in window.points}
-    band = [p for p in window.points if window.i_min < p.slice <= window.i_min + P]
-    if _cone_witness(window, rep, band) is None:
-        return rep, None
-    return rep, _cone_witness(window, rep, sorted(window.points))
+
+@lru_cache(maxsize=None)
+def _cones_admissible(group: AdmissibleGroup, tree: DynkinTree) -> bool:
+    """Whether no cone ``{x} u x+`` or ``{x} u x-`` meets one orbit twice,
+    for a group with infinite orbits that moves no configuration point.
+
+    A cone holds at most one projective, whose representative keeps
+    ``proj=True``, so only the stable cones matter; they repeat every
+    ``period`` slices.  As ``x- = (tau x)+`` and an arrow y -> x puts both in
+    ``{y} u y+``, the out-cones of the residues ``(r, x)`` decide.  The
+    successor of x over a neighbour y is on slice ``(level(x) + 1 - depth(y)) / 2``.
+    """
+    action = group.action(tree)
+    P, key, depth = action.period, action.orbit_key, tree.depth
+    for r in range(P):
+        for x, nbrs in tree.neighbors.items():
+            up = 2 * r + depth[x] + 1
+            if len({key[r, x], *(key[(up - depth[y]) // 2 % P, y] for y in nbrs)}) <= len(nbrs):
+                return False
+    return True
 
 
 def _cone_witness(window: QuiverWindow, rep: dict, points) -> str | None:
@@ -592,7 +605,7 @@ def _cone_witness(window: QuiverWindow, rep: dict, points) -> str | None:
 
 def is_admissible(group: AdmissibleGroup, window: QuiverWindow) -> bool:
     """Orbit test: no orbit may meet ``{x} u x+`` or ``{x} u x-`` twice."""
-    return _orbit_map(group, window)[1] is None
+    return _orbit_test(group, window) is None
 
 
 class FoldedQuiver:
@@ -609,11 +622,12 @@ class FoldedQuiver:
 def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:
     """Fold a window by an admissible group; points become orbit representatives."""
     tree = window.tree
-    rep, refusal = _orbit_map(group, window)
+    refusal = _orbit_test(group, window)
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
     if window.i_max - window.i_min + 1 < 2 * group.action(tree).period:
         raise WindowTooSmall("quotient needs a window of at least two periods")
+    rep = _orbit_map(group, window)
     points = tuple(sorted(set(rep.values())))
     arrows = tuple(sorted({(rep[a], rep[b]) for a, b in window.arrows}))
     tau = {rep[p]: rep[q] for p, q in window.tau.items()}  # well defined: G commutes with tau

@@ -302,6 +302,41 @@ def test_cartan_against_direct_orbit_sum(fig4, configs_cache):
                 assert mat[(p, q)] == sum(tr.dim(t) for t in orbits[q]), (config, group, p, q)
 
 
+def test_cartan_matrix_builds_no_orbit_window(configs_cache, monkeypatch):
+    """Counted window constructions, on the admissible groups of A4 and D4
+    configurations: cartan_matrix builds the projective quiver's window
+    only, and none once the quiver is cached.  The quotients workload's
+    calls, build_window, is_admissible, quotient and cartan_matrix, build
+    two windows."""
+    from meshknit import mesh, ztquiver
+
+    built = []
+    init = ztquiver.QuiverWindow.__init__
+
+    def counted(self, *args):
+        built.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(ztquiver.QuiverWindow, "__init__", counted)
+    for name in ("A4", "D4"):
+        for config in configs_cache(name)[:4]:
+            tree = config.tree
+            for group in table_groups(tree, config, s_max=2):
+                mesh.projective_quiver.cache_clear()
+                built.clear()
+                cartan_matrix(config, group)
+                assert len(built) == 1, (config, group, built)
+                cartan_matrix(config, group)
+                assert len(built) == 1, (config, group, built)
+                mesh.projective_quiver.cache_clear()
+                built.clear()
+                window = ztquiver.build_window(tree, config, 0, 2 * group.action(tree).period + 1)
+                assert ztquiver.is_admissible(group, window)
+                ztquiver.quotient(window, group)
+                cartan_matrix(config, group)
+                assert len(built) == 2, (config, group, built)
+
+
 @pytest.mark.parametrize(
     "name,step", [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("D4", 1), ("D5", 1), ("E6", 10)]
 )

@@ -23,7 +23,10 @@ from meshknit.ztquiver import (
     Configuration,
     Pt,
     Section,
+    _cone_witness,
+    _cones_admissible,
     _orbit_map,
+    _orbit_test,
     build_window,
     equioriented_section,
     glide_map,
@@ -491,7 +494,7 @@ def test_orbit_map_against_reference(configs_cache):
             admissible = is_admissible(group, w)
             assert admissible == reference_is_admissible(group, w), (config, group)
             if not admissible:
-                refusal = _orbit_map(group, w)[1]
+                refusal = _orbit_test(group, w)
                 with pytest.raises(NotAdmissible) as exc:
                     quotient(w, group)
                 assert str(exc.value) == f"{group.name(tree)} is not admissible: {refusal}"
@@ -559,6 +562,57 @@ def test_orbit_maps_are_shared_per_window(configs_cache):
             w = build_window(tree, config, 0, hi)
             for g in order:
                 assert _outcome(g, w, quotient_first) == fresh[g], (config, g)
+
+
+def _sweep_groups(tree):
+    """tau^k * twist for every twist and, on even A, tau^k * rho, for
+    k in [-2L, 3L], the groups with infinite orbits."""
+    L = loewy_number(tree)
+    bases = [{"twist": aut} for aut in tree_automorphisms(tree)]
+    if tree.family == "A" and tree.rank % 2 == 0:
+        bases.append({"glide": True})
+    for base in bases:
+        for k in range(-2 * L, 3 * L + 1):
+            group = AdmissibleGroup(k, **base)
+            if group.action(tree).period:
+                yield group
+
+
+def _check_cone_verdict(group, w):
+    """The cached verdict, the orbit test and the scan of every cone of w
+    through the band map agree with the previous full scan."""
+    scan = _cone_witness(w, _orbit_map(group, w), sorted(w.points))
+    assert scan == reference_witness(group, w), (w.config, group)
+    assert _orbit_test(group, w) == scan
+    assert _cones_admissible(group, w.tree) == (scan is None)
+
+
+def test_cone_verdict_matches_the_full_window_scan(configs_cache):
+    """The cached cone verdict of a (group, tree) is the scan of every cone
+    of a window, on bare windows of every tree and on the configuration
+    windows of the orbit cases, the projective cones included.  The refused
+    groups are the flip and the glide of even A_n, which stabilise no
+    configuration."""
+    refused = set()
+    for family, rank in ALL_TREES:
+        tree = make_tree(family, rank)
+        for group in _sweep_groups(tree):
+            _check_cone_verdict(group, build_window(tree, None, -1, group.action(tree).period))
+            if not _cones_admissible(group, tree):
+                refused.add((tree.name, group.name(tree)))
+    assert len(refused) == 16 and all(
+        name in ("A2", "A4", "A6", "A8") and label.endswith(("phi", "rho"))
+        for name, label in refused
+    ), refused
+    configured = 0
+    for tree, config, group in orbit_cases(configs_cache):
+        P = group.action(tree).period
+        if config is None or not P or not group.stabilizes(config):
+            continue
+        configured += 1
+        for lo, hi in ((-1, P), (0, 2 * P + 1)):
+            _check_cone_verdict(group, build_window(tree, config, lo, hi))
+    assert configured
 
 
 # ---------------------------------------------------------------------------
