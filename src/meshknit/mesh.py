@@ -3,39 +3,30 @@
 Two independent routes compute ``dim k(window)(x, y)``:
 
 * :func:`starting_function` -- the fast additive recurrence that knits hom
-  dimensions forward, clipping at zero;
+  dimensions forward, clipping at zero, on a per-tree int plan (:func:`_plan`);
 * :class:`MeshTransporter` / :func:`hom_dim_oracle` -- exact rational linear
   algebra: the space spanned by paths modulo the subspace generated by the
   mesh sums, built level by level (dimension = path count minus the rank of
   the relation rows).  Entries are ``int`` unless a pivot scaling left a
   ``Fraction``, so matrices of 0 and +-1 never touch ``Fraction``.
 
-Both walk the window's level order (:attr:`QuiverWindow.order`) from the
-source and store nonzero values only.  Every arrow raises the level by one,
-and a value is at most the sum of the values at its in-neighbours, one level
-down; so once a whole level is zero every higher one is, and a walk stops at
-the first point two levels above its highest nonzero value.  Every library
-caller but ``meshknit mesh homdim`` reads dimensions by the recurrence, from
-two stores: one stable support per vertex of a tree (:func:`_stable_support`,
-read by the C1/C2 test of ``classify`` and the Nakayama map), and
-:class:`ProjectiveQuiver`, the one store of hom(P, -) for the projectives P of
-k(Z Delta_C).  ``knitting.dims_on_section`` and ``present.cartan_matrix`` sum
-its tables; its radical-square test, completeness and relations ask
-:meth:`ProjectiveQuiver.path_nonzero`, the one composite test, which decides
-a composite by hom dimensions alone.  Since k(Z Delta_C) is periodic under
-nu = tau^L, the quiver keeps one hom table and one arrow list per nu-orbit, at
-its lift in slices [0, L), each computed on first read on the one window
-[-1, 2L + 1]; any projective is read through its lift, so the quiver covers
-all of k(Z Delta_C).  :func:`projective_quiver` keeps the last quiver built,
-so calls in a row on one configuration share it.  The transporter, which also
-carries the arrow matrices of the quotient functor, is the exact second route
-behind ``meshknit mesh homdim`` and the tests' oracle.  The two routes must
-agree everywhere; the test suite enforces this, the library never cross-checks.
+Both walk in level order from the source.  Every arrow raises the level by
+one, and a value is at most the sum of the values at its in-neighbours, one
+level down; so once a whole level is zero every higher one is, and a walk
+stops at the first point two levels above its highest nonzero value.  The
+library reads the recurrence from two stores: :func:`_stable_support` per
+vertex of a tree (the C1/C2 test of ``classify`` and the Nakayama map), and
+:class:`ProjectiveQuiver`, one int row of hom(P, -) per nu-orbit of the
+projectives P of k(Z Delta_C).  The transporter, which also carries the
+arrow matrices of the quotient functor, is the exact route behind ``meshknit
+mesh homdim`` and the tests' oracle; the tests check that the two agree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import islice, product
 
 from .dynkin import AffineMap, DynkinTree, loewy_number
 from .errors import WindowTooSmall
@@ -63,27 +54,57 @@ def starting_function(tree: DynkinTree, x: Pt, window: QuiverWindow | None = Non
 
     Points are processed in level order from ``x``; each non-projective
     point ``z`` gets ``max(0, sum over in-neighbors - value at tau z)``, a
-    projective ``c*`` simply copies the value at ``c``.  Only nonzero values
-    are stored.
+    projective ``c*`` copies the value at ``c``, so :func:`_walk` runs on stable
+    points, a source c* from tau^-1 c.  Only nonzero values are stored.
     """
     if window is None:
         window = build_window(tree, None, x.slice, x.slice + loewy_number(tree) + 1)
     if x not in window.points:
         raise WindowTooSmall(f"window does not contain the source {x}")
-    lvl, in_nb, tau, order = window.level, window.in_nb, window.tau, window.order
-    svals: dict[Pt, int] = {x: 1}
-    top = lvl[x]  # the highest level holding a nonzero value
-    for p in order[order.index(x) + 1 :]:
-        if lvl[p] > top + 1:
-            break
-        if p.proj:
-            v = svals.get(Pt(p.slice, p.vertex), 0)
-        else:
-            v = sum(svals.get(w, 0) for w in in_nb[p]) - svals.get(tau.get(p), 0)
-        if v > 0:
-            svals[p] = v
-            top = lvl[p]
-    return HomTable(x, window, svals)
+    n, i_min = tree.rank, window.i_min
+    cut = {(p.slice - i_min + 1) * n + p.vertex - 1 for p in window.points if p.proj}
+    dims = {x: 1}
+    for j, v in enumerate(_walk(tree, window.i_max - i_min + 1, cut, x.slice + x.proj - i_min, x.vertex)):
+        if v:  # the point and, in the window, the projective over it
+            i, y = i_min + j // n, j % n + 1
+            dims.update((q, v) for q in (Pt(i, y), Pt(i, y, True)) if q in window.points)
+    return HomTable(x, window, dims)
+
+
+@lru_cache(maxsize=None)
+def _plan(tree: DynkinTree, span: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The stable points (i, x) of ``span`` slices from 0 in level order, as
+    (index ``i * rank + x - 1``, level, in-neighbour indices, tau-index), and
+    their levels.  Index ``span * rank`` stays 0: it pads and is tau of slice 0."""
+    n, depth, size = tree.rank, tree.depth, span * tree.rank
+    ins: list[list[int]] = [[] for _ in range(size)]
+    for i, (lo, hi) in product(range(span), tree.edges):
+        ins[i * n + hi - 1].append(i * n + lo - 1)
+        if i + 1 < span:
+            ins[(i + 1) * n + lo - 1].append(i * n + hi - 1)
+    level = [2 * (j // n) + depth[j % n + 1] for j in range(size)]
+    order = sorted(range(size), key=level.__getitem__)
+    pad = [ins[j] + [size] * (3 - len(ins[j])) for j in range(size)]
+    steps = [(j, level[j], *pad[j], j - n if j >= n else size) for j in order]
+    return steps, [level[j] for j in order]
+
+
+def _walk(tree: DynkinTree, span: int, cut: set[int], s: int, x: int) -> list[int]:
+    """hom((s, x), -) by index on a plan, then the zero slot, for slice offset
+    s (all 0 past the span), under one bit per point: ``cut`` holds tau^-1 c
+    for the points c of a decoration, where c* cancels the tau-subtraction."""
+    steps, levels = _plan(tree, span)
+    vals = [0] * (span * tree.rank + 1)
+    if s < span:
+        vals[s * tree.rank + x - 1] = 1
+        top = 2 * s + tree.depth[x]  # the highest level holding a nonzero value
+        for j, lvl, a, b, c, t in islice(steps, bisect_right(levels, top), None):
+            if lvl > top + 1:
+                break
+            v = vals[a] + vals[b] + vals[c] - (0 if j in cut else vals[t])
+            if v > 0:
+                vals[j], top = v, lvl
+    return vals
 
 
 class MeshTransporter:
@@ -266,11 +287,6 @@ class _OnDemand(dict):
         return value
 
 
-def _moved(p: Pt, k: int) -> Pt:
-    """p moved up k slices (down for negative k)."""
-    return Pt(p.slice + k, p.vertex, p.proj) if k else p
-
-
 class ProjectiveQuiver:
     """Arrows and hom data among the projectives of k(Z Delta_C), on demand.
 
@@ -280,27 +296,32 @@ class ProjectiveQuiver:
     ``hom_dim`` asserts it on every pair, and it is why hom dimensions alone
     decide every composite (:meth:`path_nonzero`).  Callers read a small part
     of the quiver (``quiver_of_AC`` the arrows out of one nu-copy), so
-    nothing is computed up front: a hom table, ``out_nb[p]`` and ``in_nb[q]``
-    are computed on first read and cached.
+    nothing is computed up front: a hom row, a three-node composite,
+    ``out_nb[p]`` and ``in_nb[q]`` are computed on first read and cached.
 
     The category is periodic under nu = tau^L, so hom(p, q) = hom(p - kL,
     q - kL), and the arrows at p are those at p - kL moved up kL slices.  Each
-    nu-orbit gets one :func:`starting_function` table and one list of arrows
-    out of it, at its lift in slices [0, L), on the window [-1, 2L + 1] that
-    such a walk reads; any projective is read through its lift.  So ``hom``
-    and ``support`` (stable points too), ``hom_dim``, ``out_nb`` and ``in_nb``
-    cover the infinite quiver; a search over it bounds itself by ``level``.
+    nu-orbit gets one int row of :func:`_walk` on slices [-1, 2L + 1] and one
+    list of arrows out of it, at its lift in [0, L), read by slice arithmetic
+    with no ``Pt`` built; hom(p, c*) is the row's value at c, plus 1 if
+    c* = p.  So ``hom`` and ``support`` (of any q), ``hom_dim``, ``out_nb``
+    and ``in_nb`` cover the infinite quiver; a search bounds itself by ``level``.
     """
 
     def __init__(self, config: Configuration):
         tree = config.tree
         L = loewy_number(tree)
-        window = build_window(tree, config, -1, 2 * L + 1)
-        self._period = L
-        self._depth = tree.depth
+        self._period, self._n, self._span = L, tree.rank, 2 * L + 3  # slices [-1, 2L + 1]
+        self._depth, self._residues = tree.depth, config.residues
         self._lifts = [Pt(i, x, True) for i, x in sorted(config.residues)]
-        # _homs and _out are keyed by the lifts in [0, L)
-        self._homs: dict[Pt, HomTable] = _OnDemand(lambda p: starting_function(tree, p, window))
+        self._near = [Pt(i, x, True) for i, x in config.lifts(-1, 2 * L + 1)]
+        cut = {(p.slice + 2) * self._n + p.vertex - 1 for p in self._near}
+        def row(r: tuple[int, int]) -> list[int]:  # the lift c* in [0, L) walks from tau^-1 c
+            if r not in config.residues:
+                raise WindowTooSmall(f"the configuration has no projective at residue {r}")
+            return _walk(tree, self._span, cut, r[0] + 2, r[1])
+        self._rows = _OnDemand(row)  # keyed by residue
+        self._composites: dict[tuple[int, ...], bool] = {}  # keyed by the chain moved down
         self._out: dict[Pt, list[Pt]] = _OnDemand(self._arrows_from)
         self.out_nb: dict[Pt, list[Pt]] = _OnDemand(self._moved_out)
         self.in_nb: dict[Pt, list[Pt]] = _OnDemand(self._arrows_into)
@@ -310,17 +331,25 @@ class ProjectiveQuiver:
 
     def _moved_out(self, p: Pt) -> list[Pt]:
         k = p.slice - p.slice % self._period
-        return [_moved(q, k) for q in self._out[_moved(p, -k)]]
+        return [Pt(q.slice + k, q.vertex, True) for q in self._out[Pt(p.slice - k, p.vertex, True)]]
 
     def hom(self, p: Pt, q: Pt) -> int:
-        """dim hom(p, q) for a projective p and any point q."""
-        k = p.slice - p.slice % self._period  # p - k is the lift in [0, L)
-        return self._homs[_moved(p, -k)][_moved(q, -k)]
+        """dim hom(p, q) for a projective p of the configuration (else WindowTooSmall) and any q."""
+        (ps, px, pproj), (qs, qx, qproj) = p, q
+        if not pproj:
+            raise WindowTooSmall(f"{p} is not a projective")
+        L, i = self._period, ps % self._period  # p moved down to its lift in [0, L)
+        s = qs - ps + i + 1  # q moved alike, as a slice offset in [-1, 2L + 1]
+        if not 0 <= s < self._span or (qproj and (qs % L, qx) not in self._residues):
+            return 0
+        return self._rows[i, px][s * self._n + qx - 1] + (qproj and qs == ps and qx == px)
 
     def support(self, p: Pt) -> list[Pt]:
         """The sorted points q with hom(p, q) != 0, for a projective p."""
-        k = p.slice - p.slice % self._period
-        return [_moved(q, k) for q in self._homs[_moved(p, -k)].support()]
+        k, n = p.slice - p.slice % self._period - 1, self._n  # the slice of offset 0
+        row = self._rows[p.slice % self._period, p.vertex]
+        near = [Pt(k + j // n, j % n + 1, b) for j, v in enumerate(row) if v for b in (False, True)]
+        return sorted(q for q in [p, *near] if self.hom(p, q))
 
     def hom_dim(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q) for projectives p != q; 0 for p == q."""
@@ -344,8 +373,18 @@ class ProjectiveQuiver:
         nonzero is checked, not derived: the test suite compares it with the
         exact composite of :class:`MeshTransporter` classes on every such
         chain of three periods of the configurations it sweeps.  A repeated
-        node (hom(q, q) = 0 here) makes a zero chain.
+        node (hom(q, q) = 0 here) makes a zero chain.  Three-node chains are memoised.
         """
+        if len(chain) != 3:
+            return self._nonzero(chain)
+        (ps, px, _), (rs, rx, _), (qs, qx, _) = chain
+        k = ps - ps % self._period
+        key = (ps - k, px, rs - k, rx, qs - k, qx)
+        if key not in self._composites:
+            self._composites[key] = self._nonzero(chain)
+        return self._composites[key]
+
+    def _nonzero(self, chain: list[Pt]) -> bool:
         p = chain[0]
         return all(self.hom_dim(r, q) for r, q in zip(chain, chain[1:])) and all(
             self.hom_dim(p, q) for q in chain[2:]
@@ -356,7 +395,7 @@ class ProjectiveQuiver:
         lies in the support of hom(p, -), and so does every r of a nonzero
         composite p -> r -> q, strictly between p and q in level."""
         lvl = self.level
-        support = sorted(q for q in self._homs[p].dims if q.proj and q != p)
+        support = [q for q in self._near if q != p and self.hom(p, q)]
         return [
             q
             for q in support
@@ -368,7 +407,7 @@ class ProjectiveQuiver:
         """The sorted tails of the arrows into q: each arrow out of a lift in
         [0, L) that ends in q's nu-orbit, moved to end at q."""
         return sorted(
-            _moved(p, q.slice - r.slice)
+            Pt(p.slice + q.slice - r.slice, p.vertex, True)
             for p in self._lifts
             for r in self._out[p]
             if r.vertex == q.vertex and (r.slice - q.slice) % self._period == 0

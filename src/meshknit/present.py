@@ -24,7 +24,7 @@ from .errors import (
     NotSource,
     TooSmall,
 )
-from .mesh import ProjectiveQuiver, _moved, projective_quiver
+from .mesh import ProjectiveQuiver, projective_quiver
 from .ztquiver import AdmissibleGroup, Configuration, Pt, build_window, reach
 from .ztquiver import _cones_admissible, _orbit_refusal, _orbit_test
 
@@ -287,7 +287,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
             if b in fund_set:
                 internal.append((a, b, 0))
             else:
-                base = _moved(b, -L)
+                base = Pt(b.slice - L, b.vertex, True)
                 # An invariant of a validated set F, not an input check.  Say
                 # b = f + kL for the member f of b's residue.  hom(f, f + L)
                 # is the socle of f, and every nonzero a -> b extends to
@@ -296,11 +296,11 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
                 assert base in fund_set, "arrow leaves the fundamental copy by more than one period"
                 connecting.append((a, base, 1))
 
-    labels: dict[tuple[Pt, Pt], str] = {}
+    labels: dict[tuple[int, int, int, int], str] = {}
     arrows = []
     for k, (a, base_dst, shift) in enumerate(sorted(internal + connecting)):
         label = f"a{k}"
-        labels[(a, _moved(base_dst, shift * L))] = label
+        labels[a.slice % L, a.vertex, base_dst.slice + shift * L - a.slice, base_dst.vertex] = label
         arrows.append(PArrow(label, _point_name(a), _point_name(base_dst), shift))
 
     relations = _standard_relations(pq, fund, labels, L)
@@ -323,14 +323,14 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
     ``path[1:] + [nxt]`` is nonzero: a single arrow, or a nonzero composite
     ``path[1] -> path[-1] -> nxt``.  That is at most two composites of at
     most three nodes per extension.  An arrow is labelled as its nu-translate
-    out of the fundamental member of its tail's residue.
+    out of the fundamental member of its tail's residue, which the tail's
+    residue and the head's slice offset and vertex name.
     """
-    home = {(p.slice % L, p.vertex): p.slice for p in fund}
 
     def labels(path) -> tuple[str, ...]:
-        shifts = (a.slice - home[(a.slice % L, a.vertex)] for a in path)
         return tuple(
-            base_labels[(_moved(a, -k), _moved(b, -k))] for a, b, k in zip(path, path[1:], shifts)
+            base_labels[a.slice % L, a.vertex, b.slice - a.slice, b.vertex]
+            for a, b in zip(path, path[1:])
         )
 
     zeros: list[ZeroRel] = []

@@ -592,14 +592,15 @@ def _cones_admissible(group: AdmissibleGroup, tree: DynkinTree) -> bool:
 
 
 def _cone_witness(window: QuiverWindow, rep: dict, points) -> str | None:
-    """The first of ``points`` whose cone meets one orbit twice, with the two
-    cone members, or None."""
+    """The first of ``points`` whose out-cone meets one orbit twice, with the two
+    cone members, or None.  No in-cone of p fails first: tails sort before heads, so
+    if p meets an in-neighbour w, w's out-cone fails; if two meet, (tau p)+ = p- does."""
     for p in points:
-        for cone in ([p, *window.out_nb[p]], [p, *window.in_nb[p]]):
-            keys = [rep[q] for q in cone]
-            if len(set(keys)) < len(cone):
-                j = next(j for j, k in enumerate(keys) if k in keys[:j])
-                return f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
+        cone = [p, *window.out_nb[p]]
+        keys = [rep[q] for q in cone]
+        if len(set(keys)) < len(cone):
+            j = next(j for j, k in enumerate(keys) if k in keys[:j])
+            return f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
     return None
 
 

@@ -14,6 +14,10 @@ lists orbit points by stepping a group's generator, with no closed form.  ``orbi
 configuration, group) triples the orbit test is swept over.
 ``reference_nonzero_path`` is the transporter's path search without its memo
 of popped states, the reference for ``MeshTransporter.nonzero_path``.
+``reference_starting_function`` is ``mesh.starting_function`` as it stood
+before its walk moved onto an int plan of stable points: the dict-keyed
+recurrence over the window's level order, projectives included; it is the
+reference for the plan-based walk.
 ``eager_projective_quiver`` is the projective quiver computed in full, one
 fresh transporter per node, with composites decided by the exact
 ``composite_nonzero``, and ``closure_domain`` the fundamental domain found by
@@ -57,7 +61,7 @@ from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_numb
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, knit_pattern
 from meshknit.linalg import RationalEchelon
-from meshknit.mesh import MeshTransporter
+from meshknit.mesh import HomTable, MeshTransporter
 from meshknit.present import CommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
 from meshknit.ztquiver import (
     AdmissibleGroup,
@@ -309,6 +313,33 @@ def reference_nonzero_path(tr, target):
             if any(nvec):
                 stack.append((q, path + [q], nvec))
     return None
+
+
+def reference_starting_function(tree, x, window=None) -> HomTable:
+    """Hom dimensions from ``x`` by the knitting recurrence, walked over the
+    window's level order: each non-projective point ``z`` gets ``max(0, sum
+    over in-neighbors - value at tau z)``, a projective ``c*`` copies the
+    value at ``c``; the walk stops at the first point two levels above the
+    highest nonzero value.  Without a window, it builds the stable window of
+    slices [x.slice, x.slice + L + 1]."""
+    if window is None:
+        window = build_window(tree, None, x.slice, x.slice + loewy_number(tree) + 1)
+    if x not in window.points:
+        raise WindowTooSmall(f"window does not contain the source {x}")
+    lvl, in_nb, tau, order = window.level, window.in_nb, window.tau, window.order
+    svals: dict[Pt, int] = {x: 1}
+    top = lvl[x]  # the highest level holding a nonzero value
+    for p in order[order.index(x) + 1 :]:
+        if lvl[p] > top + 1:
+            break
+        if p.proj:
+            v = svals.get(Pt(p.slice, p.vertex), 0)
+        else:
+            v = sum(svals.get(w, 0) for w in in_nb[p]) - svals.get(tau.get(p), 0)
+        if v > 0:
+            svals[p] = v
+            top = lvl[p]
+    return HomTable(x, window, svals)
 
 
 def composite_nonzero(tr, p, r, q) -> bool:

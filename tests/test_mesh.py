@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from helpers import (
@@ -6,6 +8,7 @@ from helpers import (
     naive_hom_dim,
     path_exists,
     reference_nonzero_path,
+    reference_starting_function,
 )
 
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
@@ -83,6 +86,7 @@ def test_starting_function_agrees_with_oracle_a3_five_slices():
         for v in tree.vertices:
             x = Pt(0, v)
             table = starting_function(tree, x, w)
+            assert table.dims == reference_starting_function(tree, x, w).dims, (name, x)
             tr = MeshTransporter(w, x)
             for p in sorted(w.points):
                 assert table[p] == tr.dim(p)
@@ -90,8 +94,59 @@ def test_starting_function_agrees_with_oracle_a3_five_slices():
         assert max(dims) == top_dim
 
 
+@pytest.mark.parametrize(
+    "name,config,i_min,i_max",
+    [
+        # the windows of test_transporter_matches_naive_reference
+        ("A3", None, 0, 4),
+        ("A2", [(0, 1), (1, 1)], 0, 4),
+        ("D4", None, 0, 6),
+        ("A2", [(0, 2), (1, 2)], 0, 4),
+        ("A2", [(0, 1), (1, 1)], 0, 8),
+        ("A3", [(0, 1), (1, 2), (2, 3)], 0, 6),
+        # raw residues, unreduced and not a configuration, on shifted windows
+        ("A3", [(5, 1), (-2, 3)], -3, 4),
+        ("D5", [(9, 4), (3, 5), (0, 1)], -2, 7),
+        ("E6", [(1, 6), (12, 3)], 1, 10),
+        # one- and two-slice windows
+        ("A1", [(0, 1)], 0, 0),
+        ("A4", [(0, 2), (3, 4)], 3, 3),
+        ("D4", [(1, 3), (4, 1)], 1, 2),
+        ("E6", None, -1, 0),
+    ],
+)
+def test_starting_function_matches_the_dict_recurrence(name, config, i_min, i_max):
+    """The walk on the int plan equals the dict recurrence over the window's
+    level order (helpers.reference_starting_function) from every point of
+    the window, stable sources on its first slice and projectives on its
+    last included, and each value is the transporter's."""
+    tree = make_tree(name[0], int(name[1]))
+    w = build_window(tree, config, i_min, i_max)
+    for x in sorted(w.points):
+        table = starting_function(tree, x, w)
+        assert table.dims == reference_starting_function(tree, x, w).dims, (name, config, x)
+        tr = MeshTransporter(w, x)
+        assert all(table[p] == tr.dim(p) for p in w.points), (name, config, x)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A5", "D4", "D6", "E6", "E7"])
+def test_starting_function_without_a_window(name):
+    """With no window, both recurrences walk the stable window of slices
+    [x.slice, x.slice + L + 1], from every vertex at slices -1, 0 and 3."""
+    tree = make_tree(name[0], int(name[1]))
+    for i in (-1, 0, 3):
+        for v in tree.vertices:
+            x = Pt(i, v)
+            table, want = starting_function(tree, x), reference_starting_function(tree, x)
+            assert table.dims == want.dims, (name, x)
+            assert (table.window.i_min, table.window.i_max) == (want.window.i_min, want.window.i_max)
+
+
 def _routes_agree(tree, window, source):
+    """The plan-based walk equals the dict recurrence it replaced, and the
+    transporter at every point of the window."""
     table = starting_function(tree, source, window)
+    assert table.dims == reference_starting_function(tree, source, window).dims, (window.config, source)
     tr = MeshTransporter(window, source)
     wrong = [(p, table[p], tr.dim(p)) for p in window.order if table[p] != tr.dim(p)]
     assert not wrong, (window.config, source, wrong[:3])
@@ -294,20 +349,25 @@ def test_one_point_fundamental_algebra_has_no_complete_morphisms():
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
 def test_translated_transporters_match_fresh_builds(name, configs_cache):
-    """ProjectiveQuiver reads every projective through the hom table of its
+    """ProjectiveQuiver reads every projective through the hom row of its
     residue's lift in [0, L), with the query moved down by whole periods.
     hom_dim of every pair of lifts in slices [1, 3L] equals the dimension
     read off a transporter built from scratch at the first of them, in the
-    full window of those slices plus L + 2; there is exactly one table per
-    residue, at its lift in [0, L); and each table's support ends at least
-    two levels below the top of its window, so its walk stopped inside it.
-    The lifts start at slice 1, not at a multiple of L."""
+    full window of those slices plus L + 2; there is exactly one row per
+    residue, and hom and support at its lift read as the dict recurrence on
+    the window [-1, 2L + 1] (helpers.reference_starting_function); and each
+    row's support ends at least two levels below the top of that span, so
+    its walk stopped inside it.  The lifts start
+    at slice 1, not at a multiple of L."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
+    n, depth = tree.rank, tree.depth
     configs = configs_cache(name)
     if name == "E6":
         configs = configs[:40]
     i_lo, i_hi = 1, 3 * L
+    # the level of each row index, the zero slot past the span excluded
+    level = [2 * (j // n - 1) + depth[j % n + 1] for j in range((2 * L + 3) * n)]
     for config in configs:
         pq = ProjectiveQuiver(config)
         nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
@@ -317,11 +377,36 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
             fresh = MeshTransporter(full, p)
             for q in nodes:
                 assert pq.hom_dim(p, q) == (fresh.dim(q) if q != p else 0), (config, p, q)
-        assert sorted(pq._homs) == [Pt(i, x, True) for i, x in sorted(config.residues)], config
-        for table in pq._homs.values():
-            lvl = table.window.level
-            top = max(lvl.values())
-            assert max(lvl[q] for q in table.dims) <= top - 2, (config, table.source)
+        assert sorted(pq._rows) == sorted(config.residues), config
+        window = build_window(tree, config, -1, 2 * L + 1)
+        for i, x in sorted(config.residues):
+            p = Pt(i, x, True)
+            table = reference_starting_function(tree, p, window)
+            assert pq.support(p) == table.support(), (config, p)
+            assert [pq.hom(p, q) for q in window.order] == [table[q] for q in window.order]
+        for (i, x), row in pq._rows.items():
+            assert row[len(level):] == [0], (config, i, x)  # the zero slot
+            top = max(lvl for lvl, v in zip(level, row) if v)
+            assert top <= max(level) - 2, (config, i, x)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_projective_quiver_refuses_other_sources(name, configs_cache):
+    """hom(p, q) and support(p) are for a projective p of the configuration.
+    A projective at another residue, in any nu-translate, and the stable
+    point under a projective of the configuration raise WindowTooSmall."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    config = configs_cache(name)[0]
+    pq = ProjectiveQuiver(config)
+    i, x = min(config.residues)
+    j, y = next((j, y) for j in range(L) for y in tree.vertices if (j, y) not in config.residues)
+    assert pq.hom(Pt(i, x, True), Pt(i, x, True)) == 1
+    for p in (Pt(j, y, True), Pt(j - L, y, True), Pt(j + 2 * L, y, True), Pt(i, x), Pt(i + L, x)):
+        with pytest.raises(WindowTooSmall):
+            pq.hom(p, Pt(p.slice + 1, p.vertex))
+        with pytest.raises(WindowTooSmall):
+            pq.support(p)
 
 
 class _PathMemo(MeshTransporter):
@@ -372,6 +457,31 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
                         continue
                     want = composite_nonzero(tr, p, r, q)
                     assert pq.path_nonzero([p, r, q]) == want, (config, p, r, q)
+
+
+@pytest.mark.parametrize(
+    "name,step", [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("A6", 1), ("D4", 1), ("D5", 1), ("D6", 1), ("E6", 5)]
+)
+def test_path_nonzero_memo_is_order_free_and_periodic(name, step, configs_cache):
+    """path_nonzero keeps a three-node chain by p's residue and the slices
+    of r and q moved down alike.  Over every chain of three distinct lifts
+    in [0, 3L) with rising levels, a fresh quiver asked in order answers as
+    the rule on hom_dim does, and as a quiver warmed in the reversed order;
+    and the nu-translate of the chain by kL, k = -1, 1, 2, answers alike."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    for config in configs_cache(name)[::step]:
+        fresh, warmed = ProjectiveQuiver(config), ProjectiveQuiver(config)
+        nodes = sorted((Pt(i, x, True) for i, x in config.lifts(0, 3 * L - 1)), key=fresh.level)
+        chains = [c for c in combinations(nodes, 3) if fresh.level(c[0]) < fresh.level(c[1]) < fresh.level(c[2])]
+        rule = [bool(fresh.hom_dim(p, r) and fresh.hom_dim(r, q) and fresh.hom_dim(p, q)) for p, r, q in chains]
+        asked = [fresh.path_nonzero(list(c)) for c in chains]
+        assert asked == rule, config
+        backwards = [warmed.path_nonzero(list(c)) for c in reversed(chains)]
+        assert backwards[::-1] == rule, config
+        for k in (-1, 1, 2):
+            moved = [[Pt(q.slice + k * L, q.vertex, True) for q in c] for c in chains]
+            assert [warmed.path_nonzero(c) for c in moved] == rule, (config, k)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
