@@ -167,15 +167,29 @@ def _cmd_mesh(args) -> int:
     dst = _parse_point(args.dst)
     config = _load_config_of(tree, args.config) if args.config else None
     for p in (src, dst):
+        if p.vertex not in tree.vertices:
+            raise InvalidInput(f"point {p} has no vertex {p.vertex} in {tree.name}")
         if p.proj and not (config and config.contains(p.slice, p.vertex)):
             raise InvalidInput(
                 f"projective point {p} needs ({p.slice},{p.vertex}) in the configuration"
             )
-    lo = min(src.slice, dst.slice) - 1
-    hi = max(src.slice, dst.slice) + 1
-    window = build_window(tree, config, lo, hi)
-    print(mesh.hom_dim_oracle(window, src, dst))
+    print(_homdim(tree, config, src, dst))
     return 0
+
+
+def _homdim(tree, config, src: Pt, dst: Pt) -> int:
+    """dim hom(src, dst); 0 with no window unless dst is 0 to 2L levels (2 *
+    slice + depth, +1 at a projective) above src.  Every arrow raises the
+    level by one.  k(Z Delta_C) is selfinjective, so a nonzero src -> dst stays
+    nonzero into some projective-injective d* that dst embeds in (or is), and
+    hom(src, d*) pairs nondegenerately with hom(d* - L, src) into the socle
+    hom(d* - L, d*): d* is at most 2L levels above src, and dst too."""
+    depth = tree.depth
+    rise = 2 * (dst.slice - src.slice) + depth[dst.vertex] + dst.proj - depth[src.vertex] - src.proj
+    if not 0 <= rise <= 2 * loewy_number(tree):
+        return 0
+    window = build_window(tree, config, min(src.slice, dst.slice) - 1, max(src.slice, dst.slice) + 1)
+    return mesh.hom_dim_oracle(window, src, dst)
 
 
 def _cmd_present(args) -> int:

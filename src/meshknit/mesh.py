@@ -19,7 +19,8 @@ vertex of a tree (the C1/C2 test of ``classify`` and the Nakayama map), and
 :class:`ProjectiveQuiver`, one int row of hom(P, -) per nu-orbit of the
 projectives P of k(Z Delta_C).  The transporter, which also carries the
 arrow matrices of the quotient functor, is the exact route behind ``meshknit
-mesh homdim`` and the tests' oracle; the tests check that the two agree.
+mesh homdim`` and the tests' oracle, for hom dimensions and, through the
+natural maps between two transporters, for composites.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ class MeshTransporter:
 
     For every window point ``p`` a basis of the quotient of the path space
     by the mesh relations is fixed, and every arrow ``w -> p`` carries the
-    induced rational matrix.  Classes of concrete paths are obtained by
-    multiplying those matrices; a class is a list of exact scalars (``int``
-    or ``Fraction``), and the class of the source is ``[1]``.
+    induced rational matrix.  The basis at ``p`` is the free columns of the
+    path space, each a basis vector j at an in-neighbour w pushed along
+    w -> p; ``free_cols[p]`` lists those (w, j).  A class is a list of exact
+    scalars (``int`` or ``Fraction``), and the class of the source is ``[1]``.
     """
 
     def __init__(self, window: QuiverWindow, source: Pt):
@@ -124,6 +126,7 @@ class MeshTransporter:
         self.source = source
         self.dims: dict[Pt, int] = {source: 1}  # nonzero dimensions only
         self.arrow_matrix: dict[tuple[Pt, Pt], list[list[Scalar]]] = {}
+        self.free_cols: dict[Pt, list[tuple[Pt, int]]] = {}  # in level order
         lvl, order, dims = window.level, window.order, self.dims
         top = lvl[source]  # the highest level of nonzero dimension
         for p in order[order.index(source) + 1 :]:
@@ -132,13 +135,8 @@ class MeshTransporter:
             ins = [w for w in sorted(window.in_nb[p]) if w in dims]
             if not ins:
                 continue
-            widths = [dims[w] for w in ins]
-            total = sum(widths)
-            offsets = {}
-            run = 0
-            for w, d in zip(ins, widths):
-                offsets[w] = run
-                run += d
+            cols = [(w, j) for w in ins for j in range(dims[w])]  # the path-space columns
+            total, offsets = len(cols), {w: c for c, (w, j) in enumerate(cols) if j == 0}
             ech = RationalEchelon()
             tz = None if p.proj else window.tau.get(p)
             if tz in dims:
@@ -155,15 +153,16 @@ class MeshTransporter:
             if not free:
                 continue
             dims[p] = len(free)
+            self.free_cols[p] = [cols[c] for c in free]
             top = lvl[p]
             # the quotient map: e_c for a free column c, -row_c for a pivot one
             quot = [
                 [-piv[c].get(f, 0) if c in piv else int(c == f) for c in range(total)]
                 for f in free
             ]
-            for w, d in zip(ins, widths):
+            for w in ins:
                 off = offsets[w]
-                self.arrow_matrix[(w, p)] = [row[off : off + d] for row in quot]
+                self.arrow_matrix[(w, p)] = [row[off : off + dims[w]] for row in quot]
 
     def dim(self, p: Pt) -> int:
         return self.dims.get(p, 0)
@@ -173,43 +172,6 @@ class MeshTransporter:
         if mat is None:
             return [0] * self.dims.get(b, 0)
         return [sum(x * y for x, y in zip(row, vec)) for row in mat]
-
-    def transport(self, vec: list[Scalar], path: list[Pt]) -> list[Scalar]:
-        """Push a class at ``path[0]`` along a path."""
-        for a, b in zip(path, path[1:]):
-            vec = self.apply_arrow(a, b, vec)
-            if not any(vec):
-                return vec
-        return vec
-
-    def _reaching(self, target: Pt) -> set[Pt]:
-        """Points of nonzero dimension with a path to ``target`` through such points."""
-        in_nb, dims = self.window.in_nb, self.dims
-        return reach([target], lambda p: (w for w in in_nb[p] if dims.get(w, 0) > 0))
-
-    def nonzero_path(self, target: Pt) -> list[Pt] | None:
-        """The lexicographically smallest path with nonzero class, if any.  A
-        depth-first search; it skips a (point, class) state popped before,
-        since the quiver is acyclic and every path through its first pop failed."""
-        if self.dim(target) == 0:
-            return None
-        reaches = self._reaching(target)
-        stack = [(self.source, [self.source], [1])]
-        popped = set()
-        while stack:
-            p, path, vec = stack.pop()
-            if p == target:
-                return path
-            state = (p, tuple(vec))
-            if state in popped:
-                continue
-            popped.add(state)
-            succ = sorted((q for q in self.window.out_nb[p] if q in reaches), reverse=True)
-            for q in succ:
-                nvec = self.apply_arrow(p, q, vec)
-                if any(nvec):
-                    stack.append((q, path + [q], nvec))
-        return None
 
 
 def hom_dim_oracle(window: QuiverWindow, x: Pt, y: Pt) -> int:
@@ -325,6 +287,7 @@ class ProjectiveQuiver:
         self._out: dict[Pt, list[Pt]] = _OnDemand(self._arrows_from)
         self.out_nb: dict[Pt, list[Pt]] = _OnDemand(self._moved_out)
         self.in_nb: dict[Pt, list[Pt]] = _OnDemand(self._arrows_into)
+        self._tails: dict[tuple[int, int], list[Pt]] = {}  # by head residue, see _arrows_into
 
     def level(self, p: Pt) -> int:
         return 2 * p.slice + self._depth[p.vertex] + 1
@@ -368,12 +331,12 @@ class ProjectiveQuiver:
         It is when every consecutive hom is nonzero and so is hom(chain[0],
         q) for every later q.  Hom spaces between nodes are at most
         one-dimensional, and a composite of basis maps is zero or a basis map
-        (Bautista-Gabriel-Roiter-Salmeron, 1985).  That the composite
-        p -> r -> q of basis maps is nonzero exactly when hom(p, q) is
-        nonzero is checked, not derived: the test suite compares it with the
-        exact composite of :class:`MeshTransporter` classes on every such
-        chain of three periods of the configurations it sweeps.  A repeated
-        node (hom(q, q) = 0 here) makes a zero chain.  Three-node chains are memoised.
+        (Bautista-Gabriel-Roiter-Salmeron, 1985); so a nonzero p -> r -> q
+        needs hom(p, q) != 0.  That it is then nonzero is checked, not derived:
+        the tests compare it with the natural map hom(r, -) -> hom(p, -) that
+        p -> r induces, nonzero at q, on the chains of three periods and those
+        the relation search extends.  A repeated node (hom(q, q) = 0 here)
+        makes a zero chain.  Three-node chains are memoised.
         """
         if len(chain) != 3:
             return self._nonzero(chain)
@@ -404,14 +367,19 @@ class ProjectiveQuiver:
         ]
 
     def _arrows_into(self, q: Pt) -> list[Pt]:
-        """The sorted tails of the arrows into q: each arrow out of a lift in
-        [0, L) that ends in q's nu-orbit, moved to end at q."""
-        return sorted(
-            Pt(p.slice + q.slice - r.slice, p.vertex, True)
-            for p in self._lifts
-            for r in self._out[p]
-            if r.vertex == q.vertex and (r.slice - q.slice) % self._period == 0
-        )
+        """The sorted tails of the arrows into q.  The first call inverts the
+        arrows out of every lift, keyed by the residue of the head, each tail
+        moved to end at the head's lift in [0, L); a call moves them up to q."""
+        tails = self._tails
+        if not tails:
+            for p in self._lifts:
+                for r in self._out[p]:
+                    i = r.slice % self._period
+                    tails.setdefault((i, r.vertex), []).append(Pt(p.slice + i - r.slice, p.vertex, True))
+            for ps in tails.values():
+                ps.sort()
+        k = q.slice - q.slice % self._period
+        return [Pt(p.slice + k, p.vertex, True) for p in tails.get((q.slice - k, q.vertex), ())]
 
     def complete_pairs(self, members) -> list[tuple[Pt, Pt]]:
         """All pairs (p, q) of a fundamental set carrying a complete morphism.

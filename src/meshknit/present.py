@@ -164,18 +164,22 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
 
 def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     """All connected convex nu-transversal projective sets, up to
-    nu-translation, searched among the lifts of the residues to three periods."""
+    nu-translation: those whose least slice lies in [0, L).  No slice bound
+    is needed: such a set is connected and has a member in [0, L), so it
+    grows from that lift one quiver neighbour at a time, each of a new residue
+    and of slice >= 0; the shape test keeps the convex sets so grown."""
     pq = projective_quiver(config)
     L = loewy_number(config.tree)
-    residues = sorted(config.residues)
-    out = []
-    for shifts in itertools.product(range(3), repeat=len(residues)):
-        if min(shifts) != 0:
-            continue
-        cand = tuple(sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts)))
-        if _shape_defect(pq, cand) is None:
-            out.append(cand)
-    return sorted(out)
+    grown = {frozenset([Pt(i, x, True)]) for i, x in config.residues}
+    for _ in range(config.tree.rank - 1):
+        grown = {
+            s | {q}
+            for s in grown
+            for p in s
+            for q in pq.out_nb[p] + pq.in_nb[p]
+            if q.slice >= 0 and not any(r.vertex == q.vertex and (r.slice - q.slice) % L == 0 for r in s)
+        }
+    return sorted(c for c in map(tuple, map(sorted, grown)) if _shape_defect(pq, c) is None)
 
 
 def _fundamental_ends(config: Configuration, fund, side: str) -> list[Pt]:
@@ -325,6 +329,12 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
     most three nodes per extension.  An arrow is labelled as its nu-translate
     out of the fundamental member of its tail's residue, which the tail's
     residue and the head's slice offset and vertex name.
+
+    No length cut is needed: no nonzero path has more than L arrows.  An
+    arrow c* -> d* raises the level by at least 2 (a map out of c* factors
+    through its one arrow, c* -> tau^-1 c, and d* != tau^-1 c); and a nonzero
+    path p -> ... -> q has hom(p, q) != 0, which pairs nondegenerately with
+    hom(q, p + L) into the socle hom(p, p + L), so q is at most 2L levels up.
     """
 
     def labels(path) -> tuple[str, ...]:
@@ -334,14 +344,12 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
         )
 
     zeros: list[ZeroRel] = []
-    nonzero_paths: dict[tuple[Pt, Pt], list[tuple[Pt, ...]]] = {}
+    parallel: dict[tuple[Pt, Pt], list[tuple[Pt, ...]]] = {}  # nonzero paths by ends
 
     def explore(path: list[Pt]):
         p, last = path[0], path[-1]
         if len(path) > 1:
-            nonzero_paths.setdefault((p, last), []).append(tuple(path))
-        if len(path) - 1 > L + 1:
-            return
+            parallel.setdefault((p, last), []).append(tuple(path))
         for nxt in pq.out_nb[last]:
             cand = path + [nxt]
             if pq.path_nonzero([p, nxt] if len(path) == 1 else [p, last, nxt]):
@@ -353,7 +361,7 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
         explore([p])
 
     commutes: set[CommuteRel] = set()
-    for (p, q), paths in sorted(nonzero_paths.items()):
+    for (p, q), paths in sorted(parallel.items()):
         if len(paths) < 2:
             continue
         for u, v in itertools.combinations(sorted(paths), 2):

@@ -147,8 +147,11 @@ class Configuration:
             data = json.loads(text)
             tree = make_tree(data["tree"]["family"], _json_int(data["tree"]["rank"]))
             points = {(_json_int(i), _json_int(x)) for i, x in data["points"]}
+            period = _json_int(data.get("period", loewy_number(tree)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed configuration JSON: {type(exc).__name__} {exc}") from None
+        if period != loewy_number(tree):
+            raise InvalidInput(f"period {period} is not L = {loewy_number(tree)} of {tree.name}")
         return Configuration(tree, points)
 
 

@@ -12,20 +12,22 @@ test as it stood before the orbit map, ``reference_witness`` the orbit map's
 cone refusal as it stood before the band scan, and ``orbit_by_iteration``
 lists orbit points by stepping a group's generator, with no closed form.  ``orbit_cases`` lists the (tree,
 configuration, group) triples the orbit test is swept over.
-``reference_nonzero_path`` is the transporter's path search without its memo
-of popped states, the reference for ``MeshTransporter.nonzero_path``.
 ``reference_starting_function`` is ``mesh.starting_function`` as it stood
 before its walk moved onto an int plan of stable points: the dict-keyed
 recurrence over the window's level order, projectives included; it is the
 reference for the plan-based walk.
+``natural_map`` is the map hom(r, -) -> hom(p, -) that a morphism p -> r
+induces, built from the transporters of p and r with no path search, and
+``composite_nonzero`` pushes the class of a chain of projectives through it
+one node at a time: the exact oracle for ``ProjectiveQuiver.path_nonzero``.
 ``eager_projective_quiver`` is the projective quiver computed in full, one
-fresh transporter per node, with composites decided by the exact
+fresh transporter per node, with composites decided by
 ``composite_nonzero``, and ``closure_domain`` the fundamental domain found by
 two reachability closures in a window; they are the references for the
 on-demand ``ProjectiveQuiver`` and the closed-form
 ``fundamental_domain_points``.  ``reference_standard_relations`` finds the
-relations of a periodic presentation by transporting the whole class of every
-labelled path, the reference for the relation search of ``quiver_of_AC``.
+relations of a periodic presentation by deciding every labelled path as a
+whole chain, the reference for the relation search of ``quiver_of_AC``.
 ``edge_rule_section`` orients a section edge by edge from slice differences,
 and ``greedy_knit_toward`` knits by moving the least movable live orbit one
 step at a time; they are the references for the level function of
@@ -50,7 +52,7 @@ minimum over the generator's powers.
 """
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, starmap
 
 import networkx as nx
@@ -61,7 +63,7 @@ from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_numb
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, knit_pattern
 from meshknit.linalg import RationalEchelon
-from meshknit.mesh import HomTable, MeshTransporter
+from meshknit.mesh import HomTable, MeshTransporter, _OnDemand
 from meshknit.present import CommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
 from meshknit.ztquiver import (
     AdmissibleGroup,
@@ -295,26 +297,6 @@ def orbit_cases(configs):
             yield tree, config, AdmissibleGroup(0, glide=True)
 
 
-def reference_nonzero_path(tr, target):
-    """``MeshTransporter.nonzero_path`` as it stood before it skipped states
-    already popped: a plain depth-first search over whole paths in the
-    transporter ``tr``, exponential on E8, the reference for the path found."""
-    if tr.dim(target) == 0:
-        return None
-    reaches = tr._reaching(target)
-    stack = [(tr.source, [tr.source], [1])]
-    while stack:
-        p, path, vec = stack.pop()
-        if p == target:
-            return path
-        succ = sorted((q for q in tr.window.out_nb[p] if q in reaches), reverse=True)
-        for q in succ:
-            nvec = tr.apply_arrow(p, q, vec)
-            if any(nvec):
-                stack.append((q, path + [q], nvec))
-    return None
-
-
 def reference_starting_function(tree, x, window=None) -> HomTable:
     """Hom dimensions from ``x`` by the knitting recurrence, walked over the
     window's level order: each non-projective point ``z`` gets ``max(0, sum
@@ -342,30 +324,62 @@ def reference_starting_function(tree, x, window=None) -> HomTable:
     return HomTable(x, window, svals)
 
 
-def composite_nonzero(tr, p, r, q) -> bool:
-    """Is the composite p -> r -> q of projectives nonzero, for nonzero
-    hom(p, r) and hom(r, q)?  ``tr`` maps a node to its transporter.  The
-    class of p's representative path to r is pushed along r's representative
-    path to q, in p's transporter."""
-    first, second = tr[p].nonzero_path(r), tr[r].nonzero_path(q)
-    return any(tr[p].transport(tr[p].transport([1], first), second))
+def natural_map(tr_p, tr_r, v=(1,)) -> dict:
+    """The natural map hom(r, -) -> hom(p, -) induced by the morphism p -> r
+    whose class in ``tr_p`` at r is ``v``, for transporters ``tr_p`` and
+    ``tr_r`` on one window.  At each point z of r's support it is a list of
+    columns, one per basis vector of hom(r, z), each a class of ``tr_p`` at z.
+
+    It is built in r's level order from ``[v]`` at r.  A basis vector f at z
+    is the image of a basis vector j at an in-neighbour w
+    (``tr_r.free_cols``), and naturality gives M_z e_f = A^p_{w->z} M_w e_j,
+    with A^p the arrow matrix of ``tr_p``.  No path is searched."""
+    cols = {tr_r.source: [list(v)]}
+    for z, basis in tr_r.free_cols.items():
+        cols[z] = [tr_p.apply_arrow(w, z, cols[w][j]) for w, j in basis]
+    return cols
+
+
+def composite_nonzero(tr, chain, memo=None) -> bool:
+    """Is the composite of basis maps along a chain of projectives nonzero?
+    ``tr`` maps a node to its transporter, all on one window.  The class [1]
+    of chain[0] -> chain[1] is pushed one node at a time: at each later node
+    r, the natural map of chain[0] -> r, induced by the class so far, takes
+    the basis of hom(r, q) to the class of the chain up to the next node q.
+    ``memo`` keeps the natural maps by (chain[0], r, class)."""
+    memo = {} if memo is None else memo
+    p = chain[0]
+    v = [1] if tr[p].dim(chain[1]) else [0]
+    for r, q in zip(chain[1:], chain[2:]):
+        if not any(v):
+            return False
+        key = (p, r, tuple(v))
+        if key not in memo:
+            memo[key] = natural_map(tr[p], tr[r], v)
+        cols = memo[key].get(q)
+        if not cols:  # hom(r, q) = 0
+            return False
+        v = cols[0]
+    return any(v)
 
 
 def eager_projective_quiver(config, i_lo: int, i_hi: int):
     """hom, arrows, out_nb and in_nb among the projective lifts in slices
     [i_lo, i_hi], every pair computed: one fresh transporter per node, all hom
-    values, and the radical-square test on every nonzero pair, composing the
-    classes of both representative paths.  hom values are not bounded here."""
+    values, and the radical-square test on every nonzero pair, deciding each
+    composite by the natural map (``composite_nonzero``).  hom values are not
+    bounded here."""
     L = loewy_number(config.tree)
     window = build_window(config.tree, config, i_lo - 1, i_hi + L + 2)
     nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
     tr = {p: MeshTransporter(window, p) for p in nodes}
     hom = {(p, q): tr[p].dim(q) for p in nodes for q in nodes if q != p and tr[p].dim(q)}
+    memo = {}
     arrows = [
         (p, q)
         for p, q in sorted(hom)
         if not any(
-            (p, r) in hom and (r, q) in hom and composite_nonzero(tr, p, r, q)
+            (p, r) in hom and (r, q) in hom and composite_nonzero(tr, [p, r, q], memo)
             for r in nodes
             if r not in (p, q)
         )
@@ -392,12 +406,11 @@ def reference_standard_relations(config, pres) -> tuple:
     """The relations of a periodic presentation from ``quiver_of_AC``, found
     again from its arrows alone.
 
-    Every labelled path from the base copy with at most L + 2 arrows is
-    decided by transporting the whole chain's class from its first node along
-    the representative paths of its steps, in fresh transporters, one per
-    node.  A zero path is a relation when dropping its first or its last
-    arrow leaves a nonzero path; a zero path is not extended, since every
-    extension has a zero prefix.  Nonzero paths with the same ends, apart at
+    Every labelled path from the base copy is decided as a whole chain by
+    ``composite_nonzero``, in fresh transporters, one per node.  A zero path
+    is a relation when dropping its first or its last arrow leaves a nonzero
+    path; a zero path is not extended, since every extension has a zero
+    prefix, and no length is cut off.  Nonzero paths with the same ends, apart at
     both ends, commute.  Zero relations come in walk order, the first of
     equal label paths kept; commutativity relations sorted.
     """
@@ -420,24 +433,7 @@ def reference_standard_relations(config, pres) -> tuple:
             if ka in nodes and kb in nodes:
                 label[(ka, kb)] = a.label
 
-    @cache
-    def transporter(p):
-        return MeshTransporter(window, p)
-
-    @cache
-    def segment(r, q):
-        return transporter(r).nonzero_path(q)
-
-    def nonzero(chain):
-        vec = [1]
-        for r, q in zip(chain, chain[1:]):
-            path = segment(r, q)
-            if path is None:
-                return False
-            vec = transporter(chain[0]).transport(vec, path)
-            if not any(vec):
-                return False
-        return True
+    tr, memo = _OnDemand(lambda p: MeshTransporter(window, p)), {}
 
     def labels(chain):
         return tuple(label[(a, b)] for a, b in zip(chain, chain[1:]))
@@ -447,11 +443,10 @@ def reference_standard_relations(config, pres) -> tuple:
     def walk(chain):
         for nxt in sorted(b for a, b in label if a == chain[-1]):
             longer = chain + (nxt,)
-            if nonzero(longer):
+            if composite_nonzero(tr, longer, memo):
                 parallel.setdefault((longer[0], nxt), []).append(longer)
-                if len(longer) - 1 < L + 2:
-                    walk(longer)
-            elif nonzero(longer[1:]):
+                walk(longer)
+            elif composite_nonzero(tr, longer[1:], memo):
                 zeros.append(ZeroRel(labels(longer)))
 
     for p in fund:

@@ -17,7 +17,7 @@ from meshknit.cli import run
 from meshknit.dotio import serialize_dot
 from meshknit.errors import UnsupportedObject
 from meshknit.ztquiver import build_window, equioriented_section
-from meshknit.dynkin import make_tree
+from meshknit.dynkin import loewy_number, make_tree
 from meshknit.knitting import knit_and_knot
 
 
@@ -129,6 +129,43 @@ def test_mesh_homdim_projective_points(tmp_path, capsys):
         code, _, err = run_capture(capsys, homdim + ["--from", "0,2,p"] + extra)
         assert code == 2
         assert err.startswith("error[INVALID_INPUT]: projective point 0_2_P "), err
+
+
+@pytest.mark.parametrize("far", [10**9, -(10**9)])
+def test_mesh_homdim_far_apart_builds_no_window(capsys, monkeypatch, far):
+    """10**9 slices apart in either direction, hom is 0, answered without a
+    window (a window over the distance would not fit in memory)."""
+    from meshknit import cli
+
+    monkeypatch.setattr(cli, "build_window", None)
+    argv = ["mesh", "homdim", "--tree", "A2", "--from", "0,1", f"--to={far},1"]
+    assert run_capture(capsys, argv)[:2] == (0, "0\n")
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4"])
+def test_mesh_homdim_band_matches_the_full_window(name, configs_cache):
+    """The band answer of ``meshknit mesh homdim`` equals the transporter on
+    one window 2L + 5 slices either side of the source, for every source in
+    slices [0, L), stable or projective, and every target up to 2L + 4 slices
+    away; without a configuration and with the first one.  Some target sits
+    on the band's top edge, 2L levels up."""
+    from meshknit.cli import _homdim
+    from meshknit.mesh import MeshTransporter
+
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    far = 2 * L + 4
+    level = lambda p: 2 * p.slice + tree.depth[p.vertex] + p.proj
+    top = 0
+    for config in (None, configs_cache(name)[0]):
+        for src in sorted(p for p in build_window(tree, config, 0, L - 1).points):
+            full = build_window(tree, config, src.slice - far - 1, src.slice + far + 1)
+            tr = MeshTransporter(full, src)
+            for dst in sorted(p for p in full.points if abs(p.slice - src.slice) <= far):
+                assert _homdim(tree, config, src, dst) == tr.dim(dst), (config, src, dst)
+                if tr.dim(dst):
+                    top = max(top, level(dst) - level(src))
+    assert top == 2 * L
 
 
 def test_present_json_and_dot(tmp_path, capsys):
@@ -277,7 +314,16 @@ MALFORMED = [
         ["mesh", "homdim", "--tree", "D4", "--from", "0,2,p", "--to", "1,2"], None,
         id="homdim-projective-without-config",
     ),
+    # a vertex outside the tree has no level to bound the band by
+    pytest.param(
+        ["mesh", "homdim", "--tree", "A2", "--from", "0,0", "--to", "1,1"], None, id="homdim-bad-vertex"
+    ),
     pytest.param(["present", "--config"], "not json", id="present-not-json"),
+    pytest.param(
+        ["configs", "check", "--file"],
+        json.dumps({"tree": {"family": "A", "rank": 2}, "period": 99, "points": [[0, 1], [1, 1]]}),
+        id="check-wrong-period",
+    ),
     # --config must be a configuration of --tree
     pytest.param(
         ["quotient", "--tree", "A3", "--group", "tau^4", "--range=0,12", "--config"], D4_CONFIG,

@@ -5,6 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import natural_map
+
 from meshknit.dynkin import loewy_number
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import MeshTransporter
@@ -95,7 +97,10 @@ def test_echelon_stays_reduced_and_matches_the_partial_reference(case):
 
 
 def test_transporter_classes_are_exact(configs_cache):
-    """Arrow matrices and path classes hold ints or Fractions, never floats."""
+    """Arrow matrices and the natural maps between transporters hold ints or
+    Fractions, never floats: from each point of slice 0 to every point of
+    nonzero dimension, the map that the basis morphism induces on the hom
+    functor of its target."""
     for name in ("A3", "D4", "E6"):
         config = configs_cache(name)[0]
         tree = config.tree
@@ -104,8 +109,6 @@ def test_transporter_classes_are_exact(configs_cache):
             tr = MeshTransporter(w, x)
             for mat in tr.arrow_matrix.values():
                 assert all(_exact(v) for row in mat for v in row)
-            for y in w.points:
-                path = tr.nonzero_path(y)
-                if path is not None:
-                    vec = tr.transport([1], path)
-                    assert any(vec) and all(_exact(v) for v in vec)
+            for y in sorted(tr.dims):
+                for cols in natural_map(tr, MeshTransporter(w, y), [1] * tr.dim(y)).values():
+                    assert all(_exact(v) for col in cols for v in col)

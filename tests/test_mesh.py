@@ -7,7 +7,6 @@ from helpers import (
     eager_projective_quiver,
     naive_hom_dim,
     path_exists,
-    reference_nonzero_path,
     reference_starting_function,
 )
 
@@ -409,17 +408,6 @@ def test_projective_quiver_refuses_other_sources(name, configs_cache):
             pq.support(p)
 
 
-class _PathMemo(MeshTransporter):
-    """A transporter that keeps each representative path it finds: a chain
-    reads the path p -> r once for every q, and on E8 the search is slow."""
-
-    def nonzero_path(self, target):
-        paths = self.__dict__.setdefault("_paths", {})
-        if target not in paths:
-            paths[target] = super().nonzero_path(target)
-        return paths[target]
-
-
 @pytest.mark.parametrize(
     "name,step",
     [
@@ -432,31 +420,53 @@ class _PathMemo(MeshTransporter):
     ],
 )
 def test_composite_rule_matches_transporter(name, step, configs_cache):
-    """path_nonzero decides a three-node chain p -> r -> q by hom dimensions
-    alone: with hom(p, r) and hom(r, q) nonzero, the composite is nonzero
-    exactly when hom(p, q) is.  Here it is compared with the exact composite
-    of transporter classes (helpers.composite_nonzero) for every p in the base
-    period and every r, q among the lifts to three periods, in fresh
-    transporters over the full window of those slices plus L + 2."""
+    """path_nonzero decides a chain by hom dimensions alone.  Here it is
+    compared with the exact composite, pushed through natural maps of fresh
+    transporters over the full window of three periods plus L + 2
+    (helpers.composite_nonzero).  First on every three-node chain p -> r -> q
+    with hom(p, r) and hom(r, q) nonzero, for every p in the base period and
+    every r, q among the lifts to three periods.  Then on every chain the
+    relation search extends: from each p in the base period along quiver
+    arrows, every nonzero chain and each one-arrow extension of it, both as a
+    whole chain and as the three-node chain the search asks.  No nonzero
+    chain has more than L arrows (present._standard_relations relies on it),
+    and on A_n some configuration has one of exactly L."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     i_lo, i_hi = 1, 3 * L
+    longest = 0
     for config in configs_cache(name)[::step]:
         pq = ProjectiveQuiver(config)
         nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
         full = build_window(tree, config, i_lo - 1, i_hi + L + 2)
-        tr = _OnDemand(lambda p: _PathMemo(full, p))
-        for p in nodes:
-            if p.slice >= i_lo + L:
-                continue
+        tr, memo = _OnDemand(lambda p: MeshTransporter(full, p)), {}
+        base = [p for p in nodes if p.slice < i_lo + L]
+        for p in base:
             for r in nodes:
                 if r == p or not tr[p].dim(r):
                     continue
                 for q in nodes:
                     if q == r or not tr[r].dim(q):
                         continue
-                    want = composite_nonzero(tr, p, r, q)
+                    want = composite_nonzero(tr, [p, r, q], memo)
                     assert pq.path_nonzero([p, r, q]) == want, (config, p, r, q)
+
+        def extend(chain):
+            nonlocal longest
+            for nxt in pq.out_nb[chain[-1]]:
+                longer = chain + [nxt]
+                want = composite_nonzero(tr, longer, memo)
+                assert pq.path_nonzero(longer) == want, (config, longer)
+                asked = [chain[0], nxt] if len(chain) == 1 else [chain[0], chain[-1], nxt]
+                assert pq.path_nonzero(asked) == want, (config, longer)
+                if want:
+                    longest = max(longest, len(longer) - 1)
+                    extend(longer)
+
+        for p in base:
+            extend([p])
+    assert longest <= L
+    assert longest == L or tree.family != "A", longest
 
 
 @pytest.mark.parametrize(
@@ -509,18 +519,3 @@ def test_on_demand_quiver_matches_eager_reference(name, configs_cache):
         assert {(p, q): d for p in nodes for q in nodes if (d := pq.hom_dim(p, q))} == hom, config
         node_set = set(nodes)
         assert [(p, q) for p in nodes for q in pq.out_nb[p] if q in node_set] == arrows, config
-
-
-@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5"])
-def test_nonzero_path_matches_plain_search(name, configs_cache):
-    """The path search that skips popped (point, class) states finds the path
-    the plain depth-first search finds (helpers.reference_nonzero_path), from
-    every projective lift in [0, L) to every point of nonzero dimension."""
-    tree = make_tree(name[0], int(name[1]))
-    L = loewy_number(tree)
-    for config in configs_cache(name):
-        window = build_window(tree, config, -1, 2 * L + 1)
-        for i, x in sorted(config.residues):
-            tr = MeshTransporter(window, Pt(i, x, True))
-            for q in sorted(tr.dims):
-                assert tr.nonzero_path(q) == reference_nonzero_path(tr, q), (config, tr.source, q)

@@ -72,6 +72,43 @@ def test_fundamental_algebras_contains_pattern_and_chain(fig4):
     assert all(len(f) == 7 for f in fas)
 
 
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4"])
+def test_fundamental_algebras_match_a_wide_lift_search(name, configs_cache):
+    """The growth search equals the search over every lift of the residues
+    to shifts 0..4 periods with least shift 0, kept by the shape test.  On
+    A5 two algebras have a member three periods up, past the three-period
+    lift the search used before; it returned 453 of the 455."""
+    from meshknit.mesh import projective_quiver
+
+    L = loewy_number(make_tree(name[0], int(name[1])))
+    shift3 = 0
+    for config in configs_cache(name):
+        pq, residues = projective_quiver(config), sorted(config.residues)
+        want = []
+        for shifts in itertools.product(range(5), repeat=len(residues)):
+            cand = tuple(sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts)))
+            if min(shifts) == 0 and _shape_defect(pq, cand) is None:
+                want.append(cand)
+                shift3 += max(shifts) == 3
+        assert fundamental_algebras(config) == sorted(want), config
+    assert shift3 == (2 if name == "A5" else 0)
+
+
+@pytest.mark.parametrize(
+    "name,step",
+    [("A3", 1), ("A4", 1), ("A5", 1), ("A6", 1), ("D4", 1), ("D5", 1), ("D6", 1), ("E6", 5)],
+)
+def test_fundamental_algebras_move_with_the_configuration(name, step, configs_cache):
+    """tau^-1 moves every fundamental algebra of C one slice up, onto one of
+    tau^-1 C, and the search finds exactly those."""
+    from meshknit.present import _normalize_min_shift
+
+    for config in configs_cache(name)[::step]:
+        moved = {_normalize_min_shift(config, [Pt(p.slice + 1, p.vertex, True) for p in f])
+                 for f in fundamental_algebras(config)}
+        assert fundamental_algebras(config.shifted(-1)) == sorted(moved), config
+
+
 def test_fundamental_algebra_validation_rejects_garbage(fig4):
     _, _, _, config = fig4
     with pytest.raises(NotFundamental):
