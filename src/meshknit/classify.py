@@ -189,10 +189,10 @@ def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
     For A these are the pedigree vectors.  Otherwise each configuration is
     tau^k g C, for a seed C and an extended automorphism g, and has on S the
     dimensions of C on g^-1(S + k): cells of the carpet knitting C forward
-    from S.  The carpet holds S + j for 0 <= j <= 2L at least, and g^-1
-    shifts slices by at most 2, so one period of k from the least k that
-    keeps every shift at or above S fits.  On S the carpet's cell (j, x) is
-    the vector after pass j at vertex x."""
+    from S.  The run knits exactly 2L passes (``knitting._knit_knots``), so
+    the carpet holds S + j for 0 <= j <= 2L; g^-1 shifts slices by at most 2,
+    so one period of k from the least k that keeps every shift at or above S
+    fits.  On S the carpet's cell (j, x) is the vector after pass j at x."""
     if tree.family == "A":
         return set(_pattern_vectors(tree))
     L = loewy_number(tree)
@@ -203,9 +203,9 @@ def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
     reads = [[(g.shift[v], g.perm[v] - 1) for v in tree.vertices] for g in inverses]
     out = set()
     for vec in _pattern_vectors(tree):
-        vectors = _knit_knots(tree, section, vec)[3]
+        vectors = _knit_knots(tree, section, vec)[2]
         # the passes read, k + j, lie in [0, L + 3] as shifts lie in [-2, 2]
-        # and L >= 5 here: inside the carpet's 2L + 1 passes, none wrapping
+        # and L >= 5 here: inside the run's 2L passes, none wrapping
         assert 0 <= k0 + min(shifts) and k0 + L - 1 + max(shifts) < len(vectors)
         for read in reads:
             for k in range(k0, k0 + L):
@@ -281,8 +281,8 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
     """All configurations of the tree, by knitting patterns or brute force.
 
     Both methods return the same set; the test suite cross-validates them.
-    Brute force reads only the axioms C1 and C2 and is the faster method
-    (about 0.7 s against 1.5 s for E8); patterns knits each seed once.
+    Brute force reads only the axioms C1 and C2 and is the faster method on
+    E8 (timings in the README); patterns knits each seed once.
     """
     if method == "patterns":
         residue_sets = _enumerate_patterns(tree)

@@ -5,9 +5,12 @@ Dimension vectors propagate across sections by mesh additivity: at a source
 ``s >= 1`` knits (the orbit continues with value ``s``), ``s <= 0`` knots:
 the section point joins the configuration and a projective-injective of
 dimension ``d(x) + 1`` is inserted, after which the orbit continues with the
-old value.  Iterating through full source enumerations turns a valid vector
-into a periodic carpet whose knot points form the configuration; reading
-dimensions off a section of a configuration inverts the construction.
+old value.  One level-ordered pass, ``_knit``, serves both uses: run forward
+with knots for 2L passes it turns a pattern vector into a periodic carpet
+whose knots form the configuration; run backward and forward with a count of
+-1 ending the orbit, within L passes, it finds the pattern's projectives and
+injectives.  Reading dimensions off a section of a configuration inverts the
+construction.
 """
 
 from __future__ import annotations
@@ -95,50 +98,57 @@ class Pattern:
         return frozenset(self.dims)
 
 
-def _knit_toward(
-    tree: DynkinTree, section: Section, dims: Vec, d: int, budget: int
-) -> tuple[set[Pt], dict[Pt, int]]:
-    """Knit from the section backward (``d = -1``) or forward (``d = 1``)
-    until every orbit has ended; return the end points and all dimensions.
+@lru_cache(maxsize=None)
+def _sweep(section: Section, d: int) -> tuple:
+    """``(index, slice, neighbour indices)`` of each vertex in the source order
+    of ``plus_admissible_enumeration``; reversed for ``d = -1``, a sink order."""
+    slices, nbrs = section.levels, section.tree.neighbors
+    order = plus_admissible_enumeration(section)[::d]
+    return tuple((x - 1, slices[x - 1], tuple(y - 1 for y in nbrs[x])) for x in order)
 
-    Each pass moves every live orbit once, in the order of ``(d * level,
-    vertex)``; the forward order is the one ``knit_run`` sweeps.  A pass
-    moves every live orbit two levels, so the order never changes, and when
-    an orbit moves from level ``l`` its live neighbours all sit at level
-    ``l + d``: those at ``l - d`` came earlier in the pass.  The mesh reads
-    the neighbour over ``y`` at level ``l + d``, on slice
-    ``(l + d - depth(y)) / 2``; an ended neighbour that never reached it
-    counts 0.
+
+def _knit(section: Section, dims: Vec, d: int, passes: int, knots: list | None = None) -> list[Vec]:
+    """The vector before and after each of at most ``passes`` passes of
+    ``_sweep(section, d)``, backward (``d = -1``) or forward (``d = 1``).
+
+    Each orbit moves by its mesh count s: s >= 1 knits.  A count of -1 knots
+    when a ``knots`` list is given (the run appends ``(slice, vertex, d(x) +
+    1)`` and keeps the value); otherwise it ends the orbit, whose value becomes
+    0, and later passes skip it until none is live.  Other counts refuse.
+
+    One vector holds every value the mesh reads.  A pass moves every live
+    orbit two levels, so the order holds and, when an orbit moves from level
+    l, its live neighbours sit at l + d (those from l - d moved earlier in the
+    pass).  An orbit ending at level m was read there by each neighbour moving
+    from m - d to m + d: earlier in this pass if it sat at m - d, in the pass
+    before if it sits at m + d.  Later reads are at m + 2d or beyond, where
+    the ended orbit has no point, so reading 0 is exact.
     """
-    name = "forward" if d > 0 else "backward"
-    depth, nbrs = tree.depth, tree.neighbors
-    level = [0, *map(section.level, tree.vertices)]
-    values = [0, *dims]
-    recorded = {section.point_of(v): values[v] for v in tree.vertices}
-    ends: set[Pt] = set()
-    live = sorted(tree.vertices, key=lambda v: (d * level[v], v))
-    steps = 0
-    while live:
-        moved = []
-        for x in live:
-            steps += 1
-            if steps > budget:
-                raise InvalidDimensionVector(f"{name} knitting does not terminate")
-            l = level[x] + d
-            s = sum(recorded.get(Pt((l - depth[y]) // 2, y), 0) for y in nbrs[x]) - values[x]
-            if s >= 1:
-                level[x] = l + d
-                values[x] = s
-                recorded[Pt((l + d - depth[x]) // 2, x)] = s
-                moved.append(x)
+    sweep = _sweep(section, d)
+    values = list(dims)
+    get = values.__getitem__
+    vectors = [tuple(dims)]
+    for shift in range(passes):
+        for k, slice_, nbrs in sweep:
+            s = sum(map(get, nbrs)) - values[k]
+            if s > 0:
+                values[k] = s
+            elif s == -1 and knots is not None:
+                knots.append((slice_ + shift, k + 1, values[k] + 1))
             elif s == -1:
-                ends.add(Pt((l - d - depth[x]) // 2, x))
+                values[k] = 0
+            elif knots is None:
+                name = "forward" if d > 0 else "backward"
+                raise InvalidDimensionVector(f"{name} count {s} at vertex {k + 1}: not a pattern vector")
             else:
-                raise InvalidDimensionVector(
-                    f"{name} count {s} at vertex {x}: not a pattern vector"
-                )
-        live = moved
-    return ends, recorded
+                p = Pt(slice_ + shift, k + 1)
+                raise InvalidDimensionVector(f"knot count {s} at {p}: vector is inconsistent")
+        vectors.append(tuple(values))
+        if knots is None:
+            sweep = [entry for entry in sweep if values[entry[0]]]
+            if not sweep:
+                break
+    return vectors
 
 
 def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
@@ -146,21 +156,34 @@ def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
 
     Backward knitting locates the projectives (an orbit ends exactly when
     the backward count reaches -1), forward knitting the injectives; any
-    other non-positive count, or failure to terminate within 6 * L * rank
-    steps, rejects the vector.
+    other non-positive count, or an orbit still live after L passes, rejects
+    the vector.
+
+    The bound.  The accepted vectors are the section vectors of
+    configurations, each knitting the Auslander-Reiten quiver of an algebra B
+    with the section as a section (Bretscher-Laser-Riedtmann 1981).  B is
+    tilted of type Delta with the section as a complete slice (Ringel 1984,
+    4.2): its predecessors lie on their orbits as modules of a hereditary
+    algebra whose injectives are the section, its successors as modules of
+    one whose projectives are.  A tau-orbit of a hereditary algebra of type
+    Delta holds m_x + 1 <= h - 1 = L modules, as m_x + m_x* = h - 2 (Gabriel
+    1980).  So every orbit ends within L - 1 slices of the section, within one
+    period as the fundamental domain is, and its -1 comes by pass L.
     """
     DimensionVector(section, dims)  # validates positivity
-    budget = 6 * loewy_number(tree) * tree.rank
-    projectives, all_dims = _knit_toward(tree, section, dims, -1, budget)
-    injectives, forward_dims = _knit_toward(tree, section, dims, 1, budget)
-    all_dims.update(forward_dims)
-    # An orbit starts on the section and only moves away from it, so it ends
-    # behind the section backward and ahead of it forward.
-    slice_of = section.slice_of
-    assert all(p.slice <= slice_of(p.vertex) for p in projectives) and all(
-        p.slice >= slice_of(p.vertex) for p in injectives
-    ), "section leaves the pattern quiver"
-    return Pattern(tree, section, frozenset(projectives), frozenset(injectives), all_dims)
+    L, slices = loewy_number(tree), section.levels
+    projectives, injectives, cells = set(), set(), {}
+    for d, name, ends in ((-1, "backward", projectives), (1, "forward", injectives)):
+        vectors = _knit(section, dims, d, L)
+        if any(vectors[-1]):
+            raise InvalidDimensionVector(f"{name} knitting leaves an orbit live after {L} passes")
+        for j, vector in enumerate(vectors):
+            for x, value in enumerate(vector, 1):
+                if value:
+                    cells[Pt(slices[x - 1] + d * j, x)] = value
+                elif vectors[j - 1][x - 1]:
+                    ends.add(Pt(slices[x - 1] + d * (j - 1), x))
+    return Pattern(tree, section, frozenset(projectives), frozenset(injectives), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -195,88 +218,40 @@ class KnitTrace:
         return "\n".join(f"v{v} |" + "".join(cell(Pt(i, v)) for i in span) for v in rows)
 
 
-@lru_cache(maxsize=None)
-def _sweep(section: Section) -> tuple:
-    """``(index, slice, neighbour indices)`` of each vertex, in the source order."""
-    slices, nbrs = section.levels, section.tree.neighbors
-    order = plus_admissible_enumeration(section)
-    return tuple((x - 1, slices[x - 1], tuple(y - 1 for y in nbrs[x])) for x in order)
-
-
 def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
-    """The sweep of ``knit_run``, on a vector that ``knit_pattern`` has accepted.
+    """The knit-and-knot run of a vector that ``knit_pattern`` has accepted:
+    its configuration, its knots as ``(slice, vertex, projective dimension)``
+    in sweep order, and the vector before and after each of its 2L passes.
 
-    Returns the configuration, the knots as ``(slice, vertex)`` pairs in sweep
-    order, their projective dimensions, the vector after each pass (the
-    section's first) and the pass after which the vector repeated.  Every pass
-    raises each level by one, so each later pass starts from a translate of
-    the section and the same source order is valid again.
+    The bound.  Such a vector is the section vector of a configuration C, and
+    the vector after pass j is C's on the section moved j slices up (the hom
+    sums ``dims_on_section`` reads).  nu = tau^L fixes C, so after L passes
+    the vector is the start vector again; the run refuses one that is not.  A
+    pass depends only on its start vector, so the second L passes repeat the
+    first one period up, and the knots of the first L passes lift C.
     """
     L = loewy_number(tree)
-    slices = section.levels
-    sweep = _sweep(section)
-    values = list(dims)
-    get = values.__getitem__
-    vectors, knots, knot_dims = [tuple(dims)], [], []
-    detected, shift = None, 0
-    while True:
-        for k, slice_, nbrs in sweep:
-            s = sum(map(get, nbrs)) - values[k]
-            if s > 0:
-                values[k] = s
-            else:
-                if s != -1:
-                    p = Pt(slice_ + shift, k + 1)
-                    raise InvalidDimensionVector(f"knot count {s} at {p}: vector is inconsistent")
-                knots.append((slice_ + shift, k + 1))
-                knot_dims.append(values[k] + 1)
-        shift += 1
-        vectors.append(tuple(values))
-        if detected is None and shift >= L and vectors[shift] == vectors[shift - L]:
-            detected = shift
-        if detected is not None and shift >= detected + L:
-            break
-        if detected is None and shift >= 6 * L:
-            raise InvalidDimensionVector("knit-and-knot run never became periodic")
-
-    # Two checks that no input reaches.  A pass depends only on the vector it
-    # starts from, so once the vector repeats after L passes, the next L
-    # passes repeat the last L one period higher, knots included.  The
-    # vectors knit_pattern accepts are the section vectors of configurations
-    # (the classification behind the patterns method), and the knots of such
-    # a run are the configuration's points: rank of them per period.
-    def knot_block(first: int) -> frozenset[tuple[int, int]]:
-        return frozenset((i, x) for i, x in knots if first <= i - slices[x - 1] < first + L)
-
-    first = knot_block(detected - L)
-    second = knot_block(detected)
-    assert second == frozenset((i + L, x) for i, x in first), (
-        "knot blocks fail to repeat after the dimension vector does"
-    )
-    assert len(first) == tree.rank, (
-        f"period block holds {len(first)} knots, expected {tree.rank}"
-    )
-    return Configuration(tree, {(i % L, x) for i, x in first}), knots, knot_dims, vectors, detected
+    knots: list[tuple[int, int, int]] = []
+    vectors = _knit(section, dims, 1, 2 * L, knots)
+    if vectors[L] != vectors[0]:
+        raise InvalidDimensionVector(f"knit-and-knot run does not repeat after {L} passes")
+    config = Configuration(tree, [(i, x) for i, x, _ in knots[: len(knots) // 2]])
+    return config, knots, vectors
 
 
 def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configuration, KnitTrace]:
-    """Run the knit-and-knot loop on a validated pattern vector.
-
-    The run stops as soon as the dimension vector repeats across one full
-    period of section shifts (the knot pattern then repeats too, which is
-    asserted), or after the guaranteed bound of 6 * L * rank source steps.
-    The trace holds the section's cells, then each pass's in sweep order.
-    """
+    """Run the knit-and-knot loop on a validated pattern vector: the 2L passes
+    of ``_knit_knots``, the vector repeating after L.  The trace holds the
+    section's cells, then each pass's in sweep order."""
     knit_pattern(tree, section, dims)  # raises on invalid vectors
-    config, knots, knot_dims, vectors, periodic_after = _knit_knots(tree, section, dims)
+    config, knots, vectors = _knit_knots(tree, section, dims)
     order = plus_admissible_enumeration(section)
     passes = len(vectors) - 1
     cells = {section.point_of(v): dims[v - 1] for v in tree.vertices}
     for shift in range(1, passes + 1):
         cells.update((Pt(section.slice_of(x) + shift, x), vectors[shift][x - 1]) for x in order)
-    pts = [Pt(i, x) for i, x in knots]
-    pdims = dict(zip(pts, knot_dims))
-    return config, KnitTrace(section, order * passes, cells, pts, pdims, vectors, periodic_after)
+    pdims = {Pt(i, x): pdim for i, x, pdim in knots}
+    return config, KnitTrace(section, order * passes, cells, list(pdims), pdims, vectors, passes // 2)
 
 
 def knit_and_knot(tree: DynkinTree, section: Section, dims: Vec) -> Configuration:

@@ -30,12 +30,14 @@ relations of a periodic presentation by deciding every labelled path as a
 whole chain, the reference for the relation search of ``quiver_of_AC``.
 ``edge_rule_section`` orients a section edge by edge from slice differences,
 and ``greedy_knit_toward`` knits by moving the least movable live orbit one
-step at a time; they are the references for the level function of
-``Section`` and the level-ordered passes of ``knit_pattern``.
-``reference_knit_run`` is ``knit_run`` as it stood before its sweep moved into
-the private ``_knit_knots``, writing every cell and knot of its trace as the
-sweep meets it; it is the reference for the trace ``knit_run`` builds from
-that kernel's output.
+step at a time, within a step budget the caller gives (the tests give the
+former 6 * L * rank); they are the references for the level function of
+``Section`` and for the level-ordered passes and derived L-pass bound of
+``knit_pattern``.  ``reference_knit_run`` is ``knit_run`` as it stood before
+the shared kernel ``knitting._knit``: it stops once the vector has repeated
+across a period, with a 6L-pass guard, writing every cell and knot of its
+trace as the sweep meets it; it is the reference for the trace ``knit_run``
+builds from the kernel's pass vectors over exactly 2L passes.
 ``presentation_isomorphic`` decides whether two finite presentations are
 isomorphic as quivers with relations, by digraph matching.
 ``reference_period`` is ``Configuration.period`` as it stood when it built a
@@ -532,7 +534,7 @@ def reference_knit_run(tree, section, dims):
 
     The run stops as soon as the dimension vector repeats across one full
     period of section shifts (the knot pattern then repeats too, which is
-    asserted), or after the guaranteed bound of 6 * L * rank source steps.
+    asserted), or refuses after 6L passes without a repeat.
     """
     knit_pattern(tree, section, dims)  # raises on invalid vectors
     L = loewy_number(tree)

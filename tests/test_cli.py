@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meshknit
+from helpers import orbit_cases
 from meshknit.classify import check_combinatorial_configuration, enumerate_configurations
 from meshknit.cli import run
 from meshknit.dotio import serialize_dot
-from meshknit.errors import UnsupportedObject
-from meshknit.ztquiver import build_window, equioriented_section
+from meshknit.errors import MeshknitError, UnsupportedObject
+from meshknit.ztquiver import build_window, equioriented_section, quotient
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.knitting import knit_and_knot
 
@@ -199,6 +200,49 @@ def test_quotient_command(capsys):
     assert code == 3
     witness = "-4_1 and -4_2 next to -4_1 lie in one orbit"
     assert err == f"error[NOT_ADMISSIBLE]: rho is not admissible: {witness}\n"
+
+
+def _fold_outcome(window, group):
+    """What ``meshknit quotient`` prints for a window, or the error it raises."""
+    try:
+        folded = quotient(window, group)
+    except MeshknitError as err:
+        return type(err).__name__, str(err)
+    return folded.points, folded.arrows, folded.projectives, serialize_dot(folded)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4"])
+def test_quotient_range_window_matches_the_whole_range(name, configs_cache):
+    """The windows ``meshknit quotient`` builds fold, or refuse, as the window
+    of the whole range does: every orbit-test case of the tree (table groups
+    up to s = 2, twists, glides and refused groups; every 4th on A4, every 8th
+    on D4), at three offsets and every span from 1 to 4P + 2."""
+    from meshknit.cli import _range_window
+
+    cases = [c for c in orbit_cases(configs_cache) if c[0].name == name]
+    for tree, config, group in cases[:: {"A4": 4, "D4": 8}.get(name, 1)]:
+        P = group.action(tree).period
+        for lo in (-P - 3, 0, 5):
+            for hi in range(lo, lo + 4 * P + 2):
+                want = _fold_outcome(build_window(tree, config, lo, hi), group)
+                got = _fold_outcome(_range_window(tree, config, group, lo, hi), group)
+                assert got == want, (config, group, lo, hi)
+
+
+@pytest.mark.parametrize("bounds", ["0,1000000000", "-1000000000,0"])
+def test_quotient_of_a_huge_range_builds_small_windows(capsys, monkeypatch, bounds):
+    """10**9 slices up or down, A2 by tau^2 folds to its four points, and no
+    window holds more than three periods (the whole range would not fit in
+    memory)."""
+    from meshknit import cli
+
+    spans = []
+    build = cli.build_window
+    monkeypatch.setattr(cli, "build_window", lambda *a: spans.append(a[3] - a[2] + 1) or build(*a))
+    argv = ["quotient", "--tree", "A2", "--group", "tau^2", f"--range={bounds}", "--out", "json"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0 and len(json.loads(out)["points"]) == 4
+    assert spans and max(spans) <= 6
 
 
 def test_twist_names_are_the_printed_labels(capsys):

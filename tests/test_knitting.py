@@ -110,10 +110,16 @@ def test_knit_pattern_matches_greedy_reference(name):
         ), dims
 
 
-@pytest.mark.parametrize("name,top", [("A4", 3), ("D4", 3)])
+STAGGERED = {"A5": (1, 0, 0, -1, -1), "D5": (1, 0, 0, -1, 0), "E6": (0, 0, 0, -1, -2, -1)}
+
+
+@pytest.mark.parametrize("name,top", [("A4", 3), ("D4", 3), ("A5", 3), ("D5", 3), ("E6", 3)])
 def test_knit_pattern_refuses_what_the_greedy_reference_refuses(name, top):
+    """On a box of vectors and a section that is not equioriented, the L-pass
+    bound refuses exactly what the greedy reference refuses within its step
+    budget of 6 * L * rank.  (E6 accepts no vector with entries up to 2.)"""
     tree = make_tree(name[0], int(name[1]))
-    section = Section(tree, (1,) + (0,) * (tree.rank - 1))
+    section = Section(tree, STAGGERED.get(name, (1,) + (0,) * (tree.rank - 1)))
     refused = 0
     for dims in itertools.product(range(1, top + 1), repeat=tree.rank):
         try:
@@ -214,6 +220,48 @@ def test_pattern_vectors_pass_knit_pattern(name):
     for dims in _pattern_vectors(tree):
         knit_pattern(tree, section, dims)  # raises unless a pattern vector
         assert _knit_knots(tree, section, dims)[0] == knit_and_knot(tree, section, dims), dims
+
+
+def _assert_derived_bounds(tree, section, dims):
+    """Every pattern orbit ends within L passes, that is within L - 1 slices
+    of the section, and the run repeats after exactly L of its 2L passes.
+    Returns the farthest end behind and ahead of the section, in slices."""
+    L = loewy_number(tree)
+    pat = knit_pattern(tree, section, dims)
+    behind = max(section.slice_of(p.vertex) - p.slice for p in pat.projective_points)
+    ahead = max(p.slice - section.slice_of(p.vertex) for p in pat.injective_points)
+    assert max(behind, ahead) <= L - 1, dims
+    _, trace = knit_run(tree, section, dims)
+    assert trace.periodic_after == L and len(trace.shift_vectors) == 2 * L + 1, dims
+    assert trace.shift_vectors[L] == trace.shift_vectors[0] == tuple(dims), dims
+    return behind, ahead
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", pytest.param("E8", marks=pytest.mark.e8)],
+)
+def test_seed_vectors_meet_the_derived_pass_bounds(name):
+    """On every seed vector of the patterns method; on A_n some orbit needs
+    all L passes in each direction, so the bound is reached."""
+    tree = make_tree(name[0], int(name[1]))
+    section = equioriented_section(tree)
+    farthest = [_assert_derived_bounds(tree, section, dims) for dims in _pattern_vectors(tree)]
+    if tree.family == "A":
+        L = loewy_number(tree)
+        assert tuple(map(max, zip(*farthest))) == (L - 1, L - 1)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4"])
+def test_section_vectors_meet_the_derived_pass_bounds(name, configs_cache):
+    """On the section vector of every configuration on every section shape."""
+    tree = make_tree(name[0], int(name[1]))
+    for levels in _all_section_shapes(tree):
+        section = Section(tree, levels)
+        for config in configs_cache(name):
+            _assert_derived_bounds(tree, section, dims_on_section(config, section))
 
 
 def test_knit_and_knot_a2():
