@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
 
 from .dynkin import AffineMap, DynkinTree, Residue, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from .knitting import _knit_knots
 from .mesh import _stable_support
-from .ztquiver import Configuration, equioriented_section, glide_map
+from .ztquiver import Configuration, _residue_domain, equioriented_section, glide_map
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +175,25 @@ def _acting_maps(tree: DynkinTree):
     return maps
 
 
+@lru_cache(maxsize=None)
+def _index_tables(tree: DynkinTree):
+    """``(residues, index, perms)``: the residue (i, x) is the index
+    ``i * rank + x - 1``, listed in ``residues`` and looked up in ``index``;
+    ``perms`` holds ``(name, images)`` per entry of ``_acting_maps``, with
+    ``images[k]`` the index of the map's image of residue k.  The encoding
+    keeps the order: sorted index tuples compare as sorted residue tuples."""
+    residues = sorted(_residue_domain(tree))
+    index = {r: k for k, r in enumerate(residues)}
+    perms = [(name, tuple(index[m(*r)] for r in residues)) for name, m in _acting_maps(tree)]
+    return residues, index, perms
+
+
 def _close_under_symmetry(tree: DynkinTree, seeds) -> set[frozenset[Residue]]:
     """Every image of a seed; one pass suffices because the acting maps
     form a group on residues."""
-    maps = _acting_maps(tree)
-    return {frozenset(starmap(m, res)) for res in seeds for _, m in maps}
+    residues, index, perms = _index_tables(tree)
+    keys = [tuple(map(index.__getitem__, res)) for res in seeds]
+    return {frozenset(map(residues.__getitem__, map(p.__getitem__, key))) for key in keys for _, p in perms}
 
 
 def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
@@ -189,8 +202,9 @@ def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
     For A these are the pedigree vectors.  Otherwise each configuration is
     tau^k g C, for a seed C and an extended automorphism g, and has on S the
     dimensions of C on g^-1(S + k): cells of the carpet knitting C forward
-    from S.  The run knits exactly 2L passes (``knitting._knit_knots``), so
-    the carpet holds S + j for 0 <= j <= 2L; g^-1 shifts slices by at most 2,
+    from S.  The run returns 2L passes (``knitting._knit_knots``: it knits L
+    and shifts them one period up for the next L), so the carpet holds
+    S + j for 0 <= j <= 2L; g^-1 shifts slices by at most 2,
     so one period of k from the least k that keeps every shift at or above S
     fits.  On S the carpet's cell (j, x) is the vector after pass j at x."""
     if tree.family == "A":
@@ -240,9 +254,7 @@ def _enumerate_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
     Algorithm X ("Dancing Links", 2000).  It branches on the uncovered residue
     with the fewest available coverers, trying each and dropping a tried one
     from the later branches; no set size is assumed."""
-    L = loewy_number(tree)
-    universe = [(i, x) for i in range(L) for x in tree.vertices]
-    index = {u: k for k, u in enumerate(universe)}
+    universe, index, _ = _index_tables(tree)
     reach = _residue_reach(tree)
     m = len(universe)
     covered_by = [0] * m  # covered_by[k]: the residues k reaches, which cover it (C1)
@@ -332,26 +344,23 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
     """Orbit representatives under tau shifts, graph automorphisms and (for
     even A) the glide reflection; the representative of each class is its
     lexicographically least member."""
-    if configs is None:
-        configs = enumerate_configurations(tree)
-    maps = _acting_maps(tree)
-    seen: set[frozenset[Residue]] = set()
+    configs = enumerate_configurations(tree) if configs is None else list(configs)
+    foreign = sorted((cfg for cfg in configs if cfg.tree != tree), key=Configuration.canonical_key)
+    if foreign:
+        raise InvalidInput(f"{foreign[0]} belongs to {foreign[0].tree.name}, not to {tree.name}")
+    residues, index, perms = _index_tables(tree)
+    seen: set[frozenset[int]] = set()
     out = []
-    for cfg in sorted(configs, key=lambda c: c.canonical_key()):
-        if cfg.tree != tree:
-            raise InvalidInput(f"{cfg} belongs to {cfg.tree.name}, not to {tree.name}")
-        if cfg.residues in seen:
+    for key in sorted(sorted(map(index.__getitem__, cfg.residues)) for cfg in configs):
+        if frozenset(key) in seen:
             continue
-        orbit = {frozenset(starmap(m, cfg.residues)) for _, m in maps}
+        orbit = {frozenset(map(p.__getitem__, key)) for _, p in perms}
         seen |= orbit
-        rep = Configuration(tree, min(orbit, key=lambda r: tuple(sorted(r))))
-        stab = tuple(
-            name
-            for name, m in maps
-            if frozenset(starmap(m, rep.residues)) == rep.residues
-        )
+        rep = min(orbit, key=sorted)
+        stab = tuple(name for name, p in perms if frozenset(map(p.__getitem__, rep)) == rep)
         # holds for any residue set: the acting maps form a group on residues
-        assert len(orbit) * len(stab) == len(maps), "orbit-stabilizer mismatch"
-        out.append(ConfigurationClass(rep, len(orbit), stab))
+        assert len(orbit) * len(stab) == len(perms), "orbit-stabilizer mismatch"
+        members = frozenset(map(residues.__getitem__, rep))
+        out.append(ConfigurationClass(Configuration(tree, members), len(orbit), stab))
     return out
 

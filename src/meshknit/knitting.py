@@ -6,11 +6,11 @@ Dimension vectors propagate across sections by mesh additivity: at a source
 the section point joins the configuration and a projective-injective of
 dimension ``d(x) + 1`` is inserted, after which the orbit continues with the
 old value.  One level-ordered pass, ``_knit``, serves both uses: run forward
-with knots for 2L passes it turns a pattern vector into a periodic carpet
-whose knots form the configuration; run backward and forward with a count of
--1 ending the orbit, within L passes, it finds the pattern's projectives and
-injectives.  Reading dimensions off a section of a configuration inverts the
-construction.
+with knots for L passes it knits one period of a periodic carpet whose knots
+form the configuration; run backward and forward with a count of -1 ending
+the orbit, within L passes, it validates a pattern vector and finds its
+projectives and injectives.  Reading dimensions off a section of a
+configuration inverts the construction.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def _knit(section: Section, dims: Vec, d: int, passes: int, knots: list | None =
     return vectors
 
 
-def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
-    """Validate a dimension vector by knitting backward, then close forward.
+def _pattern_runs(tree: DynkinTree, section: Section, dims: Vec) -> list[list[Vec]]:
+    """Validate a dimension vector: its pass vectors backward, then forward.
 
     Backward knitting locates the projectives (an orbit ends exactly when
     the backward count reaches -1), forward knitting the injectives; any
@@ -171,12 +171,19 @@ def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
     period as the fundamental domain is, and its -1 comes by pass L.
     """
     DimensionVector(section, dims)  # validates positivity
-    L, slices = loewy_number(tree), section.levels
-    projectives, injectives, cells = set(), set(), {}
-    for d, name, ends in ((-1, "backward", projectives), (1, "forward", injectives)):
-        vectors = _knit(section, dims, d, L)
-        if any(vectors[-1]):
+    L, runs = loewy_number(tree), []
+    for d, name in ((-1, "backward"), (1, "forward")):
+        runs.append(_knit(section, dims, d, L))
+        if any(runs[-1][-1]):
             raise InvalidDimensionVector(f"{name} knitting leaves an orbit live after {L} passes")
+    return runs
+
+
+def knit_pattern(tree: DynkinTree, section: Section, dims: Vec) -> Pattern:
+    """The pattern of a dimension vector, built from ``_pattern_runs``."""
+    slices = section.levels
+    projectives, injectives, cells = set(), set(), {}
+    for d, ends, vectors in zip((-1, 1), (projectives, injectives), _pattern_runs(tree, section, dims)):
         for j, vector in enumerate(vectors):
             for x, value in enumerate(vector, 1):
                 if value:
@@ -219,31 +226,37 @@ class KnitTrace:
 
 
 def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
-    """The knit-and-knot run of a vector that ``knit_pattern`` has accepted:
+    """The knit-and-knot run of a vector that ``_pattern_runs`` has accepted:
     its configuration, its knots as ``(slice, vertex, projective dimension)``
-    in sweep order, and the vector before and after each of its 2L passes.
+    in sweep order, and the vector before and after each of 2L passes.
 
     The bound.  Such a vector is the section vector of a configuration C, and
     the vector after pass j is C's on the section moved j slices up (the hom
     sums ``dims_on_section`` reads).  nu = tau^L fixes C, so after L passes
-    the vector is the start vector again; the run refuses one that is not.  A
-    pass depends only on its start vector, so the second L passes repeat the
-    first one period up, and the knots of the first L passes lift C.
+    the vector is the start vector again; the run refuses one that is not.
+    Only these L passes are knitted.  Pass j sweeps one fixed order over the
+    values of its start vector and reads nothing else, so its end vector and
+    its knots' vertices and projective dimensions depend on that vector
+    alone, and each knot's slice is a sweep slice plus j.  By induction on j,
+    pass L + j starts from vectors[L + j] = vectors[j] and repeats pass j, its
+    knots L slices up: the second period is the first shifted, and the knots
+    of the first L passes lift C.
     """
     L = loewy_number(tree)
     knots: list[tuple[int, int, int]] = []
-    vectors = _knit(section, dims, 1, 2 * L, knots)
+    vectors = _knit(section, dims, 1, L, knots)
     if vectors[L] != vectors[0]:
         raise InvalidDimensionVector(f"knit-and-knot run does not repeat after {L} passes")
-    config = Configuration(tree, [(i, x) for i, x, _ in knots[: len(knots) // 2]])
-    return config, knots, vectors
+    config = Configuration(tree, frozenset((i, x) for i, x, _ in knots))
+    knots += [(i + L, x, pdim) for i, x, pdim in knots]
+    return config, knots, vectors + vectors[1:]
 
 
 def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configuration, KnitTrace]:
     """Run the knit-and-knot loop on a validated pattern vector: the 2L passes
     of ``_knit_knots``, the vector repeating after L.  The trace holds the
     section's cells, then each pass's in sweep order."""
-    knit_pattern(tree, section, dims)  # raises on invalid vectors
+    _pattern_runs(tree, section, dims)  # raises on invalid vectors
     config, knots, vectors = _knit_knots(tree, section, dims)
     order = plus_admissible_enumeration(section)
     passes = len(vectors) - 1
@@ -256,7 +269,7 @@ def knit_run(tree: DynkinTree, section: Section, dims: Vec) -> tuple[Configurati
 
 def knit_and_knot(tree: DynkinTree, section: Section, dims: Vec) -> Configuration:
     """The configuration determined by a pattern vector on a section."""
-    knit_pattern(tree, section, dims)  # raises on invalid vectors
+    _pattern_runs(tree, section, dims)  # raises on invalid vectors
     return _knit_knots(tree, section, dims)[0]
 
 

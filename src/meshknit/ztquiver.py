@@ -62,21 +62,29 @@ class Pt(NamedTuple):
 # configurations
 
 
+@lru_cache(maxsize=None)
+def _residue_domain(tree: DynkinTree) -> frozenset[Residue]:
+    """The L * rank residues ``(i, x)`` with ``0 <= i < L``."""
+    return frozenset((i, x) for i in range(loewy_number(tree)) for x in tree.vertices)
+
+
 class Configuration:
     """A tau^L-periodic point set, stored by fundamental-domain residues.
 
     ``residues`` is a frozenset of ``(i, x)`` with ``0 <= i < L``; the
     unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
     size and range; the combinatorial axioms are verified on demand by
-    :func:`meshknit.classify.check_combinatorial_configuration`.
+    :func:`meshknit.classify.check_combinatorial_configuration`.  A frozenset
+    inside the domain is kept as given; other residues are reduced mod L.
     """
 
     def __init__(self, tree: DynkinTree, residues: Iterable[Residue]):
-        L = loewy_number(tree)
-        res = frozenset((i % L, x) for i, x in residues)
-        for i, x in res:
-            if x not in tree.vertices:
-                raise InvalidInput(f"bad vertex {x} in configuration")
+        res = residues
+        if not (isinstance(res, frozenset) and res <= _residue_domain(tree)):
+            L = loewy_number(tree)
+            res = frozenset((i % L, x) for i, x in residues)
+            if bad := [x for _, x in res if x not in tree.vertices]:
+                raise InvalidInput(f"bad vertex {min(bad)} in configuration")
         if len(res) != tree.rank:
             raise InvalidInput(f"configuration needs {tree.rank} residues, got {len(res)}")
         self.tree = tree

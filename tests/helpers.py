@@ -38,6 +38,8 @@ the shared kernel ``knitting._knit``: it stops once the vector has repeated
 across a period, with a 6L-pass guard, writing every cell and knot of its
 trace as the sweep meets it; it is the reference for the trace ``knit_run``
 builds from the kernel's pass vectors over exactly 2L passes.
+``reference_knit_knots`` is ``knitting._knit_knots`` as it stood when it knit
+all 2L passes, the reference for the run that knits L and shifts them.
 ``presentation_isomorphic`` decides whether two finite presentations are
 isomorphic as quivers with relations, by digraph matching.
 ``reference_period`` is ``Configuration.period`` as it stood when it built a
@@ -63,7 +65,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 from meshknit.classify import _residue_reach
 from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_number, make_tree
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
-from meshknit.knitting import KnitTrace, knit_pattern
+from meshknit.knitting import KnitTrace, _knit, knit_pattern
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import HomTable, MeshTransporter, _OnDemand
 from meshknit.present import CommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
@@ -594,6 +596,20 @@ def reference_knit_run(tree, section, dims):
 
     config = Configuration(tree, {(i % L, x) for i, x in first})
     return config, trace
+
+
+def reference_knit_knots(tree, section, dims):
+    """The knit-and-knot run of a validated vector: its configuration, its
+    knots as ``(slice, vertex, projective dimension)`` and its pass vectors,
+    all 2L passes knitted; the first half of the knots lifts the
+    configuration."""
+    L = loewy_number(tree)
+    knots = []
+    vectors = _knit(section, dims, 1, 2 * L, knots)
+    if vectors[L] != vectors[0]:
+        raise InvalidDimensionVector(f"knit-and-knot run does not repeat after {L} passes")
+    config = Configuration(tree, [(i, x) for i, x, _ in knots[: len(knots) // 2]])
+    return config, knots, vectors
 
 
 def _relation_pointform(pres: QuiverPresentation, mapping: dict[str, str]):

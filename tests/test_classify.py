@@ -18,6 +18,7 @@ from meshknit.classify import (
     pedigree_dimension_vector,
     pedigree_from_dims,
     _acting_maps,
+    _index_tables,
     _section_vectors,
 )
 from meshknit.dynkin import loewy_number, make_tree
@@ -313,6 +314,25 @@ def test_acting_maps_form_a_group_on_residues(name):
     keys = {key(m) for m in maps}
     assert len(keys) == len(maps)
     assert all(key(a.compose(b)) in keys for a in maps for b in maps)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
+)
+def test_index_tables_permute_as_the_acting_maps(name):
+    """Each index permutation is its acting map applied residue by residue,
+    and the index encoding sorts as the residues do."""
+    tree = make_tree(name[0], int(name[1:]))
+    L = loewy_number(tree)
+    residues, index, perms = _index_tables(tree)
+    assert residues == sorted((i, x) for i in range(L) for x in tree.vertices)
+    assert all(index[r] == k == r[0] * tree.rank + r[1] - 1 for k, r in enumerate(residues))
+    maps = _acting_maps(tree)
+    assert [name for name, _ in perms] == [name for name, _ in maps]
+    for (_, images), (_, m) in zip(perms, maps):
+        assert [residues[k] for k in images] == [m(i, x) for i, x in residues]
+        assert sorted(images) == list(range(len(residues)))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])

@@ -436,6 +436,14 @@ def test_config_must_fit_the_tree_and_the_axioms(tmp_path, capsys):
         assert err.startswith(f"error[INVALID_INPUT]: {message}"), err
 
 
+def test_a_bad_vertex_exits_2_naming_the_least(tmp_path, capsys):
+    for points, bad in (([(0, 4), (1, 2), (2, 0)], 0), ([(0, 5), (1, -2), (2, 4)], -2)):
+        argv = with_file(tmp_path, ["present", "--config"], a3_file(points))
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error[INVALID_INPUT]: bad vertex {bad} in configuration"), err
+
+
 def test_present_checks_the_configuration_axioms(tmp_path, capsys):
     """Over all 84 three-point residue sets of A3, present succeeds exactly
     on the five configurations and names the failed axiom otherwise."""

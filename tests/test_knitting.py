@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from helpers import closure_domain, greedy_knit_toward, path_exists, reference_knit_run
+from helpers import (
+    closure_domain,
+    greedy_knit_toward,
+    path_exists,
+    reference_knit_knots,
+    reference_knit_run,
+)
 from meshknit.classify import _pattern_vectors
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.errors import InvalidDimensionVector, InvalidInput, NotSource
@@ -203,6 +209,47 @@ def test_knit_run_matches_reference(name):
         assert _trace_fields(*knit_run(tree, section, dims)) == _trace_fields(
             *reference_knit_run(tree, section, dims)
         ), dims
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidDimensionVector as exc:
+        return str(exc)
+
+
+def _assert_one_period_matches_two(tree, section, dims) -> bool:
+    """The run that knits L passes and shifts them gives the configuration,
+    knots, vectors and trace of the run that knits all 2L, and refuses what
+    it refuses with the same text.  Returns whether the vector is accepted."""
+    got, want = _outcome(knit_run, tree, section, dims), _outcome(reference_knit_run, tree, section, dims)
+    if isinstance(want, str):
+        assert got == want == _outcome(knit_and_knot, tree, section, dims), dims
+        return False
+    assert _knit_knots(tree, section, dims) == reference_knit_knots(tree, section, dims), dims
+    assert got[1] == want[1] and _trace_fields(*got) == _trace_fields(*want), dims
+    return True
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "D6", "D7", "E6", "E7"])
+def test_one_period_run_matches_the_two_period_reference(name):
+    tree = make_tree(name[0], int(name[1]))
+    section = equioriented_section(tree)
+    assert all(_assert_one_period_matches_two(tree, section, dims) for dims in _pattern_vectors(tree))
+
+
+@pytest.mark.parametrize("name", ["A4", "D5"])
+def test_one_period_run_matches_the_two_period_reference_on_every_section(name, configs_cache):
+    """On every section shape: the section vector of every configuration, and
+    a box of vectors, most of them refused."""
+    tree = make_tree(name[0], int(name[1]))
+    box = list(itertools.product((1, 2), repeat=tree.rank))
+    for levels in _all_section_shapes(tree):
+        section = Section(tree, levels)
+        vectors = [dims_on_section(c, section) for c in configs_cache(name)]
+        assert all(_assert_one_period_matches_two(tree, section, dims) for dims in vectors)
+        accepted = sum(_assert_one_period_matches_two(tree, section, dims) for dims in box)
+        assert accepted < len(box), levels
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,12 @@
-"""Every recorded quotients and present digest of the benchmark, in tier-1.
+"""Every recorded digest of the benchmark, in tier-1.
 
 ``perfbench/workloads.py`` and ``perfbench/record.py`` are loaded from their
 files, not modified.  The items are those ``record.py reference`` recorded:
 every pair of every quotients stratum and the present items of its seeds,
-4033 items, some of them twice.  Each item runs and is checked as the
-benchmark runs it, and its digest must equal the one in
-``perfbench/reference.json``, so a change of output fails here and not only
-in a benchmark run.  Census, whose jobs take seconds each, is left to the
-benchmark.
+4033 items, some of them twice, and the four census jobs of one round.  Each
+item runs and is checked as the benchmark runs it, and its digest must equal
+the one in ``perfbench/reference.json``, so a change of output fails here and
+not only in a benchmark run.
 """
 
 import importlib.util
@@ -50,3 +49,19 @@ def test_quotients_and_present_digests_match_the_reference(monkeypatch):
             wrong.append((item.key, problems))
     assert len(items) == 4033
     assert not wrong, (len(wrong), wrong[:3])
+
+
+def test_census_digests_match_the_reference(monkeypatch):
+    """The four census jobs, every method and the symmetry classes: well under
+    a second in all."""
+    workloads, record = load("workloads", monkeypatch), load("record", monkeypatch)
+    reference = workloads.load_reference()
+    items, wrong = next(workloads.Census(workloads.load_inputs()).rounds(0)), []
+    for item in items:
+        canon, problems = item.check(item.run())
+        if problems or workloads.digest(canon) != reference.get(workloads.key_hash(item.key)):
+            wrong.append((item.key, problems))
+    assert sorted(item.key for item in items) == sorted(
+        f"census|{name}|{'+'.join(methods)}" for name, methods in record.CENSUS_JOBS
+    )
+    assert not wrong, wrong

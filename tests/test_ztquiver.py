@@ -339,6 +339,35 @@ def test_table_groups_twisted_rows(configs_cache):
             assert is_admissible(g, w), g.name(tree)
 
 
+@pytest.mark.parametrize(
+    "points,bad",
+    [
+        ([(0, 4), (1, 2), (2, 0)], 0),
+        ([(0, 5), (1, 4), (2, 7)], 4),
+        ([(0, 4), (1, -1), (2, 0)], -1),
+    ],
+)
+def test_configuration_names_the_least_bad_vertex(points, bad):
+    """Vertex 0, rank + 1 and a negative vertex, each the least bad one of
+    its set, whether the residues come as a list or a frozenset."""
+    tree = make_tree("A", 3)
+    for residues in (points, points[::-1], frozenset(points)):
+        with pytest.raises(InvalidInput, match=f"^bad vertex {bad} in configuration$"):
+            Configuration(tree, residues)
+
+
+def test_configuration_reduces_slices_mod_l():
+    """Slices outside [0, L) are reduced mod L, from a list or a frozenset;
+    a frozenset inside [0, L) is kept as given."""
+    tree = make_tree("A", 3)
+    want = frozenset({(0, 1), (2, 2), (1, 3)})
+    for residues in ([(3, 1), (-1, 2), (7, 3)], frozenset({(-3, 1), (5, 2), (1, 3)})):
+        assert Configuration(tree, residues).residues == want
+    assert Configuration(tree, want).residues is want
+    with pytest.raises(InvalidInput, match="configuration needs 3 residues, got 2"):
+        Configuration(tree, [(0, 1), (3, 1), (2, 2)])
+
+
 def test_period_one_line_configuration():
     """The single-vertex line is a configuration of period one."""
     tree = make_tree("A", 5)
