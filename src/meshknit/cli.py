@@ -23,10 +23,9 @@ from .ztquiver import (
     Configuration,
     Pt,
     Section,
+    _fold,
     build_window,
     equioriented_section,
-    is_admissible,
-    quotient,
     twist_label,
 )
 
@@ -218,24 +217,6 @@ def _cmd_present(args) -> int:
     return 0
 
 
-def _range_window(tree, config, group: AdmissibleGroup, lo: int, hi: int):
-    """A window of at most 3P slices (P the group's period) that ``quotient``
-    folds, or refuses, as it does the whole range [lo, hi].  A span under
-    P + 2 is refused by its size; a moved point or finite orbits (P = 0) on
-    any window.  Pt(i, x) and Pt(i + P, x) share an orbit and a cone reaches
-    one slice up, so the least cone witness lies in [lo, lo + P), its cone in
-    the first P + 2 slices.  Every orbit of points and arrows has a tail in
-    the band [b, b + P) the range folds onto; [b - P, b + 2P) holds its arrows."""
-    P = group.action(tree).period
-    if hi - lo <= P:
-        return build_window(tree, config, lo, hi)
-    witness = build_window(tree, config, lo, lo + P + 1)
-    if not (P and is_admissible(group, witness) and hi - lo >= 2 * P - 1):
-        return witness  # refused as the range is: by its cones, or for a span under 2P
-    b = lo + (hi - lo + 1 - P) // 2
-    return build_window(tree, config, b - P, b + 2 * P - 1)
-
-
 def _cmd_quotient(args) -> int:
     tree = tree_from_name(args.tree)
     config = _load_config_of(tree, args.config) if args.config else None
@@ -243,7 +224,7 @@ def _cmd_quotient(args) -> int:
     bounds = _ints(args.range, "--range")
     if len(bounds) != 2:
         raise InvalidInput(f"--range must be two slices lo,hi, got {args.range!r}")
-    folded = quotient(_range_window(tree, config, group, *bounds), group)
+    folded = _fold(group, tree, config.residues if config else None, *bounds)
     if args.out == "dot":
         print(serialize_dot(folded))
         return 0

@@ -25,8 +25,7 @@ from .errors import (
     TooSmall,
 )
 from .mesh import ProjectiveQuiver, projective_quiver
-from .ztquiver import AdmissibleGroup, Configuration, Pt, build_window, reach
-from .ztquiver import _cones_admissible, _orbit_refusal, _orbit_test
+from .ztquiver import AdmissibleGroup, Configuration, Pt, _refusal, reach
 
 # ---------------------------------------------------------------------------
 # presentation containers
@@ -413,9 +412,7 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     tree = config.tree
     action = group.action(tree)
     R = action.period
-    refusal = _orbit_refusal(group, tree, config.residues)
-    if refusal is None and not _cones_admissible(group, tree):
-        refusal = _orbit_test(group, build_window(tree, config, -1, R))
+    refusal = _refusal(group, tree, config.residues, -1, R)
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
     # in the order the orbits are met; the group moves no configuration point

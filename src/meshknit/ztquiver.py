@@ -6,8 +6,10 @@ arrows ``(i, lo) -> (i, hi)`` and ``(i, hi) -> (i+1, lo)`` for every slice
 decorates the quiver with one projective-injective point ``c*`` over each of
 its points ``c``, with arrows ``c -> c*`` and ``c* -> tau^{-1} c``.
 
-Nothing infinite is ever materialized: all operations act on explicit
-windows ``[i_min, i_max]`` of slices.
+Nothing infinite is ever materialized.  A window ``[i_min, i_max]`` builds
+its slices explicitly; the orbit test and the quotient by an admissible
+group read only the tree, the configuration's residues and the two ends of
+a slice range, and fold one period of slices.
 """
 
 from __future__ import annotations
@@ -75,14 +77,18 @@ class Configuration:
     unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
     size and range; the combinatorial axioms are verified on demand by
     :func:`meshknit.classify.check_combinatorial_configuration`.  A frozenset
-    inside the domain is kept as given; other residues are reduced mod L.
+    inside the domain is kept as given; other residues are reduced mod L,
+    and a slice that is not an int is refused.
     """
 
     def __init__(self, tree: DynkinTree, residues: Iterable[Residue]):
         res = residues
         if not (isinstance(res, frozenset) and res <= _residue_domain(tree)):
+            res = list(residues)
+            if bad := [i for i, _ in res if not isinstance(i, int)]:
+                raise InvalidInput(f"non-integer slice {min(bad)!r} in configuration")
             L = loewy_number(tree)
-            res = frozenset((i % L, x) for i, x in residues)
+            res = frozenset((i % L, x) for i, x in res)
             if bad := [x for _, x in res if x not in tree.vertices]:
                 raise InvalidInput(f"bad vertex {min(bad)} in configuration")
         if len(res) != tree.rank:
@@ -201,7 +207,6 @@ class QuiverWindow:
             raise InvalidInput(f"{config} does not decorate a window of {tree.name}")
         self.tree = tree
         self.residues = _as_residues(tree, config)
-        self.config = config if isinstance(config, Configuration) else None
         self.i_min = i_min
         self.i_max = i_max
         L = loewy_number(tree)
@@ -533,58 +538,12 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
 # admissibility and quotients
 
 
-def _orbit_map(group: AdmissibleGroup, window: QuiverWindow) -> dict[Pt, Pt]:
-    """Each window point's least orbit point in the window's middle band of
-    ``period`` slices, the band :func:`quotient` folds onto.
-
-    ``representative(p, lo)`` depends on p only through
-    ``((slice - lo) mod period, vertex, proj)``, so it is read off the
-    action's ``orbit_key`` once per such residue.  A band representative
-    separates orbits as the canonical key does.
-    """
-    action = group.action(window.tree)
-    P = action.period
-    lo = window.i_min + (window.i_max - window.i_min + 1 - P) // 2
-    # residue -> (stable, projective) representative in the band from lo
-    key = {res: (Pt(lo + r, x), Pt(lo + r, x, True)) for res, (r, x) in action.orbit_key.items()}
-    return {p: key[(p.slice - lo) % P, p.vertex][p.proj] for p in window.points}
-
-
-def _orbit_refusal(group: AdmissibleGroup, tree: DynkinTree, residues) -> str | None:
-    """The refusals that need no window: a moved point, or finite orbits."""
-    moved = group.moved(tree, residues)
-    if moved:
-        return f"it maps configuration point {Pt(*moved[0])} off the configuration"
-    if not group.action(tree).period:
-        return "its orbits are finite"  # a nontrivial power fixes every point
-    return None
-
-
-def _orbit_test(group: AdmissibleGroup, window: QuiverWindow) -> str | None:
-    """The orbit test on a window: None, or a reason naming a witness.
-
-    It checks the window size, a moved configuration point, finite orbits
-    and then the cones, in this order.  Only after the cached cone verdict
-    fails are all points scanned in sorted order, to name the least x whose
-    cone ``{x} u x+`` or ``{x} u x-`` meets one orbit twice, and the pair.
-    """
-    tree = window.tree
-    span = window.i_max - window.i_min + 1
-    if span < group.action(tree).period + 2:
-        raise WindowTooSmall(
-            f"window of {span} slices cannot hold a "
-            f"fundamental domain of {group.name(tree)} plus margins"
-        )
-    refusal = _orbit_refusal(group, tree, window.residues or frozenset())
-    if refusal is not None or _cones_admissible(group, tree):
-        return refusal
-    return _cone_witness(window, _orbit_map(group, window), sorted(window.points))
-
-
 @lru_cache(maxsize=None)
-def _cones_admissible(group: AdmissibleGroup, tree: DynkinTree) -> bool:
-    """Whether no cone ``{x} u x+`` or ``{x} u x-`` meets one orbit twice,
-    for a group with infinite orbits that moves no configuration point.
+def _failing_cones(group: AdmissibleGroup, tree: DynkinTree) -> tuple[tuple[Pt, Pt, Pt], ...]:
+    """The stable points x with slice in [0, P) whose out-cone meets one orbit
+    twice, each as ``(x, a, b)``: b is the first member of the sorted cone
+    ``[x, *x+]`` whose orbit an earlier member a holds.  For a group with
+    infinite orbits that moves no configuration point.
 
     A cone holds at most one projective, whose representative keeps
     ``proj=True``, so only the stable cones matter; they repeat every
@@ -594,34 +553,57 @@ def _cones_admissible(group: AdmissibleGroup, tree: DynkinTree) -> bool:
     """
     action = group.action(tree)
     P, key, depth = action.period, action.orbit_key, tree.depth
+    out = []
     for r in range(P):
         for x, nbrs in tree.neighbors.items():
             up = 2 * r + depth[x] + 1
-            if len({key[r, x], *(key[(up - depth[y]) // 2 % P, y] for y in nbrs)}) <= len(nbrs):
-                return False
-    return True
+            cone = [Pt(r, x), *sorted(Pt((up - depth[y]) // 2, y) for y in nbrs)]
+            keys = [key[p.slice % P, p.vertex] for p in cone]
+            j = next((j for j, k in enumerate(keys) if k in keys[:j]), None)
+            if j is not None:
+                out.append((cone[0], cone[keys.index(keys[j])], cone[j]))
+    return tuple(out)
 
 
-def _cone_witness(window: QuiverWindow, rep: dict, points) -> str | None:
-    """The first of ``points`` whose out-cone meets one orbit twice, with the two
-    cone members, or None.  No in-cone of p fails first: tails sort before heads, so
-    if p meets an in-neighbour w, w's out-cone fails; if two meet, (tau p)+ = p- does."""
-    for p in points:
-        cone = [p, *window.out_nb[p]]
-        keys = [rep[q] for q in cone]
-        if len(set(keys)) < len(cone):
-            j = next(j for j, k in enumerate(keys) if k in keys[:j])
-            return f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
-    return None
+def _refusal(group: AdmissibleGroup, tree: DynkinTree, residues, lo: int, hi: int) -> str | None:
+    """The orbit test on slices [lo, hi]: None, or a reason naming a witness.
+
+    It raises on an empty range and on fewer than period + 2 slices, then
+    refuses a moved configuration point, finite orbits and a cone, in this
+    order.  Failing cones repeat every P = period slices, so the least
+    failing point of the range is the least entry of :func:`_failing_cones`
+    once moved into [lo, lo + P), where its cone lies whole in the range.
+    No in-cone of a point fails first: tails sort before heads, so if p meets
+    an in-neighbour w, w's out-cone fails; if two meet, (tau p)+ = p- does.
+    """
+    if lo > hi:
+        raise EmptyRange(f"slice range [{lo}, {hi}] is empty")
+    P = group.action(tree).period
+    if hi - lo + 1 < P + 2:
+        raise WindowTooSmall(
+            f"window of {hi - lo + 1} slices cannot hold a "
+            f"fundamental domain of {group.name(tree)} plus margins"
+        )
+    if moved := group.moved(tree, residues or frozenset()):
+        return f"it maps configuration point {Pt(*moved[0])} off the configuration"
+    if not P:
+        return "its orbits are finite"  # a nontrivial power fixes every point
+    cones = _failing_cones(group, tree)
+    if not cones:
+        return None
+    x, a, b = min(cones, key=lambda c: ((c[0].slice - lo) % P, c[0].vertex))
+    k = lo + (x.slice - lo) % P - x.slice
+    a, b, x = (Pt(p.slice + k, p.vertex) for p in (a, b, x))
+    return f"{a} and {b} next to {x} lie in one orbit"
 
 
 def is_admissible(group: AdmissibleGroup, window: QuiverWindow) -> bool:
     """Orbit test: no orbit may meet ``{x} u x+`` or ``{x} u x-`` twice."""
-    return _orbit_test(group, window) is None
+    return _refusal(group, window.tree, window.residues, window.i_min, window.i_max) is None
 
 
 class FoldedQuiver:
-    """The finite quotient of a window by an admissible group."""
+    """The finite quotient of a slice range by an admissible group."""
 
     def __init__(self, points, arrows, tau, projectives, label):
         self.points = points
@@ -631,17 +613,42 @@ class FoldedQuiver:
         self.label = label
 
 
-def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:
-    """Fold a window by an admissible group; points become orbit representatives."""
-    tree = window.tree
-    refusal = _orbit_test(group, window)
+def _fold(group: AdmissibleGroup, tree: DynkinTree, residues, lo: int, hi: int) -> FoldedQuiver:
+    """The quotient of slices [lo, hi] by an admissible group, each orbit
+    represented by its least point in the band [b, b + P), with P the period
+    and ``b = lo + (span - P) // 2``.
+
+    A range of at least two periods holds the band and one slice either side
+    of it, so every orbit of the range's points, arrows (by tail) and tau
+    pairs has a member starting in the band, and one period of slices gives
+    the quotient.  Representatives are read from ``orbit_key`` moved to the band.
+    """
+    refusal = _refusal(group, tree, residues, lo, hi)
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
-    if window.i_max - window.i_min + 1 < 2 * group.action(tree).period:
+    action = group.action(tree)
+    P = action.period
+    if hi - lo + 1 < 2 * P:
         raise WindowTooSmall("quotient needs a window of at least two periods")
-    rep = _orbit_map(group, window)
-    points = tuple(sorted(set(rep.values())))
-    arrows = tuple(sorted({(rep[a], rep[b]) for a, b in window.arrows}))
-    tau = {rep[p]: rep[q] for p, q in window.tau.items()}  # well defined: G commutes with tau
-    projectives = tuple(sorted({rep[p] for p in window.points if p.proj}))
-    return FoldedQuiver(points, arrows, tau, projectives, f"{tree.name}/{group.name(tree)}")
+    b = lo + (hi - lo + 1 - P) // 2
+    L, residues = loewy_number(tree), residues or frozenset()
+    # (slice - b, vertex) -> representative, for the band's stable points and projectives
+    rep = {res: Pt(b + r, x) for res, (r, x) in action.orbit_key.items()}
+    star = {(r, x): q._replace(proj=True) for (r, x), q in rep.items() if ((b + r) % L, x) in residues}
+    arrows = set()
+    for r in range(P):
+        for s, t in tree.edges:
+            arrows.add((rep[r, s], rep[r, t]))
+            arrows.add((rep[r, t], rep[(r + 1) % P, s]))
+    for (r, x), p in star.items():
+        arrows.add((rep[r, x], p))
+        arrows.add((p, rep[(r + 1) % P, x]))
+    tau = {q: rep[(r - 1) % P, x] for (r, x), q in rep.items()}  # well defined: G commutes with tau
+    projectives = tuple(sorted(set(star.values())))
+    points = tuple(sorted({*rep.values(), *projectives}))
+    return FoldedQuiver(points, tuple(sorted(arrows)), tau, projectives, f"{tree.name}/{group.name(tree)}")
+
+
+def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:
+    """Fold a window by an admissible group; points become orbit representatives."""
+    return _fold(group, window.tree, window.residues, window.i_min, window.i_max)

@@ -9,8 +9,11 @@ is a plain depth-first search, the reference for reachability.
 were shared, building a fresh ``Pt`` wherever one is needed; it is the
 reference for ``QuiverWindow``.  ``reference_is_admissible`` is the orbit
 test as it stood before the orbit map, ``reference_witness`` the orbit map's
-cone refusal as it stood before the band scan, and ``orbit_by_iteration``
-lists orbit points by stepping a group's generator, with no closed form.  ``orbit_cases`` lists the (tree,
+cone refusal as it stood before the band scan, ``reference_fold`` the
+quotient as it stood before it read one period of slices (every window point,
+arrow and tau pair mapped to its representative in the window's middle band),
+and ``orbit_by_iteration`` lists orbit points by stepping a group's
+generator, with no closed form.  ``orbit_cases`` lists the (tree,
 configuration, group) triples the orbit test is swept over.
 ``reference_starting_function`` is ``mesh.starting_function`` as it stood
 before its walk moved onto an int plan of stable points: the dict-keyed
@@ -149,7 +152,6 @@ class ReferenceWindow:
             raise EmptyRange(f"slice range [{i_min}, {i_max}] is empty")
         self.tree = tree
         self.residues = _as_residues(tree, config)
-        self.config = config if isinstance(config, Configuration) else None
         self.i_min = i_min
         self.i_max = i_max
         L = loewy_number(tree)
@@ -245,6 +247,24 @@ def reference_witness(group, window) -> str | None:
                 j = next(j for j, k in enumerate(keys) if k in keys[:j])
                 return f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
     return None
+
+
+def reference_fold(group, window):
+    """The points, arrows, tau and projectives of the quotient of an
+    admissible window, each point mapped to the least point of its orbit in
+    the band of ``period`` slices from ``i_min + (span - period) // 2``."""
+    P = group.action(window.tree).period
+    band_lo = window.i_min + (window.i_max - window.i_min + 1 - P) // 2
+    band = {p: group.action(window.tree).representative(p, band_lo) for p in window.points}
+    tau = {}
+    for p, q in sorted(window.tau.items()):
+        tau.setdefault(band[p], band[q])
+    return (
+        tuple(sorted(set(band.values()))),
+        tuple(sorted({(band[a], band[b]) for a, b in window.arrows})),
+        tau,
+        tuple(sorted({band[p] for p in window.points if p.proj})),
+    )
 
 
 def orbit_by_iteration(group, tree, p, lo: int, hi: int) -> set:

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meshknit
-from helpers import orbit_cases
+from helpers import orbit_cases, reference_fold, reference_is_admissible, reference_witness
 from meshknit.classify import check_combinatorial_configuration, enumerate_configurations
 from meshknit.cli import run
 from meshknit.dotio import serialize_dot
 from meshknit.errors import MeshknitError, UnsupportedObject
-from meshknit.ztquiver import build_window, equioriented_section, quotient
+from meshknit.ztquiver import FoldedQuiver, Pt, _fold, build_window, equioriented_section
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.knitting import knit_and_knot
 
@@ -202,47 +202,71 @@ def test_quotient_command(capsys):
     assert err == f"error[NOT_ADMISSIBLE]: rho is not admissible: {witness}\n"
 
 
-def _fold_outcome(window, group):
-    """What ``meshknit quotient`` prints for a window, or the error it raises."""
+def _fold_outcome(tree, config, group, lo, hi):
+    """What ``meshknit quotient`` prints for a range, or the error it raises."""
     try:
-        folded = quotient(window, group)
+        folded = _fold(group, tree, config.residues if config else None, lo, hi)
     except MeshknitError as err:
         return type(err).__name__, str(err)
     return folded.points, folded.arrows, folded.projectives, serialize_dot(folded)
 
 
+def _reference_outcome(tree, config, group, lo, hi):
+    """The same, from the window of the whole range: its size, the previous
+    orbit test, the previous full cone scan and the band fold of every
+    window point, arrow and tau pair."""
+    w = build_window(tree, config, lo, hi)
+    span, P, name = hi - lo + 1, group.action(tree).period, group.name(tree)
+    if span < P + 2:
+        size = f"window of {span} slices cannot hold a fundamental domain of {name} plus margins"
+        return "WindowTooSmall", size
+    if not reference_is_admissible(group, w):
+        if moved := config and group.moved(tree, config.residues):
+            reason = f"it maps configuration point {Pt(*moved[0])} off the configuration"
+        else:
+            reason = reference_witness(group, w) if P else "its orbits are finite"
+        assert reason is not None
+        return "NotAdmissible", f"{name} is not admissible: {reason}"
+    if span < 2 * P:
+        return "WindowTooSmall", "quotient needs a window of at least two periods"
+    points, arrows, tau, projectives = reference_fold(group, w)
+    folded = FoldedQuiver(points, arrows, tau, projectives, f"{tree.name}/{name}")
+    return points, arrows, projectives, serialize_dot(folded)
+
+
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4"])
 def test_quotient_range_window_matches_the_whole_range(name, configs_cache):
-    """The windows ``meshknit quotient`` builds fold, or refuse, as the window
-    of the whole range does: every orbit-test case of the tree (table groups
-    up to s = 2, twists, glides and refused groups; every 4th on A4, every 8th
-    on D4), at three offsets and every span from 1 to 4P + 2."""
-    from meshknit.cli import _range_window
-
+    """``meshknit quotient`` folds, or refuses, a range as the references do
+    on the window of the whole range: every orbit-test case of the tree
+    (table groups up to s = 2, twists, glides and refused groups; every 4th
+    on A4, every 8th on D4), at three offsets and every span from 1 to
+    4P + 2.  Folds and size refusals occur, and refusals by the orbit test
+    on every tree but D4, whose cases are all table groups."""
     cases = [c for c in orbit_cases(configs_cache) if c[0].name == name]
+    kinds = set()
     for tree, config, group in cases[:: {"A4": 4, "D4": 8}.get(name, 1)]:
         P = group.action(tree).period
         for lo in (-P - 3, 0, 5):
             for hi in range(lo, lo + 4 * P + 2):
-                want = _fold_outcome(build_window(tree, config, lo, hi), group)
-                got = _fold_outcome(_range_window(tree, config, group, lo, hi), group)
-                assert got == want, (config, group, lo, hi)
+                got = _fold_outcome(tree, config, group, lo, hi)
+                assert got == _reference_outcome(tree, config, group, lo, hi), (config, group, lo, hi)
+                kinds.add(got[0] if isinstance(got[0], str) else "fold")
+    assert kinds == {"fold", "WindowTooSmall", *(["NotAdmissible"] if name != "D4" else [])}, kinds
 
 
 @pytest.mark.parametrize("bounds", ["0,1000000000", "-1000000000,0"])
-def test_quotient_of_a_huge_range_builds_small_windows(capsys, monkeypatch, bounds):
+def test_quotient_of_a_huge_range_builds_no_window(capsys, monkeypatch, bounds):
     """10**9 slices up or down, A2 by tau^2 folds to its four points, and no
-    window holds more than three periods (the whole range would not fit in
-    memory)."""
-    from meshknit import cli
+    window is built (the whole range would not fit in memory)."""
+    from meshknit import ztquiver
 
-    spans = []
-    build = cli.build_window
-    monkeypatch.setattr(cli, "build_window", lambda *a: spans.append(a[3] - a[2] + 1) or build(*a))
+    built = []
+    init = ztquiver.QuiverWindow.__init__
+    monkeypatch.setattr(ztquiver.QuiverWindow, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     argv = ["quotient", "--tree", "A2", "--group", "tau^2", f"--range={bounds}", "--out", "json"]
     code, out, _ = run_capture(capsys, argv)
     assert code == 0 and len(json.loads(out)["points"]) == 4
-    assert spans and max(spans) <= 6
+    assert not built
 
 
 def test_twist_names_are_the_printed_labels(capsys):
@@ -344,6 +368,9 @@ MALFORMED = [
     ),
     pytest.param(
         ["quotient", "--tree", "A2", "--group", "tau^1", "--range", "0"], None, id="quotient-one-slice"
+    ),
+    pytest.param(
+        ["quotient", "--tree", "A2", "--group", "tau^1", "--range=5,1"], None, id="quotient-inverted-range"
     ),
     pytest.param(["knit", "--tree", "A3", "--dims", "1,x,3"], None, id="knit-non-integer-dims"),
     pytest.param(

@@ -145,10 +145,10 @@ def _routes_agree(tree, window, source):
     """The plan-based walk equals the dict recurrence it replaced, and the
     transporter at every point of the window."""
     table = starting_function(tree, source, window)
-    assert table.dims == reference_starting_function(tree, source, window).dims, (window.config, source)
+    assert table.dims == reference_starting_function(tree, source, window).dims, (window.residues, source)
     tr = MeshTransporter(window, source)
     wrong = [(p, table[p], tr.dim(p)) for p in window.order if table[p] != tr.dim(p)]
-    assert not wrong, (window.config, source, wrong[:3])
+    assert not wrong, (window.residues, source, wrong[:3])
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])

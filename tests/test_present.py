@@ -344,8 +344,11 @@ def test_cartan_matrix_builds_no_orbit_window(configs_cache, monkeypatch):
     configurations: cartan_matrix builds none, with a fresh projective quiver
     (its hom rows run on an int plan, not a window) or a cached one.  The
     quotients workload's calls, build_window, is_admissible, quotient and
-    cartan_matrix, build one window, the workload's own."""
+    cartan_matrix, build one window, the workload's own.  Refusing the
+    groups of the orbit cases that move a configuration point or have
+    finite orbits builds none either."""
     from meshknit import mesh, ztquiver
+    from meshknit.errors import NotAdmissible
 
     built = []
     init = ztquiver.QuiverWindow.__init__
@@ -372,6 +375,16 @@ def test_cartan_matrix_builds_no_orbit_window(configs_cache, monkeypatch):
                 ztquiver.quotient(window, group)
                 cartan_matrix(config, group)
                 assert len(built) == 1, (config, group, built)
+    refused = 0
+    for tree, config, group in orbit_cases(configs_cache):
+        if config is None or (group.stabilizes(config) and group.action(tree).period):
+            continue
+        built.clear()
+        with pytest.raises(NotAdmissible):
+            cartan_matrix(config, group)
+        assert not built, (config, group, built)
+        refused += 1
+    assert refused
 
 
 @pytest.mark.parametrize(

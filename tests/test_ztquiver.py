@@ -10,6 +10,7 @@ from helpers import (
     orbit_cases,
     reference_is_admissible,
     reference_period,
+    reference_fold,
     reference_representative,
     reference_witness,
 )
@@ -23,10 +24,8 @@ from meshknit.ztquiver import (
     Configuration,
     Pt,
     Section,
-    _cone_witness,
-    _cones_admissible,
-    _orbit_map,
-    _orbit_test,
+    _failing_cones,
+    _refusal,
     build_window,
     equioriented_section,
     glide_map,
@@ -368,6 +367,25 @@ def test_configuration_reduces_slices_mod_l():
         Configuration(tree, [(0, 1), (3, 1), (2, 2)])
 
 
+@pytest.mark.parametrize(
+    "points,bad",
+    [
+        ([(0.5, 1), (1, 2), (2, 3)], "0.5"),
+        ([(2.5, 1), (1.5, 2), (0, 3)], "1.5"),
+        ([(3.0, 1), (1, 2), (2, 3)], "3.0"),
+        ([(0, 1), ("1", 2), (2, 3)], "'1'"),
+    ],
+)
+def test_configuration_names_the_least_non_integer_slice(points, bad):
+    """A slice that is not an int, a float equal to an int included, is
+    refused with the least one named, whether the residues come as a list
+    or as a frozenset that needs reducing."""
+    tree = make_tree("A", 3)
+    for residues in (points, points[::-1], frozenset(points)):
+        with pytest.raises(InvalidInput, match=f"^non-integer slice {re.escape(bad)} in configuration$"):
+            Configuration(tree, residues)
+
+
 def test_period_one_line_configuration():
     """The single-vertex line is a configuration of period one."""
     tree = make_tree("A", 5)
@@ -516,14 +534,13 @@ def test_orbit_map_against_reference(configs_cache):
     witness point lies on an edge slice of the window, whose cones are cut."""
     cones = moves = edges = 0
     for tree, config, group in orbit_cases(configs_cache):
-        action = group.action(tree)
-        P = action.period
+        P = group.action(tree).period
         for lo, hi in ((0, 2 * P + 1), (-2, 3 * P + 3), (1, P + 2)):
             w = build_window(tree, config, lo, hi)
             admissible = is_admissible(group, w)
             assert admissible == reference_is_admissible(group, w), (config, group)
             if not admissible:
-                refusal = _orbit_test(group, w)
+                refusal = _refusal(group, tree, w.residues, lo, hi)
                 with pytest.raises(NotAdmissible) as exc:
                     quotient(w, group)
                 assert str(exc.value) == f"{group.name(tree)} is not admissible: {refusal}"
@@ -544,17 +561,17 @@ def test_orbit_map_against_reference(configs_cache):
                 with pytest.raises(WindowTooSmall):
                     quotient(w, group)
                 continue
-            band_lo = lo + (hi - lo + 1 - P) // 2
-            band = {p: action.representative(p, band_lo) for p in w.points}
             folded = quotient(w, group)
-            assert folded.points == tuple(sorted(set(band.values())))
-            assert folded.arrows == tuple(sorted({(band[a], band[b]) for a, b in w.arrows}))
-            tau = {}
-            for p, q in sorted(w.tau.items()):
-                tau.setdefault(band[p], band[q])
-            assert folded.tau == tau
-            assert folded.projectives == tuple(sorted({band[p] for p in w.points if p.proj}))
+            assert (folded.points, folded.arrows, folded.tau, folded.projectives) == reference_fold(group, w)
     assert cones and moves and edges
+
+
+def test_orbit_test_refuses_an_empty_range():
+    """An inverted slice range is empty, before its size is weighed, as
+    ``build_window`` refuses it."""
+    for group in (AdmissibleGroup(1), AdmissibleGroup(0, glide=True)):
+        with pytest.raises(EmptyRange, match=r"^slice range \[5, 1\] is empty$"):
+            _refusal(group, A2, None, 5, 1)
 
 
 def _outcome(group, w, quotient_first: bool):
@@ -608,12 +625,12 @@ def _sweep_groups(tree):
 
 
 def _check_cone_verdict(group, w):
-    """The cached verdict, the orbit test and the scan of every cone of w
-    through the band map agree with the previous full scan."""
-    scan = _cone_witness(w, _orbit_map(group, w), sorted(w.points))
-    assert scan == reference_witness(group, w), (w.config, group)
-    assert _orbit_test(group, w) == scan
-    assert _cones_admissible(group, w.tree) == (scan is None)
+    """The orbit test on w's slices names the witness of the previous full
+    scan of every cone of w, and the cached table of failing cones is empty
+    exactly when that scan finds none."""
+    scan = reference_witness(group, w)
+    assert _refusal(group, w.tree, w.residues, w.i_min, w.i_max) == scan, (w.residues, group)
+    assert (not _failing_cones(group, w.tree)) == (scan is None)
 
 
 def test_cone_verdict_matches_the_full_window_scan(configs_cache):
@@ -627,7 +644,7 @@ def test_cone_verdict_matches_the_full_window_scan(configs_cache):
         tree = make_tree(family, rank)
         for group in _sweep_groups(tree):
             _check_cone_verdict(group, build_window(tree, None, -1, group.action(tree).period))
-            if not _cones_admissible(group, tree):
+            if _failing_cones(group, tree):
                 refused.add((tree.name, group.name(tree)))
     assert len(refused) == 16 and all(
         name in ("A2", "A4", "A6", "A8") and label.endswith(("phi", "rho"))
@@ -667,7 +684,7 @@ def test_window_matches_the_previous_constructor(configs_cache, family, rank):
         for lo, hi in ((0, 0), (-3, -3), (L - 1, L - 1), (-1, L + 2), (2, 2 * L + 3)):
             w = build_window(tree, decoration, lo, hi)
             ref = ReferenceWindow(tree, decoration, lo, hi)
-            assert (w.residues, w.config) == (ref.residues, ref.config)
+            assert w.residues == ref.residues
             assert w.points == ref.points
             assert w.arrows == ref.arrows
             assert list(w.tau.items()) == list(ref.tau.items())
@@ -692,4 +709,4 @@ def test_window_refuses_a_configuration_of_another_tree(configs_cache):
     with pytest.raises(InvalidInput, match="does not decorate a window of A3"):
         build_window(A3, d4, 0, 4)
     raw = build_window(A3, [(0, 1), (1, 1), (2, 1)], 0, 4)
-    assert raw.config is None and raw.projectives == [Pt(i, 1, True) for i in range(5)]
+    assert raw.residues == {(0, 1), (1, 1), (2, 1)} and raw.projectives == [Pt(i, 1, True) for i in range(5)]
