@@ -302,7 +302,7 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
         residue_sets = _enumerate_bruteforce(tree)
     else:
         raise InvalidInput(f"unknown method {method!r}")
-    return [Configuration(tree, res) for res in sorted(residue_sets, key=sorted)]
+    return [Configuration._of_residues(tree, res) for res in sorted(residue_sets, key=sorted)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,6 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
         # holds for any residue set: the acting maps form a group on residues
         assert len(orbit) * len(stab) == len(perms), "orbit-stabilizer mismatch"
         members = frozenset(map(residues.__getitem__, rep))
-        out.append(ConfigurationClass(Configuration(tree, members), len(orbit), stab))
+        out.append(ConfigurationClass(Configuration._of_residues(tree, members), len(orbit), stab))
     return out
 

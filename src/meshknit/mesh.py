@@ -16,20 +16,22 @@ level down; so once a whole level is zero every higher one is, and a walk
 stops at the first point two levels above its highest nonzero value.  The
 library reads the recurrence from two stores: :func:`_stable_support` per
 vertex of a tree (the C1/C2 test of ``classify`` and the Nakayama map), and
-:class:`ProjectiveQuiver`, one int row of hom(P, -) per nu-orbit of the
-projectives P of k(Z Delta_C).  The transporter, which also carries the
-arrow matrices of the quotient functor, is the exact route behind ``meshknit
-mesh homdim`` and the tests' oracle, for hom dimensions and, through the
-natural maps between two transporters, for composites.
+:class:`ProjectiveQuiver`, one int row of hom(P, -) and one bit set of its
+projective support per nu-orbit of the projectives P of k(Z Delta_C).  The
+transporter, which also carries the arrow matrices of the quotient functor,
+is the exact route behind ``meshknit mesh homdim`` and the tests' oracle, for
+hom dimensions and, through the natural maps between two transporters, for
+composites.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice, product
+from operator import or_
 
-from .dynkin import AffineMap, DynkinTree, loewy_number
+from .dynkin import AffineMap, DynkinTree, Residue, loewy_number
 from .errors import WindowTooSmall
 from .linalg import RationalEchelon, Scalar
 from .ztquiver import Configuration, Pt, QuiverWindow, build_window, reach
@@ -237,93 +239,104 @@ def nakayama(tree: DynkinTree, p: Pt) -> Pt:
 # the quiver of the infinite selfinjective category attached to a configuration
 
 
-class _OnDemand(dict):
-    """A dict that computes a missing value by ``fill(key)`` on first read."""
+class _Translates:
+    """Lists of projectives keyed by any projective p: the list kept for p's
+    residue, at its lift in [0, L), moved up to p by whole periods."""
 
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
+    def __init__(self, period: int, at_lift: dict[Residue, list[Pt]]):
+        self._period, self._at_lift = period, at_lift
 
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
+    def __getitem__(self, p: Pt) -> list[Pt]:
+        k = p.slice - p.slice % self._period
+        return [Pt(q.slice + k, q.vertex, True) for q in self._at_lift.get((p.slice - k, p.vertex), ())]
 
 
 class ProjectiveQuiver:
-    """Arrows and hom data among the projectives of k(Z Delta_C), on demand.
-
-    An arrow p -> q exists when hom(p, q) is one-dimensional and no
-    composite through a third projective realizes it (radical square test).
-    All hom spaces between distinct projectives are at most one-dimensional;
-    ``hom_dim`` asserts it on every pair, and it is why hom dimensions alone
-    decide every composite (:meth:`path_nonzero`).  Callers read a small part
-    of the quiver (``quiver_of_AC`` the arrows out of one nu-copy), so
-    nothing is computed up front: a hom row, a three-node composite,
-    ``out_nb[p]`` and ``in_nb[q]`` are computed on first read and cached.
+    """Arrows and hom data among the projectives of k(Z Delta_C), built once.
 
     The category is periodic under nu = tau^L, so hom(p, q) = hom(p - kL,
     q - kL), and the arrows at p are those at p - kL moved up kL slices.  Each
-    nu-orbit gets one int row of :func:`_walk` on slices [-1, 2L + 1] and one
-    list of arrows out of it, at its lift in [0, L), read by slice arithmetic
-    with no ``Pt`` built; hom(p, c*) is the row's value at c, plus 1 if
-    c* = p.  So ``hom`` and ``support`` (of any q), ``hom_dim``, ``out_nb``
-    and ``in_nb`` cover the infinite quiver; a search bounds itself by ``level``.
+    nu-orbit gets one int row of :func:`_walk` on slices [-1, 2L + 1], at its
+    lift in [0, L), read by slice arithmetic with no ``Pt`` built; hom(p, c*)
+    is the row's value at c, plus 1 if c* = p.  So ``hom`` and ``support`` (of
+    any q), ``hom_dim``, ``out_nb`` and ``in_nb`` cover the infinite quiver; a
+    search bounds itself by ``level``.
+
+    Every hom between distinct projectives is 0 or 1 (the build asserts it on
+    every pair), so each lift p also gets one bit set S_p: the projectives q
+    != p with hom(p, q) != 0, as indices into the sorted projectives on
+    slices [0, 2L + 1] (``_index``).  Every nonzero hom out of a lift lands
+    there: arrows never lower the slice, and the row's walk stops inside its
+    span.  Each period holds ``rank`` projectives, so moving q up by L moves
+    its index by ``rank``, and S at a nu-translate is S at the lift shifted by
+    ``rank`` bits per period.  An arrow p -> q exists when hom(p, q) != 0 and
+    no composite through a third projective realizes it (radical square
+    test): the heads out of p are S_p minus the union of S_r over r in S_p.
+    The arrows into each residue's lift are those out of the lifts, inverted.
     """
 
     def __init__(self, config: Configuration):
         tree = config.tree
-        L = loewy_number(tree)
-        self._period, self._n, self._span = L, tree.rank, 2 * L + 3  # slices [-1, 2L + 1]
+        L, n = loewy_number(tree), tree.rank
+        self._period, self._n, self._span = L, n, 2 * L + 3  # rows cover slices [-1, 2L + 1]
         self._depth, self._residues = tree.depth, config.residues
-        self._lifts = [Pt(i, x, True) for i, x in sorted(config.residues)]
-        self._near = [Pt(i, x, True) for i, x in config.lifts(-1, 2 * L + 1)]
-        cut = {(p.slice + 2) * self._n + p.vertex - 1 for p in self._near}
-        def row(r: tuple[int, int]) -> list[int]:  # the lift c* in [0, L) walks from tau^-1 c
-            if r not in config.residues:
-                raise WindowTooSmall(f"the configuration has no projective at residue {r}")
-            return _walk(tree, self._span, cut, r[0] + 2, r[1])
-        self._rows = _OnDemand(row)  # keyed by residue
-        self._composites: dict[tuple[int, ...], bool] = {}  # keyed by the chain moved down
-        self._out: dict[Pt, list[Pt]] = _OnDemand(self._arrows_from)
-        self.out_nb: dict[Pt, list[Pt]] = _OnDemand(self._moved_out)
-        self.in_nb: dict[Pt, list[Pt]] = _OnDemand(self._arrows_into)
-        self._tails: dict[tuple[int, int], list[Pt]] = {}  # by head residue, see _arrows_into
+        near = config.lifts(0, 2 * L + 1)
+        self._index = {q: j for j, q in enumerate(near)}
+        cut = {(i + 2) * n + x - 1 for i, x in config.lifts(-1, 2 * L + 1)}
+        # the lifts in [0, L) are near[:n]; the lift c* walks from tau^-1 c
+        self._rows = {r: _walk(tree, self._span, cut, r[0] + 2, r[1]) for r in near[:n]}
+        masks = []
+        for (i, x), row in self._rows.items():
+            homs = [row[(s + 1) * n + y - 1] for s, y in near]
+            # An invariant, not an input check: projective_quiver validates the
+            # configuration, and hom spaces between its projectives are then at
+            # most one-dimensional (the tests check three periods of each).
+            assert max(homs) <= 1, f"hom({Pt(i, x, True)}, -) > 1 between projectives"
+            masks.append(sum(d << j for j, d in enumerate(homs)))
+        self._masks = [masks[j % n] << j // n * n for j in range(len(near))]  # S at near[j]
+        out: dict[Residue, list[Pt]] = {}
+        into: dict[Residue, list[Pt]] = {r: [] for r in near[:n]}
+        for p, s in zip(near[:n], masks):
+            inner = [j for j in range(len(near)) if s >> j & 1]
+            below = reduce(or_, (self._masks[j] for j in inner), 0)
+            heads = [j for j in inner if not below >> j & 1]
+            out[p] = [Pt(*near[j], True) for j in heads]
+            for j in heads:  # the tail, moved so the head sits at its lift
+                into[near[j % n]].append(Pt(p[0] - j // n * L, p[1], True))
+        for tails in into.values():
+            tails.sort()
+        self.out_nb, self.in_nb = _Translates(L, out), _Translates(L, into)
 
     def level(self, p: Pt) -> int:
         return 2 * p.slice + self._depth[p.vertex] + 1
 
-    def _moved_out(self, p: Pt) -> list[Pt]:
-        k = p.slice - p.slice % self._period
-        return [Pt(q.slice + k, q.vertex, True) for q in self._out[Pt(p.slice - k, p.vertex, True)]]
+    def _row(self, p: Pt) -> list[int]:
+        """The hom row of a projective p of the configuration, else WindowTooSmall."""
+        row = self._rows.get((p.slice % self._period, p.vertex)) if p.proj else None
+        if row is None:
+            raise WindowTooSmall(f"{p} is not a projective of the configuration")
+        return row
 
     def hom(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q) for a projective p of the configuration (else WindowTooSmall) and any q."""
-        (ps, px, pproj), (qs, qx, qproj) = p, q
-        if not pproj:
-            raise WindowTooSmall(f"{p} is not a projective")
+        (ps, px, _), (qs, qx, qproj) = p, q
+        row = self._row(p)
         L, i = self._period, ps % self._period  # p moved down to its lift in [0, L)
         s = qs - ps + i + 1  # q moved alike, as a slice offset in [-1, 2L + 1]
         if not 0 <= s < self._span or (qproj and (qs % L, qx) not in self._residues):
             return 0
-        return self._rows[i, px][s * self._n + qx - 1] + (qproj and qs == ps and qx == px)
+        return row[s * self._n + qx - 1] + (qproj and qs == ps and qx == px)
 
     def support(self, p: Pt) -> list[Pt]:
         """The sorted points q with hom(p, q) != 0, for a projective p."""
-        k, n = p.slice - p.slice % self._period - 1, self._n  # the slice of offset 0
-        row = self._rows[p.slice % self._period, p.vertex]
-        near = [Pt(k + j // n, j % n + 1, b) for j, v in enumerate(row) if v for b in (False, True)]
-        return sorted(q for q in [p, *near] if self.hom(p, q))
+        L, n = self._period, self._n
+        k = p.slice - p.slice % L - 1  # the slice of offset 0
+        stable = [Pt(k + j // n, j % n + 1) for j, v in enumerate(self._row(p)) if v]
+        return sorted([p, *stable, *(Pt(s, x, True) for s, x, _ in stable if (s % L, x) in self._residues)])
 
     def hom_dim(self, p: Pt, q: Pt) -> int:
-        """dim hom(p, q) for projectives p != q; 0 for p == q."""
-        if self.level(q) <= self.level(p):  # a nonzero hom raises the level
-            return 0
-        d = self.hom(p, q)
-        # An invariant, not an input check: projective_quiver validates the
-        # configuration, and hom spaces between its projectives are then at
-        # most one-dimensional (the tests check three periods of each).
-        assert d <= 1, f"hom({p},{q}) = {d} > 1 between projectives"
-        return d
+        """dim hom(p, q), 0 or 1, for projectives p != q; 0 for p == q."""
+        return self.hom(p, q) if p != q else 0
 
     def path_nonzero(self, chain: list[Pt]) -> bool:
         """Is the composite along a chain of projectives nonzero?
@@ -335,51 +348,19 @@ class ProjectiveQuiver:
         needs hom(p, q) != 0.  That it is then nonzero is checked, not derived:
         the tests compare it with the natural map hom(r, -) -> hom(p, -) that
         p -> r induces, nonzero at q, on the chains of three periods and those
-        the relation search extends.  A repeated node (hom(q, q) = 0 here)
-        makes a zero chain.  Three-node chains are memoised.
+        the relation search extends, in four nu-translates.  The chain is moved
+        down to the period of its first node, and each node after the first
+        must lie in the bit sets of the first node and of the node before it:
+        one mask AND per node.  A repeated node (hom(q, q) = 0 here) makes a
+        zero chain.
         """
-        if len(chain) != 3:
-            return self._nonzero(chain)
-        (ps, px, _), (rs, rx, _), (qs, qx, _) = chain
-        k = ps - ps % self._period
-        key = (ps - k, px, rs - k, rx, qs - k, qx)
-        if key not in self._composites:
-            self._composites[key] = self._nonzero(chain)
-        return self._composites[key]
-
-    def _nonzero(self, chain: list[Pt]) -> bool:
-        p = chain[0]
-        return all(self.hom_dim(r, q) for r, q in zip(chain, chain[1:])) and all(
-            self.hom_dim(p, q) for q in chain[2:]
-        )
-
-    def _arrows_from(self, p: Pt) -> list[Pt]:
-        """The sorted heads of the arrows out of a lift p in [0, L).  Each
-        lies in the support of hom(p, -), and so does every r of a nonzero
-        composite p -> r -> q, strictly between p and q in level."""
-        lvl = self.level
-        support = [q for q in self._near if q != p and self.hom(p, q)]
-        return [
-            q
-            for q in support
-            if self.hom_dim(p, q) == 1
-            and not any(lvl(r) < lvl(q) and self.path_nonzero([p, r, q]) for r in support)
-        ]
-
-    def _arrows_into(self, q: Pt) -> list[Pt]:
-        """The sorted tails of the arrows into q.  The first call inverts the
-        arrows out of every lift, keyed by the residue of the head, each tail
-        moved to end at the head's lift in [0, L); a call moves them up to q."""
-        tails = self._tails
-        if not tails:
-            for p in self._lifts:
-                for r in self._out[p]:
-                    i = r.slice % self._period
-                    tails.setdefault((i, r.vertex), []).append(Pt(p.slice + i - r.slice, p.vertex, True))
-            for ps in tails.values():
-                ps.sort()
-        k = q.slice - q.slice % self._period
-        return [Pt(p.slice + k, p.vertex, True) for p in tails.get((q.slice - k, q.vertex), ())]
+        k = chain[0].slice - chain[0].slice % self._period
+        masks, index = self._masks, self._index
+        at = [index.get((q.slice - k, q.vertex)) for q in chain]
+        if None in at:
+            return False
+        first = masks[at[0]]
+        return all((first & masks[a]) >> b & 1 for a, b in zip(at, at[1:]))
 
     def complete_pairs(self, members) -> list[tuple[Pt, Pt]]:
         """All pairs (p, q) of a fundamental set carrying a complete morphism.

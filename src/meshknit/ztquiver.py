@@ -76,25 +76,31 @@ class Configuration:
     ``residues`` is a frozenset of ``(i, x)`` with ``0 <= i < L``; the
     unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
     size and range; the combinatorial axioms are verified on demand by
-    :func:`meshknit.classify.check_combinatorial_configuration`.  A frozenset
-    inside the domain is kept as given; other residues are reduced mod L,
-    and a slice that is not an int is refused.
+    :func:`meshknit.classify.check_combinatorial_configuration`.  Every
+    residue given is checked: a slice or vertex that is not an int is
+    refused, slices are reduced mod L and vertices must lie in the tree.
     """
 
     def __init__(self, tree: DynkinTree, residues: Iterable[Residue]):
-        res = residues
-        if not (isinstance(res, frozenset) and res <= _residue_domain(tree)):
-            res = list(residues)
-            if bad := [i for i, _ in res if not isinstance(i, int)]:
-                raise InvalidInput(f"non-integer slice {min(bad)!r} in configuration")
-            L = loewy_number(tree)
-            res = frozenset((i % L, x) for i, x in res)
-            if bad := [x for _, x in res if x not in tree.vertices]:
-                raise InvalidInput(f"bad vertex {min(bad)} in configuration")
+        res = list(residues)
+        if bad := [i for i, _ in res if not isinstance(i, int)]:
+            raise InvalidInput(f"non-integer slice {min(bad)!r} in configuration")
+        L, vertices = loewy_number(tree), tree.vertices
+        res = frozenset([(i % L, x) for i, x in res])
+        if bad := [x for _, x in res if not isinstance(x, int) or x not in vertices]:
+            raise InvalidInput(f"bad vertex {min(bad)} in configuration")
         if len(res) != tree.rank:
             raise InvalidInput(f"configuration needs {tree.rank} residues, got {len(res)}")
         self.tree = tree
         self.residues = res
+
+    @classmethod
+    def _of_residues(cls, tree: DynkinTree, residues: frozenset[Residue]) -> "Configuration":
+        """A configuration from the library's own int residue tables, already
+        in [0, L) and of the tree's rank, so nothing is checked."""
+        config = cls.__new__(cls)
+        config.tree, config.residues = tree, residues
+        return config
 
     def __eq__(self, other) -> bool:
         return (

@@ -19,6 +19,8 @@ configuration, group) triples the orbit test is swept over.
 before its walk moved onto an int plan of stable points: the dict-keyed
 recurrence over the window's level order, projectives included; it is the
 reference for the plan-based walk.
+``OnDemand`` is a dict that computes a missing value on first read, used to
+build one transporter per node only when a test reads it.
 ``natural_map`` is the map hom(r, -) -> hom(p, -) that a morphism p -> r
 induces, built from the transporters of p and r with no path search, and
 ``composite_nonzero`` pushes the class of a chain of projectives through it
@@ -43,6 +45,10 @@ trace as the sweep meets it; it is the reference for the trace ``knit_run``
 builds from the kernel's pass vectors over exactly 2L passes.
 ``reference_knit_knots`` is ``knitting._knit_knots`` as it stood when it knit
 all 2L passes, the reference for the run that knits L and shifts them.
+``reflections`` lists the fundamental algebras one source or sink reflection
+away from a given one, and ``reflection_closure`` every one reached by
+repeating them: the search that joins the fundamental algebras of a
+configuration, with no step cap.
 ``presentation_isomorphic`` decides whether two finite presentations are
 isomorphic as quivers with relations, by digraph matching.
 ``reference_period`` is ``Configuration.period`` as it stood when it built a
@@ -70,8 +76,17 @@ from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_numb
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, _knit, knit_pattern
 from meshknit.linalg import RationalEchelon
-from meshknit.mesh import HomTable, MeshTransporter, _OnDemand
-from meshknit.present import CommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
+from meshknit.mesh import HomTable, MeshTransporter
+from meshknit.present import (
+    CommuteRel,
+    QuiverPresentation,
+    ScaledCommuteRel,
+    ZeroRel,
+    _validated_fundamental,
+    fundamental_sinks,
+    fundamental_sources,
+    reflect_fundamental,
+)
 from meshknit.ztquiver import (
     AdmissibleGroup,
     Configuration,
@@ -348,6 +363,18 @@ def reference_starting_function(tree, x, window=None) -> HomTable:
     return HomTable(x, window, svals)
 
 
+class OnDemand(dict):
+    """A dict that computes a missing value by ``fill(key)`` on first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def natural_map(tr_p, tr_r, v=(1,)) -> dict:
     """The natural map hom(r, -) -> hom(p, -) induced by the morphism p -> r
     whose class in ``tr_p`` at r is ``v``, for transporters ``tr_p`` and
@@ -457,7 +484,7 @@ def reference_standard_relations(config, pres) -> tuple:
             if ka in nodes and kb in nodes:
                 label[(ka, kb)] = a.label
 
-    tr, memo = _OnDemand(lambda p: MeshTransporter(window, p)), {}
+    tr, memo = OnDemand(lambda p: MeshTransporter(window, p)), {}
 
     def labels(chain):
         return tuple(label[(a, b)] for a, b in zip(chain, chain[1:]))
@@ -630,6 +657,19 @@ def reference_knit_knots(tree, section, dims):
         raise InvalidDimensionVector(f"knit-and-knot run does not repeat after {L} passes")
     config = Configuration(tree, [(i, x) for i, x, _ in knots[: len(knots) // 2]])
     return config, knots, vectors
+
+
+def reflections(config, fund) -> list[tuple[Pt, ...]]:
+    """The fundamental algebras one source or sink reflection away from ``fund``."""
+    return [reflect_fundamental(config, fund, x, "source") for x in fundamental_sources(config, fund)] + [
+        reflect_fundamental(config, fund, x, "sink") for x in fundamental_sinks(config, fund)
+    ]
+
+
+def reflection_closure(config, fund) -> set[tuple[Pt, ...]]:
+    """Every fundamental algebra reached from ``fund`` by source and sink
+    reflections, ``fund`` included, each moved by nu to its least slice in [0, L)."""
+    return reach([_validated_fundamental(config, fund)[1]], lambda f: reflections(config, f))
 
 
 def _relation_pointform(pres: QuiverPresentation, mapping: dict[str, str]):

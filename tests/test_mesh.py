@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    OnDemand,
     composite_nonzero,
     eager_projective_quiver,
     naive_hom_dim,
@@ -15,7 +16,6 @@ from meshknit.errors import WindowTooSmall
 from meshknit.mesh import (
     MeshTransporter,
     ProjectiveQuiver,
-    _OnDemand,
     complete_morphisms,
     hom_dim_oracle,
     nakayama,
@@ -390,6 +390,31 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_projective_quiver_walks_once_per_residue(name, configs_cache, monkeypatch):
+    """Building a ProjectiveQuiver runs mesh._walk once per residue and
+    builds no QuiverWindow; reading out_nb, in_nb, path_nonzero, hom and
+    support afterwards, over three periods, runs neither."""
+    from meshknit import mesh, ztquiver
+
+    configs = configs_cache(name)[:5]
+    walks, windows = [], []
+    walk, init = mesh._walk, ztquiver.QuiverWindow.__init__
+    monkeypatch.setattr(mesh, "_walk", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(ztquiver.QuiverWindow, "__init__", lambda self, *a: windows.append(a) or init(self, *a))
+    for config in configs:
+        L = loewy_number(config.tree)
+        pq = ProjectiveQuiver(config)
+        assert len(walks) == config.tree.rank and not windows, config
+        walks.clear()
+        for p in (Pt(i, x, True) for i, x in config.lifts(-L, 2 * L - 1)):
+            assert pq.support(p)
+            for q in pq.out_nb[p]:
+                assert pq.hom(p, q) == 1 and pq.path_nonzero([p, q]) and not pq.path_nonzero([p, q, p])
+            assert all(pq.path_nonzero([r, p]) for r in pq.in_nb[p])
+        assert not walks and not windows, config
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_projective_quiver_refuses_other_sources(name, configs_cache):
     """hom(p, q) and support(p) are for a projective p of the configuration.
     A projective at another residue, in any nu-translate, and the stable
@@ -428,9 +453,10 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
     every r, q among the lifts to three periods.  Then on every chain the
     relation search extends: from each p in the base period along quiver
     arrows, every nonzero chain and each one-arrow extension of it, both as a
-    whole chain and as the three-node chain the search asks.  No nonzero
-    chain has more than L arrows (present._standard_relations relies on it),
-    and on A_n some configuration has one of exactly L."""
+    whole chain and as the three-node chain the search asks, and the whole
+    chain again after moving it by -L, L and 2L.  No nonzero chain has more
+    than L arrows (present._standard_relations relies on it), and on A_n
+    some configuration has one of exactly L."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     i_lo, i_hi = 1, 3 * L
@@ -439,7 +465,7 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
         pq = ProjectiveQuiver(config)
         nodes = [Pt(i, x, True) for i, x in config.lifts(i_lo, i_hi)]
         full = build_window(tree, config, i_lo - 1, i_hi + L + 2)
-        tr, memo = _OnDemand(lambda p: MeshTransporter(full, p)), {}
+        tr, memo = OnDemand(lambda p: MeshTransporter(full, p)), {}
         base = [p for p in nodes if p.slice < i_lo + L]
         for p in base:
             for r in nodes:
@@ -459,6 +485,9 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
                 assert pq.path_nonzero(longer) == want, (config, longer)
                 asked = [chain[0], nxt] if len(chain) == 1 else [chain[0], chain[-1], nxt]
                 assert pq.path_nonzero(asked) == want, (config, longer)
+                for k in (-1, 1, 2):
+                    moved = [Pt(q.slice + k * L, q.vertex, True) for q in longer]
+                    assert pq.path_nonzero(moved) == want, (config, longer, k)
                 if want:
                     longest = max(longest, len(longer) - 1)
                     extend(longer)
@@ -473,25 +502,20 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
     "name,step", [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("A6", 1), ("D4", 1), ("D5", 1), ("D6", 1), ("E6", 5)]
 )
 def test_path_nonzero_memo_is_order_free_and_periodic(name, step, configs_cache):
-    """path_nonzero keeps a three-node chain by p's residue and the slices
-    of r and q moved down alike.  Over every chain of three distinct lifts
-    in [0, 3L) with rising levels, a fresh quiver asked in order answers as
-    the rule on hom_dim does, and as a quiver warmed in the reversed order;
-    and the nu-translate of the chain by kL, k = -1, 1, 2, answers alike."""
+    """Over every chain of three distinct lifts in [0, 3L) with rising
+    levels, path_nonzero answers as the rule on hom_dim does, and so does the
+    nu-translate of the chain by kL, k = -1, 1, 2."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     for config in configs_cache(name)[::step]:
-        fresh, warmed = ProjectiveQuiver(config), ProjectiveQuiver(config)
-        nodes = sorted((Pt(i, x, True) for i, x in config.lifts(0, 3 * L - 1)), key=fresh.level)
-        chains = [c for c in combinations(nodes, 3) if fresh.level(c[0]) < fresh.level(c[1]) < fresh.level(c[2])]
-        rule = [bool(fresh.hom_dim(p, r) and fresh.hom_dim(r, q) and fresh.hom_dim(p, q)) for p, r, q in chains]
-        asked = [fresh.path_nonzero(list(c)) for c in chains]
-        assert asked == rule, config
-        backwards = [warmed.path_nonzero(list(c)) for c in reversed(chains)]
-        assert backwards[::-1] == rule, config
+        pq = ProjectiveQuiver(config)
+        nodes = sorted((Pt(i, x, True) for i, x in config.lifts(0, 3 * L - 1)), key=pq.level)
+        chains = [c for c in combinations(nodes, 3) if pq.level(c[0]) < pq.level(c[1]) < pq.level(c[2])]
+        rule = [bool(pq.hom_dim(p, r) and pq.hom_dim(r, q) and pq.hom_dim(p, q)) for p, r, q in chains]
+        assert [pq.path_nonzero(list(c)) for c in chains] == rule, config
         for k in (-1, 1, 2):
             moved = [[Pt(q.slice + k * L, q.vertex, True) for q in c] for c in chains]
-            assert [warmed.path_nonzero(c) for c in moved] == rule, (config, k)
+            assert [pq.path_nonzero(c) for c in moved] == rule, (config, k)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])

@@ -16,6 +16,8 @@ from helpers import (
     path_exists,
     presentation_isomorphic,
     reference_standard_relations,
+    reflection_closure,
+    reflections,
 )
 from meshknit.classify import Pedigree, enumerate_pedigrees
 from meshknit.dynkin import loewy_number, make_tree
@@ -263,13 +265,15 @@ def test_reflect_fundamental_refuses_an_unknown_direction(fig4):
 
 
 def test_iterated_reflections_reach_a_pattern(fig4):
+    """Source and sink reflections from CHAIN_46 reach every fundamental
+    algebra of the fig. 4 configuration and nothing else (24 algebras), every
+    reflection of one of them is one of them, and some are pattern algebras
+    (4 of the 24)."""
     _, _, _, config = fig4
-    _, cur = _validated_fundamental(config, CHAIN_46)
-    for _ in range(40):
-        if is_pattern_algebra(config, cur):
-            break
-        cur = reflect_fundamental(config, cur, fundamental_sources(config, cur)[0], "source")
-    assert is_pattern_algebra(config, cur)
+    fas = set(fundamental_algebras(config))
+    assert reflection_closure(config, CHAIN_46) == fas
+    assert all(set(reflections(config, f)) <= fas for f in fas)
+    assert any(is_pattern_algebra(config, f) for f in fas)
 
 
 def test_trivial_extension_two_point_cycle():

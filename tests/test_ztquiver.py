@@ -344,11 +344,13 @@ def test_table_groups_twisted_rows(configs_cache):
         ([(0, 4), (1, 2), (2, 0)], 0),
         ([(0, 5), (1, 4), (2, 7)], 4),
         ([(0, 4), (1, -1), (2, 0)], -1),
+        ([(0, 1.0), (1, 2), (2, 3)], 1.0),
     ],
 )
 def test_configuration_names_the_least_bad_vertex(points, bad):
-    """Vertex 0, rank + 1 and a negative vertex, each the least bad one of
-    its set, whether the residues come as a list or a frozenset."""
+    """Vertex 0, rank + 1, a negative vertex and a float equal to a vertex,
+    each the least bad one of its set, whether the residues come as a list or
+    a frozenset."""
     tree = make_tree("A", 3)
     for residues in (points, points[::-1], frozenset(points)):
         with pytest.raises(InvalidInput, match=f"^bad vertex {bad} in configuration$"):
@@ -357,12 +359,12 @@ def test_configuration_names_the_least_bad_vertex(points, bad):
 
 def test_configuration_reduces_slices_mod_l():
     """Slices outside [0, L) are reduced mod L, from a list or a frozenset;
-    a frozenset inside [0, L) is kept as given."""
+    a frozenset inside [0, L) gives an equal set."""
     tree = make_tree("A", 3)
     want = frozenset({(0, 1), (2, 2), (1, 3)})
     for residues in ([(3, 1), (-1, 2), (7, 3)], frozenset({(-3, 1), (5, 2), (1, 3)})):
         assert Configuration(tree, residues).residues == want
-    assert Configuration(tree, want).residues is want
+    assert Configuration(tree, want).residues == want
     with pytest.raises(InvalidInput, match="configuration needs 3 residues, got 2"):
         Configuration(tree, [(0, 1), (3, 1), (2, 2)])
 
@@ -374,12 +376,13 @@ def test_configuration_reduces_slices_mod_l():
         ([(2.5, 1), (1.5, 2), (0, 3)], "1.5"),
         ([(3.0, 1), (1, 2), (2, 3)], "3.0"),
         ([(0, 1), ("1", 2), (2, 3)], "'1'"),
+        ([(0.0, 1), (1, 2), (2, 3)], "0.0"),
     ],
 )
 def test_configuration_names_the_least_non_integer_slice(points, bad):
     """A slice that is not an int, a float equal to an int included, is
     refused with the least one named, whether the residues come as a list
-    or as a frozenset that needs reducing."""
+    or as a frozenset, one that equals a set inside [0, L) included."""
     tree = make_tree("A", 3)
     for residues in (points, points[::-1], frozenset(points)):
         with pytest.raises(InvalidInput, match=f"^non-integer slice {re.escape(bad)} in configuration$"):
