@@ -293,14 +293,16 @@ def fundamental_domain_points(config: Configuration, section: Section) -> list[P
 
 
 def dims_on_section(config: Configuration, section: Section) -> Vec:
-    """Total dimensions over the section: row sums of hom from the
-    projectives of the fundamental domain one Nakayama period behind it."""
+    """Total dimensions over the section: sums of the hom rows of the
+    projectives of the fundamental domain one Nakayama period behind it, each
+    read at the section point's index in the row."""
     tree = config.tree
     if section.tree != tree:
         raise InvalidInput(f"the section belongs to {section.tree.name}, not to {tree.name}")
-    pq = projective_quiver(config)
-    fund = [Pt(c.slice, c.vertex, True) for c in fundamental_domain_points(config, section)]
-    values = [sum(pq.hom(p, section.point_of(v)) for p in fund) for v in tree.vertices]
+    pq, n = projective_quiver(config), tree.rank
+    rows = [pq.row(Pt(c.slice, c.vertex, True)) for c in fundamental_domain_points(config, section)]
+    at = [(section.slice_of(v), v - 1) for v in tree.vertices]
+    values = [sum(r[j] for first, r in rows if 0 <= (j := (s - first) * n + x) < len(r)) for s, x in at]
     if any(v < 1 for v in values):
         raise InvalidDimensionVector(f"section dims {values} are not all positive")
     return tuple(values)

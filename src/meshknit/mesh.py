@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from itertools import islice, product
 from operator import or_
 
-from .dynkin import AffineMap, DynkinTree, Residue, loewy_number
+from .dynkin import AffineMap, DynkinTree, loewy_number
 from .errors import WindowTooSmall
 from .linalg import RationalEchelon, Scalar
 from .ztquiver import Configuration, Pt, QuiverWindow, build_window, reach
@@ -239,52 +239,52 @@ def nakayama(tree: DynkinTree, p: Pt) -> Pt:
 # the quiver of the infinite selfinjective category attached to a configuration
 
 
-class _Translates:
-    """Lists of projectives keyed by any projective p: the list kept for p's
-    residue, at its lift in [0, L), moved up to p by whole periods."""
+class _Arrows:
+    """Arrow ends kept per lift as indices: ``at(a)`` moves them up to index a
+    by whole periods, and ``[p]`` is their ``Pt`` view ([] off the configuration)."""
 
-    def __init__(self, period: int, at_lift: dict[Residue, list[Pt]]):
-        self._period, self._at_lift = period, at_lift
+    def __init__(self, pq: "ProjectiveQuiver", lists: list[list[int]]):
+        self._pq, self._lists = pq, lists
+
+    def at(self, a: int) -> list[int]:
+        k, j = divmod(a, self._pq._n)
+        return [b + k * self._pq._n for b in self._lists[j]]
 
     def __getitem__(self, p: Pt) -> list[Pt]:
-        k = p.slice - p.slice % self._period
-        return [Pt(q.slice + k, q.vertex, True) for q in self._at_lift.get((p.slice - k, p.vertex), ())]
+        a = self._pq.index(p)
+        return [] if a is None else list(map(self._pq.point, self.at(a)))
 
 
 class ProjectiveQuiver:
     """Arrows and hom data among the projectives of k(Z Delta_C), built once.
 
-    The category is periodic under nu = tau^L, so hom(p, q) = hom(p - kL,
-    q - kL), and the arrows at p are those at p - kL moved up kL slices.  Each
-    nu-orbit gets one int row of :func:`_walk` on slices [-1, 2L + 1], at its
-    lift in [0, L), read by slice arithmetic with no ``Pt`` built; hom(p, c*)
-    is the row's value at c, plus 1 if c* = p.  So ``hom`` and ``support`` (of
-    any q), ``hom_dim``, ``out_nb`` and ``in_nb`` cover the infinite quiver; a
-    search bounds itself by ``level``.
+    Projectives are read by int index: the j-th of the ``rank`` lifts in
+    slices [0, L), in sorted order, moved up k periods, has index j + k rank.
+    Index order is ``Pt`` order, an index is >= 0 exactly when its slice is,
+    and ``index`` and ``point`` convert; only output builds a ``Pt``.
 
-    Every hom between distinct projectives is 0 or 1 (the build asserts it on
-    every pair), so each lift p also gets one bit set S_p: the projectives q
-    != p with hom(p, q) != 0, as indices into the sorted projectives on
-    slices [0, 2L + 1] (``_index``).  Every nonzero hom out of a lift lands
-    there: arrows never lower the slice, and the row's walk stops inside its
-    span.  Each period holds ``rank`` projectives, so moving q up by L moves
-    its index by ``rank``, and S at a nu-translate is S at the lift shifted by
-    ``rank`` bits per period.  An arrow p -> q exists when hom(p, q) != 0 and
-    no composite through a third projective realizes it (radical square
-    test): the heads out of p are S_p minus the union of S_r over r in S_p.
-    The arrows into each residue's lift are those out of the lifts, inverted.
+    The category is periodic under nu = tau^L, so hom(p, q) = hom(p - kL,
+    q - kL), and each nu-orbit gets one int row of :func:`_walk` on slices
+    [-1, 2L + 1] at its lift in [0, L) (``row``); hom(p, c*) is the row's
+    value at c, plus 1 if c* = p.  Every hom between distinct projectives is 0
+    or 1 (the build asserts it on every pair), so each lift p also gets one bit
+    set S_p of the indices of the projectives q != p with hom(p, q) != 0, all
+    in slices [0, 2L + 1], where the walk stops; S moves by ``rank`` bits per
+    period.  The heads out of p are S_p minus the union of S_r over r in S_p
+    (radical square test); the tails into each lift are those heads, inverted.
+    A search over the infinite quiver bounds itself by level.
     """
 
     def __init__(self, config: Configuration):
         tree = config.tree
         L, n = loewy_number(tree), tree.rank
-        self._period, self._n, self._span = L, n, 2 * L + 3  # rows cover slices [-1, 2L + 1]
+        self._period, self._n = L, n
         self._depth, self._residues = tree.depth, config.residues
-        near = config.lifts(0, 2 * L + 1)
-        self._index = {q: j for j, q in enumerate(near)}
+        near = config.lifts(0, 2 * L + 1)  # the indices 0 .. len(near) - 1
+        self._lifts, self._at = near[:n], {r: j for j, r in enumerate(near[:n])}
         cut = {(i + 2) * n + x - 1 for i, x in config.lifts(-1, 2 * L + 1)}
-        # the lifts in [0, L) are near[:n]; the lift c* walks from tau^-1 c
-        self._rows = {r: _walk(tree, self._span, cut, r[0] + 2, r[1]) for r in near[:n]}
+        # rows cover slices [-1, 2L + 1]; the lift c* walks from tau^-1 c
+        self._rows = {r: _walk(tree, 2 * L + 3, cut, r[0] + 2, r[1]) for r in self._lifts}
         masks = []
         for (i, x), row in self._rows.items():
             homs = [row[(s + 1) * n + y - 1] for s, y in near]
@@ -293,95 +293,84 @@ class ProjectiveQuiver:
             # most one-dimensional (the tests check three periods of each).
             assert max(homs) <= 1, f"hom({Pt(i, x, True)}, -) > 1 between projectives"
             masks.append(sum(d << j for j, d in enumerate(homs)))
-        self._masks = [masks[j % n] << j // n * n for j in range(len(near))]  # S at near[j]
-        out: dict[Residue, list[Pt]] = {}
-        into: dict[Residue, list[Pt]] = {r: [] for r in near[:n]}
-        for p, s in zip(near[:n], masks):
-            inner = [j for j in range(len(near)) if s >> j & 1]
-            below = reduce(or_, (self._masks[j] for j in inner), 0)
-            heads = [j for j in inner if not below >> j & 1]
-            out[p] = [Pt(*near[j], True) for j in heads]
-            for j in heads:  # the tail, moved so the head sits at its lift
-                into[near[j % n]].append(Pt(p[0] - j // n * L, p[1], True))
-        for tails in into.values():
-            tails.sort()
-        self.out_nb, self.in_nb = _Translates(L, out), _Translates(L, into)
+        self._masks = [masks[j % n] << j // n * n for j in range(len(near))]  # S at index j
+        heads, tails = [], [[] for _ in range(n)]
+        for j, s in enumerate(masks):
+            inner = [b for b in range(len(near)) if s >> b & 1]
+            below = reduce(or_, (self._masks[b] for b in inner), 0)
+            heads.append([b for b in inner if not below >> b & 1])
+            for b in heads[j]:  # the tail, moved so the head sits at its lift
+                tails[b % n].append(j - b // n * n)
+        self.out_nb, self.in_nb = _Arrows(self, heads), _Arrows(self, [sorted(t) for t in tails])
+
+    def index(self, p: Pt) -> int | None:
+        """The index of a projective p of the configuration, else None."""
+        k, i = divmod(p.slice, self._period)
+        j = self._at.get((i, p.vertex)) if p.proj else None
+        return None if j is None else j + k * self._n
+
+    def point(self, a: int) -> Pt:
+        k, j = divmod(a, self._n)
+        i, x = self._lifts[j]
+        return Pt(i + k * self._period, x, True)
 
     def level(self, p: Pt) -> int:
         return 2 * p.slice + self._depth[p.vertex] + 1
 
-    def _row(self, p: Pt) -> list[int]:
-        """The hom row of a projective p of the configuration, else WindowTooSmall."""
+    def level_at(self, a: int) -> int:
+        k, j = divmod(a, self._n)
+        return 2 * (self._lifts[j][0] + k * self._period) + self._depth[self._lifts[j][1]] + 1
+
+    def row(self, p: Pt) -> tuple[int, list[int]]:
+        """hom(p, -) on stable points for a projective p of the configuration
+        (else WindowTooSmall): the slice ``first`` of offset 0 and the row,
+        with hom(p, (s, x)) = row[(s - first) * rank + x - 1] at the indices
+        the row has, else 0."""
         row = self._rows.get((p.slice % self._period, p.vertex)) if p.proj else None
         if row is None:
             raise WindowTooSmall(f"{p} is not a projective of the configuration")
-        return row
+        return p.slice - p.slice % self._period - 1, row
 
     def hom(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q) for a projective p of the configuration (else WindowTooSmall) and any q."""
         (ps, px, _), (qs, qx, qproj) = p, q
-        row = self._row(p)
-        L, i = self._period, ps % self._period  # p moved down to its lift in [0, L)
-        s = qs - ps + i + 1  # q moved alike, as a slice offset in [-1, 2L + 1]
-        if not 0 <= s < self._span or (qproj and (qs % L, qx) not in self._residues):
+        first, row = self.row(p)
+        j = (qs - first) * self._n + qx - 1
+        if not 0 <= j < len(row) or (qproj and (qs % self._period, qx) not in self._residues):
             return 0
-        return row[s * self._n + qx - 1] + (qproj and qs == ps and qx == px)
+        return row[j] + (qproj and qs == ps and qx == px)
 
     def support(self, p: Pt) -> list[Pt]:
         """The sorted points q with hom(p, q) != 0, for a projective p."""
         L, n = self._period, self._n
-        k = p.slice - p.slice % L - 1  # the slice of offset 0
-        stable = [Pt(k + j // n, j % n + 1) for j, v in enumerate(self._row(p)) if v]
+        first, row = self.row(p)
+        stable = [Pt(first + j // n, j % n + 1) for j, v in enumerate(row) if v]
         return sorted([p, *stable, *(Pt(s, x, True) for s, x, _ in stable if (s % L, x) in self._residues)])
 
     def hom_dim(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q), 0 or 1, for projectives p != q; 0 for p == q."""
         return self.hom(p, q) if p != q else 0
 
+    def nonzero(self, chain) -> bool:
+        """Is the composite along a chain of projective indices nonzero?  It
+        is when each node after the first lies in S of the first node and of
+        the node before it: one mask AND per node, in the first node's period.
+        Homs between nodes are at most one-dimensional and composites of basis
+        maps are zero or basis maps (Bautista-Gabriel-Roiter-Salmeron, 1985),
+        so a nonzero p -> r -> q needs hom(p, q) != 0; the tests check that it
+        is then nonzero against the natural maps of transporters."""
+        masks, k = self._masks, chain[0] // self._n * self._n
+        first = prev = masks[chain[0] - k]
+        for b in chain[1:]:
+            if b < k or not (first & prev) >> (b - k) & 1:
+                return False
+            prev = masks[b - k]
+        return True
+
     def path_nonzero(self, chain: list[Pt]) -> bool:
-        """Is the composite along a chain of projectives nonzero?
-
-        It is when every consecutive hom is nonzero and so is hom(chain[0],
-        q) for every later q.  Hom spaces between nodes are at most
-        one-dimensional, and a composite of basis maps is zero or a basis map
-        (Bautista-Gabriel-Roiter-Salmeron, 1985); so a nonzero p -> r -> q
-        needs hom(p, q) != 0.  That it is then nonzero is checked, not derived:
-        the tests compare it with the natural map hom(r, -) -> hom(p, -) that
-        p -> r induces, nonzero at q, on the chains of three periods and those
-        the relation search extends, in four nu-translates.  The chain is moved
-        down to the period of its first node, and each node after the first
-        must lie in the bit sets of the first node and of the node before it:
-        one mask AND per node.  A repeated node (hom(q, q) = 0 here) makes a
-        zero chain.
-        """
-        k = chain[0].slice - chain[0].slice % self._period
-        masks, index = self._masks, self._index
-        at = [index.get((q.slice - k, q.vertex)) for q in chain]
-        if None in at:
-            return False
-        first = masks[at[0]]
-        return all((first & masks[a]) >> b & 1 for a, b in zip(at, at[1:]))
-
-    def complete_pairs(self, members) -> list[tuple[Pt, Pt]]:
-        """All pairs (p, q) of a fundamental set carrying a complete morphism.
-
-        A nonzero p -> q is complete inside the subcategory when composing
-        with any of its arrows out of q, or into p, kills it.  Convexity
-        guarantees that testing the quiver arrows of the ambient category with
-        both ends in the set is enough.
-        """
-        out: list[tuple[Pt, Pt]] = []
-        member_set = set(members)
-        for p in members:
-            for q in members:
-                if not self.hom_dim(p, q):
-                    continue
-                if any(
-                    z in member_set and self.path_nonzero([p, q, z]) for z in self.out_nb[q]
-                ) or any(w in member_set and self.path_nonzero([w, p, q]) for w in self.in_nb[p]):
-                    continue
-                out.append((p, q))
-        return sorted(out)
+        """``nonzero`` on points; False when one is not a projective of the configuration."""
+        at = [self.index(q) for q in chain]
+        return None not in at and self.nonzero(at)
 
 
 @lru_cache(maxsize=1)
@@ -394,8 +383,22 @@ def projective_quiver(config: Configuration) -> ProjectiveQuiver:
 
 
 def complete_morphisms(config: Configuration, fund: list[Pt]) -> list[tuple[Pt, Pt]]:
-    """All pairs (p, q) of the fundamental set carrying a complete morphism."""
+    """All pairs (p, q) of the fundamental set carrying a complete morphism.
+
+    A nonzero p -> q is complete inside the subcategory when composing with
+    any of its arrows out of q, or into p, kills it.  Convexity guarantees that
+    testing the quiver arrows of the ambient category with both ends in the
+    set is enough.
+    """
     from .present import _validated_fundamental  # local to avoid an import cycle
 
     pq, fund = _validated_fundamental(config, fund)
-    return pq.complete_pairs(fund)
+    at = {pq.index(p): p for p in fund}
+    return sorted(
+        (at[a], at[b])
+        for a in at
+        for b in at
+        if pq.nonzero((a, b))
+        and not any(z in at and pq.nonzero((a, b, z)) for z in pq.out_nb.at(b))
+        and not any(w in at and pq.nonzero((w, a, b)) for w in pq.in_nb.at(a))
+    )

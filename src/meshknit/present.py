@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .dynkin import loewy_number
 from .errors import (
@@ -138,7 +139,9 @@ def _validated_fundamental(
 
 
 def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
-    """Why a projective set is not connected and convex in the quiver, or None.
+    """Why a set of projectives of the configuration is not connected and
+    convex in the quiver, or None.  It runs on their indices into ``pq``; only
+    the least offender becomes a ``Pt`` again, for the message.
 
     The quiver is acyclic (hom(p, q) != 0 needs a higher level at q), so the
     points on paths between members are exactly those both reachable from
@@ -147,17 +150,18 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
     the backward one at the lowest member's level, below which nothing is
     reached from it.
     """
-    members = set(points)
-    linked = reach(points[:1], lambda p: members.intersection(pq.out_nb[p] + pq.in_nb[p]))
+    at = [pq.index(p) for p in points]
+    members = set(at)
+    linked = reach(at[:1], lambda a: members.intersection(pq.out_nb.at(a) + pq.in_nb.at(a)))
     if linked != members:
-        return f"points are not connected in the quiver: {min(members - linked)} is cut off"
-    lvl = pq.level
-    bottom, top = min(map(lvl, points)), max(map(lvl, points))
-    ahead = reach(points, lambda p: (q for q in pq.out_nb[p] if lvl(q) <= top))
-    behind = reach(points, lambda q: (p for p in pq.in_nb[q] if lvl(p) >= bottom))
+        return f"points are not connected in the quiver: {pq.point(min(members - linked))} is cut off"
+    lvl = pq.level_at
+    bottom, top = min(map(lvl, at)), max(map(lvl, at))
+    ahead = reach(at, lambda a: (b for b in pq.out_nb.at(a) if lvl(b) <= top))
+    behind = reach(at, lambda b: (a for a in pq.in_nb.at(b) if lvl(a) >= bottom))
     between = ahead & behind
     if between - members:
-        return f"a quiver path between points of the set leaves it at {min(between - members)}"
+        return f"a quiver path between points of the set leaves it at {pq.point(min(between - members))}"
     return None
 
 
@@ -166,19 +170,14 @@ def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     nu-translation: those whose least slice lies in [0, L).  No slice bound
     is needed: such a set is connected and has a member in [0, L), so it
     grows from that lift one quiver neighbour at a time, each of a new residue
-    and of slice >= 0; the shape test keeps the convex sets so grown."""
-    pq = projective_quiver(config)
-    L = loewy_number(config.tree)
-    grown = {frozenset([Pt(i, x, True)]) for i, x in config.residues}
-    for _ in range(config.tree.rank - 1):
-        grown = {
-            s | {q}
-            for s in grown
-            for p in s
-            for q in pq.out_nb[p] + pq.in_nb[p]
-            if q.slice >= 0 and not any(r.vertex == q.vertex and (r.slice - q.slice) % L == 0 for r in s)
-        }
-    return sorted(c for c in map(tuple, map(sorted, grown)) if _shape_defect(pq, c) is None)
+    and of slice >= 0; the shape test keeps the convex sets so grown.  They
+    grow as projective indices, whose residue is j mod rank."""
+    pq, n = projective_quiver(config), config.tree.rank
+    grown = {frozenset([j]) for j in range(n)}  # the lifts in [0, L)
+    step = lru_cache(maxsize=None)(lambda a: [b for b in pq.out_nb.at(a) + pq.in_nb.at(a) if b >= 0])
+    for _ in range(n - 1):
+        grown = {s | {b} for s in grown for a in s for b in step(a) if all((b - c) % n for c in s)}
+    return sorted(c for c in (tuple(map(pq.point, sorted(s))) for s in grown) if _shape_defect(pq, c) is None)
 
 
 def _fundamental_ends(config: Configuration, fund, side: str) -> list[Pt]:
@@ -279,34 +278,32 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     ones: zero on minimal vanishing paths, commutativity on minimal
     parallel pairs, decided by mesh-dimension tests.
     """
-    L = loewy_number(config.tree)
     pq, fund = _validated_fundamental(config, fund)
-    fund_set = set(fund)
+    n, at = config.tree.rank, [pq.index(p) for p in fund]
+    members = set(at)
 
-    internal = []
-    connecting = []
-    for a in fund:
-        for b in pq.out_nb[a]:
-            if b in fund_set:
-                internal.append((a, b, 0))
+    found = []  # (tail, head moved into the fundamental copy, shift) as indices
+    for a in at:
+        for b in pq.out_nb.at(a):
+            if b in members:
+                found.append((a, b, 0))
             else:
-                base = Pt(b.slice - L, b.vertex, True)
                 # An invariant of a validated set F, not an input check.  Say
                 # b = f + kL for the member f of b's residue.  hom(f, f + L)
                 # is the socle of f, and every nonzero a -> b extends to
                 # a -> a + L.  So k >= 2 gives paths f -> f + L -> a, and k <= 0
                 # a path a -> b -> f: convexity puts f + L or b in F as well.
-                assert base in fund_set, "arrow leaves the fundamental copy by more than one period"
-                connecting.append((a, base, 1))
+                assert b - n in members, "arrow leaves the fundamental copy by more than one period"
+                found.append((a, b - n, 1))
 
-    labels: dict[tuple[int, int, int, int], str] = {}
+    labels: dict[tuple[int, int], str] = {}
     arrows = []
-    for k, (a, base_dst, shift) in enumerate(sorted(internal + connecting)):
+    for k, (a, base, shift) in enumerate(sorted(found)):
         label = f"a{k}"
-        labels[a.slice % L, a.vertex, base_dst.slice + shift * L - a.slice, base_dst.vertex] = label
-        arrows.append(PArrow(label, _point_name(a), _point_name(base_dst), shift))
+        labels[a % n, base + shift * n - a // n * n] = label
+        arrows.append(PArrow(label, _point_name(pq.point(a)), _point_name(pq.point(base)), shift))
 
-    relations = _standard_relations(pq, fund, labels, L)
+    relations = _standard_relations(pq, at, labels, n)
     return QuiverPresentation(
         points=tuple(_point_name(p) for p in fund),
         arrows=tuple(arrows),
@@ -316,18 +313,22 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     )
 
 
-def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Relation]:
+def _standard_relations(pq: ProjectiveQuiver, fund: list[int], base_labels: dict, n: int) -> list[Relation]:
     """Zero relations on minimal vanishing paths and commutativity relations
     on minimal parallel pairs, for paths starting in the base copy.
 
-    The search extends only nonzero paths, and a subpath of a nonzero path is
-    nonzero.  So ``path + [nxt]`` is nonzero exactly when the composite
-    ``path[0] -> path[-1] -> nxt`` is, and a zero one is minimal exactly when
-    ``path[1:] + [nxt]`` is nonzero: a single arrow, or a nonzero composite
-    ``path[1] -> path[-1] -> nxt``.  That is at most two composites of at
-    most three nodes per extension.  An arrow is labelled as its nu-translate
-    out of the fundamental member of its tail's residue, which the tail's
-    residue and the head's slice offset and vertex name.
+    Paths are tuples of projective indices, in the convention of
+    :class:`~meshknit.mesh.ProjectiveQuiver`, whose order is ``Pt`` order; a
+    label tuple is built only for a relation.  The search extends only
+    nonzero paths, and a subpath of a nonzero path is nonzero.  So
+    ``path + (nxt,)`` is nonzero exactly when the composite ``path[0] ->
+    path[-1] -> nxt`` is, and a zero one is minimal exactly when ``path[1:] +
+    (nxt,)`` is nonzero: a single arrow, or a nonzero composite ``path[1] ->
+    path[-1] -> nxt``.  That is at most two composites of three nodes per
+    extension, decided by ``pq.nonzero``.  An arrow a -> b is labelled as its
+    nu-translate out of the fundamental member of its tail's residue, which
+    the tail's lift index a mod n and the head's offset from the start of the
+    tail's period, b - (a // n) n, name.
 
     No length cut is needed: no nonzero path has more than L arrows.  An
     arrow c* -> d* raises the level by at least 2 (a map out of c* factors
@@ -337,33 +338,27 @@ def _standard_relations(pq: ProjectiveQuiver, fund, base_labels, L) -> list[Rela
     """
 
     def labels(path) -> tuple[str, ...]:
-        return tuple(
-            base_labels[a.slice % L, a.vertex, b.slice - a.slice, b.vertex]
-            for a, b in zip(path, path[1:])
-        )
+        return tuple(base_labels[a % n, b - a // n * n] for a, b in zip(path, path[1:]))
 
     zeros: list[ZeroRel] = []
-    parallel: dict[tuple[Pt, Pt], list[tuple[Pt, ...]]] = {}  # nonzero paths by ends
+    parallel: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # nonzero paths by ends
 
-    def explore(path: list[Pt]):
+    def explore(path: tuple[int, ...]):
         p, last = path[0], path[-1]
         if len(path) > 1:
-            parallel.setdefault((p, last), []).append(tuple(path))
-        for nxt in pq.out_nb[last]:
-            cand = path + [nxt]
-            if pq.path_nonzero([p, nxt] if len(path) == 1 else [p, last, nxt]):
-                explore(cand)
-            elif len(path) == 2 or pq.path_nonzero([path[1], last, nxt]):
-                zeros.append(ZeroRel(labels(cand)))
+            parallel.setdefault((p, last), []).append(path)
+        for nxt in pq.out_nb.at(last):
+            if len(path) == 1 or pq.nonzero((p, last, nxt)):  # an arrow is nonzero
+                explore(path + (nxt,))
+            elif len(path) == 2 or pq.nonzero((path[1], last, nxt)):
+                zeros.append(ZeroRel(labels(path + (nxt,))))
 
     for p in sorted(fund):
-        explore([p])
+        explore((p,))
 
     commutes: set[CommuteRel] = set()
-    for (p, q), paths in sorted(parallel.items()):
-        if len(paths) < 2:
-            continue
-        for u, v in itertools.combinations(sorted(paths), 2):
+    for paths in parallel.values():
+        for u, v in itertools.combinations(paths, 2):
             if u[1] != v[1] and u[-2] != v[-2]:
                 commutes.add(CommuteRel(*sorted((labels(u), labels(v)))))
 

@@ -33,6 +33,9 @@ on-demand ``ProjectiveQuiver`` and the closed-form
 ``fundamental_domain_points``.  ``reference_standard_relations`` finds the
 relations of a periodic presentation by deciding every labelled path as a
 whole chain, the reference for the relation search of ``quiver_of_AC``.
+``reference_pt_relations`` is that search as it stood on ``Pt`` chains,
+before it moved onto projective indices, with each composite decided from
+``hom_dim`` reads; it is the reference for the index search's output order.
 ``edge_rule_section`` orients a section edge by edge from slice differences,
 and ``greedy_knit_toward`` knits by moving the least movable live orbit one
 step at a time, within a step budget the caller gives (the tests give the
@@ -76,7 +79,7 @@ from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_numb
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, _knit, knit_pattern
 from meshknit.linalg import RationalEchelon
-from meshknit.mesh import HomTable, MeshTransporter
+from meshknit.mesh import HomTable, MeshTransporter, projective_quiver
 from meshknit.present import (
     CommuteRel,
     QuiverPresentation,
@@ -509,6 +512,54 @@ def reference_standard_relations(config, pres) -> tuple:
         if u[1] != v[1] and u[-2] != v[-2]
     }
     return tuple(dict.fromkeys(zeros)) + tuple(sorted(commutes, key=lambda r: (r.lhs, r.rhs)))
+
+
+def reference_pt_relations(config, pres) -> list:
+    """The relations of a periodic presentation from ``quiver_of_AC``, found
+    again by ``present._standard_relations`` as it stood on ``Pt`` chains: the
+    same depth-first search over ``out_nb`` from the sorted fundamental set,
+    an arrow labelled by its tail's residue and its head's slice offset and
+    vertex.  A chain is decided by the composite rule read from ``hom_dim``
+    (every consecutive hom nonzero, and every hom out of the first node), not
+    by the support masks, so no mask code is shared with the index search."""
+    pq, L = projective_quiver(config), loewy_number(config.tree)
+
+    def point(name, shift=0):
+        i, x = map(int, name.split("_"))
+        return Pt(i + shift * L, x, True)
+
+    base_labels = {}
+    for arrow in pres.arrows:
+        a, b = point(arrow.src), point(arrow.dst, arrow.shift)
+        base_labels[a.slice % L, a.vertex, b.slice - a.slice, b.vertex] = arrow.label
+
+    def nonzero(chain):
+        return all(pq.hom_dim(a, b) and pq.hom_dim(chain[0], b) for a, b in zip(chain, chain[1:]))
+
+    def labels(path):
+        return tuple(base_labels[a.slice % L, a.vertex, b.slice - a.slice, b.vertex] for a, b in zip(path, path[1:]))
+
+    zeros, parallel = [], {}
+
+    def explore(path):
+        p, last = path[0], path[-1]
+        if len(path) > 1:
+            parallel.setdefault((p, last), []).append(tuple(path))
+        for nxt in pq.out_nb[last]:
+            cand = path + [nxt]
+            if nonzero([p, nxt] if len(path) == 1 else [p, last, nxt]):
+                explore(cand)
+            elif len(path) == 2 or nonzero([path[1], last, nxt]):
+                zeros.append(ZeroRel(labels(cand)))
+
+    for p in sorted(point(name) for name in pres.meta["fundamental"]):
+        explore([p])
+    commutes = set()
+    for (p, q), paths in sorted(parallel.items()):
+        for u, v in combinations(sorted(paths), 2):
+            if u[1] != v[1] and u[-2] != v[-2]:
+                commutes.add(CommuteRel(*sorted((labels(u), labels(v)))))
+    return list(dict.fromkeys(zeros)) + sorted(commutes, key=lambda r: (r.lhs, r.rhs))
 
 
 def edge_rule_section(tree, levels):

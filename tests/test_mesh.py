@@ -433,6 +433,30 @@ def test_projective_quiver_refuses_other_sources(name, configs_cache):
             pq.support(p)
 
 
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_stable_points_are_not_projectives_of_the_quiver(name, configs_cache):
+    """The Pt-to-index boundary refuses the stable point under a projective of
+    the configuration as it refuses any other point off it: it has no index,
+    out_nb and in_nb give [], and a chain through it is zero, while the
+    projective over it keeps its arrows.  On A3 this includes {(0, 1), (1, 1),
+    (2, 1)}, where out_nb of the stable 0_1 once gave [1_1_P]."""
+    tree = make_tree(name[0], int(name[1]))
+    L = loewy_number(tree)
+    configs = configs_cache(name)[:5]
+    if name == "A3":
+        configs = [Configuration(tree, {(0, 1), (1, 1), (2, 1)}), *configs]
+    for config in configs:
+        pq = ProjectiveQuiver(config)
+        for i, x in config.lifts(-L, 2 * L - 1):
+            proj, stable = Pt(i, x, True), Pt(i, x)
+            assert pq.index(stable) is None and pq.point(pq.index(proj)) == proj, (config, proj)
+            assert pq.out_nb[stable] == pq.in_nb[stable] == [] and pq.out_nb[proj], (config, proj)
+            for q in pq.out_nb[proj]:
+                assert pq.path_nonzero([proj, q]) and not pq.path_nonzero([stable, q]), (config, q)
+            for r in pq.in_nb[proj]:
+                assert pq.path_nonzero([r, proj]) and not pq.path_nonzero([r, stable]), (config, r)
+
+
 @pytest.mark.parametrize(
     "name,step",
     [

@@ -15,6 +15,7 @@ from helpers import (
     orbit_cases,
     path_exists,
     presentation_isomorphic,
+    reference_pt_relations,
     reference_standard_relations,
     reflection_closure,
     reflections,
@@ -30,7 +31,7 @@ from meshknit.errors import (
     TooSmall,
 )
 from meshknit.knitting import dims_on_section, fundamental_domain_points, knit_and_knot
-from meshknit.mesh import ProjectiveQuiver, complete_morphisms
+from meshknit.mesh import ProjectiveQuiver, complete_morphisms, projective_quiver
 from meshknit.present import (
     BrauerQuiver,
     CommuteRel,
@@ -405,6 +406,39 @@ def test_relation_search_matches_whole_chain_reference(configs_cache, name, step
             assert pres.relations == reference_standard_relations(config, pres), (config, fund)
             checked += 1
     assert checked >= len(configs_cache(name)[::step])
+
+
+@pytest.mark.parametrize(
+    "name,step",
+    [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("A6", 1), ("D4", 1), ("D5", 1), ("D6", 1), ("E6", 5)],
+)
+def test_index_relation_search_matches_the_pt_search(configs_cache, name, step):
+    """The relation search on projective indices returns the relation list
+    of the search on Pt chains (helpers.reference_pt_relations), in the same
+    order.  Every configuration (every 5th of E6), up to three fundamental
+    algebras each."""
+    checked = relations = 0
+    for config in configs_cache(name)[::step]:
+        for fund in fundamental_algebras(config)[:3]:
+            pres = quiver_of_AC(config, fund)
+            assert list(pres.relations) == reference_pt_relations(config, pres), (config, fund)
+            checked, relations = checked + 1, relations + len(pres.relations)
+    assert checked >= len(configs_cache(name)[::step]) and relations
+
+
+@pytest.mark.parametrize("name", ["A6", "D6", "E6"])
+def test_presentation_decides_composites_on_indices(name, configs_cache, monkeypatch):
+    """trivial_extension_presentation never calls ProjectiveQuiver.path_nonzero,
+    the Pt entry to the composite rule, on any configuration: the relation
+    search, the shape test and the arrow labels read the quiver by index."""
+    calls = []
+    original = ProjectiveQuiver.path_nonzero
+    monkeypatch.setattr(ProjectiveQuiver, "path_nonzero", lambda pq, chain: calls.append(chain) or original(pq, chain))
+    for config in configs_cache(name):
+        fund = pattern_fund(config, equioriented_section(config.tree))
+        assert trivial_extension_presentation(config, fund).relations, config
+        assert not calls, (config, calls[:3])
+    assert projective_quiver(config).path_nonzero(fund[:1]) and len(calls) == 1  # the count works
 
 
 def test_library_entry_points_reject_non_configurations():

@@ -30,7 +30,10 @@ def test_tracer_installs_on_every_traced_name():
         config = enumerate_configurations(make_tree("A", 3))[0]
         tracer.begin_item("a3")
         # a module function is wrapped where the library binds it
-        pres = present.trivial_extension_presentation(config, present.fundamental_algebras(config)[0])
+        fund = present.fundamental_algebras(config)[0]
+        pres = present.trivial_extension_presentation(config, fund)
+        # the presentation reads the quiver by index; path_nonzero is the Pt entry
+        assert mesh.projective_quiver(config).path_nonzero(list(fund))
         tracer.end_item()
         metrics = tracer.metrics()
     finally:
