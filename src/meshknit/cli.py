@@ -287,16 +287,14 @@ def reproduce(example_id: str) -> tuple[bool, list[str]]:
         entries = [mat[(main, main)]] + sorted(mat[(main, q)] for q in other)
         entries += sorted(mat[(q, main)] for q in other) + sorted(mat[(q, q)] for q in other)
         check("cartan_pattern", entries, gold["cartan_pattern"])
-        from .present import BrauerQuiver, d3m_quotient_presentations
-
-        q = BrauerQuiver(
+        q = present.BrauerQuiver(
             points=("p0", "p1", "p2"),
             alpha_cycles=(("p0", "p1", "p2"),),
             beta_cycles=(),
             reduced=True,
             special=("p2", "p0"),
         )
-        a0, a1 = d3m_quotient_presentations(q)
+        a0, a1 = present.d3m_quotient_presentations(q)
         diff = {r.kind for r in set(a0.relations) ^ set(a1.relations)}
         check("relation_diff_kinds", sorted(diff), gold["relation_diff_kinds"])
     elif example_id == "brauer-roundtrip":

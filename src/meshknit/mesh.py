@@ -17,11 +17,13 @@ stops at the first point two levels above its highest nonzero value.  The
 library reads the recurrence from two stores: :func:`_stable_support` per
 vertex of a tree (the C1/C2 test of ``classify`` and the Nakayama map), and
 :class:`ProjectiveQuiver`, one int row of hom(P, -) and one bit set of its
-projective support per nu-orbit of the projectives P of k(Z Delta_C).  The
-transporter, which also carries the arrow matrices of the quotient functor,
-is the exact route behind ``meshknit mesh homdim`` and the tests' oracle, for
-hom dimensions and, through the natural maps between two transporters, for
-composites.
+projective support per nu-orbit of the projectives P of k(Z Delta_C), read
+by projective index: ``present`` builds its fundamental algebras,
+presentations and Cartan matrices on those indices, and imports this
+module, never the other way round.  The transporter, which also carries the
+arrow matrices of the quotient functor, is the exact route behind ``meshknit
+mesh homdim`` and the tests' oracle, for hom dimensions and, through the
+natural maps between two transporters, for composites.
 """
 
 from __future__ import annotations
@@ -340,12 +342,12 @@ class ProjectiveQuiver:
             return 0
         return row[j] + (qproj and qs == ps and qx == px)
 
-    def support(self, p: Pt) -> list[Pt]:
-        """The sorted points q with hom(p, q) != 0, for a projective p."""
-        L, n = self._period, self._n
-        first, row = self.row(p)
-        stable = [Pt(first + j // n, j % n + 1) for j, v in enumerate(row) if v]
-        return sorted([p, *stable, *(Pt(s, x, True) for s, x, _ in stable if (s % L, x) in self._residues)])
+    def support_at(self, a: int) -> list[int]:
+        """The sorted indices b with hom(a, b) != 0, a included: a and the
+        bits of S_a, and each of those homs is 1."""
+        k, j = divmod(a, self._n)
+        s = self._masks[j]
+        return sorted([a, *(b + k * self._n for b in range(s.bit_length()) if s >> b & 1)])
 
     def hom_dim(self, p: Pt, q: Pt) -> int:
         """dim hom(p, q), 0 or 1, for projectives p != q; 0 for p == q."""
@@ -380,25 +382,3 @@ def projective_quiver(config: Configuration) -> ProjectiveQuiver:
     from .classify import _require_configuration  # local to avoid an import cycle
     _require_configuration(config)
     return ProjectiveQuiver(config)
-
-
-def complete_morphisms(config: Configuration, fund: list[Pt]) -> list[tuple[Pt, Pt]]:
-    """All pairs (p, q) of the fundamental set carrying a complete morphism.
-
-    A nonzero p -> q is complete inside the subcategory when composing with
-    any of its arrows out of q, or into p, kills it.  Convexity guarantees that
-    testing the quiver arrows of the ambient category with both ends in the
-    set is enough.
-    """
-    from .present import _validated_fundamental  # local to avoid an import cycle
-
-    pq, fund = _validated_fundamental(config, fund)
-    at = {pq.index(p): p for p in fund}
-    return sorted(
-        (at[a], at[b])
-        for a in at
-        for b in at
-        if pq.nonzero((a, b))
-        and not any(z in at and pq.nonzero((a, b, z)) for z in pq.out_nb.at(b))
-        and not any(w in at and pq.nonzero((w, a, b)) for w in pq.in_nb.at(a))
-    )

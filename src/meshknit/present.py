@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .classify import Pedigree
 from .dynkin import loewy_number
 from .errors import (
     InvalidBrauer,
@@ -25,8 +26,9 @@ from .errors import (
     NotSource,
     TooSmall,
 )
+from .knitting import fundamental_domain_points
 from .mesh import ProjectiveQuiver, projective_quiver
-from .ztquiver import AdmissibleGroup, Configuration, Pt, _refusal, reach
+from .ztquiver import AdmissibleGroup, Configuration, Pt, Section, _refusal, reach
 
 # ---------------------------------------------------------------------------
 # presentation containers
@@ -108,40 +110,37 @@ class QuiverPresentation:
 # fundamental algebras
 
 
-def _normalize_min_shift(config: Configuration, points) -> tuple[Pt, ...]:
-    """nu-translate a projective set so its smallest slice lies in [0, L)."""
-    L = loewy_number(config.tree)
-    lo = min(p.slice for p in points)
-    k = lo // L
-    return tuple(sorted(Pt(p.slice - k * L, p.vertex, True) for p in points))
-
-
-def _validated_fundamental(
-    config: Configuration, points
-) -> tuple[ProjectiveQuiver, tuple[Pt, ...]]:
-    """Check C1/C2, connectedness, convexity and nu-transversality; returns
-    the projective quiver of the configuration and the normalized point set.
-    Meeting the residues of the configuration makes every point one of its
-    projectives."""
-    pq = projective_quiver(config)
-    tree = config.tree
-    L = loewy_number(tree)
-    fund = _normalize_min_shift(config, [Pt(p.slice, p.vertex, True) for p in points])
-    if len(fund) != tree.rank:
-        raise NotFundamental(f"{len(fund)} points cannot meet {tree.rank} nu-orbits once")
-    orbits = {(p.slice % L, p.vertex) for p in fund}
-    if len(orbits) != tree.rank or orbits != config.residues:
+def _validated_fundamental(config: Configuration, points) -> tuple[ProjectiveQuiver, list[int], int]:
+    """Check C1/C2, nu-transversality, connectedness and convexity; returns
+    the projective quiver of the configuration, the sorted indices ``at`` of
+    the points moved down k periods so that the least lies in [0, rank), and
+    k.  Each point is read as the projective over it; one that is not a
+    projective of the configuration has no index and is refused."""
+    pq, n = projective_quiver(config), config.tree.rank
+    raw = [pq.index(Pt(p.slice, p.vertex, True)) for p in points]
+    if len(raw) != n:
+        raise NotFundamental(f"{len(raw)} points cannot meet {n} nu-orbits once")
+    if None in raw or len({a % n for a in raw}) != n:
         raise NotFundamental("points do not represent the nu-orbits of the projectives")
-    defect = _shape_defect(pq, fund)
+    return pq, *_lowered(pq, n, raw)
+
+
+def _lowered(pq: ProjectiveQuiver, n: int, raw: list[int]) -> tuple[list[int], int]:
+    """A transversal index set moved down k periods so that its least index
+    lies in [0, n), sorted, and k; NotFundamental unless it is connected
+    and convex."""
+    k = min(raw) // n
+    at = sorted(a - k * n for a in raw)
+    defect = _shape_defect(pq, at)
     if defect:
         raise NotFundamental(defect)
-    return pq, fund
+    return at, k
 
 
-def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
-    """Why a set of projectives of the configuration is not connected and
-    convex in the quiver, or None.  It runs on their indices into ``pq``; only
-    the least offender becomes a ``Pt`` again, for the message.
+def _shape_defect(pq: ProjectiveQuiver, at: list[int]) -> str | None:
+    """Why a set of projective indices is not connected and convex in the
+    quiver, or None.  Only the least offender becomes a ``Pt``, for the
+    message.
 
     The quiver is acyclic (hom(p, q) != 0 needs a higher level at q), so the
     points on paths between members are exactly those both reachable from
@@ -150,7 +149,6 @@ def _shape_defect(pq: ProjectiveQuiver, points: tuple[Pt, ...]) -> str | None:
     the backward one at the lowest member's level, below which nothing is
     reached from it.
     """
-    at = [pq.index(p) for p in points]
     members = set(at)
     linked = reach(at[:1], lambda a: members.intersection(pq.out_nb.at(a) + pq.in_nb.at(a)))
     if linked != members:
@@ -177,47 +175,73 @@ def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     step = lru_cache(maxsize=None)(lambda a: [b for b in pq.out_nb.at(a) + pq.in_nb.at(a) if b >= 0])
     for _ in range(n - 1):
         grown = {s | {b} for s in grown for a in s for b in step(a) if all((b - c) % n for c in s)}
-    return sorted(c for c in (tuple(map(pq.point, sorted(s))) for s in grown) if _shape_defect(pq, c) is None)
+    kept = (at for at in map(sorted, grown) if _shape_defect(pq, at) is None)
+    return sorted(tuple(map(pq.point, at)) for at in kept)
 
 
-def _fundamental_ends(config: Configuration, fund, side: str) -> list[Pt]:
+def _fundamental_ends(pq: ProjectiveQuiver, at: list[int], side: str) -> list[int]:
     """Members with no ``side`` neighbour (``in_nb`` or ``out_nb``) in the set."""
-    pq, fund = _validated_fundamental(config, fund)
-    neighbours = getattr(pq, side)
-    return sorted(p for p in fund if not set(neighbours[p]).intersection(fund))
+    members, neighbours = set(at), getattr(pq, side)
+    return [a for a in at if members.isdisjoint(neighbours.at(a))]
 
 
 def fundamental_sources(config: Configuration, fund) -> list[Pt]:
-    return _fundamental_ends(config, fund, "in_nb")
+    pq, at, _ = _validated_fundamental(config, fund)
+    return list(map(pq.point, _fundamental_ends(pq, at, "in_nb")))
 
 
 def fundamental_sinks(config: Configuration, fund) -> list[Pt]:
-    return _fundamental_ends(config, fund, "out_nb")
+    pq, at, _ = _validated_fundamental(config, fund)
+    return list(map(pq.point, _fundamental_ends(pq, at, "out_nb")))
+
+
+def complete_morphisms(config: Configuration, fund) -> list[tuple[Pt, Pt]]:
+    """All pairs (p, q) of the fundamental set carrying a complete morphism.
+
+    A nonzero p -> q is complete inside the subcategory when composing with
+    any of its arrows out of q, or into p, kills it.  Convexity guarantees that
+    testing the quiver arrows of the ambient category with both ends in the
+    set is enough.
+    """
+    pq, at, _ = _validated_fundamental(config, fund)
+    members = set(at)
+    return [
+        (pq.point(a), pq.point(b))
+        for a in at
+        for b in at
+        if pq.nonzero((a, b))
+        and not any(z in members and pq.nonzero((a, b, z)) for z in pq.out_nb.at(b))
+        and not any(w in members and pq.nonzero((w, a, b)) for w in pq.in_nb.at(a))
+    ]
 
 
 def reflect_fundamental(config: Configuration, fund, x: Pt, direction: str) -> tuple[Pt, ...]:
     """Replace a source x by its forward Nakayama translate (or a sink by
     the backward one); the result is again a fundamental algebra and the
-    two moves are mutually inverse.
+    two moves are mutually inverse.  x may be named in ``fund`` as given or
+    moved by nu as the other functions return it: the set has one member
+    per residue, so either names one member.
 
     A source stays attached through the connecting arrow into the next
     copy, so it moves forward; a sink dually moves backward.
     """
-    L = loewy_number(config.tree)
-    x = Pt(x.slice, x.vertex, True)
-    if direction == "source":
-        if x not in fundamental_sources(config, fund):
-            raise NotSource(f"{x} is not a source of the fundamental algebra")
-        moved = Pt(x.slice + L, x.vertex, True)
-    elif direction == "sink":
-        if x not in fundamental_sinks(config, fund):
-            raise NotSink(f"{x} is not a sink of the fundamental algebra")
-        moved = Pt(x.slice - L, x.vertex, True)
-    else:
+    if direction not in ("source", "sink"):
         raise InvalidInput(f"direction must be 'source' or 'sink', got {direction!r}")
-    new = [p for p in fund if p != x] + [moved]
-    _, normalized = _validated_fundamental(config, new)
-    return normalized
+    pq, at, k = _validated_fundamental(config, fund)
+    n, x = config.tree.rank, Pt(x.slice, x.vertex, True)
+    a = pq.index(x)
+    if a is not None and a not in at:
+        a -= k * n  # x as given, moved like the set
+    if direction == "source":
+        if a not in _fundamental_ends(pq, at, "in_nb"):
+            raise NotSource(f"{x} is not a source of the fundamental algebra")
+        moved = a + n
+    else:
+        if a not in _fundamental_ends(pq, at, "out_nb"):
+            raise NotSink(f"{x} is not a sink of the fundamental algebra")
+        moved = a - n
+    at, _ = _lowered(pq, n, [b for b in at if b != a] + [moved])
+    return tuple(map(pq.point, at))
 
 
 def _all_section_shapes(tree) -> list[tuple[int, ...]]:
@@ -241,22 +265,17 @@ def is_pattern_algebra(config: Configuration, fund) -> bool:
     points of a fundamental domain between some section and its Nakayama
     shift.
     """
-    from .knitting import fundamental_domain_points
-    from .ztquiver import Section
-
-    _, fund = _validated_fundamental(config, fund)
+    pq, at, _ = _validated_fundamental(config, fund)
 
     def profile(points) -> tuple:
-        lo = min(p[0] for p in points)
-        return tuple(sorted((i - lo, x) for i, x in points))
+        lo = min(p.slice for p in points)
+        return tuple(sorted((p.slice - lo, p.vertex) for p in points))
 
-    target = profile([(p.slice, p.vertex) for p in fund])
-    for levels in _all_section_shapes(config.tree):
-        section = Section(config.tree, levels)
-        domain = fundamental_domain_points(config, section)
-        if profile([(p.slice, p.vertex) for p in domain]) == target:
-            return True
-    return False
+    target = profile(list(map(pq.point, at)))
+    return any(
+        profile(fundamental_domain_points(config, Section(config.tree, levels))) == target
+        for levels in _all_section_shapes(config.tree)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +297,8 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     ones: zero on minimal vanishing paths, commutativity on minimal
     parallel pairs, decided by mesh-dimension tests.
     """
-    pq, fund = _validated_fundamental(config, fund)
-    n, at = config.tree.rank, [pq.index(p) for p in fund]
-    members = set(at)
+    pq, at, _ = _validated_fundamental(config, fund)
+    n, members = config.tree.rank, set(at)
 
     found = []  # (tail, head moved into the fundamental copy, shift) as indices
     for a in at:
@@ -296,20 +314,21 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
                 assert b - n in members, "arrow leaves the fundamental copy by more than one period"
                 found.append((a, b - n, 1))
 
+    names = {a: _point_name(pq.point(a)) for a in at}
     labels: dict[tuple[int, int], str] = {}
     arrows = []
     for k, (a, base, shift) in enumerate(sorted(found)):
         label = f"a{k}"
         labels[a % n, base + shift * n - a // n * n] = label
-        arrows.append(PArrow(label, _point_name(pq.point(a)), _point_name(pq.point(base)), shift))
+        arrows.append(PArrow(label, names[a], names[base], shift))
 
     relations = _standard_relations(pq, at, labels, n)
     return QuiverPresentation(
-        points=tuple(_point_name(p) for p in fund),
+        points=tuple(names.values()),
         arrows=tuple(arrows),
         relations=tuple(relations),
         periodic=True,
-        meta={"fundamental": [_point_name(p) for p in fund]},
+        meta={"fundamental": list(names.values())},
     )
 
 
@@ -358,9 +377,10 @@ def _standard_relations(pq: ProjectiveQuiver, fund: list[int], base_labels: dict
 
     commutes: set[CommuteRel] = set()
     for paths in parallel.values():
-        for u, v in itertools.combinations(paths, 2):
-            if u[1] != v[1] and u[-2] != v[-2]:
-                commutes.add(CommuteRel(*sorted((labels(u), labels(v)))))
+        pairs = [(u, v) for u, v in itertools.combinations(paths, 2) if u[1] != v[1] and u[-2] != v[-2]]
+        if pairs:
+            named = {u: labels(u) for u in set(itertools.chain(*pairs))}  # each path once
+            commutes.update(CommuteRel(*sorted((named[u], named[v]))) for u, v in pairs)
 
     # translates yield identical label paths; keep the first of each
     return list(dict.fromkeys(zeros)) + sorted(commutes, key=lambda r: (r.lhs, r.rhs))
@@ -410,14 +430,15 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     refusal = _refusal(group, tree, config.residues, -1, R)
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
-    # in the order the orbits are met; the group moves no configuration point
-    lifts = config.lifts(0, R - 1)
-    reps = list(dict.fromkeys(action.representative(Pt(i, x, True)) for i, x in lifts))
+    # the group moves no configuration point, so each representative is the
+    # first lift of its orbit, and the lifts have the indices 0, 1, ...
+    lifts = [Pt(i, x, True) for i, x in config.lifts(0, R - 1)]
+    at = [a for a, p in enumerate(lifts) if action.representative(p) == p]
+    reps = [lifts[a] for a in at]
     matrix = dict.fromkeys(itertools.product(reps, reps), 0)
-    for p in reps:
-        for t in pq.support(p):
-            if t.proj:
-                matrix[(p, action.representative(t))] += pq.hom(p, t)
+    for a in at:
+        for b in pq.support_at(a):  # each of these homs is 1
+            matrix[lifts[a], action.representative(pq.point(b))] += 1
     return reps, matrix
 
 
@@ -538,11 +559,9 @@ def brauer_from_pedigree(pedigree) -> BrauerQuiver:
     return bq
 
 
-def pedigree_from_brauer(q: BrauerQuiver, omega) -> "Pedigree":
+def pedigree_from_brauer(q: BrauerQuiver, omega) -> Pedigree:
     """Rebuild the pedigree of all self-avoiding walks from omega that use
     alpha-arrows forward and beta-arrows backward."""
-    from .classify import Pedigree
-
     validate_brauer(q)
     if q.reduced:
         raise InvalidBrauer("walk reconstruction expects the unreduced quiver")

@@ -36,6 +36,9 @@ whole chain, the reference for the relation search of ``quiver_of_AC``.
 ``reference_pt_relations`` is that search as it stood on ``Pt`` chains,
 before it moved onto projective indices, with each composite decided from
 ``hom_dim`` reads; it is the reference for the index search's output order.
+``reference_cartan_matrix`` is ``present.cartan_matrix`` as it stood before
+it read the support masks: each representative's hom support rebuilt as
+points from its row, summed by ``hom``.
 ``edge_rule_section`` orients a section edge by edge from slice differences,
 and ``greedy_knit_toward`` knits by moving the least movable live orbit one
 step at a time, within a step budget the caller gives (the tests give the
@@ -69,7 +72,7 @@ minimum over the generator's powers.
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, starmap
+from itertools import combinations, product, starmap
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -443,6 +446,25 @@ def eager_projective_quiver(config, i_lo: int, i_hi: int):
     return hom, arrows, out_nb, in_nb
 
 
+def reference_cartan_matrix(config, group):
+    """The Cartan numbers of an admissible quotient as ``(reps, matrix)``:
+    entry (p, q) sums hom(p, t) over the projectives t of the support of
+    hom(p, -) whose representative is q, with the support read as points off
+    the row of p."""
+    pq, tree = projective_quiver(config), config.tree
+    L, n = loewy_number(tree), tree.rank
+    action = group.action(tree)
+    lifts = config.lifts(0, action.period - 1)
+    reps = list(dict.fromkeys(action.representative(Pt(i, x, True)) for i, x in lifts))
+    matrix = dict.fromkeys(product(reps, reps), 0)
+    for p in reps:
+        first, row = pq.row(p)
+        stable = [Pt(first + j // n, j % n + 1) for j, v in enumerate(row) if v]
+        for t in [p, *(Pt(s, x, True) for s, x, _ in stable if (s % L, x) in config.residues)]:
+            matrix[(p, action.representative(t))] += pq.hom(p, t)
+    return reps, matrix
+
+
 def closure_domain(config, section):
     """Configuration points behind the section and ahead of its shift by L
     slices down, as the intersection of two reach closures in a window."""
@@ -717,10 +739,16 @@ def reflections(config, fund) -> list[tuple[Pt, ...]]:
     ]
 
 
+def normalized(config, fund) -> tuple[Pt, ...]:
+    """A fundamental algebra of ``config`` moved by nu to its least slice in [0, L)."""
+    pq, at, _ = _validated_fundamental(config, fund)
+    return tuple(map(pq.point, at))
+
+
 def reflection_closure(config, fund) -> set[tuple[Pt, ...]]:
     """Every fundamental algebra reached from ``fund`` by source and sink
     reflections, ``fund`` included, each moved by nu to its least slice in [0, L)."""
-    return reach([_validated_fundamental(config, fund)[1]], lambda f: reflections(config, f))
+    return reach([normalized(config, fund)], lambda f: reflections(config, f))
 
 
 def _relation_pointform(pres: QuiverPresentation, mapping: dict[str, str]):

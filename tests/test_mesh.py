@@ -16,7 +16,6 @@ from meshknit.errors import WindowTooSmall
 from meshknit.mesh import (
     MeshTransporter,
     ProjectiveQuiver,
-    complete_morphisms,
     hom_dim_oracle,
     nakayama,
     nu_inverse,
@@ -24,6 +23,7 @@ from meshknit.mesh import (
     projective_quiver,
     starting_function,
 )
+from meshknit.present import complete_morphisms
 from meshknit.ztquiver import Configuration, Pt, build_window, equioriented_section
 
 A2 = make_tree("A", 2)
@@ -183,8 +183,8 @@ def test_starting_function_agrees_with_transporter_on_configuration_windows(name
 def test_starting_function_agrees_with_transporter_on_the_quiver_window(name, configs_cache):
     """On the window [-1, 2L + 1] of ProjectiveQuiver, from every lift in
     slices [0, L), the recurrence equals the transporter dimension at every
-    point, stable points included: the tables that ``hom`` and ``support``
-    read, for every configuration."""
+    point, stable points included: the tables that ``hom`` and the support
+    masks read, for every configuration."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     for config in configs_cache(name):
@@ -217,7 +217,9 @@ def test_projective_quiver_is_shared_by_calls_in_a_row(configs_cache):
         for p in lifts:
             homs = [pq.hom(p, q) for q in w.order]
             assert homs == [fresh.hom(p, q) for q in w.order], (config, p)
-            assert pq.support(p) == fresh.support(p) == sorted(q for q, d in zip(w.order, homs) if d)
+            a = pq.index(p)
+            support = [pq.index(q) for q, d in zip(w.order, homs) if d and q.proj]
+            assert pq.support_at(a) == fresh.support_at(a) == sorted(support)
             assert [pq.hom_dim(p, q) for q in lifts] == [fresh.hom_dim(p, q) for q in lifts]
             assert pq.out_nb[p] == fresh.out_nb[p] and pq.in_nb[p] == fresh.in_nb[p]
         previous, before = pq, config
@@ -353,7 +355,7 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
     hom_dim of every pair of lifts in slices [1, 3L] equals the dimension
     read off a transporter built from scratch at the first of them, in the
     full window of those slices plus L + 2; there is exactly one row per
-    residue, and hom and support at its lift read as the dict recurrence on
+    residue, and hom and support_at at its lift read as the dict recurrence on
     the window [-1, 2L + 1] (helpers.reference_starting_function); and each
     row's support ends at least two levels below the top of that span, so
     its walk stopped inside it.  The lifts start
@@ -381,7 +383,7 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
         for i, x in sorted(config.residues):
             p = Pt(i, x, True)
             table = reference_starting_function(tree, p, window)
-            assert pq.support(p) == table.support(), (config, p)
+            assert list(map(pq.point, pq.support_at(pq.index(p)))) == [q for q in table.support() if q.proj]
             assert [pq.hom(p, q) for q in window.order] == [table[q] for q in window.order]
         for (i, x), row in pq._rows.items():
             assert row[len(level):] == [0], (config, i, x)  # the zero slot
@@ -393,7 +395,7 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
 def test_projective_quiver_walks_once_per_residue(name, configs_cache, monkeypatch):
     """Building a ProjectiveQuiver runs mesh._walk once per residue and
     builds no QuiverWindow; reading out_nb, in_nb, path_nonzero, hom and
-    support afterwards, over three periods, runs neither."""
+    support_at afterwards, over three periods, runs neither."""
     from meshknit import mesh, ztquiver
 
     configs = configs_cache(name)[:5]
@@ -407,7 +409,7 @@ def test_projective_quiver_walks_once_per_residue(name, configs_cache, monkeypat
         assert len(walks) == config.tree.rank and not windows, config
         walks.clear()
         for p in (Pt(i, x, True) for i, x in config.lifts(-L, 2 * L - 1)):
-            assert pq.support(p)
+            assert pq.support_at(pq.index(p))
             for q in pq.out_nb[p]:
                 assert pq.hom(p, q) == 1 and pq.path_nonzero([p, q]) and not pq.path_nonzero([p, q, p])
             assert all(pq.path_nonzero([r, p]) for r in pq.in_nb[p])
@@ -416,7 +418,7 @@ def test_projective_quiver_walks_once_per_residue(name, configs_cache, monkeypat
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_projective_quiver_refuses_other_sources(name, configs_cache):
-    """hom(p, q) and support(p) are for a projective p of the configuration.
+    """hom(p, q) is for a projective p of the configuration.
     A projective at another residue, in any nu-translate, and the stable
     point under a projective of the configuration raise WindowTooSmall."""
     tree = make_tree(name[0], int(name[1]))
@@ -429,8 +431,6 @@ def test_projective_quiver_refuses_other_sources(name, configs_cache):
     for p in (Pt(j, y, True), Pt(j - L, y, True), Pt(j + 2 * L, y, True), Pt(i, x), Pt(i + L, x)):
         with pytest.raises(WindowTooSmall):
             pq.hom(p, Pt(p.slice + 1, p.vertex))
-        with pytest.raises(WindowTooSmall):
-            pq.support(p)
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])

@@ -11,10 +11,12 @@ import pytest
 
 import meshknit
 from helpers import (
+    normalized,
     orbit_by_iteration,
     orbit_cases,
     path_exists,
     presentation_isomorphic,
+    reference_cartan_matrix,
     reference_pt_relations,
     reference_standard_relations,
     reflection_closure,
@@ -31,7 +33,7 @@ from meshknit.errors import (
     TooSmall,
 )
 from meshknit.knitting import dims_on_section, fundamental_domain_points, knit_and_knot
-from meshknit.mesh import ProjectiveQuiver, complete_morphisms, projective_quiver
+from meshknit.mesh import ProjectiveQuiver, projective_quiver
 from meshknit.present import (
     BrauerQuiver,
     CommuteRel,
@@ -40,6 +42,7 @@ from meshknit.present import (
     ZeroRel,
     brauer_from_pedigree,
     cartan_matrix,
+    complete_morphisms,
     d3m_quotient_presentations,
     exceptional_cover,
     exceptional_cycle_presentation,
@@ -66,12 +69,10 @@ def pattern_fund(config, section):
 
 
 def test_fundamental_algebras_contains_pattern_and_chain(fig4):
-    from meshknit.present import _normalize_min_shift
-
     tree, section, _, config = fig4
     fas = fundamental_algebras(config)
-    assert _normalize_min_shift(config, pattern_fund(config, section)) in fas
-    assert _normalize_min_shift(config, CHAIN_46) in fas
+    assert normalized(config, pattern_fund(config, section)) in fas
+    assert normalized(config, CHAIN_46) in fas
     assert all(len(f) == 7 for f in fas)
 
 
@@ -90,7 +91,7 @@ def test_fundamental_algebras_match_a_wide_lift_search(name, configs_cache):
         want = []
         for shifts in itertools.product(range(5), repeat=len(residues)):
             cand = tuple(sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts)))
-            if min(shifts) == 0 and _shape_defect(pq, cand) is None:
+            if min(shifts) == 0 and _shape_defect(pq, list(map(pq.index, cand))) is None:
                 want.append(cand)
                 shift3 += max(shifts) == 3
         assert fundamental_algebras(config) == sorted(want), config
@@ -104,10 +105,8 @@ def test_fundamental_algebras_match_a_wide_lift_search(name, configs_cache):
 def test_fundamental_algebras_move_with_the_configuration(name, step, configs_cache):
     """tau^-1 moves every fundamental algebra of C one slice up, onto one of
     tau^-1 C, and the search finds exactly those."""
-    from meshknit.present import _normalize_min_shift
-
     for config in configs_cache(name)[::step]:
-        moved = {_normalize_min_shift(config, [Pt(p.slice + 1, p.vertex, True) for p in f])
+        moved = {normalized(config.shifted(-1), [Pt(p.slice + 1, p.vertex, True) for p in f])
                  for f in fundamental_algebras(config)}
         assert fundamental_algebras(config.shifted(-1)) == sorted(moved), config
 
@@ -171,7 +170,7 @@ def test_shape_defect_matches_pairwise_between_sets(configs_cache):
                     continue
                 cand = tuple(sorted(Pt(i + k * L, x, True) for (i, x), k in zip(residues, shifts)))
                 offenders = _reference_offenders(pq, between, cand)
-                defect = _shape_defect(pq, cand)
+                defect = _shape_defect(pq, list(map(pq.index, cand)))
                 assert (defect is None) == (not offenders), (config, cand, defect)
                 if defect is not None:
                     witness = re.search(r"(-?\d+)_(\d+)_P", defect)
@@ -245,7 +244,7 @@ def test_connecting_arrows_match_complete_morphisms(configs_cache, fig4):
 
 def test_reflection_moves(fig4):
     _, _, _, config = fig4
-    _, fund = _validated_fundamental(config, CHAIN_46)
+    fund = normalized(config, CHAIN_46)
     x = fundamental_sources(config, fund)[0]
     moved = reflect_fundamental(config, fund, x, "source")
     assert tuple(moved) != tuple(fund)
@@ -255,10 +254,26 @@ def test_reflection_moves(fig4):
         reflect_fundamental(config, fund, Pt(5, 6, True), "source")
 
 
+def test_reflection_of_a_nu_translate(fig4):
+    """Up to nu a fundamental algebra is one set: reflecting CHAIN_46 moved up
+    by L at its source named as given (11_1_P) or as fundamental_sources
+    returns it (4_1_P) gives the reflection of CHAIN_46 itself."""
+    _, _, _, config = fig4
+    L = loewy_number(config.tree)
+    up = [Pt(p.slice + L, p.vertex, True) for p in CHAIN_46]
+    want = reflect_fundamental(config, CHAIN_46, Pt(4, 1, True), "source")
+    assert fundamental_sources(config, up) == fundamental_sources(config, CHAIN_46)
+    assert Pt(4, 1, True) in fundamental_sources(config, up)
+    assert reflect_fundamental(config, up, Pt(11, 1, True), "source") == want
+    assert reflect_fundamental(config, up, Pt(4, 1, True), "source") == want
+    with pytest.raises(NotSource):
+        reflect_fundamental(config, up, Pt(5 + L, 6, True), "source")
+
+
 def test_reflect_fundamental_refuses_an_unknown_direction(fig4):
     """A typed refusal that library callers may still catch as ValueError."""
     _, _, _, config = fig4
-    _, fund = _validated_fundamental(config, CHAIN_46)
+    fund = normalized(config, CHAIN_46)
     x = fundamental_sources(config, fund)[0]
     with pytest.raises(InvalidInput, match="'up'") as err:
         reflect_fundamental(config, fund, x, "up")
@@ -342,6 +357,36 @@ def test_cartan_against_direct_orbit_sum(fig4, configs_cache):
             tr = MeshTransporter(window, p)
             for q in reps:
                 assert mat[(p, q)] == sum(tr.dim(t) for t in orbits[q]), (config, group, p, q)
+
+
+@pytest.mark.parametrize(
+    "name,step",
+    [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("A6", 1), ("D4", 1), ("D5", 1), ("D6", 1), ("E6", 5)],
+)
+def test_cartan_matrix_matches_the_point_reference(name, step, configs_cache):
+    """cartan_matrix, which adds 1 per index of a representative's support
+    mask, equals helpers.reference_cartan_matrix, which sums hom over the
+    support rebuilt as points, representatives' order included: every
+    table_groups(s_max=2) group of every configuration (every 5th of E6)."""
+    checked = 0
+    for config in configs_cache(name)[::step]:
+        for group in table_groups(config.tree, config, s_max=2):
+            assert cartan_matrix(config, group) == reference_cartan_matrix(config, group), (config, group)
+            checked += 1
+    assert checked >= len(configs_cache(name)[::step])
+
+
+@pytest.mark.parametrize("name", ["D5", "D6"])
+def test_fundamental_algebras_read_no_point_index(name, configs_cache, monkeypatch):
+    """fundamental_algebras grows and tests index sets and builds a Pt only
+    for the sets it keeps: it calls ProjectiveQuiver.index on no configuration."""
+    calls = []
+    original = ProjectiveQuiver.index
+    monkeypatch.setattr(ProjectiveQuiver, "index", lambda pq, p: calls.append(p) or original(pq, p))
+    for config in configs_cache(name):
+        assert fundamental_algebras(config), config
+        assert not calls, (config, calls[:3])
+    assert projective_quiver(config).index(Pt(*min(config.residues), True)) == 0 and len(calls) == 1  # the count works
 
 
 def test_cartan_matrix_builds_no_orbit_window(configs_cache, monkeypatch):
