@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvalidType
 
@@ -31,6 +31,15 @@ class DynkinTree:
     family: str
     rank: int
     edges: tuple[tuple[int, int], ...] = field(repr=False)
+
+    def __post_init__(self):
+        # every per-tree cache hashes its tree: hash the fields once.  The
+        # family is left out, as str hashes differ between processes and the
+        # edges already tell the trees of one rank apart.
+        object.__setattr__(self, "_hash", hash((self.rank, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def vertices(self) -> range:
@@ -168,9 +177,10 @@ class AffineMap:
             cycle.append(self.perm[cycle[-1]])
         return cycle
 
-    @property
+    @cached_property
     def order(self) -> int:
-        """The order of the vertex permutation."""
+        """The order of the vertex permutation; the map is frozen, so it is
+        counted once."""
         return math.lcm(*(len(self._cycle(x)) for x in range(len(self.perm))))
 
     def power(self, k: int) -> "AffineMap":

@@ -258,6 +258,22 @@ def _all_section_shapes(tree) -> list[tuple[int, ...]]:
     return [tuple(s[v] for v in tree.vertices) for s in shapes]
 
 
+def _profile(points) -> tuple:
+    """A point set up to translation: its (slice, vertex) pairs from its least slice."""
+    lo = min(p.slice for p in points)
+    return tuple(sorted((p.slice - lo, p.vertex) for p in points))
+
+
+@lru_cache(maxsize=1)
+def _section_profiles(config: Configuration) -> frozenset[tuple]:
+    """The profiles of the fundamental domains of every section shape.  The
+    last configuration's set is kept: calls in a row on one configuration share it."""
+    return frozenset(
+        _profile(fundamental_domain_points(config, Section(config.tree, levels)))
+        for levels in _all_section_shapes(config.tree)
+    )
+
+
 def is_pattern_algebra(config: Configuration, fund) -> bool:
     """Does the fundamental algebra come from a section pattern?
 
@@ -266,16 +282,7 @@ def is_pattern_algebra(config: Configuration, fund) -> bool:
     shift.
     """
     pq, at, _ = _validated_fundamental(config, fund)
-
-    def profile(points) -> tuple:
-        lo = min(p.slice for p in points)
-        return tuple(sorted((p.slice - lo, p.vertex) for p in points))
-
-    target = profile(list(map(pq.point, at)))
-    return any(
-        profile(fundamental_domain_points(config, Section(config.tree, levels))) == target
-        for levels in _all_section_shapes(config.tree)
-    )
+    return _profile(list(map(pq.point, at))) in _section_profiles(config)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +437,24 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     refusal = _refusal(group, tree, config.residues, -1, R)
     if refusal is not None:
         raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
-    # the group moves no configuration point, so each representative is the
-    # first lift of its orbit, and the lifts have the indices 0, 1, ...
-    lifts = [Pt(i, x, True) for i, x in config.lifts(0, R - 1)]
-    at = [a for a, p in enumerate(lifts) if action.representative(p) == p]
-    reps = [lifts[a] for a in at]
-    matrix = dict.fromkeys(itertools.product(reps, reps), 0)
-    for a in at:
+    # Projective indices follow Pt order from slice 0, so the lifts of slices
+    # [0, hi] have the indices 0, 1, ...  The group moves no configuration
+    # point, so each representative is one of the lifts in [0, R).  S_a of a
+    # lift a in [0, R) reaches slice 2L + 1 of a's period, at most hi.
+    L = loewy_number(tree)
+    hi = ((R - 1) // L + 2) * L + 1
+    lifts = config.lifts(0, hi)
+    key, index = action.orbit_key, {r: a for a, r in enumerate(lifts)}
+    rep = [index[key[i % R, x]] for i, x in lifts]  # each lift's representative
+    at = [a for a, r in enumerate(rep) if r == a]
+    column = {a: c for c, a in enumerate(at)}
+    col = [column[r] for r in rep]
+    rows = [[0] * len(at) for _ in at]
+    for row, a in zip(rows, at):
         for b in pq.support_at(a):  # each of these homs is 1
-            matrix[lifts[a], action.representative(pq.point(b))] += 1
+            row[col[b]] += 1
+    reps = [Pt(*lifts[a], True) for a in at]
+    matrix = {(p, q): v for p, row in zip(reps, rows) for q, v in zip(reps, row)}
     return reps, matrix
 
 

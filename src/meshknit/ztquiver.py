@@ -7,9 +7,11 @@ decorates the quiver with one projective-injective point ``c*`` over each of
 its points ``c``, with arrows ``c -> c*`` and ``c* -> tau^{-1} c``.
 
 Nothing infinite is ever materialized.  A window ``[i_min, i_max]`` builds
-its slices explicitly; the orbit test and the quotient by an admissible
-group read only the tree, the configuration's residues and the two ends of
-a slice range, and fold one period of slices.
+its slices explicitly on the first read of its points, arrows or
+neighbours, and not before; the orbit test and the quotient by an
+admissible group read only the tree, the configuration's residues and the
+two ends of a slice range, and fold one period of slices, so a window passed
+to them is never built.
 """
 
 from __future__ import annotations
@@ -199,12 +201,18 @@ def _as_residues(tree: DynkinTree, config) -> frozenset[Residue] | None:
 class QuiverWindow:
     """A finite slice ``[i_min, i_max]`` of the (decorated) translation quiver.
 
-    Each point is built once, one ``Pt`` per (slice, vertex) and one per
+    Construction checks the range and the decoration and keeps the tree, the
+    residues and the two ends, which is all the orbit test and the quotient
+    read.  The explicit fields ``points``, ``arrows``, ``tau``, ``level``,
+    ``out_nb`` and ``in_nb`` are built together on the first read of any of
+    them.  Each point is built once, one ``Pt`` per (slice, vertex) and one per
     projective; the arrows, ``tau``, ``level`` and both neighbour lists hold
     those same objects.  ``arrows`` is sorted, and each neighbour list follows
     it.  A configuration must belong to ``tree``; a raw residue iterable is
     taken as it is.
     """
+
+    _BUILT = frozenset({"points", "arrows", "tau", "level", "out_nb", "in_nb"})
 
     def __init__(self, tree: DynkinTree, config, i_min: int, i_max: int):
         if i_min > i_max:
@@ -215,6 +223,17 @@ class QuiverWindow:
         self.residues = _as_residues(tree, config)
         self.i_min = i_min
         self.i_max = i_max
+
+    def __getattr__(self, name: str):
+        # only reached while ``name`` is not yet in the instance dict
+        if name not in QuiverWindow._BUILT:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build()
+        return self.__dict__[name]
+
+    def _build(self) -> None:
+        """Create the six explicit fields at once; none is read before it is set."""
+        tree, i_min, i_max = self.tree, self.i_min, self.i_max
         L = loewy_number(tree)
         depth = tree.depth
         slices = range(i_min, i_max + 1)
@@ -476,8 +495,9 @@ class AdmissibleGroup:
 
     def moved(self, tree: DynkinTree, residues: frozenset[Residue]) -> list[Residue]:
         """The residues the generator maps off the set, least first; none
-        exactly when it stabilizes the set, as it acts injectively."""
-        g = self.generator_map(tree).mod(loewy_number(tree))
+        exactly when it stabilizes the set, as it acts injectively.  The
+        generator's map on residues mod L is built once per (group, tree)."""
+        g = _residue_map(self, tree)
         return sorted(r for r in residues if g(*r) not in residues)
 
     def stabilizes(self, config: Configuration) -> bool:
@@ -487,6 +507,11 @@ class AdmissibleGroup:
 @lru_cache(maxsize=None)
 def _group_action(group: AdmissibleGroup, tree: DynkinTree) -> GroupAction:
     return GroupAction(group.generator_map(tree))
+
+
+@lru_cache(maxsize=None)
+def _residue_map(group: AdmissibleGroup, tree: DynkinTree) -> AffineMap:
+    return group.generator_map(tree).mod(loewy_number(tree))
 
 
 # ---------------------------------------------------------------------------

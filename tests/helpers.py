@@ -68,11 +68,14 @@ stood while graph automorphisms were vertex permutations, the reference for
 the maps ``tree_automorphisms`` returns; ``reference_representative`` is
 ``GroupAction.representative`` as it stood before the orbit-key table, a
 minimum over the generator's powers.
+``count_windows`` records every ``QuiverWindow`` construction and every
+explicit build of a window's points and arrows while a test runs.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product, starmap
+from types import SimpleNamespace
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -97,6 +100,7 @@ from meshknit.ztquiver import (
     AdmissibleGroup,
     Configuration,
     Pt,
+    QuiverWindow,
     Residue,
     _as_residues,
     build_window,
@@ -162,6 +166,17 @@ def naive_hom_dim(window, x, y) -> int:
                 if row:
                     ech.insert(row)
     return len(paths) - ech.rank
+
+
+def count_windows(monkeypatch) -> SimpleNamespace:
+    """From now until the test ends, ``made`` gets the arguments of each
+    ``QuiverWindow`` construction and ``built`` each window whose six explicit
+    fields are built."""
+    counts = SimpleNamespace(made=[], built=[])
+    init, build = QuiverWindow.__init__, QuiverWindow._build
+    monkeypatch.setattr(QuiverWindow, "__init__", lambda w, *a: counts.made.append(a) or init(w, *a))
+    monkeypatch.setattr(QuiverWindow, "_build", lambda w: counts.built.append(w) or build(w))
+    return counts
 
 
 class ReferenceWindow:

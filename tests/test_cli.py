@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meshknit
-from helpers import orbit_cases, reference_fold, reference_is_admissible, reference_witness
+from helpers import count_windows, orbit_cases, reference_fold, reference_is_admissible, reference_witness
 from meshknit.classify import check_combinatorial_configuration, enumerate_configurations
 from meshknit.cli import run
 from meshknit.dotio import serialize_dot
@@ -258,15 +258,11 @@ def test_quotient_range_window_matches_the_whole_range(name, configs_cache):
 def test_quotient_of_a_huge_range_builds_no_window(capsys, monkeypatch, bounds):
     """10**9 slices up or down, A2 by tau^2 folds to its four points, and no
     window is built (the whole range would not fit in memory)."""
-    from meshknit import ztquiver
-
-    built = []
-    init = ztquiver.QuiverWindow.__init__
-    monkeypatch.setattr(ztquiver.QuiverWindow, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    windows = count_windows(monkeypatch)
     argv = ["quotient", "--tree", "A2", "--group", "tau^2", f"--range={bounds}", "--out", "json"]
     code, out, _ = run_capture(capsys, argv)
     assert code == 0 and len(json.loads(out)["points"]) == 4
-    assert not built
+    assert not windows.made
 
 
 def test_twist_names_are_the_printed_labels(capsys):

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     OnDemand,
     composite_nonzero,
+    count_windows,
     eager_projective_quiver,
     naive_hom_dim,
     path_exists,
@@ -396,13 +397,12 @@ def test_projective_quiver_walks_once_per_residue(name, configs_cache, monkeypat
     """Building a ProjectiveQuiver runs mesh._walk once per residue and
     builds no QuiverWindow; reading out_nb, in_nb, path_nonzero, hom and
     support_at afterwards, over three periods, runs neither."""
-    from meshknit import mesh, ztquiver
+    from meshknit import mesh
 
     configs = configs_cache(name)[:5]
-    walks, windows = [], []
-    walk, init = mesh._walk, ztquiver.QuiverWindow.__init__
+    walks, walk = [], mesh._walk
     monkeypatch.setattr(mesh, "_walk", lambda *a: walks.append(a) or walk(*a))
-    monkeypatch.setattr(ztquiver.QuiverWindow, "__init__", lambda self, *a: windows.append(a) or init(self, *a))
+    windows = count_windows(monkeypatch).made
     for config in configs:
         L = loewy_number(config.tree)
         pq = ProjectiveQuiver(config)

@@ -187,6 +187,19 @@ def test_chain_is_not_a_pattern_algebra(fig4):
     assert not is_pattern_algebra(config, CHAIN_46)
 
 
+@pytest.mark.parametrize("name,count", [("A2", 4), ("A3", 12), ("A4", 48), ("A5", 139), ("D4", 45)])
+def test_pattern_algebras_are_counted_in_any_call_order(name, count, configs_cache):
+    """The pattern algebras among all fundamental algebras of a tree's
+    configurations (computed values, pinned as data), counted once with
+    each configuration's calls in a row and once round-robin over the
+    configurations."""
+    per_config = [[(c, f) for f in fundamental_algebras(c)] for c in configs_cache(name)]
+    in_a_row = itertools.chain(*per_config)
+    alternating = (cf for cf in itertools.chain(*itertools.zip_longest(*per_config)) if cf)
+    assert sum(is_pattern_algebra(c, f) for c, f in in_a_row) == count
+    assert sum(is_pattern_algebra(c, f) for c, f in alternating) == count
+
+
 def test_chain_zero_relations(fig4):
     """The worked non-pattern chain carries the two stated zero relations."""
     _, _, _, config = fig4

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     ReferenceWindow,
+    count_windows,
     edge_rule_section,
     orbit_by_iteration,
     orbit_cases,
@@ -17,7 +18,7 @@ from helpers import (
 from meshknit.classify import check_combinatorial_configuration
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource, WindowTooSmall
-from meshknit.present import _all_section_shapes
+from meshknit.present import _all_section_shapes, cartan_matrix
 from meshknit.ztquiver import (
     AdmissibleGroup,
     AffineMap,
@@ -703,6 +704,50 @@ def test_window_matches_the_previous_constructor(configs_cache, family, rank):
                 *(q for nbs in (w.out_nb, w.in_nb) for p, qs in nbs.items() for q in (p, *qs)),
             ]
             assert all(p is own[p] for p in held)
+
+
+WINDOW_FIELDS = ("points", "arrows", "tau", "level", "out_nb", "in_nb")
+
+
+@pytest.mark.parametrize("name", ["A3", "A5", "D4", "D5"])
+def test_a_quotients_item_builds_no_window(name, configs_cache, monkeypatch):
+    """Window, orbit test, quotient and Cartan matrix, as a perfbench
+    quotients item runs them: each window is made and never built."""
+    windows = count_windows(monkeypatch)
+    for config in configs_cache(name)[::7]:
+        tree = config.tree
+        for group in table_groups(tree, config, s_max=2):
+            P = abs(group.pure_period(tree))
+            window = build_window(tree, config, 0, 2 * P + 1)
+            assert is_admissible(group, window)
+            quotient(window, group)
+            cartan_matrix(config, group)
+            assert windows.made[-1] == (tree, config, 0, 2 * P + 1), (config, group)
+    assert windows.made and not windows.built
+
+
+@pytest.mark.parametrize("first", [*WINDOW_FIELDS, "order", "projectives", "in"])
+def test_reading_a_window_builds_it_once(first, configs_cache, monkeypatch):
+    """Reading any of the six explicit fields, or ``order``, ``projectives``
+    or membership, builds the window once; every field then stays the object
+    of that build, and each point is one object across them."""
+    config = configs_cache("D4")[3]
+    windows = count_windows(monkeypatch)
+    w = build_window(config.tree, config, -1, 7)
+    assert not windows.built
+    if first == "in":
+        assert Pt(0, 1) in w
+    else:
+        getattr(w, first)
+    fields = {f: getattr(w, f) for f in WINDOW_FIELDS}
+    assert w.order and w.projectives and Pt(-1, 2) in w
+    assert windows.built == [w]
+    assert all(getattr(w, f) is fields[f] for f in WINDOW_FIELDS)
+    own = {p: p for p in w.points}
+    held = [*(p for arrow in w.arrows for p in arrow), *w.tau, *w.tau.values(), *w.level, *w.out_nb, *w.in_nb]
+    assert all(p is own[p] for p in held)
+    with pytest.raises(AttributeError, match="no attribute 'config'"):
+        w.config
 
 
 def test_window_refuses_a_configuration_of_another_tree(configs_cache):
