@@ -170,6 +170,8 @@ def _pattern_runs(tree: DynkinTree, section: Section, dims: Vec) -> list[list[Ve
     1980).  So every orbit ends within L - 1 slices of the section, within one
     period as the fundamental domain is, and its -1 comes by pass L.
     """
+    if section.tree != tree:
+        raise InvalidInput(f"the section belongs to {section.tree.name}, not to {tree.name}")
     DimensionVector(section, dims)  # validates positivity
     L, runs = loewy_number(tree), []
     for d, name in ((-1, "backward"), (1, "forward")):
@@ -286,6 +288,8 @@ def fundamental_domain_points(config: Configuration, section: Section) -> list[P
     tau^L-shift are the (i, x) with i >= s_x - L: the domain is the lifts
     with s_x - L <= i < s_x, one per residue.
     """
+    if section.tree != config.tree:
+        raise InvalidInput(f"the section belongs to {section.tree.name}, not to {config.tree.name}")
     L = loewy_number(config.tree)
     s = section.slice_of
     lifts = config.lifts(min(section.levels) - L, max(section.levels) - 1)
@@ -296,11 +300,9 @@ def dims_on_section(config: Configuration, section: Section) -> Vec:
     """Total dimensions over the section: sums of the hom rows of the
     projectives of the fundamental domain one Nakayama period behind it, each
     read at the section point's index in the row."""
-    tree = config.tree
-    if section.tree != tree:
-        raise InvalidInput(f"the section belongs to {section.tree.name}, not to {tree.name}")
+    tree, fund = config.tree, fundamental_domain_points(config, section)  # checks the section's tree
     pq, n = projective_quiver(config), tree.rank
-    rows = [pq.row(Pt(c.slice, c.vertex, True)) for c in fundamental_domain_points(config, section)]
+    rows = [pq.row(Pt(c.slice, c.vertex, True)) for c in fund]
     at = [(section.slice_of(v), v - 1) for v in tree.vertices]
     values = [sum(r[j] for first, r in rows if 0 <= (j := (s - first) * n + x) < len(r)) for s, x in at]
     if any(v < 1 for v in values):

@@ -14,16 +14,17 @@ Both walk in level order from the source.  Every arrow raises the level by
 one, and a value is at most the sum of the values at its in-neighbours, one
 level down; so once a whole level is zero every higher one is, and a walk
 stops at the first point two levels above its highest nonzero value.  The
-library reads the recurrence from two stores: :func:`_stable_support` per
-vertex of a tree (the C1/C2 test of ``classify`` and the Nakayama map), and
-:class:`ProjectiveQuiver`, one int row of hom(P, -) and one bit set of its
-projective support per nu-orbit of the projectives P of k(Z Delta_C), read
-by projective index: ``present`` builds its fundamental algebras,
-presentations and Cartan matrices on those indices, and imports this
-module, never the other way round.  The transporter, which also carries the
-arrow matrices of the quotient functor, is the exact route behind ``meshknit
-mesh homdim`` and the tests' oracle, for hom dimensions and, through the
-natural maps between two transporters, for composites.
+library reads the recurrence from two stores, neither built on a window:
+:func:`_stable_support` per vertex of a tree (the C1/C2 test of ``classify``
+and the Nakayama map), and :class:`ProjectiveQuiver`, one int row of
+hom(P, -), one bit set of its projective support and its arrow ends per
+nu-orbit of the projectives P of k(Z Delta_C), all read by projective
+index: ``present`` builds its fundamental algebras, presentations and
+Cartan matrices on those indices, and imports this module, never the other
+way round.  The transporter, which also carries the arrow matrices of the
+quotient functor, is the exact route behind ``meshknit mesh homdim`` and
+the tests' oracle, for hom dimensions and, through the natural maps between
+two transporters, for composites.
 """
 
 from __future__ import annotations
@@ -203,8 +204,10 @@ def precedes(window: QuiverWindow, x: Pt, y: Pt) -> bool:
 
 @lru_cache(maxsize=None)
 def _stable_support(tree: DynkinTree, vertex: int) -> tuple[Pt, ...]:
-    """The support of hom((0, vertex), -) on the stable quiver Z Delta, once per tree."""
-    return tuple(starting_function(tree, Pt(0, vertex)).support())
+    """The support of hom((0, vertex), -) on the stable quiver Z Delta, once
+    per tree: one walk on slices [0, L + 1], with no window."""
+    n, row = tree.rank, _walk(tree, loewy_number(tree) + 2, set(), 0, vertex)
+    return tuple(Pt(j // n, j % n + 1) for j, d in enumerate(row) if d)
 
 
 @lru_cache(maxsize=None)
@@ -241,22 +244,6 @@ def nakayama(tree: DynkinTree, p: Pt) -> Pt:
 # the quiver of the infinite selfinjective category attached to a configuration
 
 
-class _Arrows:
-    """Arrow ends kept per lift as indices: ``at(a)`` moves them up to index a
-    by whole periods, and ``[p]`` is their ``Pt`` view ([] off the configuration)."""
-
-    def __init__(self, pq: "ProjectiveQuiver", lists: list[list[int]]):
-        self._pq, self._lists = pq, lists
-
-    def at(self, a: int) -> list[int]:
-        k, j = divmod(a, self._pq._n)
-        return [b + k * self._pq._n for b in self._lists[j]]
-
-    def __getitem__(self, p: Pt) -> list[Pt]:
-        a = self._pq.index(p)
-        return [] if a is None else list(map(self._pq.point, self.at(a)))
-
-
 class ProjectiveQuiver:
     """Arrows and hom data among the projectives of k(Z Delta_C), built once.
 
@@ -273,8 +260,9 @@ class ProjectiveQuiver:
     set S_p of the indices of the projectives q != p with hom(p, q) != 0, all
     in slices [0, 2L + 1], where the walk stops; S moves by ``rank`` bits per
     period.  The heads out of p are S_p minus the union of S_r over r in S_p
-    (radical square test); the tails into each lift are those heads, inverted.
-    A search over the infinite quiver bounds itself by level.
+    (radical square test); the tails into each lift are those heads, inverted,
+    and ``heads_at``/``tails_at`` move them up by whole periods.  A search over
+    the infinite quiver bounds itself by level (``level_at``).
     """
 
     def __init__(self, config: Configuration):
@@ -303,7 +291,7 @@ class ProjectiveQuiver:
             heads.append([b for b in inner if not below >> b & 1])
             for b in heads[j]:  # the tail, moved so the head sits at its lift
                 tails[b % n].append(j - b // n * n)
-        self.out_nb, self.in_nb = _Arrows(self, heads), _Arrows(self, [sorted(t) for t in tails])
+        self._heads, self._tails = heads, [sorted(t) for t in tails]
 
     def index(self, p: Pt) -> int | None:
         """The index of a projective p of the configuration, else None."""
@@ -315,9 +303,6 @@ class ProjectiveQuiver:
         k, j = divmod(a, self._n)
         i, x = self._lifts[j]
         return Pt(i + k * self._period, x, True)
-
-    def level(self, p: Pt) -> int:
-        return 2 * p.slice + self._depth[p.vertex] + 1
 
     def level_at(self, a: int) -> int:
         k, j = divmod(a, self._n)
@@ -342,16 +327,24 @@ class ProjectiveQuiver:
             return 0
         return row[j] + (qproj and qs == ps and qx == px)
 
+    def heads_at(self, a: int) -> list[int]:
+        """The sorted heads of the arrows out of index a."""
+        j = a % self._n
+        k = a - j  # whole periods
+        return [b + k for b in self._heads[j]]
+
+    def tails_at(self, a: int) -> list[int]:
+        """The sorted tails of the arrows into index a."""
+        j = a % self._n
+        k = a - j
+        return [b + k for b in self._tails[j]]
+
     def support_at(self, a: int) -> list[int]:
         """The sorted indices b with hom(a, b) != 0, a included: a and the
         bits of S_a, and each of those homs is 1."""
         k, j = divmod(a, self._n)
         s = self._masks[j]
         return sorted([a, *(b + k * self._n for b in range(s.bit_length()) if s >> b & 1)])
-
-    def hom_dim(self, p: Pt, q: Pt) -> int:
-        """dim hom(p, q), 0 or 1, for projectives p != q; 0 for p == q."""
-        return self.hom(p, q) if p != q else 0
 
     def nonzero(self, chain) -> bool:
         """Is the composite along a chain of projective indices nonzero?  It

@@ -150,13 +150,13 @@ def _shape_defect(pq: ProjectiveQuiver, at: list[int]) -> str | None:
     reached from it.
     """
     members = set(at)
-    linked = reach(at[:1], lambda a: members.intersection(pq.out_nb.at(a) + pq.in_nb.at(a)))
+    linked = reach(at[:1], lambda a: members.intersection(pq.heads_at(a) + pq.tails_at(a)))
     if linked != members:
         return f"points are not connected in the quiver: {pq.point(min(members - linked))} is cut off"
     lvl = pq.level_at
     bottom, top = min(map(lvl, at)), max(map(lvl, at))
-    ahead = reach(at, lambda a: (b for b in pq.out_nb.at(a) if lvl(b) <= top))
-    behind = reach(at, lambda b: (a for a in pq.in_nb.at(b) if lvl(a) >= bottom))
+    ahead = reach(at, lambda a: (b for b in pq.heads_at(a) if lvl(b) <= top))
+    behind = reach(at, lambda b: (a for a in pq.tails_at(b) if lvl(a) >= bottom))
     between = ahead & behind
     if between - members:
         return f"a quiver path between points of the set leaves it at {pq.point(min(between - members))}"
@@ -172,27 +172,28 @@ def fundamental_algebras(config: Configuration) -> list[tuple[Pt, ...]]:
     grow as projective indices, whose residue is j mod rank."""
     pq, n = projective_quiver(config), config.tree.rank
     grown = {frozenset([j]) for j in range(n)}  # the lifts in [0, L)
-    step = lru_cache(maxsize=None)(lambda a: [b for b in pq.out_nb.at(a) + pq.in_nb.at(a) if b >= 0])
+    step = lru_cache(maxsize=None)(lambda a: [b for b in pq.heads_at(a) + pq.tails_at(a) if b >= 0])
     for _ in range(n - 1):
         grown = {s | {b} for s in grown for a in s for b in step(a) if all((b - c) % n for c in s)}
     kept = (at for at in map(sorted, grown) if _shape_defect(pq, at) is None)
     return sorted(tuple(map(pq.point, at)) for at in kept)
 
 
-def _fundamental_ends(pq: ProjectiveQuiver, at: list[int], side: str) -> list[int]:
-    """Members with no ``side`` neighbour (``in_nb`` or ``out_nb``) in the set."""
-    members, neighbours = set(at), getattr(pq, side)
-    return [a for a in at if members.isdisjoint(neighbours.at(a))]
+def _fundamental_ends(at: list[int], neighbours) -> list[int]:
+    """Members with no neighbour in the set, read by ``neighbours``
+    (``ProjectiveQuiver.tails_at`` for sources, ``heads_at`` for sinks)."""
+    members = set(at)
+    return [a for a in at if members.isdisjoint(neighbours(a))]
 
 
 def fundamental_sources(config: Configuration, fund) -> list[Pt]:
     pq, at, _ = _validated_fundamental(config, fund)
-    return list(map(pq.point, _fundamental_ends(pq, at, "in_nb")))
+    return list(map(pq.point, _fundamental_ends(at, pq.tails_at)))
 
 
 def fundamental_sinks(config: Configuration, fund) -> list[Pt]:
     pq, at, _ = _validated_fundamental(config, fund)
-    return list(map(pq.point, _fundamental_ends(pq, at, "out_nb")))
+    return list(map(pq.point, _fundamental_ends(at, pq.heads_at)))
 
 
 def complete_morphisms(config: Configuration, fund) -> list[tuple[Pt, Pt]]:
@@ -210,8 +211,8 @@ def complete_morphisms(config: Configuration, fund) -> list[tuple[Pt, Pt]]:
         for a in at
         for b in at
         if pq.nonzero((a, b))
-        and not any(z in members and pq.nonzero((a, b, z)) for z in pq.out_nb.at(b))
-        and not any(w in members and pq.nonzero((w, a, b)) for w in pq.in_nb.at(a))
+        and not any(z in members and pq.nonzero((a, b, z)) for z in pq.heads_at(b))
+        and not any(w in members and pq.nonzero((w, a, b)) for w in pq.tails_at(a))
     ]
 
 
@@ -233,11 +234,11 @@ def reflect_fundamental(config: Configuration, fund, x: Pt, direction: str) -> t
     if a is not None and a not in at:
         a -= k * n  # x as given, moved like the set
     if direction == "source":
-        if a not in _fundamental_ends(pq, at, "in_nb"):
+        if a not in _fundamental_ends(at, pq.tails_at):
             raise NotSource(f"{x} is not a source of the fundamental algebra")
         moved = a + n
     else:
-        if a not in _fundamental_ends(pq, at, "out_nb"):
+        if a not in _fundamental_ends(at, pq.heads_at):
             raise NotSink(f"{x} is not a sink of the fundamental algebra")
         moved = a - n
     at, _ = _lowered(pq, n, [b for b in at if b != a] + [moved])
@@ -309,7 +310,7 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
 
     found = []  # (tail, head moved into the fundamental copy, shift) as indices
     for a in at:
-        for b in pq.out_nb.at(a):
+        for b in pq.heads_at(a):
             if b in members:
                 found.append((a, b, 0))
             else:
@@ -373,7 +374,7 @@ def _standard_relations(pq: ProjectiveQuiver, fund: list[int], base_labels: dict
         p, last = path[0], path[-1]
         if len(path) > 1:
             parallel.setdefault((p, last), []).append(path)
-        for nxt in pq.out_nb.at(last):
+        for nxt in pq.heads_at(last):
             if len(path) == 1 or pq.nonzero((p, last, nxt)):  # an arrow is nonzero
                 explore(path + (nxt,))
             elif len(path) == 2 or pq.nonzero((path[1], last, nxt)):

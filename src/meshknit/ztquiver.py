@@ -399,8 +399,9 @@ class GroupAction:
     With d the order of g's vertex permutation, g^d is the pure translation
     by T slices (g keeps arrows arrows, so g^d shifts every vertex alike),
     and g^(q d + r) is g^r followed by q T slices.  ``powers`` holds
-    g^0 .. g^(d-1); ``period`` is |T|.  ``orbit_key`` maps each residue
-    ``(slice mod period, vertex)`` to the least residue of its orbit.
+    g^0 .. g^(d-1); ``period`` is |T|.  ``orbit_key``, the one orbit table,
+    maps each residue ``(slice mod period, vertex)`` to the least residue of
+    its orbit; it is empty when the orbits are finite (period 0).
     """
 
     def __init__(self, g: AffineMap):
@@ -426,18 +427,6 @@ class GroupAction:
                     for g in self.powers:
                         key[(r + g.shift[x]) % P, g.perm[x]] = (r, x)
         return key
-
-    def representative(self, p: Pt, lo: int = 0) -> Pt:
-        """The least point of p's orbit with slice in [lo, lo + period).
-
-        With ``lo = 0`` this is the canonical orbit key.  A finite orbit
-        (period 0) is represented by its least point.
-        """
-        if not self.period:
-            x = p.vertex
-            return min(Pt(p.slice + g.shift[x], g.perm[x], p.proj) for g in self.powers)
-        r, x = self.orbit_key[(p.slice - lo) % self.period, p.vertex]
-        return Pt(lo + r, x, p.proj)
 
 
 def twist_label(tree: DynkinTree, aut: AffineMap) -> str:
@@ -525,6 +514,8 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
     for ``1 <= s <= s_max``.  Twisted generators are emitted exactly when
     the twist stabilizes the configuration.
     """
+    if config.tree != tree:
+        raise InvalidInput(f"the configuration belongs to {config.tree.name}, not to {tree.name}")
     from .classify import _require_configuration  # local to avoid an import cycle
     _require_configuration(config)
     L = loewy_number(tree)

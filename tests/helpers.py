@@ -35,7 +35,7 @@ relations of a periodic presentation by deciding every labelled path as a
 whole chain, the reference for the relation search of ``quiver_of_AC``.
 ``reference_pt_relations`` is that search as it stood on ``Pt`` chains,
 before it moved onto projective indices, with each composite decided from
-``hom_dim`` reads; it is the reference for the index search's output order.
+``hom`` reads; it is the reference for the index search's output order.
 ``reference_cartan_matrix`` is ``present.cartan_matrix`` as it stood before
 it read the support masks: each representative's hom support rebuilt as
 points from its row, summed by ``hom``.
@@ -66,8 +66,10 @@ points, filtered by the covering axiom; it is the reference for that search.
 ``reference_extend_automorphism`` is ``ztquiver.extend_automorphism`` as it
 stood while graph automorphisms were vertex permutations, the reference for
 the maps ``tree_automorphisms`` returns; ``reference_representative`` is
-``GroupAction.representative`` as it stood before the orbit-key table, a
-minimum over the generator's powers.
+the least point of an orbit in a band of slices, a minimum over the
+generator's powers.  The orbit-test, witness, fold and Cartan references
+key orbits by it, so they share no code with ``GroupAction.orbit_key``,
+the table they check.
 ``count_windows`` records every ``QuiverWindow`` construction and every
 explicit build of a window's points and arrows while a test runs.
 """
@@ -262,7 +264,7 @@ def reference_is_admissible(group, window) -> bool:
     if not action.period:
         return False  # finite orbits: a nontrivial power fixes every point
 
-    key = {p: action.representative(p) for p in window.points}
+    key = {p: reference_representative(action, p) for p in window.points}
     for p in window.points:
         for nbs in (window.out_nb[p], window.in_nb[p]):
             cone = [p, *nbs]
@@ -275,10 +277,10 @@ def reference_witness(group, window) -> str | None:
     """The orbit map's cone refusal as it stood before the band scan: every
     window point in sorted order, keyed by canonical orbit representatives;
     None when no cone meets an orbit twice."""
-    key = group.action(window.tree).representative
+    action = group.action(window.tree)
     for p in sorted(window.points):
         for cone in ([p, *window.out_nb[p]], [p, *window.in_nb[p]]):
-            keys = [key(q) for q in cone]
+            keys = [reference_representative(action, q) for q in cone]
             if len(set(keys)) < len(cone):
                 j = next(j for j, k in enumerate(keys) if k in keys[:j])
                 return f"{cone[keys.index(keys[j])]} and {cone[j]} next to {p} lie in one orbit"
@@ -289,9 +291,9 @@ def reference_fold(group, window):
     """The points, arrows, tau and projectives of the quotient of an
     admissible window, each point mapped to the least point of its orbit in
     the band of ``period`` slices from ``i_min + (span - period) // 2``."""
-    P = group.action(window.tree).period
-    band_lo = window.i_min + (window.i_max - window.i_min + 1 - P) // 2
-    band = {p: group.action(window.tree).representative(p, band_lo) for p in window.points}
+    action = group.action(window.tree)
+    band_lo = window.i_min + (window.i_max - window.i_min + 1 - action.period) // 2
+    band = {p: reference_representative(action, p, band_lo) for p in window.points}
     tau = {}
     for p, q in sorted(window.tau.items()):
         tau.setdefault(band[p], band[q])
@@ -470,13 +472,13 @@ def reference_cartan_matrix(config, group):
     L, n = loewy_number(tree), tree.rank
     action = group.action(tree)
     lifts = config.lifts(0, action.period - 1)
-    reps = list(dict.fromkeys(action.representative(Pt(i, x, True)) for i, x in lifts))
+    reps = list(dict.fromkeys(reference_representative(action, Pt(i, x, True)) for i, x in lifts))
     matrix = dict.fromkeys(product(reps, reps), 0)
     for p in reps:
         first, row = pq.row(p)
         stable = [Pt(first + j // n, j % n + 1) for j, v in enumerate(row) if v]
         for t in [p, *(Pt(s, x, True) for s, x, _ in stable if (s % L, x) in config.residues)]:
-            matrix[(p, action.representative(t))] += pq.hom(p, t)
+            matrix[(p, reference_representative(action, t))] += pq.hom(p, t)
     return reps, matrix
 
 
@@ -554,9 +556,9 @@ def reference_standard_relations(config, pres) -> tuple:
 def reference_pt_relations(config, pres) -> list:
     """The relations of a periodic presentation from ``quiver_of_AC``, found
     again by ``present._standard_relations`` as it stood on ``Pt`` chains: the
-    same depth-first search over ``out_nb`` from the sorted fundamental set,
+    same depth-first search over ``heads_at`` from the sorted fundamental set,
     an arrow labelled by its tail's residue and its head's slice offset and
-    vertex.  A chain is decided by the composite rule read from ``hom_dim``
+    vertex.  A chain is decided by the composite rule read from ``hom``
     (every consecutive hom nonzero, and every hom out of the first node), not
     by the support masks, so no mask code is shared with the index search."""
     pq, L = projective_quiver(config), loewy_number(config.tree)
@@ -571,7 +573,7 @@ def reference_pt_relations(config, pres) -> list:
         base_labels[a.slice % L, a.vertex, b.slice - a.slice, b.vertex] = arrow.label
 
     def nonzero(chain):
-        return all(pq.hom_dim(a, b) and pq.hom_dim(chain[0], b) for a, b in zip(chain, chain[1:]))
+        return all(pq.hom(a, b) and pq.hom(chain[0], b) for a, b in zip(chain, chain[1:]))
 
     def labels(path):
         return tuple(base_labels[a.slice % L, a.vertex, b.slice - a.slice, b.vertex] for a, b in zip(path, path[1:]))
@@ -582,7 +584,7 @@ def reference_pt_relations(config, pres) -> list:
         p, last = path[0], path[-1]
         if len(path) > 1:
             parallel.setdefault((p, last), []).append(tuple(path))
-        for nxt in pq.out_nb[last]:
+        for nxt in map(pq.point, pq.heads_at(pq.index(last))):
             cand = path + [nxt]
             if nonzero([p, nxt] if len(path) == 1 else [p, last, nxt]):
                 explore(cand)

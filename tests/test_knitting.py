@@ -341,12 +341,35 @@ def test_dims_on_section_a1():
 
 
 @pytest.mark.parametrize("other", ["D4", "A4", "A2"])
-def test_dims_on_section_refuses_a_section_of_another_tree(other, configs_cache):
+def test_dims_on_section_refuses_a_section_of_another_tree(other, configs_cache, monkeypatch):
     """A section of another tree is refused by name, not read as if it were
-    one of the configuration's tree."""
+    one of the configuration's tree, before the projective quiver is asked for."""
+    from meshknit import knitting
+
+    asked = []
+    monkeypatch.setattr(knitting, "projective_quiver", asked.append)
     section = equioriented_section(make_tree(other[0], int(other[1])))
     with pytest.raises(InvalidInput, match=f"section belongs to {other}, not to A3"):
         dims_on_section(configs_cache("A3")[0], section)
+    assert not asked
+
+
+@pytest.mark.parametrize("other", ["D4", "A3"])
+def test_fundamental_domain_points_refuses_a_section_of_another_tree(other, configs_cache):
+    """A section of another tree is refused by name; D4's section on an A4
+    configuration once gave four points."""
+    section = equioriented_section(make_tree(other[0], int(other[1])))
+    with pytest.raises(InvalidInput, match=f"section belongs to {other}, not to A4"):
+        fundamental_domain_points(configs_cache("A4")[0], section)
+
+
+@pytest.mark.parametrize("entry", [knit_pattern, knit_run, knit_and_knot], ids=lambda f: f.__name__)
+def test_knitting_refuses_a_section_of_another_tree(entry):
+    """A vector on a section of another tree is refused by name before any
+    pass is knitted; A3 with A4's section once reported an orbit left live."""
+    a3, a4 = make_tree("A", 3), make_tree("A", 4)
+    with pytest.raises(InvalidInput, match="section belongs to A4, not to A3"):
+        entry(a3, equioriented_section(a4), (1, 2, 3, 4))
 
 
 def test_dims_on_section_shift_invariance(fig4):

@@ -12,10 +12,12 @@ from helpers import (
     reference_starting_function,
 )
 
+from meshknit.classify import check_combinatorial_configuration
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
 from meshknit.mesh import (
     MeshTransporter,
+    _stable_support,
     ProjectiveQuiver,
     hom_dim_oracle,
     nakayama,
@@ -28,6 +30,7 @@ from meshknit.present import complete_morphisms
 from meshknit.ztquiver import Configuration, Pt, build_window, equioriented_section
 
 A2 = make_tree("A", 2)
+ALL_TREES = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
 
 
 def test_oracle_examples_za2():
@@ -221,9 +224,34 @@ def test_projective_quiver_is_shared_by_calls_in_a_row(configs_cache):
             a = pq.index(p)
             support = [pq.index(q) for q, d in zip(w.order, homs) if d and q.proj]
             assert pq.support_at(a) == fresh.support_at(a) == sorted(support)
-            assert [pq.hom_dim(p, q) for q in lifts] == [fresh.hom_dim(p, q) for q in lifts]
-            assert pq.out_nb[p] == fresh.out_nb[p] and pq.in_nb[p] == fresh.in_nb[p]
+            assert pq.heads_at(a) == fresh.heads_at(a) and pq.tails_at(a) == fresh.tails_at(a)
         previous, before = pq, config
+
+
+@pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
+def test_stable_support_is_the_starting_function_support(family, rank):
+    """The stable support of every vertex, one walk with no window, is the
+    support of starting_function from (0, vertex) on its default window."""
+    tree = make_tree(family, rank)
+    for v in tree.vertices:
+        assert _stable_support(tree, v) == tuple(starting_function(tree, Pt(0, v)).support()), v
+
+
+def test_configuration_check_and_nakayama_build_no_window(configs_cache, monkeypatch):
+    """With the stable-support, residue-reach and nu caches cleared, the
+    C1/C2 test and the Nakayama map create no QuiverWindow."""
+    from meshknit import classify, mesh
+
+    configs = [configs_cache(name)[0] for name in ("A3", "D5", "E6")]
+    windows = count_windows(monkeypatch)
+    for cache in (mesh._stable_support, classify._residue_reach, mesh._nu_inverse_map):
+        cache.cache_clear()
+    for config in configs:
+        tree = config.tree
+        assert check_combinatorial_configuration(tree, config.residues) == (True, None), config
+        for v in tree.vertices:
+            assert nakayama(tree, nu_inverse(tree, Pt(0, v))) == Pt(0, v)
+    assert not windows.made and not windows.built
 
 
 def test_nakayama_examples():
@@ -378,7 +406,7 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
         for p in nodes:
             fresh = MeshTransporter(full, p)
             for q in nodes:
-                assert pq.hom_dim(p, q) == (fresh.dim(q) if q != p else 0), (config, p, q)
+                assert pq.hom(p, q) == fresh.dim(q), (config, p, q)
         assert sorted(pq._rows) == sorted(config.residues), config
         window = build_window(tree, config, -1, 2 * L + 1)
         for i, x in sorted(config.residues):
@@ -395,7 +423,7 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_projective_quiver_walks_once_per_residue(name, configs_cache, monkeypatch):
     """Building a ProjectiveQuiver runs mesh._walk once per residue and
-    builds no QuiverWindow; reading out_nb, in_nb, path_nonzero, hom and
+    builds no QuiverWindow; reading heads_at, tails_at, path_nonzero, hom and
     support_at afterwards, over three periods, runs neither."""
     from meshknit import mesh
 
@@ -409,10 +437,11 @@ def test_projective_quiver_walks_once_per_residue(name, configs_cache, monkeypat
         assert len(walks) == config.tree.rank and not windows, config
         walks.clear()
         for p in (Pt(i, x, True) for i, x in config.lifts(-L, 2 * L - 1)):
-            assert pq.support_at(pq.index(p))
-            for q in pq.out_nb[p]:
+            a = pq.index(p)
+            assert pq.support_at(a)
+            for q in map(pq.point, pq.heads_at(a)):
                 assert pq.hom(p, q) == 1 and pq.path_nonzero([p, q]) and not pq.path_nonzero([p, q, p])
-            assert all(pq.path_nonzero([r, p]) for r in pq.in_nb[p])
+            assert all(pq.path_nonzero([pq.point(b), p]) for b in pq.tails_at(a))
         assert not walks and not windows, config
 
 
@@ -437,9 +466,9 @@ def test_projective_quiver_refuses_other_sources(name, configs_cache):
 def test_stable_points_are_not_projectives_of_the_quiver(name, configs_cache):
     """The Pt-to-index boundary refuses the stable point under a projective of
     the configuration as it refuses any other point off it: it has no index,
-    out_nb and in_nb give [], and a chain through it is zero, while the
-    projective over it keeps its arrows.  On A3 this includes {(0, 1), (1, 1),
-    (2, 1)}, where out_nb of the stable 0_1 once gave [1_1_P]."""
+    so no arrows, and a chain through it is zero, while the projective over
+    it keeps its arrows.  On A3 this includes {(0, 1), (1, 1), (2, 1)},
+    where the arrows out of the stable 0_1 once read [1_1_P]."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     configs = configs_cache(name)[:5]
@@ -449,11 +478,11 @@ def test_stable_points_are_not_projectives_of_the_quiver(name, configs_cache):
         pq = ProjectiveQuiver(config)
         for i, x in config.lifts(-L, 2 * L - 1):
             proj, stable = Pt(i, x, True), Pt(i, x)
-            assert pq.index(stable) is None and pq.point(pq.index(proj)) == proj, (config, proj)
-            assert pq.out_nb[stable] == pq.in_nb[stable] == [] and pq.out_nb[proj], (config, proj)
-            for q in pq.out_nb[proj]:
+            a = pq.index(proj)
+            assert pq.index(stable) is None and pq.point(a) == proj and pq.heads_at(a), (config, proj)
+            for q in map(pq.point, pq.heads_at(a)):
                 assert pq.path_nonzero([proj, q]) and not pq.path_nonzero([stable, q]), (config, q)
-            for r in pq.in_nb[proj]:
+            for r in map(pq.point, pq.tails_at(a)):
                 assert pq.path_nonzero([r, proj]) and not pq.path_nonzero([r, stable]), (config, r)
 
 
@@ -503,7 +532,7 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
 
         def extend(chain):
             nonlocal longest
-            for nxt in pq.out_nb[chain[-1]]:
+            for nxt in map(pq.point, pq.heads_at(pq.index(chain[-1]))):
                 longer = chain + [nxt]
                 want = composite_nonzero(tr, longer, memo)
                 assert pq.path_nonzero(longer) == want, (config, longer)
@@ -527,15 +556,16 @@ def test_composite_rule_matches_transporter(name, step, configs_cache):
 )
 def test_path_nonzero_memo_is_order_free_and_periodic(name, step, configs_cache):
     """Over every chain of three distinct lifts in [0, 3L) with rising
-    levels, path_nonzero answers as the rule on hom_dim does, and so does the
+    levels, path_nonzero answers as the rule on hom does, and so does the
     nu-translate of the chain by kL, k = -1, 1, 2."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
     for config in configs_cache(name)[::step]:
         pq = ProjectiveQuiver(config)
-        nodes = sorted((Pt(i, x, True) for i, x in config.lifts(0, 3 * L - 1)), key=pq.level)
-        chains = [c for c in combinations(nodes, 3) if pq.level(c[0]) < pq.level(c[1]) < pq.level(c[2])]
-        rule = [bool(pq.hom_dim(p, r) and pq.hom_dim(r, q) and pq.hom_dim(p, q)) for p, r, q in chains]
+        level = {p: pq.level_at(pq.index(p)) for p in (Pt(i, x, True) for i, x in config.lifts(0, 3 * L - 1))}
+        nodes = sorted(level, key=level.get)
+        chains = [c for c in combinations(nodes, 3) if level[c[0]] < level[c[1]] < level[c[2]]]
+        rule = [bool(pq.hom(p, r) and pq.hom(r, q) and pq.hom(p, q)) for p, r, q in chains]
         assert [pq.path_nonzero(list(c)) for c in chains] == rule, config
         for k in (-1, 1, 2):
             moved = [[Pt(q.slice + k * L, q.vertex, True) for q in c] for c in chains]
@@ -546,9 +576,9 @@ def test_path_nonzero_memo_is_order_free_and_periodic(name, step, configs_cache)
 def test_on_demand_quiver_matches_eager_reference(name, configs_cache):
     """The on-demand ProjectiveQuiver equals the quiver computed in full
     among the lifts to three periods (helpers.eager_projective_quiver).  The
-    reference cuts arrows off at both ends, so in_nb, read first and from the
-    top, and out_nb are compared on its middle period, where nothing is cut
-    off.  hom_dim is compared on every pair of lifts, and so are the arrows
+    reference cuts arrows off at both ends, so tails_at, read first and from
+    the top, and heads_at are compared on its middle period, where nothing is
+    cut off.  hom is compared on every pair of distinct lifts, and so are the arrows
     between them, in order; and every hom between lifts is at most 1."""
     tree = make_tree(name[0], int(name[1]))
     L = loewy_number(tree)
@@ -562,8 +592,10 @@ def test_on_demand_quiver_matches_eager_reference(name, configs_cache):
         nodes = [Pt(i, x, True) for i, x in config.lifts(0, 3 * L - 1)]
         middle = [p for p in nodes if L <= p.slice < 2 * L]
         top_down = list(reversed(middle))
-        assert [pq.in_nb[q] for q in top_down] == [in_nb[q] for q in top_down], config
-        assert [pq.out_nb[p] for p in middle] == [out_nb[p] for p in middle], config
-        assert {(p, q): d for p in nodes for q in nodes if (d := pq.hom_dim(p, q))} == hom, config
+        tails = [list(map(pq.point, pq.tails_at(pq.index(q)))) for q in top_down]
+        assert tails == [in_nb[q] for q in top_down], config
+        heads = {p: list(map(pq.point, pq.heads_at(pq.index(p)))) for p in nodes}
+        assert [heads[p] for p in middle] == [out_nb[p] for p in middle], config
+        assert {(p, q): d for p in nodes for q in nodes if q != p and (d := pq.hom(p, q))} == hom, config
         node_set = set(nodes)
-        assert [(p, q) for p in nodes for q in pq.out_nb[p] if q in node_set] == arrows, config
+        assert [(p, q) for p in nodes for q in heads[p] if q in node_set] == arrows, config

@@ -11,6 +11,7 @@ import pytest
 
 import meshknit
 from helpers import (
+    _relation_pointform,
     normalized,
     orbit_by_iteration,
     orbit_cases,
@@ -18,6 +19,7 @@ from helpers import (
     presentation_isomorphic,
     reference_cartan_matrix,
     reference_pt_relations,
+    reference_representative,
     reference_standard_relations,
     reflection_closure,
     reflections,
@@ -128,7 +130,9 @@ def _reference_between_sets(pq, nodes):
     """For each pair p != q of nodes with a path p -> q, the nodes on such
     paths.  The quiver is infinite, so the search runs on the finite set
     ``nodes`` and the arrows among them."""
-    inside = SimpleNamespace(out_nb={p: [q for q in pq.out_nb[p] if q in nodes] for p in nodes})
+    inside = SimpleNamespace(
+        out_nb={p: [q for q in map(pq.point, pq.heads_at(pq.index(p))) if q in nodes] for p in nodes}
+    )
     fwd = {p: {z for z in nodes if path_exists(inside, p, z)} for p in nodes}
     return {
         (p, q): frozenset(z for z in fwd[p] if q in fwd[z])
@@ -145,7 +149,8 @@ def _reference_offenders(pq, between, points):
     seen, todo = {points[0]}, [points[0]]
     while todo:
         p = todo.pop()
-        for q in pq.out_nb[p] + pq.in_nb[p]:
+        a = pq.index(p)
+        for q in map(pq.point, pq.heads_at(a) + pq.tails_at(a)):
             if q in members and q not in seen:
                 seen.add(q)
                 todo.append(q)
@@ -305,6 +310,44 @@ def test_iterated_reflections_reach_a_pattern(fig4):
     assert any(is_pattern_algebra(config, f) for f in fas)
 
 
+@pytest.mark.parametrize(
+    "name,step,total",
+    [("A1", 1, 1), ("A2", 1, 4), ("A3", 1, 18), ("A4", 1, 88), ("A5", 1, 455), ("A6", 1, 2448),
+     ("D4", 1, 115), ("D5", 1, 728), ("D6", 1, 4617), ("E6", 5, None)],
+)
+def test_reflection_closure_is_every_fundamental_algebra(name, step, total, configs_cache):
+    """Source and sink reflections from the least fundamental algebra of a
+    configuration reach every fundamental algebra of it and nothing else, so
+    every reflection of one is one (every 5th configuration of E6).  The
+    number of fundamental algebras summed over a tree's configurations is
+    pinned as data."""
+    counted = 0
+    for config in configs_cache(name)[::step]:
+        fas = fundamental_algebras(config)
+        assert reflection_closure(config, fas[0]) == set(fas), config
+        counted += len(fas)
+    assert total is None or counted == total
+
+
+@pytest.mark.parametrize(
+    "name,step",
+    [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("A6", 3), ("D4", 1), ("D5", 1), ("D6", 5), ("E6", 10)],
+)
+def test_folded_presentation_does_not_depend_on_the_fundamental_algebra(name, step, configs_cache):
+    """trivial_extension_presentation folds one quiver with relations per
+    configuration: every fundamental algebra gives the same points, the same
+    arrow ends and the same relations as point sequences."""
+    for config in configs_cache(name)[::step]:
+        fas = fundamental_algebras(config)
+        first = trivial_extension_presentation(config, fas[0])
+        identity = {p: p for p in first.points}
+        want = {(a.src, a.dst) for a in first.arrows}, _relation_pointform(first, identity)
+        for fund in fas[1:]:
+            pres = trivial_extension_presentation(config, fund)
+            assert pres.points == first.points, (config, fund)
+            assert ({(a.src, a.dst) for a in pres.arrows}, _relation_pointform(pres, identity)) == want, (config, fund)
+
+
 def test_trivial_extension_two_point_cycle():
     a2 = make_tree("A", 2)
     section = equioriented_section(a2)
@@ -364,7 +407,7 @@ def test_cartan_against_direct_orbit_sum(fig4, configs_cache):
             continue
         reps, mat = cartan_matrix(config, group)
         assert len(set(reps)) == len(reps)
-        assert set(reps) == {action.representative(p) for p in window.projectives}
+        assert set(reps) == {reference_representative(action, p) for p in window.projectives}
         orbits = {q: orbit_by_iteration(group, tree, q, window.i_min, window.i_max) for q in reps}
         for p in reps:
             tr = MeshTransporter(window, p)

@@ -452,6 +452,16 @@ def test_closed_form_apply_matches_iteration(family, rank):
                     assert group.apply(tree, p, sign * k) == Pt(i, x, p.proj), (group, p, k)
 
 
+@pytest.mark.parametrize("tree_name", ["A3", "A4"])
+def test_table_groups_refuses_a_configuration_of_another_tree(tree_name, configs_cache):
+    """A configuration of another tree is refused by name: with D4's first
+    configuration, A3 once raised an untyped IndexError and A4 returned
+    D4's groups."""
+    tree = make_tree(tree_name[0], int(tree_name[1]))
+    with pytest.raises(InvalidInput, match=f"configuration belongs to D4, not to {tree_name}"):
+        table_groups(tree, configs_cache("D4")[0])
+
+
 @pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
 def test_orbit_key_matches_brute_force_orbits(family, rank):
     tree = make_tree(family, rank)
@@ -470,10 +480,12 @@ def test_orbit_key_matches_brute_force_orbits(family, rank):
             smax = max(smax, *(abs(j) for j, _ in images.values()))
         T = images[1][0]
         assert group.pure_period(tree) == -T
+        if not T:
+            continue  # finite orbits: the orbit test refuses them before any key
         # g^(q d + r) p can lie in the window only while |q T| <= hi - lo + smax
-        bound = d * ((hi - lo + smax) // max(abs(T), 1) + 2)
-        action = group.action(tree)
-        key = {p: action.representative(p) for p in window}
+        bound = d * ((hi - lo + smax) // abs(T) + 2)
+        orbit_key = group.action(tree).orbit_key
+        key = {p: orbit_key[p.slice % abs(T), p.vertex] for p in window}
         for p in window:
             orbit = {p}
             for step in _steps(g, tree):
@@ -483,24 +495,24 @@ def test_orbit_key_matches_brute_force_orbits(family, rank):
                     if lo <= i <= hi:
                         orbit.add(Pt(i, x))
             assert {q for q in window if key[q] == key[p]} == orbit, (group, p)
-            if T:
-                for band_lo in (-2, 1):
-                    rep = action.representative(p, band_lo)
-                    assert band_lo <= rep.slice < band_lo + abs(T)
-                    assert action.representative(rep) == key[p]
 
 
 @pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
 def test_representative_matches_min_over_powers(family, rank):
-    """The orbit-key table gives the least orbit point of every band that
-    the minimum over the generator's powers gives, finite orbits included."""
+    """For every group with infinite orbits, the orbit-key table maps each
+    residue to the least orbit point of slices [0, period) that the minimum
+    over the generator's powers gives, and has no other entry."""
     tree = make_tree(family, rank)
-    points = [Pt(i, v, proj) for i in range(-5, 6) for v in tree.vertices for proj in (False, True)]
     for group in _groups(tree):
         action = group.action(tree)
-        for lo in (-7, -1, 0, 3):
-            for p in points:
-                assert action.representative(p, lo) == reference_representative(action, p, lo)
+        P = action.period
+        if not P:
+            continue
+        want = {}
+        for r, v in itertools.product(range(P), tree.vertices):
+            least = reference_representative(action, Pt(r, v))
+            want[r, v] = (least.slice, least.vertex)
+        assert action.orbit_key == want, group
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +534,13 @@ def _check_witness(tree, group, w, refusal):
     assert a != b
     assert any({a, b} <= {x, *nbs} for nbs in (w.out_nb[x], w.in_nb[x]))
     assert b in orbit_by_iteration(group, tree, a, w.i_min, w.i_max)
-    key = group.action(tree).representative
+    action = group.action(tree)
     for p in sorted(w.points):
         if p == x:
             break
         for nbs in (w.out_nb[p], w.in_nb[p]):
-            assert len({key(q) for q in (p, *nbs)}) == 1 + len(nbs), (p, refusal)
+            keys = {reference_representative(action, q) for q in (p, *nbs)}
+            assert len(keys) == 1 + len(nbs), (p, refusal)
 
 
 def test_orbit_map_against_reference(configs_cache):
