@@ -303,7 +303,6 @@ def reproduce(example_id: str) -> tuple[bool, list[str]]:
         for n in range(2, gold["max_n"] + 1):
             for p in classify.enumerate_pedigrees(n):
                 q = present.brauer_from_pedigree(p)
-                present.validate_brauer(q)
                 if present.pedigree_from_brauer(q, "r") != p:
                     failures += 1
         check("roundtrip_failures", failures, 0)

@@ -11,25 +11,16 @@ from .present import CommuteRel, PowerCommuteRel, QuiverPresentation, ScaledComm
 from .ztquiver import FoldedQuiver, QuiverWindow
 
 
-def _window_dot(window: QuiverWindow) -> str:
-    lines = ["digraph window {", "  rankdir=LR;"]
-    for p in sorted(window.points):
-        shape = "box" if p.proj else "ellipse"
-        lines.append(f'  "{p}" [shape={shape}];')
-    for a, b in sorted(window.arrows):
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _folded_dot(q: FoldedQuiver) -> str:
-    lines = [f'digraph "{q.label}" {{', "  rankdir=LR;"]
+def _quiver_dot(name: str, q: QuiverWindow | FoldedQuiver, tau=()) -> str:
+    """Points, arrows and then the given tau-translates of a window or a
+    folded quiver."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for p in sorted(q.points):
         shape = "box" if p.proj else "ellipse"
         lines.append(f'  "{p}" [shape={shape}];')
     for a, b in sorted(q.arrows):
         lines.append(f'  "{a}" -> "{b}";')
-    for p, t in sorted(q.tau.items()):
+    for p, t in sorted(tau):
         lines.append(f'  "{p}" -> "{t}" [style=dotted, constraint=false, label="tau"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -70,9 +61,9 @@ def _presentation_dot(pres: QuiverPresentation) -> str:
 def serialize_dot(obj) -> str:
     """Render a window, folded quiver or presentation as DOT text."""
     if isinstance(obj, QuiverWindow):
-        return _window_dot(obj)
+        return _quiver_dot("window", obj)
     if isinstance(obj, FoldedQuiver):
-        return _folded_dot(obj)
+        return _quiver_dot(f'"{obj.label}"', obj, obj.tau.items())
     if isinstance(obj, QuiverPresentation):
         return _presentation_dot(obj)
     raise UnsupportedObject(f"cannot render a {type(obj).__name__} as DOT")

@@ -303,7 +303,10 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
     the completeness criterion degenerates, so arrows are always read off
     the radical-square computation directly).  Relations are the standard
     ones: zero on minimal vanishing paths, commutativity on minimal
-    parallel pairs, decided by mesh-dimension tests.
+    parallel pairs, decided by mesh-dimension tests.  They generate the
+    ideal I but are not a minimal set: over one presentation per
+    configuration of A3, 12 of the 27 relations follow from the others
+    (ROADMAP item 3, step B).
     """
     pq, at, _ = _validated_fundamental(config, fund)
     n, members = config.tree.rank, set(at)
@@ -342,7 +345,9 @@ def quiver_of_AC(config: Configuration, fund) -> QuiverPresentation:
 
 def _standard_relations(pq: ProjectiveQuiver, fund: list[int], base_labels: dict, n: int) -> list[Relation]:
     """Zero relations on minimal vanishing paths and commutativity relations
-    on minimal parallel pairs, for paths starting in the base copy.
+    on minimal parallel pairs, for paths starting in the base copy.  They
+    generate I but are not minimal: a path-minimal zero path can follow
+    from a commutativity and a shorter zero, as 12 of 27 relations do on A3.
 
     Paths are tuples of projective indices, in the convention of
     :class:`~meshknit.mesh.ProjectiveQuiver`, whose order is ``Pt`` order; a
@@ -482,59 +487,51 @@ class BrauerQuiver:
         ]
 
     def arrows(self) -> list[tuple[object, object, str]]:
-        out = []
-        for flavor, cyc in self.cycles():
-            for i, p in enumerate(cyc):
-                out.append((p, cyc[(i + 1) % len(cyc)], flavor))
-        return out
+        return [(a, b, flavor) for flavor, c in self.cycles() for a, b in zip(c, [*c[1:], *c[:1]])]
 
 
 def validate_brauer(q: BrauerQuiver) -> None:
-    counts = {p: 0 for p in q.points}
+    flavors_at: dict[object, list[str]] = {p: [] for p in q.points}
     cycles = q.cycles()
-    for _, cyc in cycles:
+    for flavor, cyc in cycles:
         if len(set(cyc)) != len(cyc):
             raise InvalidBrauer("a cycle passes through a point twice")
         for p in cyc:
-            if p not in counts:
+            if p not in flavors_at:
                 raise InvalidBrauer(f"cycle point {p} is not a quiver point")
-            counts[p] += 1
-    limit = (1, 2) if q.reduced else (2, 2)
-    for p, c in counts.items():
-        if not (limit[0] <= c <= limit[1]):
-            raise InvalidBrauer(f"point {p} lies on {c} cycles")
-    for (f1, c1), (f2, c2) in itertools.combinations(cycles, 2):
-        if len(set(c1) & set(c2)) > 1:
+            flavors_at[p].append(flavor)
+    least = 1 if q.reduced else 2
+    for p, flavors in flavors_at.items():
+        if not least <= len(flavors) <= 2:
+            raise InvalidBrauer(f"point {p} lies on {len(flavors)} cycles")
+    edges = 0
+    for (_, c1), (_, c2) in itertools.combinations(cycles, 2):
+        shared = len(set(c1) & set(c2))
+        if shared > 1:
             raise InvalidBrauer("two cycles share more than one point")
+        edges += shared
     # the cycle graph must be a tree
-    edges = sum(
-        1
-        for (f1, c1), (f2, c2) in itertools.combinations(cycles, 2)
-        if set(c1) & set(c2)
-    )
     if edges != len(cycles) - 1:
         raise InvalidBrauer("cycle-intersection graph is not a tree")
     sets = [set(c) for _, c in cycles]
     if len(reach([0], lambda k: (j for j, cj in enumerate(sets) if sets[k] & cj))) != len(sets):
         raise InvalidBrauer("cycle-intersection graph is not connected")
+    for p, flavors in flavors_at.items():
+        if len(set(flavors)) < len(flavors):
+            raise InvalidBrauer(f"point {p} lies on two {flavors[0]}-cycles")
 
 
 # -- pedigrees to Brauer quivers and back
 
 
-def _pedigree_nodes(p):
-    """Assign stable node ids by tree position; the root is 'r'."""
-    nodes = {}
-
-    def walk(node, ident):
-        nodes[ident] = node
-        if node.beta:
-            walk(node.beta, ident + "b")
-        if node.alpha:
-            walk(node.alpha, ident + "a")
-
-    walk(p, "r")
-    return nodes
+def _pedigree_nodes(p, ident: str = "r"):
+    """The node ids by tree position: the root is 'r', and a beta- or
+    alpha-child appends 'b' or 'a' to its parent's id."""
+    yield ident
+    if p.beta:
+        yield from _pedigree_nodes(p.beta, ident + "b")
+    if p.alpha:
+        yield from _pedigree_nodes(p.alpha, ident + "a")
 
 
 def brauer_from_pedigree(pedigree) -> BrauerQuiver:
@@ -542,35 +539,22 @@ def brauer_from_pedigree(pedigree) -> BrauerQuiver:
     points missing a cycle of one flavor receive a loop of that flavor."""
     if pedigree.size < 2:
         raise TooSmall("the one-point case is the double loop; excluded")
-    nodes = _pedigree_nodes(pedigree)
-    alpha_next = {}
-    beta_prev = {}
-    for ident, node in nodes.items():
-        if node.alpha:
-            alpha_next[ident] = ident + "a"
-        if node.beta:
-            beta_prev[ident] = ident + "b"
+    ids = set(_pedigree_nodes(pedigree))
 
-    def chains(step: dict[str, str]) -> list[list[str]]:
-        starts = [i for i in nodes if i not in {v for v in step.values()}]
-        out = []
-        for s in starts:
-            chain = [s]
-            while chain[-1] in step:
-                chain.append(step[chain[-1]])
-            out.append(chain)
-        return out
+    def paths(step: str) -> list[tuple[str, ...]]:
+        """The maximal paths s, s+step, s+step+step, ... of node ids, one
+        from every id that does not end in step."""
+        return [
+            tuple(itertools.takewhile(ids.__contains__, (s + step * k for k in itertools.count())))
+            for s in ids
+            if not s.endswith(step)
+        ]
 
-    alpha_cycles = [tuple(c) for c in chains(alpha_next)]
-    # beta arrows run child -> parent, so cycles read the chains deepest-first
-    beta_cycles = [
-        tuple(reversed(chain))
-        for chain in chains({parent: child for parent, child in beta_prev.items()})
-    ]
+    # beta arrows run child -> parent, so cycles read the paths deepest-first
     bq = BrauerQuiver(
-        points=tuple(sorted(nodes)),
-        alpha_cycles=tuple(sorted(alpha_cycles)),
-        beta_cycles=tuple(sorted(beta_cycles)),
+        points=tuple(sorted(ids)),
+        alpha_cycles=tuple(sorted(paths("a"))),
+        beta_cycles=tuple(sorted(path[::-1] for path in paths("b"))),
     )
     validate_brauer(bq)
     return bq
@@ -584,13 +568,8 @@ def pedigree_from_brauer(q: BrauerQuiver, omega) -> Pedigree:
         raise InvalidBrauer("walk reconstruction expects the unreduced quiver")
     if omega not in q.points:
         raise InvalidBrauer(f"{omega} is not a point of the quiver")
-    alpha_next = {}
-    beta_prev = {}
-    for a, b, flavor in q.arrows():
-        if flavor == "alpha":
-            alpha_next[a] = b
-        else:
-            beta_prev[b] = a
+    alpha_next = {a: b for a, b, flavor in q.arrows() if flavor == "alpha"}
+    beta_prev = {b: a for a, b, flavor in q.arrows() if flavor == "beta"}
 
     children: dict[object, dict[str, object]] = {p: {} for p in q.points}
     reached = {omega}
@@ -609,11 +588,7 @@ def pedigree_from_brauer(q: BrauerQuiver, omega) -> Pedigree:
         raise InvalidBrauer("walks from the base point miss some points")
 
     def build(p) -> Pedigree:
-        kids = children[p]
-        return Pedigree(
-            beta=build(kids["beta"]) if "beta" in kids else None,
-            alpha=build(kids["alpha"]) if "alpha" in kids else None,
-        )
+        return Pedigree(**{kind: build(child) for kind, child in children[p].items()})
 
     return build(omega)
 
@@ -625,10 +600,33 @@ def _cycle_label(flavor: str, src, dst) -> str:
     return f"{flavor[0]}:{src}>{dst}"
 
 
-def _zeta(q: BrauerQuiver, point, flavor: str, cyc: tuple) -> tuple[str, ...]:
+def _zeta(point, flavor: str, cyc: tuple) -> tuple[str, ...]:
+    """The labels of the path once around cyc, from point back to it."""
     k = cyc.index(point)
-    order = [cyc[(k + j) % len(cyc)] for j in range(len(cyc))] + [point]
+    order = [*cyc[k:], *cyc[:k], point]
     return tuple(_cycle_label(flavor, a, b) for a, b in zip(order, order[1:]))
+
+
+def _cycle_arrows(cycles) -> dict[PArrow, str]:
+    """Each arrow of the (flavor, cycle) pairs, in cycle order, to its flavor."""
+    return {
+        PArrow(_cycle_label(flavor, a, b), str(a), str(b), 0): flavor
+        for flavor, cyc in cycles
+        for a, b in zip(cyc, [*cyc[1:], *cyc[:1]])
+    }
+
+
+def _mixed_zeros(points, arrows, flavor: dict[PArrow, str]) -> list[Relation]:
+    """A length-two path that changes cycle flavor at a point vanishes; the
+    paths come point by point, each end in the order of arrows."""
+    return [
+        ZeroRel((a.label, b.label))
+        for p in points
+        for a in arrows
+        if a.dst == p
+        for b in arrows
+        if b.src == p and flavor[a] != flavor[b]
+    ]
 
 
 def _exceptional_cycle(q: BrauerQuiver, cycle: tuple, m: int) -> tuple:
@@ -651,32 +649,21 @@ def exceptional_cycle_presentation(q: BrauerQuiver, cycle: tuple, m: int) -> Qui
         raise InvalidBrauer("the presentation expects the unreduced quiver")
     cycles = q.cycles()
     exc = _exceptional_cycle(q, cycle, m)
-    arrows = tuple(
-        PArrow(_cycle_label(flavor, a, b), str(a), str(b), 0) for a, b, flavor in q.arrows()
-    )
-    relations: list[Relation] = []
-    in_arrows: dict[object, list[tuple[object, str]]] = {p: [] for p in q.points}
-    out_arrows: dict[object, list[tuple[object, str]]] = {p: [] for p in q.points}
-    for a, b, flavor in q.arrows():
-        out_arrows[a].append((b, flavor))
-        in_arrows[b].append((a, flavor))
+    points = tuple(str(p) for p in q.points)
+    flavor = _cycle_arrows(cycles)
+    arrows = tuple(flavor)
+    relations = _mixed_zeros(points, arrows, flavor)
     for p in q.points:
-        for (a, fin) in in_arrows[p]:
-            for (b, fout) in out_arrows[p]:
-                if fin != fout:
-                    relations.append(
-                        ZeroRel((_cycle_label(fin, a, p), _cycle_label(fout, p, b)))
-                    )
-    for p in q.points:
-        (f1, c1), (f2, c2) = [(flavor, c) for flavor, c in cycles if p in c]
-        z1, z2 = _zeta(q, p, f1, c1), _zeta(q, p, f2, c2)
-        if exc in (c1, c2) and m > 1:
-            z_exc, z_other = (z1, z2) if c1 == exc else (z2, z1)
-            relations.append(PowerCommuteRel(z_exc, m, z_other))
+        # the exceptional cycle's path first, when p lies on it
+        (c1, z1), (_, z2) = sorted(
+            ((c, _zeta(p, f, c)) for f, c in cycles if p in c), key=lambda cz: cz[0] != exc
+        )
+        if c1 == exc and m > 1:
+            relations.append(PowerCommuteRel(z1, m, z2))
         else:
             relations.append(CommuteRel(*sorted((z1, z2))))
     return QuiverPresentation(
-        points=tuple(str(p) for p in q.points),
+        points=points,
         arrows=arrows,
         relations=tuple(relations),
         meta={"exceptional_cycle": [str(p) for p in cycle], "multiplicity": m},
@@ -687,27 +674,17 @@ def exceptional_cover(q: BrauerQuiver, cycle: tuple, m: int) -> BrauerQuiver:
     """The Z/m-cover: the exceptional cycle unrolls m-fold, every other
     cycle lifts to m disjoint copies."""
     validate_brauer(q)
-    cycles = q.cycles()
+    if q.reduced:
+        raise InvalidBrauer("the cover expects the unreduced quiver")
     special = _exceptional_cycle(q, cycle, m)
-
-    def lift_point(p, j):
-        return (p, j % m)
-
-    alpha, beta = [], []
-    for flavor, cyc in cycles:
-        dest = alpha if flavor == "alpha" else beta
-        if cyc == special:
-            big = []
-            for j in range(m):
-                big.extend(lift_point(p, j) for p in cyc)
-            dest.append(tuple(big))
-        else:
-            for j in range(m):
-                dest.append(tuple(lift_point(p, j) for p in cyc))
-    points = tuple(sorted({p for c in alpha + beta for p in c}, key=str))
-    lifted = BrauerQuiver(points, tuple(sorted(alpha)), tuple(sorted(beta)))
-    validate_brauer(lifted)
-    return lifted
+    lifted: dict[str, list[tuple]] = {"alpha": [], "beta": []}
+    for flavor, cyc in q.cycles():
+        copies = [tuple((p, j) for p in cyc) for j in range(m)]
+        lifted[flavor] += [sum(copies, ())] if cyc == special else copies
+    points = tuple(sorted(((p, j) for p in q.points for j in range(m)), key=str))
+    cover = BrauerQuiver(points, tuple(sorted(lifted["alpha"])), tuple(sorted(lifted["beta"])))
+    validate_brauer(cover)
+    return cover
 
 
 # -- the exceptional quotients in type D_{3m}
@@ -724,108 +701,65 @@ def d3m_quotient_presentations(q: BrauerQuiver) -> tuple[QuiverPresentation, Qui
         raise NoSpecialArrow("no special arrow designated")
     src, dst = q.special
     cycles = q.cycles()
-    host = None
-    for flavor, cyc in cycles:
-        pairs = list(zip(cyc, cyc[1:] + (cyc[0],)))
-        if (src, dst) in pairs:
-            host = (flavor, cyc)
-            break
+    host = next(((f, c) for f, c in cycles if (src, dst) in zip(c, [*c[1:], *c[:1]])), None)
     if host is None:
         raise NoSpecialArrow(f"{q.special} is not an arrow of the quiver")
     flavor, cyc = host
     if len(cyc) < 3:
         raise NoSpecialArrow("a special arrow needs a cycle of length at least three")
-    on_two = {p for f, c in cycles for p in c if sum(p in cc for _, cc in cycles) > 1}
-    if src in on_two or dst in on_two:
+    if any(sum(p in c for _, c in cycles) > 1 for p in (src, dst)):
         raise NoSpecialArrow("the endpoints of a special arrow must have order two")
 
     # rotate so the cycle reads (dst=c0, c1, ..., ct, src); contraction glues
     # src onto c0 and turns the special arrow into the loop gamma
     k = cyc.index(dst)
-    ordered = [cyc[(k + j) % len(cyc)] for j in range(len(cyc))]
+    c0, *mid, last = [*cyc[k:], *cyc[:k]]
     # holds by construction: (src, dst) is a step of the cycle, and
     # validate_brauer refused a cycle through a point twice
-    assert ordered[-1] == src
-    c0, *mid = ordered[:-1]
-    t = len(mid)
+    assert last == src
+    # the other cycles avoid src and dst, whose order is one
+    others = [(f, c) for f, c in cycles if c != cyc]
 
-    def pname(p):
-        return "c0" if p in (c0, src) else str(p)
-
-    gamma = PArrow("gamma", "c0", "c0", 0)
-    ring = [c0] + mid + [c0]
-    ring_arrows = [
-        PArrow(f"al{i}", pname(a), pname(b), 0)
-        for i, (a, b) in enumerate(zip(ring, ring[1:]), start=1)
-    ]
-    other_arrows = []
-    other_cycles = []
-    for f2, c2 in cycles:
-        if c2 == cyc:
-            continue
-        other_cycles.append((f2, c2))
-        pairs = list(zip(c2, c2[1:] + (c2[0],)))
-        for a, b in pairs:
-            other_arrows.append(PArrow(_cycle_label(f2, a, b), pname(a), pname(b), 0))
-    arrows = tuple([gamma] + ring_arrows + other_arrows)
+    ring = ["c0", *map(str, mid), "c0"]
+    ring_arrows = [PArrow(f"al{i}", a, b, 0) for i, (a, b) in enumerate(zip(ring, ring[1:]), start=1)]
+    # gamma and the ring keep the flavor of the contracted cycle
+    flavors = {PArrow("gamma", "c0", "c0", 0): flavor, **dict.fromkeys(ring_arrows, flavor)}
+    flavors.update(_cycle_arrows(others))
+    arrows = tuple(flavors)
     points = tuple(sorted({a.src for a in arrows} | {a.dst for a in arrows}))
-
     ring_labels = tuple(a.label for a in ring_arrows)
 
-    def zeta_bar(p) -> tuple[str, ...]:
-        """Socle path around the contracted cycle, gamma inserted at c0."""
-        j = ([c0] + mid).index(p)
-        seq = ring_labels[j:] + ("gamma",) + ring_labels[:j]
-        return seq
-
-    by_label = {a.label: a for a in arrows}
-
-    def relations_for(a_val: int) -> tuple[Relation, ...]:
-        rels: list[Relation] = [
-            ScaledCommuteRel(ring_labels, ("gamma", "gamma"), a_val),
-            ZeroRel(("gamma",) * 4),
-            ZeroRel((ring_labels[-1], ring_labels[0])),
-        ]
-        # mixed alpha/beta products vanish (gamma counts with its cycle flavor)
-        flavors: dict[str, str] = {"gamma": flavor}
-        for a in ring_arrows:
-            flavors[a.label] = flavor
-        for a in other_arrows:
-            flavors[a.label] = a.label.split(":")[0]
-        by_dst: dict[str, list[str]] = {}
-        by_src: dict[str, list[str]] = {}
-        for a in arrows:
-            by_dst.setdefault(a.dst, []).append(a.label)
-            by_src.setdefault(a.src, []).append(a.label)
-        for p in points:
-            for lin in by_dst.get(p, ()):
-                for lout in by_src.get(p, ()):
-                    if flavors[lin][0] != flavors[lout][0]:
-                        rels.append(ZeroRel((lin, lout)))
-        # socle relations away from the loop point
-        zetas: dict[str, list[tuple[str, ...]]] = {}
-        for p in mid:
-            zetas.setdefault(pname(p), []).append(zeta_bar(p))
-        for f2, c2 in other_cycles:
-            for p in c2:
-                k2 = c2.index(p)
-                ring2 = [c2[(k2 + j) % len(c2)] for j in range(len(c2))] + [p]
-                zetas.setdefault(pname(p), []).append(
-                    tuple(_cycle_label(f2, a, b) for a, b in zip(ring2, ring2[1:]))
-                )
-        for p, zs in sorted(zetas.items()):
-            if p == "c0":
-                continue
-            for z in zs:
-                for lout in by_src.get(by_label[z[-1]].dst, ()):
-                    rels.append(ZeroRel(z + (lout,)))
-                for lin in by_dst.get(by_label[z[0]].src, ()):
-                    rels.append(ZeroRel((lin,) + z))
-            if len(zs) == 2:
-                rels.append(CommuteRel(*sorted(zs)))
-        return tuple(rels)
+    relations: list[Relation] = [
+        ZeroRel(("gamma",) * 4),
+        ZeroRel((ring_labels[-1], ring_labels[0])),
+        *_mixed_zeros(points, arrows, flavors),
+    ]
+    # socle relations away from the loop point; the socle path around the
+    # contracted cycle passes gamma at c0
+    loop = ring_labels + ("gamma",)
+    zetas: dict[str, list[tuple[str, ...]]] = {}
+    for j, p in enumerate(mid, start=1):
+        zetas.setdefault(str(p), []).append(loop[j:] + loop[:j])
+    for f, c in others:
+        for p in c:
+            zetas.setdefault(str(p), []).append(_zeta(p, f, c))
+    for p, zs in sorted(zetas.items()):
+        if p == "c0":
+            continue
+        for z in zs:
+            relations += [ZeroRel(z + (a.label,)) for a in arrows if a.src == p]
+            relations += [ZeroRel((a.label,) + z) for a in arrows if a.dst == p]
+        if len(zs) == 2:
+            relations.append(CommuteRel(*sorted(zs)))
 
     meta = {"loop": "gamma", "contracted": [str(src), str(dst)]}
-    a0 = QuiverPresentation(points, arrows, relations_for(0), meta=dict(meta, a=0))
-    a1 = QuiverPresentation(points, arrows, relations_for(1), meta=dict(meta, a=1))
+    a0, a1 = (
+        QuiverPresentation(
+            points,
+            arrows,
+            (ScaledCommuteRel(ring_labels, ("gamma", "gamma"), a), *relations),
+            meta=dict(meta, a=a),
+        )
+        for a in (0, 1)
+    )
     return a0, a1

@@ -640,6 +640,12 @@ def test_invalid_brauer_rejected():
         validate_brauer(bad)
     with pytest.raises(InvalidBrauer):
         pedigree_from_brauer(bad, "x")
+    # y lies on two alpha-cycles and no beta-cycle
+    two_alpha = BrauerQuiver(("x", "y", "z"), (("x", "y"), ("y", "z")), (("x",), ("z",)))
+    with pytest.raises(InvalidBrauer, match="point y lies on two alpha-cycles"):
+        validate_brauer(two_alpha)
+    with pytest.raises(InvalidBrauer):
+        pedigree_from_brauer(two_alpha, "x")
 
 
 def test_brauer_walks_choose_flavor_by_base_point():
@@ -666,7 +672,8 @@ def test_exceptional_presentation_m1_equals_plain():
 
 # calls that exceptional_cycle_presentation refuses (a cycle that is not in
 # the quiver, a reduced quiver, a multiplicity below 1) and that
-# exceptional_cover refuses (a cycle that is not in the quiver, m = 0, m = -1)
+# exceptional_cover refuses (a cycle that is not in the quiver, m = 0, m = -1,
+# a reduced quiver)
 EXCEPTIONAL_REFUSALS = """
 import json
 from meshknit.classify import Pedigree
@@ -685,6 +692,7 @@ for call, args in [
     (exceptional_cover, (q, ("nowhere",), 2)),
     (exceptional_cover, (q, q.alpha_cycles[0], 0)),
     (exceptional_cover, (q, q.alpha_cycles[0], -1)),
+    (exceptional_cover, (reduced, ("u", "v"), 2)),
 ]:
     try:
         call(*args)
@@ -705,11 +713,12 @@ def test_exceptional_presentation_refuses_bad_input(flags):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    cycle, reduced, multiplicity, cover_cycle, cover_zero, cover_negative = json.loads(done.stdout)
+    cycle, reduced, multiplicity, cover_cycle, cover_zero, cover_negative, cover_reduced = json.loads(done.stdout)
     assert cycle == cover_cycle == "('nowhere',) is not a cycle of the quiver"
     assert reduced == "the presentation expects the unreduced quiver"
     assert multiplicity == cover_zero == "the multiplicity must be at least 1, got m = 0"
     assert cover_negative == "the multiplicity must be at least 1, got m = -1"
+    assert cover_reduced == "the cover expects the unreduced quiver"
 
 
 def test_exceptional_family_cycle_plus_loop():
