@@ -20,7 +20,6 @@ from .mesh import HomTable, hom_dim_oracle, nakayama, nu_inverse, precedes, star
 from .classify import (
     ConfigurationClass,
     Pedigree,
-    check_combinatorial_configuration,
     configurations_up_to_aut,
     dn_corner_count,
     enumerate_configurations,
@@ -49,6 +48,7 @@ from .ztquiver import (
     QuiverWindow,
     Section,
     build_window,
+    check_combinatorial_configuration,
     equioriented_section,
     is_admissible,
     plus_admissible_enumeration,

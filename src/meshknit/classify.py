@@ -7,6 +7,8 @@ point sets satisfying the two combinatorial axioms
 
 * C1 -- every point admits a nonzero morphism into the set, and
 * C2 -- distinct members admit none between each other.
+
+Both are checked in ``ztquiver``, beside ``Configuration``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from functools import lru_cache
 from .dynkin import AffineMap, DynkinTree, Residue, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from .knitting import _knit_knots
-from .mesh import _stable_support
-from .ztquiver import Configuration, _residue_domain, equioriented_section, glide_map
+from .ztquiver import Configuration, _require_configuration, _residue_domain, _residue_reach
+from .ztquiver import equioriented_section, glide_map
+from .ztquiver import check_combinatorial_configuration  # noqa: F401  (cli and perfbench read it here)
 
 
 # ---------------------------------------------------------------------------
@@ -107,51 +110,6 @@ def pedigree_from_dims(dims) -> Pedigree:
     beta = pedigree_from_dims(left) if left else None
     alpha = pedigree_from_dims(right) if right else None
     return Pedigree(beta, alpha)
-
-
-# ---------------------------------------------------------------------------
-# combinatorial configuration axioms
-
-
-@lru_cache(maxsize=None)
-def _residue_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
-    """For each fundamental-domain point, the residues its homs can hit."""
-    L = loewy_number(tree)
-    out = {}
-    for x in tree.vertices:
-        support = _stable_support(tree, x)
-        # distinct lifts of one residue never see each other: path lengths
-        # inside a hom support stay below L, a full period away needs 2L
-        assert not any(p.vertex == x and p.slice > 0 and p.slice % L == 0 for p in support)
-        for i in range(L):
-            out[(i, x)] = frozenset(((i + p.slice) % L, p.vertex) for p in support)
-    return out
-
-
-def check_combinatorial_configuration(tree: DynkinTree, residues) -> tuple[bool, str | None]:
-    """Verify axioms C1 and C2 on a periodic residue set.
-
-    Returns ``(True, None)`` or ``(False, "C1" | "C2")`` naming the first
-    axiom that fails.  Periodicity makes one fundamental domain of test
-    points sufficient for C1, and one of sources sufficient for C2.
-    """
-    L = loewy_number(tree)
-    E = frozenset((i % L, x) for i, x in residues)
-    reach = _residue_reach(tree)
-    for e in sorted(E):
-        if (reach[e] & E) - {e}:
-            return False, "C2"
-    for i in range(L):
-        for x in tree.vertices:
-            if not (reach[(i, x)] & E):
-                return False, "C1"
-    return True, None
-
-
-def _require_configuration(config: Configuration) -> None:
-    ok, axiom = check_combinatorial_configuration(config.tree, config.residues)
-    if not ok:
-        raise InvalidInput(f"not a configuration: axiom {axiom} fails for {config}")
 
 
 # ---------------------------------------------------------------------------

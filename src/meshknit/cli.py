@@ -24,6 +24,7 @@ from .ztquiver import (
     Pt,
     Section,
     _fold,
+    _require_configuration,
     build_window,
     equioriented_section,
     twist_label,
@@ -87,7 +88,7 @@ def _load_config_of(tree, path: str) -> Configuration:
         raise InvalidInput(
             f"--config holds a configuration of {config.tree.name}, not of {tree.name}"
         )
-    classify._require_configuration(config)
+    _require_configuration(config)
     return config
 
 
@@ -194,7 +195,6 @@ def _homdim(tree, config, src: Pt, dst: Pt) -> int:
 
 def _cmd_present(args) -> int:
     config = _load_config(args.config)
-    classify._require_configuration(config)
     if args.fundamental == "auto":
         section = equioriented_section(config.tree)
         fund = [
@@ -224,7 +224,7 @@ def _cmd_quotient(args) -> int:
     bounds = _ints(args.range, "--range")
     if len(bounds) != 2:
         raise InvalidInput(f"--range must be two slices lo,hi, got {args.range!r}")
-    folded = _fold(group, tree, config.residues if config else None, *bounds)
+    folded = _fold(group.action(tree), config.residues if config else None, *bounds)
     if args.out == "dot":
         print(serialize_dot(folded))
         return 0

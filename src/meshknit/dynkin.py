@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import permutations
 
 from .errors import InvalidType
 
@@ -233,8 +234,6 @@ def tree_automorphisms(tree: DynkinTree) -> tuple[AffineMap, ...]:
         auts.append(_perm(tree, {v: n + 1 - v for v in tree.vertices}))
     elif tree.family == "D":
         if n == 4:
-            from itertools import permutations
-
             outer = (1, 3, 4)
             for images in permutations(outer):
                 if images != outer:

@@ -3,7 +3,7 @@
 Two independent routes compute ``dim k(window)(x, y)``:
 
 * :func:`starting_function` -- the fast additive recurrence that knits hom
-  dimensions forward, clipping at zero, on a per-tree int plan (:func:`_plan`);
+  dimensions forward, clipping at zero, by ``ztquiver._walk`` on an int plan;
 * :class:`MeshTransporter` / :func:`hom_dim_oracle` -- exact rational linear
   algebra: the space spanned by paths modulo the subspace generated by the
   mesh sums, built level by level (dimension = path count minus the rank of
@@ -15,11 +15,11 @@ one, and a value is at most the sum of the values at its in-neighbours, one
 level down; so once a whole level is zero every higher one is, and a walk
 stops at the first point two levels above its highest nonzero value.  The
 library reads the recurrence from two stores, neither built on a window:
-:func:`_stable_support` per vertex of a tree (the C1/C2 test of ``classify``
-and the Nakayama map), and :class:`ProjectiveQuiver`, one int row of
-hom(P, -), one bit set of its projective support and its arrow ends per
-nu-orbit of the projectives P of k(Z Delta_C), all read by projective
-index: ``present`` builds its fundamental algebras, presentations and
+``ztquiver._stable_support`` per vertex of a tree (the C1/C2 test beside
+``Configuration``, and the Nakayama map), and :class:`ProjectiveQuiver`,
+one int row of hom(P, -), one bit set of its projective support and its
+arrow ends per nu-orbit of the projectives P of k(Z Delta_C), all read by
+projective index: ``present`` builds its fundamental algebras, presentations and
 Cartan matrices on those indices, and imports this module, never the other
 way round.  The transporter, which also carries the arrow matrices of the
 quotient functor, is the exact route behind ``meshknit mesh homdim`` and
@@ -29,15 +29,14 @@ two transporters, for composites.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache, reduce
-from itertools import islice, product
 from operator import or_
 
 from .dynkin import AffineMap, DynkinTree, loewy_number
 from .errors import WindowTooSmall
 from .linalg import RationalEchelon, Scalar
-from .ztquiver import Configuration, Pt, QuiverWindow, build_window, reach
+from .ztquiver import Configuration, Pt, QuiverWindow, _require_configuration, _stable_support, _walk
+from .ztquiver import build_window, reach
 
 
 class HomTable:
@@ -75,42 +74,6 @@ def starting_function(tree: DynkinTree, x: Pt, window: QuiverWindow | None = Non
             i, y = i_min + j // n, j % n + 1
             dims.update((q, v) for q in (Pt(i, y), Pt(i, y, True)) if q in window.points)
     return HomTable(x, window, dims)
-
-
-@lru_cache(maxsize=None)
-def _plan(tree: DynkinTree, span: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The stable points (i, x) of ``span`` slices from 0 in level order, as
-    (index ``i * rank + x - 1``, level, in-neighbour indices, tau-index), and
-    their levels.  Index ``span * rank`` stays 0: it pads and is tau of slice 0."""
-    n, depth, size = tree.rank, tree.depth, span * tree.rank
-    ins: list[list[int]] = [[] for _ in range(size)]
-    for i, (lo, hi) in product(range(span), tree.edges):
-        ins[i * n + hi - 1].append(i * n + lo - 1)
-        if i + 1 < span:
-            ins[(i + 1) * n + lo - 1].append(i * n + hi - 1)
-    level = [2 * (j // n) + depth[j % n + 1] for j in range(size)]
-    order = sorted(range(size), key=level.__getitem__)
-    pad = [ins[j] + [size] * (3 - len(ins[j])) for j in range(size)]
-    steps = [(j, level[j], *pad[j], j - n if j >= n else size) for j in order]
-    return steps, [level[j] for j in order]
-
-
-def _walk(tree: DynkinTree, span: int, cut: set[int], s: int, x: int) -> list[int]:
-    """hom((s, x), -) by index on a plan, then the zero slot, for slice offset
-    s (all 0 past the span), under one bit per point: ``cut`` holds tau^-1 c
-    for the points c of a decoration, where c* cancels the tau-subtraction."""
-    steps, levels = _plan(tree, span)
-    vals = [0] * (span * tree.rank + 1)
-    if s < span:
-        vals[s * tree.rank + x - 1] = 1
-        top = 2 * s + tree.depth[x]  # the highest level holding a nonzero value
-        for j, lvl, a, b, c, t in islice(steps, bisect_right(levels, top), None):
-            if lvl > top + 1:
-                break
-            v = vals[a] + vals[b] + vals[c] - (0 if j in cut else vals[t])
-            if v > 0:
-                vals[j], top = v, lvl
-    return vals
 
 
 class MeshTransporter:
@@ -200,14 +163,6 @@ def precedes(window: QuiverWindow, x: Pt, y: Pt) -> bool:
 
 # ---------------------------------------------------------------------------
 # the Nakayama automorphism of the stable quiver
-
-
-@lru_cache(maxsize=None)
-def _stable_support(tree: DynkinTree, vertex: int) -> tuple[Pt, ...]:
-    """The support of hom((0, vertex), -) on the stable quiver Z Delta, once
-    per tree: one walk on slices [0, L + 1], with no window."""
-    n, row = tree.rank, _walk(tree, loewy_number(tree) + 2, set(), 0, vertex)
-    return tuple(Pt(j // n, j % n + 1) for j, d in enumerate(row) if d)
 
 
 @lru_cache(maxsize=None)
@@ -372,6 +327,5 @@ class ProjectiveQuiver:
 def projective_quiver(config: Configuration) -> ProjectiveQuiver:
     """The projective quiver of a configuration that satisfies C1/C2.  The last
     one is kept: calls in a row on one configuration share it, and check it once."""
-    from .classify import _require_configuration  # local to avoid an import cycle
     _require_configuration(config)
     return ProjectiveQuiver(config)

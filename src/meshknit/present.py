@@ -440,9 +440,9 @@ def cartan_matrix(config: Configuration, group: AdmissibleGroup):
     tree = config.tree
     action = group.action(tree)
     R = action.period
-    refusal = _refusal(group, tree, config.residues, -1, R)
+    refusal = _refusal(action, config.residues, -1, R)
     if refusal is not None:
-        raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
+        raise NotAdmissible(f"{action.name} is not admissible: {refusal}")
     # Projective indices follow Pt order from slice 0, so the lifts of slices
     # [0, hi] have the indices 0, 1, ...  The group moves no configuration
     # point, so each representative is one of the lifts in [0, R).  S_a of a
@@ -491,6 +491,9 @@ class BrauerQuiver:
 
 
 def validate_brauer(q: BrauerQuiver) -> None:
+    names = sorted(map(str, q.points))  # presentations name a point by str(p)
+    if clash := next((a for a, b in zip(names, names[1:]) if a == b), None):
+        raise InvalidBrauer(f"two points are named {clash!r}")
     flavors_at: dict[object, list[str]] = {p: [] for p in q.points}
     cycles = q.cycles()
     for flavor, cyc in cycles:
@@ -709,6 +712,8 @@ def d3m_quotient_presentations(q: BrauerQuiver) -> tuple[QuiverPresentation, Qui
         raise NoSpecialArrow("a special arrow needs a cycle of length at least three")
     if any(sum(p in c for _, c in cycles) > 1 for p in (src, dst)):
         raise NoSpecialArrow("the endpoints of a special arrow must have order two")
+    if clash := [p for p in q.points if str(p) == "c0" and p not in (src, dst)]:
+        raise InvalidBrauer(f"c0 names the contracted point; {clash[0]!r} is not an end of the special arrow")
 
     # rotate so the cycle reads (dst=c0, c1, ..., ct, src); contraction glues
     # src onto c0 and turns the special arrow into the loop gamma

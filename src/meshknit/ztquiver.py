@@ -12,14 +12,21 @@ neighbours, and not before; the orbit test and the quotient by an
 admissible group read only the tree, the configuration's residues and the
 two ends of a slice range, and fold one period of slices, so a window passed
 to them is never built.
+
+Configurations are checked here, beside their class: C1/C2 reads the
+support of hom((0, x), -) on the stable quiver, one int walk of the knitting
+recurrence per vertex (:func:`_walk`, which ``mesh`` reads too).  An
+admissible group acts through one :class:`GroupAction` per (group, tree),
+which holds every table of the pair.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import starmap
+from itertools import islice, product, starmap
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .dynkin import (
@@ -78,7 +85,7 @@ class Configuration:
     ``residues`` is a frozenset of ``(i, x)`` with ``0 <= i < L``; the
     unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
     size and range; the combinatorial axioms are verified on demand by
-    :func:`meshknit.classify.check_combinatorial_configuration`.  Every
+    :func:`check_combinatorial_configuration`.  Every
     residue given is checked: a slice or vertex that is not an int is
     refused, slices are reduced mod L and vertices must lie in the tree.
     """
@@ -192,6 +199,92 @@ def _as_residues(tree: DynkinTree, config) -> frozenset[Residue] | None:
         return config.residues
     L = loewy_number(tree)
     return frozenset((i % L, x) for i, x in config)
+
+
+# ---------------------------------------------------------------------------
+# the combinatorial axioms C1 and C2
+
+
+@lru_cache(maxsize=None)
+def _plan(tree: DynkinTree, span: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The stable points (i, x) of ``span`` slices from 0 in level order, as
+    (index ``i * rank + x - 1``, level, in-neighbour indices, tau-index), and
+    their levels.  Index ``span * rank`` stays 0: it pads and is tau of slice 0."""
+    n, depth, size = tree.rank, tree.depth, span * tree.rank
+    ins: list[list[int]] = [[] for _ in range(size)]
+    for i, (lo, hi) in product(range(span), tree.edges):
+        ins[i * n + hi - 1].append(i * n + lo - 1)
+        if i + 1 < span:
+            ins[(i + 1) * n + lo - 1].append(i * n + hi - 1)
+    level = [2 * (j // n) + depth[j % n + 1] for j in range(size)]
+    order = sorted(range(size), key=level.__getitem__)
+    pad = [ins[j] + [size] * (3 - len(ins[j])) for j in range(size)]
+    steps = [(j, level[j], *pad[j], j - n if j >= n else size) for j in order]
+    return steps, [level[j] for j in order]
+
+
+def _walk(tree: DynkinTree, span: int, cut: set[int], s: int, x: int) -> list[int]:
+    """hom((s, x), -) by index on a plan, then the zero slot, for slice offset
+    s (all 0 past the span), under one bit per point: ``cut`` holds tau^-1 c
+    for the points c of a decoration, where c* cancels the tau-subtraction."""
+    steps, levels = _plan(tree, span)
+    vals = [0] * (span * tree.rank + 1)
+    if s < span:
+        vals[s * tree.rank + x - 1] = 1
+        top = 2 * s + tree.depth[x]  # the highest level holding a nonzero value
+        for j, lvl, a, b, c, t in islice(steps, bisect_right(levels, top), None):
+            if lvl > top + 1:
+                break
+            v = vals[a] + vals[b] + vals[c] - (0 if j in cut else vals[t])
+            if v > 0:
+                vals[j], top = v, lvl
+    return vals
+
+
+@lru_cache(maxsize=None)
+def _stable_support(tree: DynkinTree, vertex: int) -> tuple[Pt, ...]:
+    """The support of hom((0, vertex), -) on the stable quiver Z Delta, once
+    per tree: one walk on slices [0, L + 1], with no window."""
+    n, row = tree.rank, _walk(tree, loewy_number(tree) + 2, set(), 0, vertex)
+    return tuple(Pt(j // n, j % n + 1) for j, d in enumerate(row) if d)
+
+
+@lru_cache(maxsize=None)
+def _residue_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
+    """For each fundamental-domain point, the residues its homs can hit."""
+    L = loewy_number(tree)
+    out = {}
+    for x in tree.vertices:
+        support = _stable_support(tree, x)
+        # distinct lifts of one residue never see each other: path lengths
+        # inside a hom support stay below L, a full period away needs 2L
+        assert not any(p.vertex == x and p.slice > 0 and p.slice % L == 0 for p in support)
+        for i in range(L):
+            out[(i, x)] = frozenset(((i + p.slice) % L, p.vertex) for p in support)
+    return out
+
+
+def check_combinatorial_configuration(tree: DynkinTree, residues) -> tuple[bool, str | None]:
+    """Verify axioms C1 and C2 on a periodic residue set.
+
+    Returns ``(True, None)`` or ``(False, "C1" | "C2")`` naming the first
+    axiom that fails.  Periodicity makes one fundamental domain of test
+    points sufficient for C1, and one of sources sufficient for C2.
+    """
+    L = loewy_number(tree)
+    E = frozenset((i % L, x) for i, x in residues)
+    hits = _residue_reach(tree)
+    if any((hits[e] & E) - {e} for e in sorted(E)):
+        return False, "C2"
+    if any(not hits[i, x] & E for i in range(L) for x in tree.vertices):
+        return False, "C1"
+    return True, None
+
+
+def _require_configuration(config: Configuration) -> None:
+    ok, axiom = check_combinatorial_configuration(config.tree, config.residues)
+    if not ok:
+        raise InvalidInput(f"not a configuration: axiom {axiom} fails for {config}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +487,33 @@ def glide_map(tree: DynkinTree) -> AffineMap:
 
 
 class GroupAction:
-    """The cyclic group generated by an affine map g, in closed form.
+    """The cyclic group an admissible group generates, acting on the
+    translation quiver of one tree in closed form; :meth:`AdmissibleGroup.action`
+    keeps one per (group, tree), and every table of the pair lives on it.
 
-    With d the order of g's vertex permutation, g^d is the pure translation
-    by T slices (g keeps arrows arrows, so g^d shifts every vertex alike),
-    and g^(q d + r) is g^r followed by q T slices.  ``powers`` holds
-    g^0 .. g^(d-1); ``period`` is |T|.  ``orbit_key``, the one orbit table,
-    maps each residue ``(slice mod period, vertex)`` to the least residue of
-    its orbit; it is empty when the orbits are finite (period 0).
+    With d the order of the generator g's vertex permutation, g^d is the pure
+    translation by T slices (g keeps arrows arrows, so g^d shifts every vertex
+    alike), and g^(q d + r) is g^r followed by q T slices.  ``powers`` holds
+    g^0 .. g^(d-1); ``period`` is |T|; ``on_residues`` is g on residues mod L.
+    ``orbit_key``, the one orbit table, maps each residue ``(slice mod period,
+    vertex)`` to the least residue of its orbit; it is empty when the orbits
+    are finite (period 0).
     """
 
-    def __init__(self, g: AffineMap):
-        self.order = g.order
-        self.powers = [g.power(r) for r in range(self.order)]
-        self.translation = g.power(self.order).shift[1]
+    def __init__(self, group: AdmissibleGroup, tree: DynkinTree):
+        g = group.generator_map(tree)
+        self.name = group.name(tree)
+        self.tree = tree
+        self.powers = [g.power(r) for r in range(g.order)]
+        self.translation = g.power(g.order).shift[1]
         self.period = abs(self.translation)
+        self.on_residues = g.mod(loewy_number(tree))
 
-    def apply(self, p: Pt, k: int) -> Pt:
-        q, r = divmod(k, self.order)
-        g = self.powers[r]
-        return Pt(p.slice + g.shift[p.vertex] + q * self.translation, g.perm[p.vertex], p.proj)
+    def moved(self, residues: frozenset[Residue]) -> list[Residue]:
+        """The residues g maps off the set, least first; none exactly when g
+        stabilizes the set, as it acts injectively."""
+        g = self.on_residues
+        return sorted(r for r in residues if g(*r) not in residues)
 
     @cached_property
     def orbit_key(self) -> dict[Residue, Residue]:
@@ -427,6 +527,31 @@ class GroupAction:
                     for g in self.powers:
                         key[(r + g.shift[x]) % P, g.perm[x]] = (r, x)
         return key
+
+    @cached_property
+    def failing_cones(self) -> tuple[tuple[Pt, Pt, Pt], ...]:
+        """The stable points x with slice in [0, P) whose out-cone meets one orbit
+        twice, each as ``(x, a, b)``: b is the first member of the sorted cone
+        ``[x, *x+]`` whose orbit an earlier member a holds.  For a group with
+        infinite orbits that moves no configuration point.
+
+        A cone holds at most one projective, whose representative keeps
+        ``proj=True``, so only the stable cones matter; they repeat every
+        ``period`` slices.  As ``x- = (tau x)+`` and an arrow y -> x puts both in
+        ``{y} u y+``, the out-cones of the residues ``(r, x)`` decide.  The
+        successor of x over a neighbour y is on slice ``(level(x) + 1 - depth(y)) / 2``.
+        """
+        P, key, depth = self.period, self.orbit_key, self.tree.depth
+        out = []
+        for r in range(P):
+            for x, nbrs in self.tree.neighbors.items():
+                up = 2 * r + depth[x] + 1
+                cone = [Pt(r, x), *sorted(Pt((up - depth[y]) // 2, y) for y in nbrs)]
+                keys = [key[p.slice % P, p.vertex] for p in cone]
+                j = next((j for j, k in enumerate(keys) if k in keys[:j]), None)
+                if j is not None:
+                    out.append((cone[0], cone[keys.index(keys[j])], cone[j]))
+        return tuple(out)
 
 
 def twist_label(tree: DynkinTree, aut: AffineMap) -> str:
@@ -480,27 +605,19 @@ class AdmissibleGroup:
         return -self.action(tree).translation
 
     def apply(self, tree: DynkinTree, p: Pt, k: int = 1) -> Pt:
-        return self.action(tree).apply(p, k)
-
-    def moved(self, tree: DynkinTree, residues: frozenset[Residue]) -> list[Residue]:
-        """The residues the generator maps off the set, least first; none
-        exactly when it stabilizes the set, as it acts injectively.  The
-        generator's map on residues mod L is built once per (group, tree)."""
-        g = _residue_map(self, tree)
-        return sorted(r for r in residues if g(*r) not in residues)
+        """generator^k of p."""
+        action = self.action(tree)
+        q, r = divmod(k, len(action.powers))
+        g = action.powers[r]
+        return Pt(p.slice + g.shift[p.vertex] + q * action.translation, g.perm[p.vertex], p.proj)
 
     def stabilizes(self, config: Configuration) -> bool:
-        return not self.moved(config.tree, config.residues)
+        return not self.action(config.tree).moved(config.residues)
 
 
 @lru_cache(maxsize=None)
 def _group_action(group: AdmissibleGroup, tree: DynkinTree) -> GroupAction:
-    return GroupAction(group.generator_map(tree))
-
-
-@lru_cache(maxsize=None)
-def _residue_map(group: AdmissibleGroup, tree: DynkinTree) -> AffineMap:
-    return group.generator_map(tree).mod(loewy_number(tree))
+    return GroupAction(group, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -516,40 +633,33 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
     """
     if config.tree != tree:
         raise InvalidInput(f"the configuration belongs to {config.tree.name}, not to {tree.name}")
-    from .classify import _require_configuration  # local to avoid an import cycle
     _require_configuration(config)
     L = loewy_number(tree)
     e = config.period()
-    translation_steps: list[int]
     twists: list[AffineMap] = []
 
     if tree.family == "A":
-        translation_steps = [e]
+        step = e
         if tree.rank % 2 == 1 and tree.rank > 1:
-            flip = flip_automorphism(tree)
-            if flip is not None:
-                twists.append(flip)
+            twists.append(flip_automorphism(tree))
     elif tree.family == "D" and tree.rank == 4:
-        translation_steps = [L]
+        step = L
         auts = sorted(tree_automorphisms(tree), key=lambda a: a.perm)
-        for wanted_order in (2, 3):
-            for a in (a for a in auts if a.order == wanted_order):
-                if AdmissibleGroup(0, a).stabilizes(config):
-                    twists.append(a)
-                    break
+        for order in (2, 3):  # the first stabilizing twist of each order
+            twists += [a for a in auts if a.order == order and AdmissibleGroup(0, a).stabilizes(config)][:1]
     elif tree.family == "D":
         if sum(x >= tree.rank - 1 for _, x in config.residues) == 2:  # two high points
-            translation_steps = [L]
+            step = L
             twists.append(flip_automorphism(tree))
         else:
-            translation_steps = [e]
+            step = e
     elif tree.family == "E" and tree.rank == 6:
-        translation_steps = [L]
+        step = L
         twists.append(flip_automorphism(tree))
     else:
-        translation_steps = [L]
+        step = L
 
-    out = [AdmissibleGroup(s * r) for r in translation_steps for s in range(1, s_max + 1)]
+    out = [AdmissibleGroup(s * step) for s in range(1, s_max + 1)]
     for twist in twists:
         if AdmissibleGroup(0, twist).stabilizes(config):
             out.extend(AdmissibleGroup(s * L, twist) for s in range(1, s_max + 1))
@@ -560,57 +670,30 @@ def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> lis
 # admissibility and quotients
 
 
-@lru_cache(maxsize=None)
-def _failing_cones(group: AdmissibleGroup, tree: DynkinTree) -> tuple[tuple[Pt, Pt, Pt], ...]:
-    """The stable points x with slice in [0, P) whose out-cone meets one orbit
-    twice, each as ``(x, a, b)``: b is the first member of the sorted cone
-    ``[x, *x+]`` whose orbit an earlier member a holds.  For a group with
-    infinite orbits that moves no configuration point.
-
-    A cone holds at most one projective, whose representative keeps
-    ``proj=True``, so only the stable cones matter; they repeat every
-    ``period`` slices.  As ``x- = (tau x)+`` and an arrow y -> x puts both in
-    ``{y} u y+``, the out-cones of the residues ``(r, x)`` decide.  The
-    successor of x over a neighbour y is on slice ``(level(x) + 1 - depth(y)) / 2``.
-    """
-    action = group.action(tree)
-    P, key, depth = action.period, action.orbit_key, tree.depth
-    out = []
-    for r in range(P):
-        for x, nbrs in tree.neighbors.items():
-            up = 2 * r + depth[x] + 1
-            cone = [Pt(r, x), *sorted(Pt((up - depth[y]) // 2, y) for y in nbrs)]
-            keys = [key[p.slice % P, p.vertex] for p in cone]
-            j = next((j for j, k in enumerate(keys) if k in keys[:j]), None)
-            if j is not None:
-                out.append((cone[0], cone[keys.index(keys[j])], cone[j]))
-    return tuple(out)
-
-
-def _refusal(group: AdmissibleGroup, tree: DynkinTree, residues, lo: int, hi: int) -> str | None:
+def _refusal(action: GroupAction, residues, lo: int, hi: int) -> str | None:
     """The orbit test on slices [lo, hi]: None, or a reason naming a witness.
 
     It raises on an empty range and on fewer than period + 2 slices, then
     refuses a moved configuration point, finite orbits and a cone, in this
     order.  Failing cones repeat every P = period slices, so the least
-    failing point of the range is the least entry of :func:`_failing_cones`
+    failing point of the range is the least entry of ``action.failing_cones``
     once moved into [lo, lo + P), where its cone lies whole in the range.
     No in-cone of a point fails first: tails sort before heads, so if p meets
     an in-neighbour w, w's out-cone fails; if two meet, (tau p)+ = p- does.
     """
     if lo > hi:
         raise EmptyRange(f"slice range [{lo}, {hi}] is empty")
-    P = group.action(tree).period
+    P = action.period
     if hi - lo + 1 < P + 2:
         raise WindowTooSmall(
             f"window of {hi - lo + 1} slices cannot hold a "
-            f"fundamental domain of {group.name(tree)} plus margins"
+            f"fundamental domain of {action.name} plus margins"
         )
-    if moved := group.moved(tree, residues or frozenset()):
+    if moved := action.moved(residues or frozenset()):
         return f"it maps configuration point {Pt(*moved[0])} off the configuration"
     if not P:
         return "its orbits are finite"  # a nontrivial power fixes every point
-    cones = _failing_cones(group, tree)
+    cones = action.failing_cones
     if not cones:
         return None
     x, a, b = min(cones, key=lambda c: ((c[0].slice - lo) % P, c[0].vertex))
@@ -621,7 +704,7 @@ def _refusal(group: AdmissibleGroup, tree: DynkinTree, residues, lo: int, hi: in
 
 def is_admissible(group: AdmissibleGroup, window: QuiverWindow) -> bool:
     """Orbit test: no orbit may meet ``{x} u x+`` or ``{x} u x-`` twice."""
-    return _refusal(group, window.tree, window.residues, window.i_min, window.i_max) is None
+    return _refusal(group.action(window.tree), window.residues, window.i_min, window.i_max) is None
 
 
 class FoldedQuiver:
@@ -635,7 +718,7 @@ class FoldedQuiver:
         self.label = label
 
 
-def _fold(group: AdmissibleGroup, tree: DynkinTree, residues, lo: int, hi: int) -> FoldedQuiver:
+def _fold(action: GroupAction, residues, lo: int, hi: int) -> FoldedQuiver:
     """The quotient of slices [lo, hi] by an admissible group, each orbit
     represented by its least point in the band [b, b + P), with P the period
     and ``b = lo + (span - P) // 2``.
@@ -645,11 +728,10 @@ def _fold(group: AdmissibleGroup, tree: DynkinTree, residues, lo: int, hi: int) 
     pairs has a member starting in the band, and one period of slices gives
     the quotient.  Representatives are read from ``orbit_key`` moved to the band.
     """
-    refusal = _refusal(group, tree, residues, lo, hi)
+    refusal = _refusal(action, residues, lo, hi)
     if refusal is not None:
-        raise NotAdmissible(f"{group.name(tree)} is not admissible: {refusal}")
-    action = group.action(tree)
-    P = action.period
+        raise NotAdmissible(f"{action.name} is not admissible: {refusal}")
+    P, tree = action.period, action.tree
     if hi - lo + 1 < 2 * P:
         raise WindowTooSmall("quotient needs a window of at least two periods")
     b = lo + (hi - lo + 1 - P) // 2
@@ -668,9 +750,9 @@ def _fold(group: AdmissibleGroup, tree: DynkinTree, residues, lo: int, hi: int) 
     tau = {q: rep[(r - 1) % P, x] for (r, x), q in rep.items()}  # well defined: G commutes with tau
     projectives = tuple(sorted(set(star.values())))
     points = tuple(sorted({*rep.values(), *projectives}))
-    return FoldedQuiver(points, tuple(sorted(arrows)), tau, projectives, f"{tree.name}/{group.name(tree)}")
+    return FoldedQuiver(points, tuple(sorted(arrows)), tau, projectives, f"{tree.name}/{action.name}")
 
 
 def quotient(window: QuiverWindow, group: AdmissibleGroup) -> FoldedQuiver:
     """Fold a window by an admissible group; points become orbit representatives."""
-    return _fold(group, window.tree, window.residues, window.i_min, window.i_max)
+    return _fold(group.action(window.tree), window.residues, window.i_min, window.i_max)

@@ -82,7 +82,6 @@ from types import SimpleNamespace
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
-from meshknit.classify import _residue_reach
 from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_number, make_tree
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, _knit, knit_pattern
@@ -105,6 +104,7 @@ from meshknit.ztquiver import (
     QuiverWindow,
     Residue,
     _as_residues,
+    _residue_reach,
     build_window,
     plus_admissible_enumeration,
     reach,

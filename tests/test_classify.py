@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_bruteforce
-from meshknit import classify
+from meshknit import classify, ztquiver
 from meshknit.classify import (
     Pedigree,
     check_combinatorial_configuration,
@@ -147,15 +147,26 @@ def test_bruteforce_follows_any_reach_relation(monkeypatch):
     random reach relations among the residues of A3 it still finds exactly
     the subsets passing both axioms.  Unlike the mesh category's, these
     relations have no duality between reaching and being reached, so a search
-    that reads C1 backwards fails here."""
+    that reads C1 backwards fails here.  The relation replaces the table
+    both where the search reads it (``classify``) and where the axiom check
+    does (``ztquiver``); each reads it on every trial, and the random
+    relations change the answer."""
     tree = make_tree("A", 3)
     domain = [(i, x) for i in range(3) for x in tree.vertices]
+    real = {c.residues for c in enumerate_configurations(tree, "bruteforce")}
     rng = random.Random(0)
+    changed = 0
     for trial in range(60):
         p = (0.1, 0.2, 0.3)[trial % 3]
         rel = {u: frozenset({u} | {v for v in domain if rng.random() < p}) for u in domain}
-        monkeypatch.setattr(classify, "_residue_reach", lambda tree, rel=rel: rel)
-        assert classify._enumerate_bruteforce(tree) == _subsets_passing_the_axioms(tree), trial
+        reads = []
+        for module in (classify, ztquiver):
+            monkeypatch.setattr(module, "_residue_reach", lambda tree, rel=rel, m=module: reads.append(m) or rel)
+        found = classify._enumerate_bruteforce(tree)
+        assert found == _subsets_passing_the_axioms(tree), trial
+        assert set(reads) == {classify, ztquiver}, trial
+        changed += found != real
+    assert changed
 
 
 def test_enumerate_configurations_refuses_an_unknown_method():

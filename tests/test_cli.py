@@ -205,7 +205,7 @@ def test_quotient_command(capsys):
 def _fold_outcome(tree, config, group, lo, hi):
     """What ``meshknit quotient`` prints for a range, or the error it raises."""
     try:
-        folded = _fold(group, tree, config.residues if config else None, lo, hi)
+        folded = _fold(group.action(tree), config.residues if config else None, lo, hi)
     except MeshknitError as err:
         return type(err).__name__, str(err)
     return folded.points, folded.arrows, folded.projectives, serialize_dot(folded)
@@ -221,7 +221,7 @@ def _reference_outcome(tree, config, group, lo, hi):
         size = f"window of {span} slices cannot hold a fundamental domain of {name} plus margins"
         return "WindowTooSmall", size
     if not reference_is_admissible(group, w):
-        if moved := config and group.moved(tree, config.residues):
+        if moved := config and group.action(tree).moved(config.residues):
             reason = f"it maps configuration point {Pt(*moved[0])} off the configuration"
         else:
             reason = reference_witness(group, w) if P else "its orbits are finite"

@@ -12,12 +12,10 @@ from helpers import (
     reference_starting_function,
 )
 
-from meshknit.classify import check_combinatorial_configuration
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import WindowTooSmall
 from meshknit.mesh import (
     MeshTransporter,
-    _stable_support,
     ProjectiveQuiver,
     hom_dim_oracle,
     nakayama,
@@ -27,7 +25,14 @@ from meshknit.mesh import (
     starting_function,
 )
 from meshknit.present import complete_morphisms
-from meshknit.ztquiver import Configuration, Pt, build_window, equioriented_section
+from meshknit.ztquiver import (
+    Configuration,
+    Pt,
+    _stable_support,
+    build_window,
+    check_combinatorial_configuration,
+    equioriented_section,
+)
 
 A2 = make_tree("A", 2)
 ALL_TREES = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
@@ -240,11 +245,11 @@ def test_stable_support_is_the_starting_function_support(family, rank):
 def test_configuration_check_and_nakayama_build_no_window(configs_cache, monkeypatch):
     """With the stable-support, residue-reach and nu caches cleared, the
     C1/C2 test and the Nakayama map create no QuiverWindow."""
-    from meshknit import classify, mesh
+    from meshknit import mesh, ztquiver
 
     configs = [configs_cache(name)[0] for name in ("A3", "D5", "E6")]
     windows = count_windows(monkeypatch)
-    for cache in (mesh._stable_support, classify._residue_reach, mesh._nu_inverse_map):
+    for cache in (ztquiver._stable_support, ztquiver._residue_reach, mesh._nu_inverse_map):
         cache.cache_clear()
     for config in configs:
         tree = config.tree

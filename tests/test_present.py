@@ -648,6 +648,21 @@ def test_invalid_brauer_rejected():
         pedigree_from_brauer(two_alpha, "x")
 
 
+def test_brauer_points_with_one_name_are_refused():
+    """Presentations name a point by its string form, so two points with one
+    form would merge into one; validate_brauer refuses them, and so does
+    every entry point that validates."""
+    q = BrauerQuiver((1, "1"), ((1, "1"),), ((1,), ("1",)))
+    for call in (
+        validate_brauer,
+        lambda q: exceptional_cycle_presentation(q, (1, "1"), 1),
+        lambda q: exceptional_cover(q, (1, "1"), 2),
+        lambda q: pedigree_from_brauer(q, 1),
+    ):
+        with pytest.raises(InvalidBrauer, match="^two points are named '1'$"):
+            call(q)
+
+
 def test_brauer_walks_choose_flavor_by_base_point():
     q = BrauerQuiver(
         points=("u", "v"),
@@ -766,6 +781,23 @@ def test_d3m_quotients():
     assert {type(r) for r in diff} == {ScaledCommuteRel}
     assert {r.a for r in diff if isinstance(r, ScaledCommuteRel)} == {0, 1}
     assert ZeroRel(("gamma",) * 4) in a0.relations and ZeroRel(("gamma",) * 4) in a1.relations
+
+
+def test_d3m_refuses_a_point_named_c0():
+    """The special arrow contracts into a point named c0, so any other point
+    of that name would merge with it; an end of the arrow may carry it."""
+    clash = BrauerQuiver(("c0", "x", "y"), (("c0", "x", "y"),), (), reduced=True, special=("x", "y"))
+    with pytest.raises(InvalidBrauer, match="^c0 names the contracted point; 'c0' is not an end"):
+        d3m_quotient_presentations(clash)
+    plain = BrauerQuiver(("p0", "p1", "p2"), (("p0", "p1", "p2"),), (), reduced=True, special=("p2", "p0"))
+    for end in ("p0", "p2"):
+        named = {"p0": "p0", "p1": "p1", "p2": "p2", end: "c0"}
+        renamed = BrauerQuiver(
+            tuple(named.values()), (tuple(named.values()),), (), reduced=True,
+            special=(named["p2"], named["p0"]),
+        )
+        for a, b in zip(d3m_quotient_presentations(renamed), d3m_quotient_presentations(plain)):
+            assert (a.points, a.arrows, a.relations) == (b.points, b.arrows, b.relations), end
 
 
 def test_d3m_requires_special_arrow():

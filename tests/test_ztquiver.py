@@ -15,7 +15,6 @@ from helpers import (
     reference_representative,
     reference_witness,
 )
-from meshknit.classify import check_combinatorial_configuration
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource, WindowTooSmall
 from meshknit.present import _all_section_shapes, cartan_matrix
@@ -25,9 +24,9 @@ from meshknit.ztquiver import (
     Configuration,
     Pt,
     Section,
-    _failing_cones,
     _refusal,
     build_window,
+    check_combinatorial_configuration,
     equioriented_section,
     glide_map,
     is_admissible,
@@ -394,8 +393,6 @@ def test_period_one_line_configuration():
     """The single-vertex line is a configuration of period one."""
     tree = make_tree("A", 5)
     line = Configuration(tree, {(i, 1) for i in range(5)})
-    from meshknit.classify import check_combinatorial_configuration
-
     assert check_combinatorial_configuration(tree, line.residues) == (True, None)
     assert line.period() == 1
 
@@ -515,6 +512,21 @@ def test_representative_matches_min_over_powers(family, rank):
         assert action.orbit_key == want, group
 
 
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_equal_groups_share_one_action(name, configs_cache):
+    """table_groups builds new groups on every call; equal groups share one
+    GroupAction, and with it its residue map, orbit key and failing cones."""
+    config = configs_cache(name)[0]
+    tree = config.tree
+    first, again = (table_groups(tree, config, s_max=2) for _ in range(2))
+    assert len(first) > 1
+    for g, h in zip(first, again):
+        assert g is not h and g == h
+        action = g.action(tree)
+        assert h.action(tree) is action and action.tree == tree and action.name == g.name(tree)
+        assert h.action(tree).failing_cones is action.failing_cones
+
+
 # ---------------------------------------------------------------------------
 # the orbit map against the previous orbit test and step-by-step orbits
 
@@ -557,7 +569,7 @@ def test_orbit_map_against_reference(configs_cache):
             admissible = is_admissible(group, w)
             assert admissible == reference_is_admissible(group, w), (config, group)
             if not admissible:
-                refusal = _refusal(group, tree, w.residues, lo, hi)
+                refusal = _refusal(group.action(tree), w.residues, lo, hi)
                 with pytest.raises(NotAdmissible) as exc:
                     quotient(w, group)
                 assert str(exc.value) == f"{group.name(tree)} is not admissible: {refusal}"
@@ -588,7 +600,7 @@ def test_orbit_test_refuses_an_empty_range():
     ``build_window`` refuses it."""
     for group in (AdmissibleGroup(1), AdmissibleGroup(0, glide=True)):
         with pytest.raises(EmptyRange, match=r"^slice range \[5, 1\] is empty$"):
-            _refusal(group, A2, None, 5, 1)
+            _refusal(group.action(A2), None, 5, 1)
 
 
 def _outcome(group, w, quotient_first: bool):
@@ -643,11 +655,12 @@ def _sweep_groups(tree):
 
 def _check_cone_verdict(group, w):
     """The orbit test on w's slices names the witness of the previous full
-    scan of every cone of w, and the cached table of failing cones is empty
-    exactly when that scan finds none."""
+    scan of every cone of w, and the action's table of failing cones is
+    empty exactly when that scan finds none."""
     scan = reference_witness(group, w)
-    assert _refusal(group, w.tree, w.residues, w.i_min, w.i_max) == scan, (w.residues, group)
-    assert (not _failing_cones(group, w.tree)) == (scan is None)
+    action = group.action(w.tree)
+    assert _refusal(action, w.residues, w.i_min, w.i_max) == scan, (w.residues, group)
+    assert (not action.failing_cones) == (scan is None)
 
 
 def test_cone_verdict_matches_the_full_window_scan(configs_cache):
@@ -661,7 +674,7 @@ def test_cone_verdict_matches_the_full_window_scan(configs_cache):
         tree = make_tree(family, rank)
         for group in _sweep_groups(tree):
             _check_cone_verdict(group, build_window(tree, None, -1, group.action(tree).period))
-            if _failing_cones(group, tree):
+            if group.action(tree).failing_cones:
                 refused.add((tree.name, group.name(tree)))
     assert len(refused) == 16 and all(
         name in ("A2", "A4", "A6", "A8") and label.endswith(("phi", "rho"))
