@@ -100,11 +100,12 @@ class Pattern:
 
 @lru_cache(maxsize=None)
 def _sweep(section: Section, d: int) -> tuple:
-    """``(index, slice, neighbour indices)`` of each vertex in the source order
-    of ``plus_admissible_enumeration``; reversed for ``d = -1``, a sink order."""
+    """``(index, slice, a, b, c)`` of each vertex in the source order of
+    ``plus_admissible_enumeration`` (reversed for ``d = -1``, a sink order):
+    a, b, c index its at most three neighbours, padded by -1, the 0 slot."""
     slices, nbrs = section.levels, section.tree.neighbors
     order = plus_admissible_enumeration(section)[::d]
-    return tuple((x - 1, slices[x - 1], tuple(y - 1 for y in nbrs[x])) for x in order)
+    return tuple((x - 1, slices[x - 1], *[y - 1 for y in nbrs[x]], *[-1] * (3 - len(nbrs[x]))) for x in order)
 
 
 def _knit(section: Section, dims: Vec, d: int, passes: int, knots: list | None = None) -> list[Vec]:
@@ -116,21 +117,19 @@ def _knit(section: Section, dims: Vec, d: int, passes: int, knots: list | None =
     1)`` and keeps the value); otherwise it ends the orbit, whose value becomes
     0, and later passes skip it until none is live.  Other counts refuse.
 
-    One vector holds every value the mesh reads.  A pass moves every live
-    orbit two levels, so the order holds and, when an orbit moves from level
-    l, its live neighbours sit at l + d (those from l - d moved earlier in the
-    pass).  An orbit ending at level m was read there by each neighbour moving
-    from m - d to m + d: earlier in this pass if it sat at m - d, in the pass
-    before if it sits at m + d.  Later reads are at m + 2d or beyond, where
-    the ended orbit has no point, so reading 0 is exact.
+    One list holds every value the mesh reads, then a 0 slot.  A pass
+    moves every live orbit two levels, so the order holds and, when an orbit
+    moves from level l, its live neighbours sit at l + d (those from l - d
+    moved earlier in the pass).  An orbit ending at level m was read there by
+    each neighbour moving from m - d to m + d: earlier in this pass if it sat
+    at m - d, in the pass before if it sits at m + d.  Later reads are at
+    m + 2d or beyond, where the ended orbit has no point, so reading 0 is exact.
     """
-    sweep = _sweep(section, d)
-    values = list(dims)
-    get = values.__getitem__
+    sweep, values = _sweep(section, d), [*dims, 0]
     vectors = [tuple(dims)]
     for shift in range(passes):
-        for k, slice_, nbrs in sweep:
-            s = sum(map(get, nbrs)) - values[k]
+        for k, slice_, a, b, c in sweep:
+            s = values[a] + values[b] + values[c] - values[k]
             if s > 0:
                 values[k] = s
             elif s == -1 and knots is not None:
@@ -143,7 +142,7 @@ def _knit(section: Section, dims: Vec, d: int, passes: int, knots: list | None =
             else:
                 p = Pt(slice_ + shift, k + 1)
                 raise InvalidDimensionVector(f"knot count {s} at {p}: vector is inconsistent")
-        vectors.append(tuple(values))
+        vectors.append(tuple(values[:-1]))
         if knots is None:
             sweep = [entry for entry in sweep if values[entry[0]]]
             if not sweep:
@@ -249,7 +248,9 @@ def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
     vectors = _knit(section, dims, 1, L, knots)
     if vectors[L] != vectors[0]:
         raise InvalidDimensionVector(f"knit-and-knot run does not repeat after {L} passes")
-    config = Configuration(tree, frozenset((i, x) for i, x, _ in knots))
+    config = Configuration._of_residues(tree, frozenset([(i % L, x) for i, x, _ in knots]))
+    if (size := len(config.residues)) != tree.rank:
+        raise InvalidDimensionVector(f"knit-and-knot run knots {size} residues, not {tree.rank}")
     knots += [(i + L, x, pdim) for i, x, pdim in knots]
     return config, knots, vectors + vectors[1:]
 

@@ -267,15 +267,19 @@ def _residue_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
 def check_combinatorial_configuration(tree: DynkinTree, residues) -> tuple[bool, str | None]:
     """Verify axioms C1 and C2 on a periodic residue set.
 
-    Returns ``(True, None)`` or ``(False, "C1" | "C2")`` naming the first
-    axiom that fails.  Periodicity makes one fundamental domain of test
-    points sufficient for C1, and one of sources sufficient for C2.
+    Returns ``(True, None)`` or ``(False, "C1" | "C2")`` naming the first axiom
+    that fails, and refuses an entry that is no residue.  By periodicity one
+    fundamental domain of test points suffices for C1, one of sources for C2.
     """
-    L = loewy_number(tree)
-    E = frozenset((i % L, x) for i, x in residues)
-    hits = _residue_reach(tree)
-    if any((hits[e] & E) - {e} for e in sorted(E)):
-        return False, "C2"
+    L, hits, residues = loewy_number(tree), _residue_reach(tree), list(residues)
+    try:
+        E = frozenset((i % L, x) for i, x in residues)
+        if any((hits[e] & E) - {e} for e in sorted(E)):
+            return False, "C2"
+    except (KeyError, TypeError, ValueError):
+        for r in residues if len(residues) > 1 else ():  # refuse the first entry failing alone
+            check_combinatorial_configuration(tree, [r])
+        raise InvalidInput(f"{residues[0]!r} is not a residue of {tree.name}") from None
     if any(not hits[i, x] & E for i in range(L) for x in tree.vertices):
         return False, "C1"
     return True, None
