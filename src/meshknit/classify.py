@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 
 from .dynkin import AffineMap, DynkinTree, Residue, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
@@ -116,10 +117,12 @@ def pedigree_from_dims(dims) -> Pedigree:
 # the two enumeration methods
 
 
-def _acting_maps(tree: DynkinTree):
+@lru_cache(maxsize=None)
+def _acting_maps(tree: DynkinTree) -> tuple[tuple[str, AffineMap], ...]:
     """The finite set acting on residue sets: tau powers composed with the
     graph automorphisms; for even A the flip only lifts to the glide
-    reflection, so the glide replaces it."""
+    reflection, so the glide replaces it.  Listed by tau power, then by
+    base map, identity first."""
     L = loewy_number(tree)
     maps = []
     if tree.family == "A" and tree.rank % 2 == 0 and tree.rank >= 2:
@@ -130,28 +133,62 @@ def _acting_maps(tree: DynkinTree):
         for tag, base in bases:
             name = f"tau^{k}{'*' + tag if tag else ''}"
             maps.append((name, AffineMap.translation(tree, -k).compose(base).mod(L)))
-    return maps
+    return tuple(maps)
 
 
 @lru_cache(maxsize=None)
-def _index_tables(tree: DynkinTree):
-    """``(residues, index, perms)``: the residue (i, x) is the index
-    ``i * rank + x - 1``, listed in ``residues`` and looked up in ``index``;
-    ``perms`` holds ``(name, images)`` per entry of ``_acting_maps``, with
-    ``images[k]`` the index of the map's image of residue k.  The encoding
-    keeps the order: sorted index tuples compare as sorted residue tuples."""
-    residues = sorted(_residue_domain(tree))
-    index = {r: k for k, r in enumerate(residues)}
-    perms = [(name, tuple(index[m(*r)] for r in residues)) for name, m in _acting_maps(tree)]
-    return residues, index, perms
+def _mask_table(tree: DynkinTree) -> tuple[dict[Residue, int], ...]:
+    """The census encoding of residue sets, and the acting maps on it.
+
+    A residue set is an int of m = L * rank bits, its mask: the residue
+    (i, x), of index ``k = i * rank + x - 1``, is bit ``m - 1 - k``.  Among
+    sets of one size the larger mask is the lexicographically smaller sorted
+    residue tuple; sets of different sizes do not compare so.  The table
+    holds one dict per base map, the tau-free first entries of
+    ``_acting_maps``, identity first: each residue's image bit under it, so
+    entry 0 gives a residue its own bit and a set's mask is the sum over its
+    residues.  tau^k moves a mask by a left rotation of k * rank bits, which
+    ``_orbit`` applies."""
+    L, n = loewy_number(tree), tree.rank
+    maps = _acting_maps(tree)
+    top = L * n - 1
+    domain = sorted(_residue_domain(tree))
+    return tuple(
+        {r: 1 << top - (i * n + x - 1) for r, (i, x) in zip(domain, starmap(base, domain))}
+        for _, base in maps[: len(maps) // L]
+    )
 
 
-def _close_under_symmetry(tree: DynkinTree, seeds) -> set[frozenset[Residue]]:
-    """Every image of a seed; one pass suffices because the acting maps
-    form a group on residues."""
-    residues, index, perms = _index_tables(tree)
-    keys = [tuple(map(index.__getitem__, res)) for res in seeds]
-    return {frozenset(map(residues.__getitem__, map(p.__getitem__, key))) for key in keys for _, p in perms}
+def _orbit(tree: DynkinTree, residues) -> list[int]:
+    """The mask of each acting map's image of a residue set, in the order of
+    ``_acting_maps``: each base image, rotated by 0, rank, 2 rank, ... bits."""
+    table, n = _mask_table(tree), tree.rank
+    m = loewy_number(tree) * n
+    full = (1 << m) - 1
+    # a right shift of the doubled mask by m - s rotates it left by s
+    doubled = [y << m | y for y in (sum(map(bits.__getitem__, residues)) for bits in table)]
+    return [y >> s & full for s in range(m, 0, -n) for y in doubled]
+
+
+def _close_under_symmetry(tree: DynkinTree, seeds) -> dict[int, frozenset[Residue]]:
+    """Every image of a seed, by mask; one pass suffices because the acting
+    maps form a group on residues.  A base image whose mask is new is built
+    once as a residue set and moved one slice down by tau for each of its L
+    rotations.  So the result is always a union of tau-orbits, and a base
+    image whose mask is in it has all of its rotations in it."""
+    L, maps = loewy_number(tree), _acting_maps(tree)
+    bases = [m for _, m in maps[: len(maps) // L]]
+    tau = {(i, x): ((i - 1) % L, x) for i, x in _residue_domain(tree)}
+    out: dict[int, frozenset[Residue]] = {}
+    for res in seeds:
+        orbit = _orbit(tree, res)
+        for b, base in enumerate(bases):
+            if orbit[b] not in out:
+                image = frozenset(starmap(base, res))
+                for key in orbit[b :: len(bases)]:
+                    out[key] = image
+                    image = frozenset(map(tau.__getitem__, image))
+    return out
 
 
 def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
@@ -199,55 +236,64 @@ def _pattern_vectors(tree: DynkinTree) -> list[tuple[int, ...]]:
     return sorted({sv[: n - 2] + (1 + sv[n - 3], sv[n - 2]) for sv in _section_vectors(sub)})
 
 
-def _enumerate_patterns(tree: DynkinTree) -> set[frozenset[Residue]]:
+def _enumerate_patterns(tree: DynkinTree) -> dict[int, frozenset[Residue]]:
     section = equioriented_section(tree)
-    seeds = {_knit_knots(tree, section, vec)[0].residues for vec in _pattern_vectors(tree)}
-    # type A patterns biject with configurations, so the seeds are complete
-    return seeds if tree.family == "A" else _close_under_symmetry(tree, seeds)
+    seeds = [_knit_knots(tree, section, vec)[0].residues for vec in _pattern_vectors(tree)]
+    if tree.family == "A":
+        # type A patterns biject with configurations, so the seeds are complete
+        bits = _mask_table(tree)[0]
+        return {sum(map(bits.__getitem__, res)): res for res in seeds}
+    return _close_under_symmetry(tree, seeds)
 
 
-def _enumerate_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
+def _enumerate_bruteforce(tree: DynkinTree) -> dict[int, frozenset[Residue]]:
     """Every residue set of one fundamental domain that satisfies C1 and C2,
-    read off ``_residue_reach`` alone, by an exact-cover search after Knuth's
-    Algorithm X ("Dancing Links", 2000).  It branches on the least uncovered
-    residue, trying each available coverer and dropping a tried one from the
-    later branches, so each set is found once; no set size is assumed."""
-    universe, index, _ = _index_tables(tree)
+    by mask, read off ``_residue_reach`` alone, by an exact-cover search
+    after Knuth's Algorithm X ("Dancing Links", 2000).  It branches on the
+    least uncovered residue, trying each available coverer and dropping a
+    tried one from the later branches, so each set is found once; no set
+    size is assumed.  The search runs on masks (``_mask_table``), so a set's
+    mask is built beside its residues."""
+    at = sorted(_residue_domain(tree), reverse=True)  # at[p]: the residue at bit p
+    pos = {u: p for p, u in enumerate(at)}
     reach = _residue_reach(tree)
-    m = len(universe)
-    covered_by = [0] * m  # covered_by[k]: the residues k reaches, which cover it (C1)
-    covers = [0] * m  # covers[k]: the residues reaching k, which k covers
-    for k, u in enumerate(universe):
-        for v in reach[u]:
-            covered_by[k] |= 1 << index[v]
-            covers[index[v]] |= 1 << k
+    m = len(at)
+    covered_by = [0] * m  # covered_by[p]: the residues at[p] reaches, which cover it (C1)
+    covers = [0] * m  # covers[p]: the residues reaching at[p], which it covers
+    for p, u in enumerate(at):
+        for q in map(pos.__getitem__, reach[u]):
+            covered_by[p] |= 1 << q
+            covers[q] |= 1 << p
     # C2 excludes the residues a chosen one reaches and those reaching it
     excludes = [c | b for c, b in zip(covers, covered_by)]
-    results: set[frozenset[Residue]] = set()
+    results: dict[int, frozenset[Residue]] = {}
 
-    def search(uncovered: int, avail: int, chosen: tuple[Residue, ...]):
+    def search(uncovered: int, avail: int, key: int, chosen: tuple[Residue, ...]):
         if not uncovered:
-            results.add(frozenset(chosen))
+            results[key] = frozenset(chosen)
             return
-        low = uncovered & -uncovered
-        options = covered_by[low.bit_length() - 1] & avail  # none left ends the branch
+        # the least uncovered residue is the top bit; none available ends the branch
+        options = covered_by[uncovered.bit_length() - 1] & avail
         while options:
-            low = options & -options
-            options ^= low
-            k = low.bit_length() - 1
-            search(uncovered & ~covers[k], avail & ~excludes[k], chosen + (universe[k],))
-            avail ^= low
+            p = options.bit_length() - 1  # least residues first
+            top = 1 << p
+            options ^= top
+            search(uncovered & ~covers[p], avail & ~excludes[p], key | top, chosen + (at[p],))
+            avail ^= top
 
-    search((1 << m) - 1, (1 << m) - 1, ())
+    search((1 << m) - 1, (1 << m) - 1, 0, ())
     return results
 
 
 def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list[Configuration]:
     """All configurations of the tree, by knitting patterns or brute force.
 
-    Both methods return the same set; the test suite cross-validates them.
-    Brute force reads only the axioms C1 and C2 and is the faster method on
-    A8, D7-D9 and E6-E8 (timings in the README); patterns knits each seed once.
+    Both methods return the same set, listed by sorted residue tuple; the
+    test suite cross-validates them.  Every configuration has rank
+    residues, so that order is the descending order of their masks
+    (``_mask_table``), which holds only among sets of one size.  Brute
+    force reads only the axioms C1 and C2 and is the faster method on
+    A8, D6-D9 and E6-E8 (timings in the README); patterns knits each seed once.
     """
     if method == "patterns":
         residue_sets = _enumerate_patterns(tree)
@@ -255,7 +301,7 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
         residue_sets = _enumerate_bruteforce(tree)
     else:
         raise InvalidInput(f"unknown method {method!r}")
-    return [Configuration._of_residues(tree, res) for res in sorted(residue_sets, key=sorted)]
+    return [Configuration._of_residues(tree, residue_sets[key]) for key in sorted(residue_sets, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +342,31 @@ class ConfigurationClass:
 def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[ConfigurationClass]:
     """Orbit representatives under tau shifts, graph automorphisms and (for
     even A) the glide reflection; the representative of each class is its
-    lexicographically least member."""
+    lexicographically least member, the largest mask of its orbit, as every
+    configuration has rank residues (``_mask_table``).  Classes come in the
+    order of their least given member, and stabilisers name their maps in
+    the order of ``_acting_maps``."""
     configs = enumerate_configurations(tree) if configs is None else list(configs)
-    foreign = sorted((cfg for cfg in configs if cfg.tree != tree), key=Configuration.canonical_key)
+    foreign = sorted(
+        (cfg for cfg in configs if cfg.tree is not tree and cfg.tree != tree), key=Configuration.canonical_key
+    )
     if foreign:
         raise InvalidInput(f"{foreign[0]} belongs to {foreign[0].tree.name}, not to {tree.name}")
-    residues, index, perms = _index_tables(tree)
-    seen: set[frozenset[int]] = set()
+    bits, maps = _mask_table(tree)[0], _acting_maps(tree)
+    given = {sum(map(bits.__getitem__, cfg.residues)): cfg.residues for cfg in configs}
+    seen: set[int] = set()
     out = []
-    for key in sorted(sorted(map(index.__getitem__, cfg.residues)) for cfg in configs):
-        if frozenset(key) in seen:
+    for key in sorted(given, reverse=True):
+        if key in seen:
             continue
-        orbit = {frozenset(map(p.__getitem__, key)) for _, p in perms}
-        seen |= orbit
-        rep = min(orbit, key=sorted)
-        stab = tuple(name for name, p in perms if frozenset(map(p.__getitem__, rep)) == rep)
+        orbit = _orbit(tree, given[key])
+        seen.update(orbit)
+        rep = max(orbit)
+        # a partial list need not hold the representative
+        members = given.get(rep) or frozenset(starmap(maps[orbit.index(rep)][1], given[key]))
+        stab = tuple(name for (name, _), image in zip(maps, _orbit(tree, members)) if image == rep)
+        size = len(set(orbit))
         # holds for any residue set: the acting maps form a group on residues
-        assert len(orbit) * len(stab) == len(perms), "orbit-stabilizer mismatch"
-        members = frozenset(map(residues.__getitem__, rep))
-        out.append(ConfigurationClass(Configuration._of_residues(tree, members), len(orbit), stab))
+        assert size * len(stab) == len(maps), "orbit-stabilizer mismatch"
+        out.append(ConfigurationClass(Configuration._of_residues(tree, members), size, stab))
     return out
-

@@ -98,7 +98,20 @@ def _depth_map(tree: DynkinTree) -> dict[int, int]:
 
 
 def make_tree(family: str, rank: int) -> DynkinTree:
-    """Build the canonical tree, or raise INVALID_TYPE."""
+    """The canonical tree, or raise INVALID_TYPE.
+
+    One object per (family, rank), so per-tree caches and tree comparisons
+    succeed on identity.  A rank that is not an ``int`` (a float, a bool) is
+    refused before the cache could take it for the equal int."""
+    if type(rank) is not int:
+        raise InvalidType(f"a rank is an int, got {rank!r}")
+    if family not in FAMILIES:
+        raise InvalidType(f"unknown family {family!r}")
+    return _canonical_tree(family, rank)
+
+
+@lru_cache(maxsize=None)
+def _canonical_tree(family: str, rank: int) -> DynkinTree:
     if family == "A":
         if rank < 1:
             raise InvalidType(f"A_n requires n >= 1, got {rank}")
@@ -108,12 +121,10 @@ def make_tree(family: str, rank: int) -> DynkinTree:
             raise InvalidType(f"D_n requires n >= 4, got {rank}")
         edges = tuple((i, i + 1) for i in range(1, rank - 2))
         edges += ((rank - 2, rank - 1), (rank - 2, rank))
-    elif family == "E":
+    else:
         if rank not in (6, 7, 8):
             raise InvalidType(f"E_n requires n in {{6, 7, 8}}, got {rank}")
         edges = tuple((i, i + 1) for i in range(1, rank - 1)) + ((3, rank),)
-    else:
-        raise InvalidType(f"unknown family {family!r}")
     return DynkinTree(family, rank, edges)
 
 

@@ -88,7 +88,11 @@ class Configuration:
     :func:`check_combinatorial_configuration`.  Every
     residue given is checked: a slice or vertex that is not an int is
     refused, slices are reduced mod L and vertices must lie in the tree.
+    A configuration is not changed after construction, so once
+    :func:`_require_configuration` has passed it, it is not checked again.
     """
+
+    _passed_axioms = False
 
     def __init__(self, tree: DynkinTree, residues: Iterable[Residue]):
         res = list(residues)
@@ -286,9 +290,12 @@ def check_combinatorial_configuration(tree: DynkinTree, residues) -> tuple[bool,
 
 
 def _require_configuration(config: Configuration) -> None:
+    if config._passed_axioms:
+        return
     ok, axiom = check_combinatorial_configuration(config.tree, config.residues)
     if not ok:
         raise InvalidInput(f"not a configuration: axiom {axiom} fails for {config}")
+    config._passed_axioms = True
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ the least point of an orbit in a band of slices, a minimum over the
 generator's powers.  The orbit-test, witness, fold and Cartan references
 key orbits by it, so they share no code with ``GroupAction.orbit_key``,
 the table they check.
+``reference_classes`` is ``classify.configurations_up_to_aut`` as it stood
+before residue sets became masks: each acting map applied to the residues,
+the lexicographically least member of each orbit its representative, and
+the configurations taken in ``reference_order``, by sorted residue tuple,
+the order ``enumerate_configurations`` lists.
 ``count_windows`` records every ``QuiverWindow`` construction and every
 explicit build of a window's points and arrows while a test runs.
 """
@@ -82,6 +87,7 @@ from types import SimpleNamespace
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
+from meshknit.classify import _acting_maps
 from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_number, make_tree
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, _knit, knit_pattern
@@ -866,6 +872,29 @@ def reference_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
 
     dfs(0, [], 0, 0)
     return results
+
+
+def reference_order(residue_sets) -> list:
+    """The residue sets sorted by their sorted residue tuples."""
+    return sorted(residue_sets, key=sorted)
+
+
+def reference_classes(tree: DynkinTree, configs) -> list[tuple]:
+    """``(representative residues, orbit size, stabiliser names)`` per class,
+    in the order of each class's least given member: every orbit found by
+    applying each acting map, its least member the representative."""
+    maps = _acting_maps(tree)
+    seen: set[frozenset[Residue]] = set()
+    out = []
+    for res in reference_order(c.residues for c in configs):
+        if res in seen:
+            continue
+        orbit = {frozenset(starmap(m, res)) for _, m in maps}
+        seen |= orbit
+        rep = min(orbit, key=sorted)
+        stab = tuple(name for name, m in maps if frozenset(starmap(m, rep)) == rep)
+        out.append((rep, len(orbit), stab))
+    return out
 
 
 def reference_extend_automorphism(tree: DynkinTree, mapping: tuple[int, ...]) -> AffineMap:

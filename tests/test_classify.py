@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_bruteforce
+from helpers import reference_bruteforce, reference_classes, reference_order
 import meshknit
 from meshknit import classify, ztquiver
 from meshknit.classify import (
@@ -20,7 +20,8 @@ from meshknit.classify import (
     pedigree_dimension_vector,
     pedigree_from_dims,
     _acting_maps,
-    _index_tables,
+    _mask_table,
+    _orbit,
     _section_vectors,
 )
 from meshknit.dynkin import loewy_number, make_tree
@@ -174,14 +175,16 @@ def test_bruteforce_is_every_subset_passing_the_axioms(configs_cache, n):
 def test_bruteforce_follows_any_reach_relation(monkeypatch):
     """The search reads C1 and C2 through ``_residue_reach`` alone, and on
     random reach relations among the residues of A3 it still finds exactly
-    the subsets passing both axioms.  Unlike the mesh category's, these
-    relations have no duality between reaching and being reached, so a search
-    that reads C1 backwards fails here.  The relation replaces the table
-    both where the search reads it (``classify``) and where the axiom check
-    does (``ztquiver``); each reads it on every trial, and the random
-    relations change the answer."""
+    the subsets passing both axioms, each under its own mask.  Unlike the
+    mesh category's, these relations have no duality between reaching and
+    being reached, so a search that reads C1 backwards fails here.  The
+    relation replaces the table both where the search reads it
+    (``classify``) and where the axiom check does (``ztquiver``); each reads
+    it on every trial, and the random relations change the answer.  The sets
+    found differ in size, so they are compared as sets, not by mask order."""
     tree = make_tree("A", 3)
     domain = [(i, x) for i in range(3) for x in tree.vertices]
+    bits = _mask_table(tree)[0]
     real = {c.residues for c in enumerate_configurations(tree, "bruteforce")}
     rng = random.Random(0)
     changed = 0
@@ -192,9 +195,10 @@ def test_bruteforce_follows_any_reach_relation(monkeypatch):
         for module in (classify, ztquiver):
             monkeypatch.setattr(module, "_residue_reach", lambda tree, rel=rel, m=module: reads.append(m) or rel)
         found = classify._enumerate_bruteforce(tree)
-        assert found == _subsets_passing_the_axioms(tree), trial
+        assert all(key == sum(bits[r] for r in res) for key, res in found.items()), trial
+        assert set(found.values()) == _subsets_passing_the_axioms(tree), trial
         assert set(reads) == {classify, ztquiver}, trial
-        changed += found != real
+        changed += set(found.values()) != real
     assert changed
 
 
@@ -359,18 +363,28 @@ def test_acting_maps_form_a_group_on_residues(name):
     [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
 )
 def test_index_tables_permute_as_the_acting_maps(name):
-    """Each index permutation is its acting map applied residue by residue,
-    and the index encoding sorts as the residues do."""
+    """The mask table encodes residue k = i * rank + x - 1 at bit
+    m - 1 - k, and acts as the acting maps do: for each map tau^k * base,
+    residue by residue, the base's image bit rotated left by k * rank bits
+    is the bit of the map's image, and ``_orbit`` lists those images."""
     tree = make_tree(name[0], int(name[1:]))
-    L = loewy_number(tree)
-    residues, index, perms = _index_tables(tree)
-    assert residues == sorted((i, x) for i in range(L) for x in tree.vertices)
-    assert all(index[r] == k == r[0] * tree.rank + r[1] - 1 for k, r in enumerate(residues))
+    L, n = loewy_number(tree), tree.rank
+    m = L * n
+    residues = sorted((i, x) for i in range(L) for x in tree.vertices)
+    table = _mask_table(tree)
+    bits = table[0]
+    assert bits == {(i, x): 1 << m - 1 - (i * n + x - 1) for i, x in residues}
+    for images in table:
+        assert sorted(images) == residues and sorted(images.values()) == sorted(bits.values())
     maps = _acting_maps(tree)
-    assert [name for name, _ in perms] == [name for name, _ in maps]
-    for (_, images), (_, m) in zip(perms, maps):
-        assert [residues[k] for k in images] == [m(i, x) for i, x in residues]
-        assert sorted(images) == list(range(len(residues)))
+    assert len(maps) == L * len(table)
+    for j, (_, mp) in enumerate(maps):
+        k, b = divmod(j, len(table))
+        for r in residues:
+            y = table[b][r]
+            assert (y << k * n | y >> m - k * n) & (1 << m) - 1 == bits[mp(*r)], (j, r)
+    for r in residues:
+        assert _orbit(tree, [r]) == [bits[mp(*r)] for _, mp in maps]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
@@ -408,3 +422,59 @@ def test_e7_bruteforce_needs_no_opt_in(monkeypatch):
     """E7 brute force takes well under a second and runs without any environment switch."""
     monkeypatch.delenv("MESHKNIT_ALLOW_SLOW", raising=False)
     assert len(enumerate_configurations(make_tree("E", 7), "bruteforce")) == 2431
+
+
+CLASS_TREES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 8)] + ["E6", "E7"]
+
+
+@pytest.mark.parametrize("name", CLASS_TREES)
+def test_classes_match_the_reference(configs_cache, name):
+    """Representatives, orbit sizes and stabiliser names are those of the
+    reference on residue tuples, on the full list, every third
+    configuration, the reversed list and a list with duplicates.  On every
+    third configuration the representative of some class of a larger tree
+    is not in the list."""
+    tree = make_tree(name[0], int(name[1:]))
+    configs = configs_cache(name)
+    for part in (configs, configs[::3], configs[::-1], configs + configs[::2]):
+        got = configurations_up_to_aut(tree, part)
+        assert [(c.representative.residues, c.orbit_size, c.stabilizer) for c in got] == reference_classes(
+            tree, part
+        )
+    if len(configs) > 100:
+        given = {c.residues for c in configs[::3]}
+        assert any(c.representative.residues not in given for c in configurations_up_to_aut(tree, configs[::3]))
+
+
+@pytest.mark.parametrize("method", ["patterns", "bruteforce"])
+@pytest.mark.parametrize("name", CLASS_TREES)
+def test_enumeration_order_is_the_reference_order(configs_cache, name, method):
+    """Both methods list their configurations by sorted residue tuple."""
+    sets = [c.residues for c in configs_cache(name, method)]
+    assert sets == reference_order(set(sets))
+
+
+@st.composite
+def residue_set_pairs(draw):
+    """A tree and two residue sets of it of one size, often sharing most members."""
+    tree = make_tree(*draw(st.sampled_from([("A", 3), ("A", 6), ("D", 4), ("D", 7), ("E", 6), ("E", 8)])))
+    domain = sorted(_mask_table(tree)[0])
+    a = draw(st.sets(st.sampled_from(domain), min_size=1, max_size=len(domain)))
+    rest = [r for r in domain if r not in a]
+    swaps = draw(st.integers(0, min(len(a), len(rest))))
+    drop = draw(st.sets(st.sampled_from(sorted(a)), min_size=swaps, max_size=swaps)) if swaps else set()
+    add = draw(st.sets(st.sampled_from(rest), min_size=swaps, max_size=swaps)) if swaps else set()
+    return tree, frozenset(a), (a - drop) | add
+
+
+@given(residue_set_pairs())
+@settings(max_examples=80, deadline=None)
+def test_mask_order_reverses_lexicographic_order_within_one_size(pair):
+    """For residue sets of one size, the larger mask is the lexicographically
+    smaller sorted residue tuple."""
+    tree, a, b = pair
+    bits = _mask_table(tree)[0]
+    mask_a, mask_b = sum(bits[r] for r in a), sum(bits[r] for r in b)
+    assert len(a) == len(b)
+    assert (mask_a > mask_b) == (sorted(a) < sorted(b))
+    assert (mask_a == mask_b) == (a == b)

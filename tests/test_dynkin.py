@@ -56,6 +56,22 @@ def test_make_tree_shapes_and_errors():
         tree_from_name("Q3")
 
 
+def test_make_tree_is_one_object_per_family_and_rank():
+    """Trees are memoised, so per-tree caches and comparisons meet one object."""
+    assert make_tree("D", 5) is make_tree("D", 5)
+    assert make_tree(family="D", rank=5) is make_tree("D", 5) is tree_from_name("D_5")
+    assert make_tree("D", 5) is not make_tree("A", 5)
+
+
+@pytest.mark.parametrize("rank", [3.0, True])
+def test_make_tree_refuses_a_rank_that_is_not_an_int(rank):
+    """A float or bool rank equal to a valid int is refused, not taken for
+    the cached tree of that int."""
+    make_tree("A", int(rank))
+    with pytest.raises(InvalidType, match="a rank is an int"):
+        make_tree("A", rank)
+
+
 def test_every_tree_is_a_tree():
     for family, ranks in [("A", range(1, 9)), ("D", range(4, 9)), ("E", (6, 7, 8))]:
         for n in ranks:

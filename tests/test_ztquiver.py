@@ -15,8 +15,10 @@ from helpers import (
     reference_representative,
     reference_witness,
 )
+from meshknit import ztquiver
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource, WindowTooSmall
+from meshknit.mesh import projective_quiver
 from meshknit.present import _all_section_shapes, cartan_matrix
 from meshknit.ztquiver import (
     AdmissibleGroup,
@@ -784,3 +786,31 @@ def test_window_refuses_a_configuration_of_another_tree(configs_cache):
         build_window(A3, d4, 0, 4)
     raw = build_window(A3, [(0, 1), (1, 1), (2, 1)], 0, 4)
     assert raw.residues == {(0, 1), (1, 1), (2, 1)} and raw.projectives == [Pt(i, 1, True) for i in range(5)]
+
+
+def test_a_configuration_is_checked_once(monkeypatch, configs_cache):
+    """C1/C2 runs once for a configuration that passes, over ``table_groups``
+    followed by ``cartan_matrix``; a failing one is refused on every call,
+    and a configuration built from unchecked residues is checked."""
+    calls = []
+    real = ztquiver.check_combinatorial_configuration
+    monkeypatch.setattr(
+        ztquiver, "check_combinatorial_configuration", lambda *args: calls.append(args) or real(*args)
+    )
+    config = Configuration(A3, configs_cache("A3")[1].residues)
+    projective_quiver.cache_clear()  # cartan_matrix builds its projective quiver anew
+    group = table_groups(A3, config)[0]
+    cartan_matrix(config, group)
+    table_groups(A3, config)
+    assert len(calls) == 1
+    unchecked = Configuration._of_residues(A3, config.residues)
+    table_groups(A3, unchecked)
+    assert len(calls) == 2
+    bad = Configuration(A3, [(0, 1), (0, 2), (0, 3)])
+    for n in (3, 4):
+        with pytest.raises(InvalidInput, match="not a configuration"):
+            table_groups(A3, bad)
+        assert len(calls) == n
+    with pytest.raises(InvalidInput, match="not a configuration"):
+        cartan_matrix(bad, group)
+    assert len(calls) == 5
