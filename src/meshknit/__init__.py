@@ -16,7 +16,7 @@ from .knitting import (
     knit_run,
     propagate_dims,
 )
-from .mesh import HomTable, hom_dim_oracle, nakayama, nu_inverse, precedes, starting_function
+from .mesh import hom_dim_oracle, nakayama, nu_inverse, precedes, starting_function
 from .classify import (
     ConfigurationClass,
     Pedigree,

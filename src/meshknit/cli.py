@@ -224,7 +224,7 @@ def _cmd_quotient(args) -> int:
     bounds = _ints(args.range, "--range")
     if len(bounds) != 2:
         raise InvalidInput(f"--range must be two slices lo,hi, got {args.range!r}")
-    folded = _fold(group.action(tree), config.residues if config else None, *bounds)
+    folded = _fold(group.action(tree), config.residues if config else frozenset(), *bounds)
     if args.out == "dot":
         print(serialize_dot(folded))
         return 0
@@ -339,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree")
     p.add_argument("--method", choices=["patterns", "bruteforce"], default="patterns")
     p.add_argument("--up-to-aut", action="store_true")
-    p.add_argument("--out", choices=["jsonl"], default="jsonl")
     p.add_argument("--file")
     p.set_defaults(func=_cmd_configs)
 

@@ -7,7 +7,7 @@ labelled by their kind.  Output is sorted, so byte-identical across runs.
 from __future__ import annotations
 
 from .errors import UnsupportedObject
-from .present import CommuteRel, PowerCommuteRel, QuiverPresentation, ScaledCommuteRel, ZeroRel
+from .present import QuiverPresentation
 from .ztquiver import FoldedQuiver, QuiverWindow
 
 
@@ -34,26 +34,12 @@ def _presentation_dot(pres: QuiverPresentation) -> str:
         extra = f' [label="{a.label}"]' if a.shift == 0 else f' [label="{a.label} (nu^-1)", style=bold]'
         lines.append(f'  "{a.src}" -> "{a.dst}"{extra};')
     by_label = pres.arrow_by_label()
-
-    def ends(path):
-        return by_label[path[0]].src, by_label[path[-1]].dst
-
     for r in sorted(pres.relations, key=repr):
-        if isinstance(r, ZeroRel):
-            s, t = ends(r.path)
-            label = "zero"
-        elif isinstance(r, CommuteRel):
-            s, t = ends(r.lhs)
-            label = "commute"
-        elif isinstance(r, ScaledCommuteRel):
-            s, t = ends(r.lhs)
-            label = f"scaled_commute a={r.a}"
-        elif isinstance(r, PowerCommuteRel):
-            s, t = ends(r.lhs)
-            label = f"power_commute m={r.m}"
-        else:  # pragma: no cover
-            continue
-        lines.append(f'  "{s}" -> "{t}" [style=dashed, constraint=false, label="{label}"];')
+        fields = vars(r)
+        path = fields.get("path") or fields["lhs"]
+        arg = f" a={r.a}" if "a" in fields else f" m={r.m}" if "m" in fields else ""
+        s, t = by_label[path[0]].src, by_label[path[-1]].dst
+        lines.append(f'  "{s}" -> "{t}" [style=dashed, constraint=false, label="{r.kind}{arg}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

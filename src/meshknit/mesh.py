@@ -4,27 +4,29 @@ Two independent routes compute ``dim k(window)(x, y)``:
 
 * :func:`starting_function` -- the fast additive recurrence that knits hom
   dimensions forward, clipping at zero, by ``ztquiver._walk`` on an int plan;
+  it reads a window's two ends and residues and builds no window;
 * :class:`MeshTransporter` / :func:`hom_dim_oracle` -- exact rational linear
-  algebra: the space spanned by paths modulo the subspace generated by the
-  mesh sums, built level by level (dimension = path count minus the rank of
-  the relation rows).  Entries are ``int`` unless a pivot scaling left a
-  ``Fraction``, so matrices of 0 and +-1 never touch ``Fraction``.
+  algebra on a built window: the space spanned by paths modulo the subspace
+  generated by the mesh sums, built level by level (dimension = path count
+  minus the rank of the relation rows).  Entries are ``int`` unless a pivot
+  scaling left a ``Fraction``, so matrices of 0 and +-1 never touch ``Fraction``.
 
-Both walk in level order from the source.  Every arrow raises the level by
-one, and a value is at most the sum of the values at its in-neighbours, one
-level down; so once a whole level is zero every higher one is, and a walk
-stops at the first point two levels above its highest nonzero value.  The
-library reads the recurrence from two stores, neither built on a window:
-``ztquiver._stable_support`` per vertex of a tree (the C1/C2 test beside
-``Configuration``, and the Nakayama map), and :class:`ProjectiveQuiver`,
-one int row of hom(P, -), one bit set of its projective support and its
-arrow ends per nu-orbit of the projectives P of k(Z Delta_C), all read by
-projective index: ``present`` builds its fundamental algebras, presentations and
-Cartan matrices on those indices, and imports this module, never the other
-way round.  The transporter, which also carries the arrow matrices of the
-quotient functor, is the exact route behind ``meshknit mesh homdim`` and
-the tests' oracle, for hom dimensions and, through the natural maps between
-two transporters, for composites.
+Both give the nonzero dimensions as one ``dict[Pt, int]`` (the transporter's
+``dims``), and both walk in level order from the source.  Every arrow raises
+the level by one, and a value is at most the sum of the values at its
+in-neighbours, one level down; so once a whole level is zero every higher
+one is, and a walk stops at the first point two levels above its highest
+nonzero value.  The library reads the recurrence from two stores, neither
+built on a window: ``ztquiver._stable_support`` per vertex of a tree (the
+C1/C2 test beside ``Configuration``, and the Nakayama map), and
+:class:`ProjectiveQuiver`, one int row of hom(P, -), one bit set of its
+projective support and its arrow ends per nu-orbit of the projectives P of
+k(Z Delta_C), all read by projective index: ``present`` builds its
+fundamental algebras, presentations and Cartan matrices on those indices,
+and imports this module, never the other way round.  The transporter, which
+also carries the arrow matrices of the quotient functor, is the exact route
+behind ``meshknit mesh homdim`` and the tests' oracle, for hom dimensions
+and, through the natural maps between two transporters, for composites.
 """
 
 from __future__ import annotations
@@ -35,45 +37,38 @@ from operator import or_
 from .dynkin import AffineMap, DynkinTree, loewy_number
 from .errors import WindowTooSmall
 from .linalg import RationalEchelon, Scalar
-from .ztquiver import Configuration, Pt, QuiverWindow, _require_configuration, _stable_support, _walk
-from .ztquiver import build_window, reach
+from .ztquiver import Configuration, Pt, QuiverWindow, _require_configuration, _stable_support, _walk, reach
 
 
-class HomTable:
-    """Hom dimensions from a fixed source point over a window."""
+def starting_function(tree: DynkinTree, x: Pt, window: QuiverWindow | None = None) -> dict[Pt, int]:
+    """The nonzero hom dimensions from ``x`` by the knitting recurrence.
 
-    def __init__(self, source: Pt, window: QuiverWindow, dims: dict[Pt, int]):
-        self.source = source
-        self.window = window
-        self.dims = dims
-
-    def __getitem__(self, p: Pt) -> int:
-        return self.dims.get(p, 0)
-
-    def support(self) -> list[Pt]:
-        return sorted(p for p, d in self.dims.items() if d > 0)
-
-
-def starting_function(tree: DynkinTree, x: Pt, window: QuiverWindow | None = None) -> HomTable:
-    """Hom dimensions from ``x`` by the knitting recurrence (on Z Delta, unless a window is given).
-
-    Points are processed in level order from ``x``; each non-projective
-    point ``z`` gets ``max(0, sum over in-neighbors - value at tau z)``, a
-    projective ``c*`` copies the value at ``c``, so :func:`_walk` runs on stable
-    points, a source c* from tau^-1 c.  Only nonzero values are stored.
+    It runs on the slices and decoration of ``window``, which it reads and
+    does not build; with no window, on the stable slices [x.slice, x.slice +
+    L + 1].  In level order from ``x`` each non-projective point ``z`` gets
+    ``max(0, sum over in-neighbors - value at tau z)`` and a projective ``c*``
+    copies the value at ``c``, so :func:`_walk` runs on stable points, a
+    source c* from tau^-1 c.  A source outside the slices, off the tree, or
+    projective off the decoration is refused with WindowTooSmall.
     """
+    L, n = loewy_number(tree), tree.rank
     if window is None:
-        window = build_window(tree, None, x.slice, x.slice + loewy_number(tree) + 1)
-    if x not in window.points:
+        lo, hi, residues = x.slice, x.slice + L + 1, frozenset()
+    else:
+        lo, hi, residues = window.i_min, window.i_max, window.residues
+    off_decoration = x.proj and (x.slice % L, x.vertex) not in residues
+    if x.slice not in range(lo, hi + 1) or x.vertex not in tree.vertices or off_decoration:
         raise WindowTooSmall(f"window does not contain the source {x}")
-    n, i_min = tree.rank, window.i_min
-    cut = {(p.slice - i_min + 1) * n + p.vertex - 1 for p in window.points if p.proj}
+    # tau^-1 c, by index, for each point c of the decoration in the slices
+    cut = {j + n for j in range((hi - lo + 1) * n) if ((lo + j // n) % L, j % n + 1) in residues}
     dims = {x: 1}
-    for j, v in enumerate(_walk(tree, window.i_max - i_min + 1, cut, x.slice + x.proj - i_min, x.vertex)):
-        if v:  # the point and, in the window, the projective over it
-            i, y = i_min + j // n, j % n + 1
-            dims.update((q, v) for q in (Pt(i, y), Pt(i, y, True)) if q in window.points)
-    return HomTable(x, window, dims)
+    for j, v in enumerate(_walk(tree, hi - lo + 1, cut, x.slice + x.proj - lo, x.vertex)):
+        if v:  # the point and, over a point of the decoration, its projective
+            p = Pt(lo + j // n, j % n + 1)
+            dims[p] = v
+            if j + n in cut:
+                dims[p._replace(proj=True)] = v
+    return dims
 
 
 class MeshTransporter:

@@ -86,8 +86,9 @@ class Configuration:
     unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
     size and range; the combinatorial axioms are verified on demand by
     :func:`check_combinatorial_configuration`.  Every
-    residue given is checked: a slice or vertex that is not an int is
-    refused, slices are reduced mod L and vertices must lie in the tree.
+    residue given is checked: a slice that is not an int, or a vertex that is
+    not an int (a bool included), is refused, slices are reduced mod L and
+    vertices must lie in the tree.
     A configuration is not changed after construction, so once
     :func:`_require_configuration` has passed it, it is not checked again.
     """
@@ -98,10 +99,11 @@ class Configuration:
         res = list(residues)
         if bad := [i for i, _ in res if not isinstance(i, int)]:
             raise InvalidInput(f"non-integer slice {min(bad)!r} in configuration")
-        L, vertices = loewy_number(tree), tree.vertices
-        res = frozenset([(i % L, x) for i, x in res])
-        if bad := [x for _, x in res if not isinstance(x, int) or x not in vertices]:
+        vertices = tree.vertices
+        if bad := [x for _, x in res if type(x) is not int or x not in vertices]:
             raise InvalidInput(f"bad vertex {min(bad)} in configuration")
+        L = loewy_number(tree)
+        res = frozenset([(i % L, x) for i, x in res])
         if len(res) != tree.rank:
             raise InvalidInput(f"configuration needs {tree.rank} residues, got {len(res)}")
         self.tree = tree
@@ -195,10 +197,10 @@ def _json_int(value) -> int:
     return value
 
 
-def _as_residues(tree: DynkinTree, config) -> frozenset[Residue] | None:
-    """Accept a Configuration, a raw residue iterable, or None."""
+def _as_residues(tree: DynkinTree, config) -> frozenset[Residue]:
+    """The residues of a Configuration or a raw residue iterable; none for None."""
     if config is None:
-        return None
+        return frozenset()
     if isinstance(config, Configuration):
         return config.residues
     L = loewy_number(tree)
@@ -306,14 +308,15 @@ class QuiverWindow:
     """A finite slice ``[i_min, i_max]`` of the (decorated) translation quiver.
 
     Construction checks the range and the decoration and keeps the tree, the
-    residues and the two ends, which is all the orbit test and the quotient
-    read.  The explicit fields ``points``, ``arrows``, ``tau``, ``level``,
-    ``out_nb`` and ``in_nb`` are built together on the first read of any of
-    them.  Each point is built once, one ``Pt`` per (slice, vertex) and one per
+    residues (empty with no configuration) and the two ends, which is all the
+    orbit test, the quotient and ``mesh.starting_function`` read.  The
+    explicit fields ``points``, ``arrows``, ``tau``, ``level``, ``out_nb`` and
+    ``in_nb`` are built together on the first read of any of them.  Each
+    point is built once, one ``Pt`` per (slice, vertex) and one per
     projective; the arrows, ``tau``, ``level`` and both neighbour lists hold
-    those same objects.  ``arrows`` is sorted, and each neighbour list follows
-    it.  A configuration must belong to ``tree``; a raw residue iterable is
-    taken as it is.
+    those same objects.  ``arrows`` is sorted, and each neighbour list
+    follows it.  A configuration must belong to ``tree``; a raw residue
+    iterable is taken as it is.
     """
 
     _BUILT = frozenset({"points", "arrows", "tau", "level", "out_nb", "in_nb"})
@@ -344,8 +347,7 @@ class QuiverWindow:
         n = tree.rank
 
         stable = {(i, x): Pt(i, x) for i in slices for x in tree.vertices}
-        residues = self.residues or frozenset()
-        star = {(i, x): Pt(i, x, True) for i, x in stable if (i % L, x) in residues}
+        star = {(i, x): Pt(i, x, True) for i, x in stable if (i % L, x) in self.residues}
         arrows: list[tuple[Pt, Pt]] = []
         for i in slices:
             for lo, hi in tree.edges:
@@ -400,7 +402,8 @@ class Section:
     The points form a section exactly when the levels of adjacent vertices
     differ by one (along a canonical edge ``(lo, hi)``, when
     ``slice(lo) - slice(hi) in {0, 1}``); each section arrow runs from the
-    lower level to the higher.
+    lower level to the higher.  A level that is not an int (a float, a bool)
+    is refused.
     """
 
     tree: DynkinTree
@@ -412,6 +415,8 @@ class Section:
                 f"section levels {self.levels} have {len(self.levels)} entries, "
                 f"{self.tree.name} needs {self.tree.rank}"
             )
+        if bad := [v for v in self.levels if type(v) is not int]:
+            raise InvalidInput(f"a section level is an int, got {bad[0]!r}")
         for lo, hi in self.tree.edges:
             gap = abs(self.level(lo) - self.level(hi))
             if gap != 1:
@@ -700,7 +705,7 @@ def _refusal(action: GroupAction, residues, lo: int, hi: int) -> str | None:
             f"window of {hi - lo + 1} slices cannot hold a "
             f"fundamental domain of {action.name} plus margins"
         )
-    if moved := action.moved(residues or frozenset()):
+    if moved := action.moved(residues):
         return f"it maps configuration point {Pt(*moved[0])} off the configuration"
     if not P:
         return "its orbits are finite"  # a nontrivial power fixes every point
@@ -746,7 +751,7 @@ def _fold(action: GroupAction, residues, lo: int, hi: int) -> FoldedQuiver:
     if hi - lo + 1 < 2 * P:
         raise WindowTooSmall("quotient needs a window of at least two periods")
     b = lo + (hi - lo + 1 - P) // 2
-    L, residues = loewy_number(tree), residues or frozenset()
+    L = loewy_number(tree)
     # (slice - b, vertex) -> representative, for the band's stable points and projectives
     rep = {res: Pt(b + r, x) for res, (r, x) in action.orbit_key.items()}
     star = {(r, x): q._replace(proj=True) for (r, x), q in rep.items() if ((b + r) % L, x) in residues}

@@ -77,6 +77,9 @@ the configurations taken in ``reference_order``, by sorted residue tuple,
 the order ``enumerate_configurations`` lists.
 ``count_windows`` records every ``QuiverWindow`` construction and every
 explicit build of a window's points and arrows while a test runs.
+``reference_pedigree_vector`` is ``pedigree_dimension_vector`` as it stood
+before each pedigree kept its vector: one in-order walk of the whole tree
+(beta subtree, node, alpha subtree), each node given its depth plus one.
 """
 
 from fractions import Fraction
@@ -92,7 +95,7 @@ from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_numb
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, _knit, knit_pattern
 from meshknit.linalg import RationalEchelon
-from meshknit.mesh import HomTable, MeshTransporter, projective_quiver
+from meshknit.mesh import MeshTransporter, projective_quiver
 from meshknit.present import (
     CommuteRel,
     QuiverPresentation,
@@ -205,7 +208,7 @@ class ReferenceWindow:
         for i in range(i_min, i_max + 1):
             for x in tree.vertices:
                 pts.add(Pt(i, x))
-                if self.residues is not None and (i % L, x) in self.residues:
+                if (i % L, x) in self.residues:
                     pts.add(Pt(i, x, True))
 
         arrows: list[tuple[Pt, Pt]] = []
@@ -250,8 +253,6 @@ class ReferenceWindow:
 def _acts_on_window(group, window) -> bool:
     """The group acts on the decorated quiver iff it maps the configured
     point set onto itself."""
-    if window.residues is None:
-        return True
     g = group.generator_map(window.tree).mod(loewy_number(window.tree))
     return frozenset(starmap(g, window.residues)) == window.residues
 
@@ -365,13 +366,13 @@ def orbit_cases(configs):
             yield tree, config, AdmissibleGroup(0, glide=True)
 
 
-def reference_starting_function(tree, x, window=None) -> HomTable:
-    """Hom dimensions from ``x`` by the knitting recurrence, walked over the
-    window's level order: each non-projective point ``z`` gets ``max(0, sum
-    over in-neighbors - value at tau z)``, a projective ``c*`` copies the
-    value at ``c``; the walk stops at the first point two levels above the
-    highest nonzero value.  Without a window, it builds the stable window of
-    slices [x.slice, x.slice + L + 1]."""
+def reference_starting_function(tree, x, window=None) -> dict:
+    """The nonzero hom dimensions from ``x`` by the knitting recurrence,
+    walked over the window's level order: each non-projective point ``z``
+    gets ``max(0, sum over in-neighbors - value at tau z)``, a projective
+    ``c*`` copies the value at ``c``; the walk stops at the first point two
+    levels above the highest nonzero value.  Without a window, it builds the
+    stable window of slices [x.slice, x.slice + L + 1]."""
     if window is None:
         window = build_window(tree, None, x.slice, x.slice + loewy_number(tree) + 1)
     if x not in window.points:
@@ -389,7 +390,22 @@ def reference_starting_function(tree, x, window=None) -> HomTable:
         if v > 0:
             svals[p] = v
             top = lvl[p]
-    return HomTable(x, window, svals)
+    return svals
+
+
+def reference_pedigree_vector(p) -> tuple[int, ...]:
+    """The depth plus one of each node of a pedigree, in order."""
+    out = []
+
+    def walk(node, depth):
+        if node.beta:
+            walk(node.beta, depth + 1)
+        out.append(depth + 1)
+        if node.alpha:
+            walk(node.alpha, depth + 1)
+
+    walk(p, 0)
+    return tuple(out)
 
 
 class OnDemand(dict):

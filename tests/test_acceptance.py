@@ -145,10 +145,10 @@ def test_criterion_7_mesh_oracle_agreement():
         window = build_window(tree, None, 0, L + 1)
         for v in tree.vertices:
             x = Pt(0, v)
-            table = starting_function(tree, x, window)
+            dims = starting_function(tree, x, window)
             transporter = MeshTransporter(window, x)
             for p in window.points:
-                if table[p] != transporter.dim(p):
+                if dims.get(p, 0) != transporter.dim(p):
                     mismatches += 1
     verdict(7, mismatches == 0, f"recurrence vs exact linear algebra: {mismatches} mismatches ({time.time()-t0:.1f}s)")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_bruteforce, reference_classes, reference_order
+from helpers import reference_bruteforce, reference_classes, reference_order, reference_pedigree_vector
 import meshknit
 from meshknit import classify, ztquiver
 from meshknit.classify import (
@@ -43,6 +43,16 @@ def test_pedigree_dimension_vectors_small():
     assert pedigree_dimension_vector(Pedigree()) == (1,)
     assert pedigree_dimension_vector(Pedigree(alpha=Pedigree())) == (1, 2)
     assert pedigree_dimension_vector(Pedigree(beta=Pedigree())) == (2, 1)
+
+
+def test_pedigree_vectors_match_the_inorder_walk():
+    """Every pedigree with 1-8 nodes keeps one vector, built from its
+    subtrees', and it is the in-order walk's depths plus one."""
+    for n in range(1, 9):
+        for p in enumerate_pedigrees(n):
+            vec = pedigree_dimension_vector(p)
+            assert vec == reference_pedigree_vector(p), p
+            assert pedigree_dimension_vector(p) is vec
 
 
 def test_fig3_pedigree_vector():

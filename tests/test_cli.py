@@ -205,7 +205,7 @@ def test_quotient_command(capsys):
 def _fold_outcome(tree, config, group, lo, hi):
     """What ``meshknit quotient`` prints for a range, or the error it raises."""
     try:
-        folded = _fold(group.action(tree), config.residues if config else None, lo, hi)
+        folded = _fold(group.action(tree), config.residues if config else frozenset(), lo, hi)
     except MeshknitError as err:
         return type(err).__name__, str(err)
     return folded.points, folded.arrows, folded.projectives, serialize_dot(folded)
@@ -595,7 +595,6 @@ def _fuzz_argv(draw, files):
             "--tree": tree,
             "--method": st.sampled_from(["patterns", "bruteforce"]),
             "--up-to-aut": None,
-            "--out": st.just("jsonl"),
             "--file": file,
         }),
         "pedigree": ([], {"-n": st.one_of(FUZZ_INT.map(str), FUZZ_JUNK)}),

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -75,13 +75,14 @@ def test_transporter_matches_naive_reference(name, config, span):
 def test_starting_function_seed_and_support():
     tree = make_tree("A", 3)
     x = Pt(0, 2)
-    table = starting_function(tree, x)
-    assert table[x] == 1
-    L = loewy_number(tree)
-    nu_inv = nu_inverse(tree, x)
-    lvl = table.window.level
-    for p in table.support():
-        assert lvl[x] <= lvl[p] <= lvl[nu_inv]
+    dims = starting_function(tree, x)
+    assert dims[x] == 1
+
+    def level(p):
+        return 2 * p.slice + tree.depth[p.vertex]
+
+    for p in dims:
+        assert level(x) <= level(p) <= level(nu_inverse(tree, x))
 
 
 def test_starting_function_agrees_with_oracle_a3_five_slices():
@@ -90,16 +91,13 @@ def test_starting_function_agrees_with_oracle_a3_five_slices():
     for name, span, top_dim in [("A3", 4, 1), ("D4", 6, 2)]:
         tree = make_tree(name[0], int(name[1]))
         w = build_window(tree, None, 0, span)
-        dims = set()
+        values = set()
         for v in tree.vertices:
             x = Pt(0, v)
-            table = starting_function(tree, x, w)
-            assert table.dims == reference_starting_function(tree, x, w).dims, (name, x)
-            tr = MeshTransporter(w, x)
-            for p in sorted(w.points):
-                assert table[p] == tr.dim(p)
-                dims.add(table[p])
-        assert max(dims) == top_dim
+            dims = starting_function(tree, x, w)
+            assert dims == reference_starting_function(tree, x, w) == MeshTransporter(w, x).dims, (name, x)
+            values.update(dims.values())
+        assert max(values) == top_dim
 
 
 @pytest.mark.parametrize(
@@ -131,10 +129,9 @@ def test_starting_function_matches_the_dict_recurrence(name, config, i_min, i_ma
     tree = make_tree(name[0], int(name[1]))
     w = build_window(tree, config, i_min, i_max)
     for x in sorted(w.points):
-        table = starting_function(tree, x, w)
-        assert table.dims == reference_starting_function(tree, x, w).dims, (name, config, x)
-        tr = MeshTransporter(w, x)
-        assert all(table[p] == tr.dim(p) for p in w.points), (name, config, x)
+        dims = starting_function(tree, x, w)
+        assert dims == reference_starting_function(tree, x, w), (name, config, x)
+        assert dims == MeshTransporter(w, x).dims, (name, config, x)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A5", "D4", "D6", "E6", "E7"])
@@ -145,19 +142,44 @@ def test_starting_function_without_a_window(name):
     for i in (-1, 0, 3):
         for v in tree.vertices:
             x = Pt(i, v)
-            table, want = starting_function(tree, x), reference_starting_function(tree, x)
-            assert table.dims == want.dims, (name, x)
-            assert (table.window.i_min, table.window.i_max) == (want.window.i_min, want.window.i_max)
+            assert starting_function(tree, x) == reference_starting_function(tree, x), (name, x)
+
+
+def test_starting_function_builds_no_window(monkeypatch):
+    """The walk reads a window's ends and residues and builds no window of its
+    own: with a window and without one, it creates and builds no QuiverWindow.
+    Its refusals are the dict recurrence's: a source outside the slices, off
+    the tree, or projective off the decoration."""
+    cases = [(make_tree("A", 3), [(0, 1), (1, 2), (2, 3)], -2, 4), (make_tree("D", 5), None, 1, 9)]
+    windows = [build_window(tree, config, lo, hi) for tree, config, lo, hi in cases]
+    refs = {}
+    for (tree, _, lo, hi), w in zip(cases, windows):
+        for i, v, proj in product((lo - 1, lo, hi, hi + 1), range(tree.rank + 2), (False, True)):
+            x = Pt(i, v, proj)
+            for window in (w, None):
+                try:
+                    refs[tree, x, window] = reference_starting_function(tree, x, window)
+                except WindowTooSmall as exc:
+                    refs[tree, x, window] = str(exc)
+    counts = count_windows(monkeypatch)
+    for (tree, x, window), want in refs.items():
+        try:
+            got = starting_function(tree, x, window)
+        except WindowTooSmall as exc:
+            got = str(exc)
+        assert got == want, (tree.name, x, window)
+    assert {type(want) for want in refs.values()} == {dict, str}
+    assert not counts.made and not counts.built
 
 
 def _routes_agree(tree, window, source):
     """The plan-based walk equals the dict recurrence it replaced, and the
     transporter at every point of the window."""
-    table = starting_function(tree, source, window)
-    assert table.dims == reference_starting_function(tree, source, window).dims, (window.residues, source)
+    dims = starting_function(tree, source, window)
+    assert dims == reference_starting_function(tree, source, window), (window.residues, source)
     tr = MeshTransporter(window, source)
-    wrong = [(p, table[p], tr.dim(p)) for p in window.order if table[p] != tr.dim(p)]
-    assert not wrong, (window.residues, source, wrong[:3])
+    wrong = [(p, dims.get(p, 0), tr.dim(p)) for p in window.order if dims.get(p, 0) != tr.dim(p)]
+    assert not wrong and dims == tr.dims, (window.residues, source, wrong[:3])
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"])
@@ -239,7 +261,7 @@ def test_stable_support_is_the_starting_function_support(family, rank):
     support of starting_function from (0, vertex) on its default window."""
     tree = make_tree(family, rank)
     for v in tree.vertices:
-        assert _stable_support(tree, v) == tuple(starting_function(tree, Pt(0, v)).support()), v
+        assert _stable_support(tree, v) == tuple(sorted(starting_function(tree, Pt(0, v)))), v
 
 
 def test_configuration_check_and_nakayama_build_no_window(configs_cache, monkeypatch):
@@ -277,8 +299,7 @@ def test_serre_symmetry_boundary_dimension_one():
         tree = make_tree(name[0], int(name[1]))
         for v in tree.vertices:
             x = Pt(0, v)
-            table = starting_function(tree, x)
-            assert table[nu_inverse(tree, x)] == 1
+            assert starting_function(tree, x).get(nu_inverse(tree, x)) == 1
 
 
 def test_nu_commutes_with_tau_and_tree_automorphisms():
@@ -416,9 +437,9 @@ def test_translated_transporters_match_fresh_builds(name, configs_cache):
         window = build_window(tree, config, -1, 2 * L + 1)
         for i, x in sorted(config.residues):
             p = Pt(i, x, True)
-            table = reference_starting_function(tree, p, window)
-            assert list(map(pq.point, pq.support_at(pq.index(p)))) == [q for q in table.support() if q.proj]
-            assert [pq.hom(p, q) for q in window.order] == [table[q] for q in window.order]
+            dims = reference_starting_function(tree, p, window)
+            assert list(map(pq.point, pq.support_at(pq.index(p)))) == [q for q in sorted(dims) if q.proj]
+            assert [pq.hom(p, q) for q in window.order] == [dims.get(q, 0) for q in window.order]
         for (i, x), row in pq._rows.items():
             assert row[len(level):] == [0], (config, i, x)  # the zero slot
             top = max(lvl for lvl, v in zip(level, row) if v)

@@ -116,6 +116,15 @@ def test_invalid_section_levels_rejected():
             Section(A3, levels)
 
 
+def test_section_refuses_levels_that_are_not_ints():
+    """A float or bool level is refused, as make_tree refuses such a rank,
+    before knitting could carry it into a configuration's residues."""
+    for levels, bad in [((0.5, 0.5, 0.5), "0.5"), ((True, True, True), "True"), ((1, 0, 0.0), "0.0")]:
+        with pytest.raises(InvalidInput, match=f"^a section level is an int, got {re.escape(bad)}$"):
+            Section(A3, levels)
+    assert Section(A3, (1, 0, 0)).levels == (1, 0, 0)
+
+
 @pytest.mark.parametrize("family,rank", ALL_TREES, ids=[f"{f}{n}" for f, n in ALL_TREES])
 def test_level_rule_matches_edge_rule_on_every_shape(family, rank):
     tree = make_tree(family, rank)
@@ -347,16 +356,28 @@ def test_table_groups_twisted_rows(configs_cache):
         ([(0, 5), (1, 4), (2, 7)], 4),
         ([(0, 4), (1, -1), (2, 0)], -1),
         ([(0, 1.0), (1, 2), (2, 3)], 1.0),
+        ([(0, 1), (1, 2), (2, True)], True),
     ],
 )
 def test_configuration_names_the_least_bad_vertex(points, bad):
-    """Vertex 0, rank + 1, a negative vertex and a float equal to a vertex,
-    each the least bad one of its set, whether the residues come as a list or
-    a frozenset."""
+    """Vertex 0, rank + 1, a negative vertex, and a float and a bool equal to
+    a vertex, each the least bad one of its set, whether the residues come as
+    a list or a frozenset."""
     tree = make_tree("A", 3)
     for residues in (points, points[::-1], frozenset(points)):
         with pytest.raises(InvalidInput, match=f"^bad vertex {bad} in configuration$"):
             Configuration(tree, residues)
+
+
+def test_configuration_json_keeps_int_vertices():
+    """A bool vertex is refused, so every configuration's JSON reads back; a
+    bool slice reduces to an int mod L."""
+    a1 = make_tree("A", 1)
+    with pytest.raises(InvalidInput, match="^bad vertex True in configuration$"):
+        Configuration(a1, [(0, True)])
+    config = Configuration(a1, [(True, 1)])
+    assert config.to_json() == Configuration(a1, [(0, 1)]).to_json()
+    assert Configuration.from_json(config.to_json()) == config
 
 
 def test_configuration_reduces_slices_mod_l():
@@ -602,7 +623,7 @@ def test_orbit_test_refuses_an_empty_range():
     ``build_window`` refuses it."""
     for group in (AdmissibleGroup(1), AdmissibleGroup(0, glide=True)):
         with pytest.raises(EmptyRange, match=r"^slice range \[5, 1\] is empty$"):
-            _refusal(group.action(A2), None, 5, 1)
+            _refusal(group.action(A2), frozenset(), 5, 1)
 
 
 def _outcome(group, w, quotient_first: bool):
