@@ -8,21 +8,22 @@ point sets satisfying the two combinatorial axioms
 * C1 -- every point admits a nonzero morphism into the set, and
 * C2 -- distinct members admit none between each other.
 
-Both are checked in ``ztquiver``, beside ``Configuration``.
+Both are checked in ``ztquiver``, beside ``Configuration``, on one reach
+table of residue masks.  Both methods produce masks in the encoding
+``ztquiver._residue_bits`` owns, the stored form of a ``Configuration``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import starmap
 
 from .dynkin import AffineMap, DynkinTree, Residue, loewy_number, make_tree, tree_automorphisms
 from .errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from .knitting import _knit_knots
-from .ztquiver import Configuration, _require_configuration, _residue_domain, _residue_reach
+from .ztquiver import Configuration, _require_configuration, _residue_bits, _residue_reach, _set_bits
 from .ztquiver import equioriented_section, glide_map
-from .ztquiver import check_combinatorial_configuration  # noqa: F401  (cli and perfbench read it here)
+from .ztquiver import check_combinatorial_configuration  # noqa: F401  (perfbench reads it here)
 
 
 # ---------------------------------------------------------------------------
@@ -137,58 +138,30 @@ def _acting_maps(tree: DynkinTree) -> tuple[tuple[str, AffineMap], ...]:
 
 
 @lru_cache(maxsize=None)
-def _mask_table(tree: DynkinTree) -> tuple[dict[Residue, int], ...]:
-    """The census encoding of residue sets, and the acting maps on it.
-
-    A residue set is an int of m = L * rank bits, its mask: the residue
-    (i, x), of index ``k = i * rank + x - 1``, is bit ``m - 1 - k``.  Among
-    sets of one size the larger mask is the lexicographically smaller sorted
-    residue tuple; sets of different sizes do not compare so.  The table
-    holds one dict per base map, the tau-free first entries of
-    ``_acting_maps``, identity first: each residue's image bit under it, so
-    entry 0 gives a residue its own bit and a set's mask is the sum over its
-    residues.  tau^k moves a mask by a left rotation of k * rank bits, which
-    ``_orbit`` applies."""
-    L, n = loewy_number(tree), tree.rank
-    maps = _acting_maps(tree)
-    top = L * n - 1
-    domain = sorted(_residue_domain(tree))
+def _mask_table(tree: DynkinTree) -> tuple[list[int], ...]:
+    """The acting maps on residue masks (``ztquiver._residue_bits``): one
+    list per base map other than the identity, the tau-free entries of
+    ``_acting_maps`` after the first, each giving the image bit of the
+    residue at every bit position.  A set's image is the sum of its
+    residues' image bits, and tau^k moves a mask by a left rotation of
+    k * rank bits, which ``_orbit`` applies."""
+    maps, bits = _acting_maps(tree), _residue_bits(tree)
+    # the residues in sorted order sit at the bits from the highest down
     return tuple(
-        {r: 1 << top - (i * n + x - 1) for r, (i, x) in zip(domain, starmap(base, domain))}
-        for _, base in maps[: len(maps) // L]
+        [bits[base(*r)] for r in reversed(bits)] for _, base in maps[1 : len(maps) // loewy_number(tree)]
     )
 
 
-def _orbit(tree: DynkinTree, residues) -> list[int]:
+def _orbit(tree: DynkinTree, mask: int) -> list[int]:
     """The mask of each acting map's image of a residue set, in the order of
     ``_acting_maps``: each base image, rotated by 0, rank, 2 rank, ... bits."""
-    table, n = _mask_table(tree), tree.rank
+    n, members = tree.rank, list(_set_bits(mask))
     m = loewy_number(tree) * n
     full = (1 << m) - 1
+    images = [mask, *(sum(map(table.__getitem__, members)) for table in _mask_table(tree))]
     # a right shift of the doubled mask by m - s rotates it left by s
-    doubled = [y << m | y for y in (sum(map(bits.__getitem__, residues)) for bits in table)]
+    doubled = [y << m | y for y in images]
     return [y >> s & full for s in range(m, 0, -n) for y in doubled]
-
-
-def _close_under_symmetry(tree: DynkinTree, seeds) -> dict[int, frozenset[Residue]]:
-    """Every image of a seed, by mask; one pass suffices because the acting
-    maps form a group on residues.  A base image whose mask is new is built
-    once as a residue set and moved one slice down by tau for each of its L
-    rotations.  So the result is always a union of tau-orbits, and a base
-    image whose mask is in it has all of its rotations in it."""
-    L, maps = loewy_number(tree), _acting_maps(tree)
-    bases = [m for _, m in maps[: len(maps) // L]]
-    tau = {(i, x): ((i - 1) % L, x) for i, x in _residue_domain(tree)}
-    out: dict[int, frozenset[Residue]] = {}
-    for res in seeds:
-        orbit = _orbit(tree, res)
-        for b, base in enumerate(bases):
-            if orbit[b] not in out:
-                image = frozenset(starmap(base, res))
-                for key in orbit[b :: len(bases)]:
-                    out[key] = image
-                    image = frozenset(map(tau.__getitem__, image))
-    return out
 
 
 def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
@@ -236,41 +209,34 @@ def _pattern_vectors(tree: DynkinTree) -> list[tuple[int, ...]]:
     return sorted({sv[: n - 2] + (1 + sv[n - 3], sv[n - 2]) for sv in _section_vectors(sub)})
 
 
-def _enumerate_patterns(tree: DynkinTree) -> dict[int, frozenset[Residue]]:
+def _enumerate_patterns(tree: DynkinTree) -> set[int]:
     section = equioriented_section(tree)
-    seeds = [_knit_knots(tree, section, vec)[0].residues for vec in _pattern_vectors(tree)]
+    seeds = [_knit_knots(tree, section, vec)[0].mask for vec in _pattern_vectors(tree)]
     if tree.family == "A":
         # type A patterns biject with configurations, so the seeds are complete
-        bits = _mask_table(tree)[0]
-        return {sum(map(bits.__getitem__, res)): res for res in seeds}
-    return _close_under_symmetry(tree, seeds)
+        return set(seeds)
+    # every image of a seed; one pass suffices as the acting maps form a group on residues
+    return {image for seed in seeds for image in _orbit(tree, seed)}
 
 
-def _enumerate_bruteforce(tree: DynkinTree) -> dict[int, frozenset[Residue]]:
-    """Every residue set of one fundamental domain that satisfies C1 and C2,
-    by mask, read off ``_residue_reach`` alone, by an exact-cover search
-    after Knuth's Algorithm X ("Dancing Links", 2000).  It branches on the
-    least uncovered residue, trying each available coverer and dropping a
-    tried one from the later branches, so each set is found once; no set
-    size is assumed.  The search runs on masks (``_mask_table``), so a set's
-    mask is built beside its residues."""
-    at = sorted(_residue_domain(tree), reverse=True)  # at[p]: the residue at bit p
-    pos = {u: p for p, u in enumerate(at)}
-    reach = _residue_reach(tree)
-    m = len(at)
-    covered_by = [0] * m  # covered_by[p]: the residues at[p] reaches, which cover it (C1)
-    covers = [0] * m  # covers[p]: the residues reaching at[p], which it covers
-    for p, u in enumerate(at):
-        for q in map(pos.__getitem__, reach[u]):
-            covered_by[p] |= 1 << q
-            covers[q] |= 1 << p
+def _enumerate_bruteforce(tree: DynkinTree) -> list[int]:
+    """The mask of every residue set of one fundamental domain that satisfies
+    C1 and C2, read off the reach table ``ztquiver._residue_reach`` alone, by
+    an exact-cover search after Knuth's Algorithm X ("Dancing Links", 2000).
+    It branches on the least uncovered residue, trying each available
+    coverer and dropping a tried one from the later branches, so each set is
+    found once; no set size is assumed."""
+    # covered_by[p]: the residues that p reaches, which cover it (C1);
+    # covers[p]: the residues reaching p, which it covers
+    covered_by, covers = _residue_reach(tree)
+    m = len(covers)
     # C2 excludes the residues a chosen one reaches and those reaching it
     excludes = [c | b for c, b in zip(covers, covered_by)]
-    results: dict[int, frozenset[Residue]] = {}
+    results: list[int] = []
 
-    def search(uncovered: int, avail: int, key: int, chosen: tuple[Residue, ...]):
+    def search(uncovered: int, avail: int, key: int):
         if not uncovered:
-            results[key] = frozenset(chosen)
+            results.append(key)
             return
         # the least uncovered residue is the top bit; none available ends the branch
         options = covered_by[uncovered.bit_length() - 1] & avail
@@ -278,10 +244,10 @@ def _enumerate_bruteforce(tree: DynkinTree) -> dict[int, frozenset[Residue]]:
             p = options.bit_length() - 1  # least residues first
             top = 1 << p
             options ^= top
-            search(uncovered & ~covers[p], avail & ~excludes[p], key | top, chosen + (at[p],))
+            search(uncovered & ~covers[p], avail & ~excludes[p], key | top)
             avail ^= top
 
-    search((1 << m) - 1, (1 << m) - 1, 0, ())
+    search((1 << m) - 1, (1 << m) - 1, 0)
     return results
 
 
@@ -291,17 +257,17 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
     Both methods return the same set, listed by sorted residue tuple; the
     test suite cross-validates them.  Every configuration has rank
     residues, so that order is the descending order of their masks
-    (``_mask_table``), which holds only among sets of one size.  Brute
+    (``ztquiver._residue_bits``), which holds only among sets of one size.  Brute
     force reads only the axioms C1 and C2 and is the faster method on
     A8, D6-D9 and E6-E8 (timings in the README); patterns knits each seed once.
     """
     if method == "patterns":
-        residue_sets = _enumerate_patterns(tree)
+        masks = _enumerate_patterns(tree)
     elif method == "bruteforce":
-        residue_sets = _enumerate_bruteforce(tree)
+        masks = _enumerate_bruteforce(tree)
     else:
         raise InvalidInput(f"unknown method {method!r}")
-    return [Configuration._of_residues(tree, residue_sets[key]) for key in sorted(residue_sets, reverse=True)]
+    return [Configuration._of_mask(tree, mask) for mask in sorted(masks, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +309,7 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
     """Orbit representatives under tau shifts, graph automorphisms and (for
     even A) the glide reflection; the representative of each class is its
     lexicographically least member, the largest mask of its orbit, as every
-    configuration has rank residues (``_mask_table``).  Classes come in the
+    configuration has rank residues (``ztquiver._residue_bits``).  Classes come in the
     order of their least given member, and stabilisers name their maps in
     the order of ``_acting_maps``."""
     configs = enumerate_configurations(tree) if configs is None else list(configs)
@@ -352,21 +318,18 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
     )
     if foreign:
         raise InvalidInput(f"{foreign[0]} belongs to {foreign[0].tree.name}, not to {tree.name}")
-    bits, maps = _mask_table(tree)[0], _acting_maps(tree)
-    given = {sum(map(bits.__getitem__, cfg.residues)): cfg.residues for cfg in configs}
+    maps = _acting_maps(tree)
     seen: set[int] = set()
     out = []
-    for key in sorted(given, reverse=True):
+    for key in sorted({cfg.mask for cfg in configs}, reverse=True):
         if key in seen:
             continue
-        orbit = _orbit(tree, given[key])
+        orbit = _orbit(tree, key)
         seen.update(orbit)
         rep = max(orbit)
-        # a partial list need not hold the representative
-        members = given.get(rep) or frozenset(starmap(maps[orbit.index(rep)][1], given[key]))
-        stab = tuple(name for (name, _), image in zip(maps, _orbit(tree, members)) if image == rep)
+        stab = tuple(name for (name, _), image in zip(maps, _orbit(tree, rep)) if image == rep)
         size = len(set(orbit))
         # holds for any residue set: the acting maps form a group on residues
         assert size * len(stab) == len(maps), "orbit-stabilizer mismatch"
-        out.append(ConfigurationClass(Configuration._of_residues(tree, members), size, stab))
+        out.append(ConfigurationClass(Configuration._of_mask(tree, rep), size, stab))
     return out

@@ -25,6 +25,7 @@ from .ztquiver import (
     Configuration,
     Pt,
     Section,
+    _residue_bits,
     plus_admissible_enumeration,
     section_move,
 )
@@ -243,13 +244,13 @@ def _knit_knots(tree: DynkinTree, section: Section, dims: Vec):
     knots L slices up: the second period is the first shifted, and the knots
     of the first L passes lift C.
     """
-    L = loewy_number(tree)
+    L, bits = loewy_number(tree), _residue_bits(tree)
     knots: list[tuple[int, int, int]] = []
     vectors = _knit(section, dims, 1, L, knots)
     if vectors[L] != vectors[0]:
         raise InvalidDimensionVector(f"knit-and-knot run does not repeat after {L} passes")
-    config = Configuration._of_residues(tree, frozenset([(i % L, x) for i, x, _ in knots]))
-    if (size := len(config.residues)) != tree.rank:
+    config = Configuration._of_mask(tree, sum({bits[i % L, x] for i, x, _ in knots}))
+    if (size := config.mask.bit_count()) != tree.rank:
         raise InvalidDimensionVector(f"knit-and-knot run knots {size} residues, not {tree.rank}")
     knots += [(i + L, x, pdim) for i, x, pdim in knots]
     return config, knots, vectors + vectors[1:]

@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 from operator import or_
 
 from .dynkin import AffineMap, DynkinTree, loewy_number
-from .errors import WindowTooSmall
+from .errors import InvalidInput, WindowTooSmall
 from .linalg import RationalEchelon, Scalar
 from .ztquiver import Configuration, Pt, QuiverWindow, _require_configuration, _stable_support, _walk, reach
 
@@ -48,12 +48,15 @@ def starting_function(tree: DynkinTree, x: Pt, window: QuiverWindow | None = Non
     L + 1].  In level order from ``x`` each non-projective point ``z`` gets
     ``max(0, sum over in-neighbors - value at tau z)`` and a projective ``c*``
     copies the value at ``c``, so :func:`_walk` runs on stable points, a
-    source c* from tau^-1 c.  A source outside the slices, off the tree, or
-    projective off the decoration is refused with WindowTooSmall.
+    source c* from tau^-1 c.  A window of another tree is refused with
+    InvalidInput; a source outside the slices, off the tree, or projective
+    off the decoration with WindowTooSmall.
     """
     L, n = loewy_number(tree), tree.rank
     if window is None:
         lo, hi, residues = x.slice, x.slice + L + 1, frozenset()
+    elif window.tree != tree:
+        raise InvalidInput(f"the window belongs to {window.tree.name}, not to {tree.name}")
     else:
         lo, hi, residues = window.i_min, window.i_max, window.residues
     off_decoration = x.proj and (x.slice % L, x.vertex) not in residues

@@ -13,11 +13,11 @@ admissible group read only the tree, the configuration's residues and the
 two ends of a slice range, and fold one period of slices, so a window passed
 to them is never built.
 
-Configurations are checked here, beside their class: C1/C2 reads the
-support of hom((0, x), -) on the stable quiver, one int walk of the knitting
-recurrence per vertex (:func:`_walk`, which ``mesh`` reads too).  An
-admissible group acts through one :class:`GroupAction` per (group, tree),
-which holds every table of the pair.
+A configuration is stored as one int mask, encoded and checked here: C1/C2
+reads one reach table of masks, taken from the support of hom((0, x), -) on
+the stable quiver, one int walk of the knitting recurrence per vertex
+(:func:`_walk`, which ``mesh`` reads too).  An admissible group acts through
+one :class:`GroupAction` per (group, tree), which holds every table of the pair.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice, product, starmap
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .dynkin import (
     AffineMap,
@@ -74,16 +74,30 @@ class Pt(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _residue_domain(tree: DynkinTree) -> frozenset[Residue]:
-    """The L * rank residues ``(i, x)`` with ``0 <= i < L``."""
-    return frozenset((i, x) for i in range(loewy_number(tree)) for x in tree.vertices)
+def _residue_bits(tree: DynkinTree) -> dict[Residue, int]:
+    """The one encoding of residue sets, as int masks of m = L * rank bits:
+    the residue ``(i, x)``, of index ``k = i * rank + x - 1``, is bit
+    ``m - 1 - k``, and a set's mask is the sum of its residues' bits.  Among
+    sets of one size the larger mask is the lexicographically smaller sorted
+    residue tuple.  The keys, in sorted order, are the L * rank residues."""
+    L, n = loewy_number(tree), tree.rank
+    return {(i, x): 1 << L * n - 1 - (i * n + x - 1) for i in range(L) for x in tree.vertices}
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, highest first: its residues in sorted order."""
+    while mask:
+        p = mask.bit_length() - 1
+        yield p
+        mask ^= 1 << p
 
 
 class Configuration:
     """A tau^L-periodic point set, stored by fundamental-domain residues.
 
-    ``residues`` is a frozenset of ``(i, x)`` with ``0 <= i < L``; the
-    unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
+    ``mask`` holds the residues ``(i, x)`` with ``0 <= i < L``
+    (:func:`_residue_bits`), and ``residues`` is their frozenset, decoded once;
+    the unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
     size and range; the combinatorial axioms are verified on demand by
     :func:`check_combinatorial_configuration`.  Every
     residue given is checked: a slice that is not an int, or a vertex that is
@@ -102,33 +116,36 @@ class Configuration:
         vertices = tree.vertices
         if bad := [x for _, x in res if type(x) is not int or x not in vertices]:
             raise InvalidInput(f"bad vertex {min(bad)} in configuration")
-        L = loewy_number(tree)
-        res = frozenset([(i % L, x) for i, x in res])
-        if len(res) != tree.rank:
-            raise InvalidInput(f"configuration needs {tree.rank} residues, got {len(res)}")
+        L, bits = loewy_number(tree), _residue_bits(tree)
+        mask = sum({bits[i % L, x] for i, x in res})
+        if (size := mask.bit_count()) != tree.rank:
+            raise InvalidInput(f"configuration needs {tree.rank} residues, got {size}")
         self.tree = tree
-        self.residues = res
+        self.mask = mask
 
     @classmethod
-    def _of_residues(cls, tree: DynkinTree, residues: frozenset[Residue]) -> "Configuration":
-        """A configuration from the library's own int residue tables, already
-        in [0, L) and of the tree's rank, so nothing is checked."""
+    def _of_mask(cls, tree: DynkinTree, mask: int) -> "Configuration":
+        """A configuration from a mask the library built, of the tree's rank; nothing is checked."""
         config = cls.__new__(cls)
-        config.tree, config.residues = tree, residues
+        config.tree, config.mask = tree, mask
         return config
+
+    @cached_property
+    def residues(self) -> frozenset[Residue]:
+        return frozenset(self.canonical_key())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Configuration)
             and self.tree == other.tree
-            and self.residues == other.residues
+            and self.mask == other.mask
         )
 
     def __hash__(self) -> int:
-        return hash((self.tree, self.residues))
+        return hash((self.tree, self.mask))
 
     def __repr__(self) -> str:
-        pts = ",".join(f"({i},{x})" for i, x in sorted(self.residues))
+        pts = ",".join(f"({i},{x})" for i, x in self.canonical_key())
         return f"Configuration({self.tree.name}: {pts})"
 
     @property
@@ -136,20 +153,13 @@ class Configuration:
         return loewy_number(self.tree)
 
     def contains(self, i: int, x: int) -> bool:
-        return (i % self.modulus, x) in self.residues
+        return bool(self.mask & _residue_bits(self.tree).get((i % self.modulus, x), 0))
 
     def lifts(self, i_min: int, i_max: int) -> list[Residue]:
         """All unfolded points with slice in [i_min, i_max]."""
         L = self.modulus
-        out = []
-        for i, x in self.residues:
-            j = i + ((i_min - i) // L) * L
-            while j < i_min:
-                j += L
-            while j <= i_max:
-                out.append((j, x))
-                j += L
-        return sorted(out)
+        # i_min + (i - i_min) % L is the least lift of slice i at or above i_min
+        return sorted((j, x) for i, x in self.residues for j in range(i_min + (i - i_min) % L, i_max + 1, L))
 
     def shifted(self, k: int) -> "Configuration":
         """tau^k of the configuration (slices drop by k)."""
@@ -159,20 +169,20 @@ class Configuration:
         return Configuration(self.tree, starmap(point_map, self.residues))
 
     def period(self) -> int:
-        """Smallest e >= 1 with tau^e C = C; always a divisor of L."""
-        L, res = self.modulus, self.residues
-        return next(
-            e for e in range(1, L + 1) if L % e == 0 and {((i - e) % L, x) for i, x in res} == res
-        )
+        """Smallest e >= 1 with tau^e C = C; always a divisor of L.  For e
+        dividing L, that holds when the mask repeats every e * rank bits."""
+        L, n, mask = self.modulus, self.tree.rank, self.mask
+        return next(e for e in range(1, L + 1) if L % e == 0 and mask >> e * n == mask % (1 << (L - e) * n))
 
     def canonical_key(self) -> tuple:
-        return tuple(sorted(self.residues))
+        at = list(_residue_bits(self.tree))  # at[k]: the residue at bit m - 1 - k; highest first is sorted
+        return tuple(at[~p] for p in _set_bits(self.mask))
 
     def to_json(self) -> str:
         data = {
             "tree": {"family": self.tree.family, "rank": self.tree.rank},
             "period": self.modulus,
-            "points": [list(p) for p in sorted(self.residues)],
+            "points": [list(p) for p in self.canonical_key()],
         }
         return json.dumps(data, sort_keys=True)
 
@@ -256,46 +266,66 @@ def _stable_support(tree: DynkinTree, vertex: int) -> tuple[Pt, ...]:
 
 
 @lru_cache(maxsize=None)
-def _residue_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
-    """For each fundamental-domain point, the residues its homs can hit."""
-    L = loewy_number(tree)
-    out = {}
+def _residue_reach(tree: DynkinTree) -> tuple[list[int], list[int]]:
+    """The one reach table, read by C1/C2 and the brute-force search: for the
+    residue at each bit position, the masks of what it reaches (what its homs
+    can hit, itself included) and of what reaches it."""
+    L, bits = loewy_number(tree), _residue_bits(tree)
+    reaches, reached = [0] * len(bits), [0] * len(bits)
     for x in tree.vertices:
         support = _stable_support(tree, x)
         # distinct lifts of one residue never see each other: path lengths
         # inside a hom support stay below L, a full period away needs 2L
         assert not any(p.vertex == x and p.slice > 0 and p.slice % L == 0 for p in support)
         for i in range(L):
-            out[(i, x)] = frozenset(((i + p.slice) % L, p.vertex) for p in support)
-    return out
+            source = bits[i, x]
+            for target in {bits[(i + p.slice) % L, p.vertex] for p in support}:
+                reaches[source.bit_length() - 1] |= target
+                reached[target.bit_length() - 1] |= source
+    return reaches, reached
+
+
+def _failed_axiom(tree: DynkinTree, mask: int) -> str | None:
+    """The first of C2 (no member reaches another) and C1 (every residue
+    reaches a member) that the residue set ``mask`` fails, or None.  By
+    periodicity one fundamental domain of test points suffices for C1, one of
+    sources for C2."""
+    reaches, reached = _residue_reach(tree)
+    covered = 0
+    for p in _set_bits(mask):
+        if reaches[p] & mask & ~(1 << p):
+            return "C2"
+        covered |= reached[p]
+    return None if covered == (1 << len(reached)) - 1 else "C1"
 
 
 def check_combinatorial_configuration(tree: DynkinTree, residues) -> tuple[bool, str | None]:
     """Verify axioms C1 and C2 on a periodic residue set.
 
     Returns ``(True, None)`` or ``(False, "C1" | "C2")`` naming the first axiom
-    that fails, and refuses an entry that is no residue.  By periodicity one
-    fundamental domain of test points suffices for C1, one of sources for C2.
+    that fails, and refuses an entry that is no residue.  The residues are
+    read in sorted order, and a set whose members before its first
+    non-residue already fail C2 keeps that verdict.
     """
-    L, hits, residues = loewy_number(tree), _residue_reach(tree), list(residues)
+    L, bits, residues = loewy_number(tree), _residue_bits(tree), list(residues)
+    reaches = _residue_reach(tree)[0]
     try:
-        E = frozenset((i % L, x) for i, x in residues)
-        if any((hits[e] & E) - {e} for e in sorted(E)):
+        E = sorted({(i % L, x) for i, x in residues})
+        mask = sum(bits.get(e, 0) for e in E)
+        if any(reaches[bits[e].bit_length() - 1] & mask & ~bits[e] for e in E):
             return False, "C2"
     except (KeyError, TypeError, ValueError):
         for r in residues if len(residues) > 1 else ():  # refuse the first entry failing alone
             check_combinatorial_configuration(tree, [r])
         raise InvalidInput(f"{residues[0]!r} is not a residue of {tree.name}") from None
-    if any(not hits[i, x] & E for i in range(L) for x in tree.vertices):
-        return False, "C1"
-    return True, None
+    axiom = _failed_axiom(tree, mask)
+    return axiom is None, axiom
 
 
 def _require_configuration(config: Configuration) -> None:
     if config._passed_axioms:
         return
-    ok, axiom = check_combinatorial_configuration(config.tree, config.residues)
-    if not ok:
+    if axiom := _failed_axiom(config.tree, config.mask):
         raise InvalidInput(f"not a configuration: axiom {axiom} fails for {config}")
     config._passed_axioms = True
 

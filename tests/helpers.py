@@ -60,9 +60,15 @@ isomorphic as quivers with relations, by digraph matching.
 ``reference_period`` is ``Configuration.period`` as it stood when it built a
 shifted configuration per divisor of L; it is the reference for the period
 read off the residue set directly.
+``reference_reach`` is the reach relation of the residues as residue sets,
+read off ``_stable_support`` with no mask; ``reference_axioms`` is C1/C2 on
+it, and ``reference_moved`` the residues a group's generator moves off a set,
+found through the generator's affine map.  They are the references for the
+mask check and ``GroupAction.moved``, and share no code with the mask table.
 ``reference_bruteforce`` is ``classify._enumerate_bruteforce`` as it stood
 before the exact-cover search: a search for independent sets of exactly rank
-points, filtered by the covering axiom; it is the reference for that search.
+points, filtered by the covering axiom; it reads ``reference_reach`` and is
+the reference for that search.
 ``reference_extend_automorphism`` is ``ztquiver.extend_automorphism`` as it
 stood while graph automorphisms were vertex permutations, the reference for
 the maps ``tree_automorphisms`` returns; ``reference_representative`` is
@@ -83,7 +89,7 @@ before each pedigree kept its vector: one in-order walk of the whole tree
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product, starmap
 from types import SimpleNamespace
 
@@ -113,7 +119,7 @@ from meshknit.ztquiver import (
     QuiverWindow,
     Residue,
     _as_residues,
-    _residue_reach,
+    _stable_support,
     build_window,
     plus_admissible_enumeration,
     reach,
@@ -844,6 +850,38 @@ def reference_period(config) -> int:
     return L
 
 
+@lru_cache(maxsize=None)
+def reference_reach(tree: DynkinTree) -> dict[Residue, frozenset[Residue]]:
+    """For each fundamental-domain residue, the residues its homs can hit,
+    read off the stable supports as residue sets."""
+    L = loewy_number(tree)
+    return {
+        (i, x): frozenset(((i + p.slice) % L, p.vertex) for p in _stable_support(tree, x))
+        for i in range(L)
+        for x in tree.vertices
+    }
+
+
+def reference_axioms(tree: DynkinTree, residues) -> tuple[bool, str | None]:
+    """C2 (no member reaches another), then C1 (every residue reaches a
+    member), on the residues reduced mod L, all of which must be residues."""
+    L, hits = loewy_number(tree), reference_reach(tree)
+    E = frozenset((i % L, x) for i, x in residues)
+    if any(hits[e] & E - {e} for e in E):
+        return False, "C2"
+    if not all(hits[u] & E for u in hits):
+        return False, "C1"
+    return True, None
+
+
+def reference_moved(group: AdmissibleGroup, tree: DynkinTree, residues) -> list[Residue]:
+    """The residues whose image under the group's generator, slice reduced
+    mod L, lies off the set, least first."""
+    g, L = group.generator_map(tree), loewy_number(tree)
+    images = {r: g(*r) for r in residues}
+    return sorted(r for r, (j, y) in images.items() if (j % L, y) not in residues)
+
+
 def reference_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
     """Independent-set search over the pair-exclusion graph of one
     fundamental domain, filtered by the covering axiom C1."""
@@ -851,7 +889,7 @@ def reference_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:
     universe = [(i, x) for i in range(L) for x in tree.vertices]
     index = {u: k for k, u in enumerate(universe)}
     m = len(universe)
-    reach = _residue_reach(tree)
+    reach = reference_reach(tree)
 
     conflict = [0] * m
     for u in universe:

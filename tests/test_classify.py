@@ -1,12 +1,20 @@
 import random
 import re
+from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_bruteforce, reference_classes, reference_order, reference_pedigree_vector
+from helpers import (
+    reference_axioms,
+    reference_bruteforce,
+    reference_classes,
+    reference_moved,
+    reference_order,
+    reference_pedigree_vector,
+)
 import meshknit
 from meshknit import classify, ztquiver
 from meshknit.classify import (
@@ -24,10 +32,10 @@ from meshknit.classify import (
     _orbit,
     _section_vectors,
 )
-from meshknit.dynkin import loewy_number, make_tree
+from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import InvalidInput, NotAPedigreeVector, WrongFamily
 from meshknit.knitting import dims_on_section
-from meshknit.ztquiver import Configuration, equioriented_section
+from meshknit.ztquiver import AdmissibleGroup, Configuration, equioriented_section
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -182,34 +190,95 @@ def test_bruteforce_is_every_subset_passing_the_axioms(configs_cache, n):
     assert _subsets_passing_the_axioms(make_tree("A", n)) == expected
 
 
-def test_bruteforce_follows_any_reach_relation(monkeypatch):
-    """The search reads C1 and C2 through ``_residue_reach`` alone, and on
-    random reach relations among the residues of A3 it still finds exactly
-    the subsets passing both axioms, each under its own mask.  Unlike the
-    mesh category's, these relations have no duality between reaching and
-    being reached, so a search that reads C1 backwards fails here.  The
-    relation replaces the table both where the search reads it
-    (``classify``) and where the axiom check does (``ztquiver``); each reads
-    it on every trial, and the random relations change the answer.  The sets
-    found differ in size, so they are compared as sets, not by mask order."""
+def test_bruteforce_follows_any_reach_relation():
+    """The search and the C1/C2 check read the one reach table,
+    ``ztquiver._residue_reach``, and on random reach relations among the
+    residues of A3 written into it the search still finds exactly the
+    subsets passing both axioms, each once.  Unlike the mesh category's,
+    these relations have no duality between reaching and being reached, so a
+    search that reads C1 backwards fails here.  Both read the table: a search
+    that did not would keep finding the real configurations, and the random
+    relations change the answer; a check that did not would disagree with
+    the search there.  The sets found differ in size, so they are compared
+    as sets, not by mask order."""
     tree = make_tree("A", 3)
-    domain = [(i, x) for i in range(3) for x in tree.vertices]
-    bits = _mask_table(tree)[0]
+    bits = ztquiver._residue_bits(tree)
+    m = len(bits)
+    reaches, reached = ztquiver._residue_reach(tree)
+    saved = reaches[:], reached[:]
     real = {c.residues for c in enumerate_configurations(tree, "bruteforce")}
     rng = random.Random(0)
     changed = 0
-    for trial in range(60):
-        p = (0.1, 0.2, 0.3)[trial % 3]
-        rel = {u: frozenset({u} | {v for v in domain if rng.random() < p}) for u in domain}
-        reads = []
-        for module in (classify, ztquiver):
-            monkeypatch.setattr(module, "_residue_reach", lambda tree, rel=rel, m=module: reads.append(m) or rel)
-        found = classify._enumerate_bruteforce(tree)
-        assert all(key == sum(bits[r] for r in res) for key, res in found.items()), trial
-        assert set(found.values()) == _subsets_passing_the_axioms(tree), trial
-        assert set(reads) == {classify, ztquiver}, trial
-        changed += set(found.values()) != real
+    try:
+        for trial in range(60):
+            p = (0.1, 0.2, 0.3)[trial % 3]
+            reaches[:] = [1 << u | sum(1 << v for v in range(m) if rng.random() < p) for u in range(m)]
+            reached[:] = [sum(1 << u for u in range(m) if reaches[u] >> v & 1) for v in range(m)]
+            found = classify._enumerate_bruteforce(tree)
+            sets = {frozenset(r for r, bit in bits.items() if key & bit) for key in found}
+            assert len(sets) == len(found), trial
+            assert sets == _subsets_passing_the_axioms(tree), trial
+            changed += sets != real
+    finally:
+        reaches[:], reached[:] = saved
     assert changed
+
+
+def _groups(tree):
+    """tau, each graph automorphism and, for even A, the glide, as admissible groups."""
+    groups = [AdmissibleGroup(1), *(AdmissibleGroup(0, aut) for aut in tree_automorphisms(tree)[1:])]
+    return groups + [AdmissibleGroup(0, glide=True)] if tree.family == "A" and tree.rank % 2 == 0 else groups
+
+
+@pytest.mark.parametrize(
+    "name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 8)] + ["E6", "E7"]
+)
+def test_mask_check_and_moved_match_the_references(configs_cache, name):
+    """On every configuration, the mask check passes as the residue-set
+    reference of C1/C2 does, and ``GroupAction.moved`` names the residues
+    that the reference finds through each generator's affine map."""
+    tree = make_tree(name[0], int(name[1:]))
+    actions = [(group, group.action(tree)) for group in _groups(tree)]
+    for config in configs_cache(name):
+        assert check_combinatorial_configuration(tree, config.residues) == reference_axioms(tree, config.residues)
+        assert ztquiver._failed_axiom(tree, config.mask) is None
+        for group, action in actions:
+            assert action.moved(config.residues) == reference_moved(group, tree, config.residues), (config, group)
+
+
+_bruteforce = lru_cache(maxsize=None)(lambda tree: enumerate_configurations(tree, "bruteforce"))
+
+
+@st.composite
+def drawn_residue_sets(draw):
+    """A tree and a set of its residues, slices drawn past [0, L), of any
+    size up to twice the rank; often a configuration with a few residues
+    dropped or added."""
+    tree = make_tree(*draw(st.sampled_from([("A", 3), ("A", 6), ("D", 4), ("D", 7), ("E", 6), ("E", 8)])))
+    L = loewy_number(tree)
+    residue = st.tuples(st.integers(-L, 2 * L), st.sampled_from(tree.vertices))
+    drawn = draw(st.lists(residue, max_size=2 * tree.rank))
+    if draw(st.booleans()):
+        config = draw(st.sampled_from(_bruteforce(tree)))
+        kept = draw(st.sets(st.sampled_from(sorted(config.residues))))
+        drawn = drawn[: draw(st.integers(0, 2))] + sorted(kept)
+    return tree, drawn
+
+
+@given(drawn_residue_sets())
+@settings(max_examples=200, deadline=None)
+def test_mask_check_and_moved_match_the_references_on_drawn_sets(pair):
+    """On residue sets of any size, configurations or not, the public check
+    gives the reference's verdict, the mask check agrees, and ``moved`` names
+    what the reference names."""
+    tree, drawn = pair
+    L, bits = loewy_number(tree), ztquiver._residue_bits(tree)
+    residues = frozenset((i % L, x) for i, x in drawn)
+    verdict = reference_axioms(tree, drawn)
+    assert check_combinatorial_configuration(tree, drawn) == verdict
+    assert ztquiver._failed_axiom(tree, sum(bits[r] for r in residues)) == verdict[1]
+    for group in _groups(tree):
+        assert group.action(tree).moved(residues) == reference_moved(group, tree, residues)
 
 
 def test_enumerate_configurations_refuses_an_unknown_method():
@@ -373,28 +442,30 @@ def test_acting_maps_form_a_group_on_residues(name):
     [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
 )
 def test_index_tables_permute_as_the_acting_maps(name):
-    """The mask table encodes residue k = i * rank + x - 1 at bit
-    m - 1 - k, and acts as the acting maps do: for each map tau^k * base,
-    residue by residue, the base's image bit rotated left by k * rank bits
-    is the bit of the map's image, and ``_orbit`` lists those images."""
+    """The encoding puts residue k = i * rank + x - 1 at bit m - 1 - k, and
+    the mask table acts as the acting maps do: for each map tau^k * base,
+    residue by residue, the base's image bit (the residue's own bit for the
+    identity) rotated left by k * rank bits is the bit of the map's image,
+    and ``_orbit`` lists those images."""
     tree = make_tree(name[0], int(name[1:]))
     L, n = loewy_number(tree), tree.rank
     m = L * n
     residues = sorted((i, x) for i in range(L) for x in tree.vertices)
-    table = _mask_table(tree)
-    bits = table[0]
-    assert bits == {(i, x): 1 << m - 1 - (i * n + x - 1) for i, x in residues}
+    bits = ztquiver._residue_bits(tree)
+    assert list(bits.items()) == [((i, x), 1 << m - 1 - (i * n + x - 1)) for i, x in residues]
+    at = {bit.bit_length() - 1: r for r, bit in bits.items()}
+    table = [[bits[at[p]] for p in range(m)], *_mask_table(tree)]
     for images in table:
-        assert sorted(images) == residues and sorted(images.values()) == sorted(bits.values())
+        assert sorted(images) == sorted(bits.values())
     maps = _acting_maps(tree)
     assert len(maps) == L * len(table)
     for j, (_, mp) in enumerate(maps):
         k, b = divmod(j, len(table))
-        for r in residues:
-            y = table[b][r]
+        for p, r in at.items():
+            y = table[b][p]
             assert (y << k * n | y >> m - k * n) & (1 << m) - 1 == bits[mp(*r)], (j, r)
     for r in residues:
-        assert _orbit(tree, [r]) == [bits[mp(*r)] for _, mp in maps]
+        assert _orbit(tree, bits[r]) == [bits[mp(*r)] for _, mp in maps]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
@@ -468,7 +539,7 @@ def test_enumeration_order_is_the_reference_order(configs_cache, name, method):
 def residue_set_pairs(draw):
     """A tree and two residue sets of it of one size, often sharing most members."""
     tree = make_tree(*draw(st.sampled_from([("A", 3), ("A", 6), ("D", 4), ("D", 7), ("E", 6), ("E", 8)])))
-    domain = sorted(_mask_table(tree)[0])
+    domain = list(ztquiver._residue_bits(tree))
     a = draw(st.sets(st.sampled_from(domain), min_size=1, max_size=len(domain)))
     rest = [r for r in domain if r not in a]
     swaps = draw(st.integers(0, min(len(a), len(rest))))
@@ -483,7 +554,7 @@ def test_mask_order_reverses_lexicographic_order_within_one_size(pair):
     """For residue sets of one size, the larger mask is the lexicographically
     smaller sorted residue tuple."""
     tree, a, b = pair
-    bits = _mask_table(tree)[0]
+    bits = ztquiver._residue_bits(tree)
     mask_a, mask_b = sum(bits[r] for r in a), sum(bits[r] for r in b)
     assert len(a) == len(b)
     assert (mask_a > mask_b) == (sorted(a) < sorted(b))

@@ -13,7 +13,7 @@ from helpers import (
 )
 
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
-from meshknit.errors import WindowTooSmall
+from meshknit.errors import InvalidInput, WindowTooSmall
 from meshknit.mesh import (
     MeshTransporter,
     ProjectiveQuiver,
@@ -143,6 +143,14 @@ def test_starting_function_without_a_window(name):
         for v in tree.vertices:
             x = Pt(i, v)
             assert starting_function(tree, x) == reference_starting_function(tree, x), (name, x)
+
+
+def test_starting_function_refuses_a_window_of_another_tree():
+    """A window must belong to the tree walked, as for ``QuiverWindow`` and
+    ``table_groups``: a D4 window is not read as one of A3."""
+    d4_window = build_window(make_tree("D", 4), None, 0, 3)
+    with pytest.raises(InvalidInput, match="^the window belongs to D4, not to A3$"):
+        starting_function(make_tree("A", 3), Pt(0, 1), d4_window)
 
 
 def test_starting_function_builds_no_window(monkeypatch):

@@ -18,6 +18,7 @@ from helpers import (
 from meshknit import ztquiver
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource, WindowTooSmall
+from meshknit.knitting import knit_and_knot
 from meshknit.mesh import projective_quiver
 from meshknit.present import _all_section_shapes, cartan_matrix
 from meshknit.ztquiver import (
@@ -378,6 +379,56 @@ def test_configuration_json_keeps_int_vertices():
     config = Configuration(a1, [(True, 1)])
     assert config.to_json() == Configuration(a1, [(0, 1)]).to_json()
     assert Configuration.from_json(config.to_json()) == config
+
+
+def test_every_construction_route_gives_one_configuration(fig4):
+    """The worked A7 configuration, built through the constructor, from its
+    mask, from JSON, by an affine map, by tau shifts and by knitting, is one
+    configuration: equal, of one hash, with the same residues, key and JSON.
+    Each object decodes its residues once and keeps them."""
+    tree, section, dims, config = fig4
+    L = loewy_number(tree)
+    routes = [
+        Configuration(tree, [(i + L, x) for i, x in config.residues]),
+        Configuration._of_mask(tree, config.mask),
+        Configuration.from_json(config.to_json()),
+        config.shifted(3).mapped(AffineMap.translation(tree, 3)),
+        config.shifted(L),
+        knit_and_knot(tree, section, dims),
+    ]
+    for other in routes:
+        assert other == config and hash(other) == hash(config) and other.mask == config.mask
+        assert other.residues == config.residues and other.residues is other.residues
+        assert other.canonical_key() == config.canonical_key() and other.to_json() == config.to_json()
+    assert config.canonical_key() == ((0, 7), (1, 1), (2, 1), (3, 5), (4, 1), (5, 6), (6, 7))
+
+
+def test_configuration_refusals_are_pinned():
+    """Every refusal of the constructor, the public check and the C1/C2
+    requirement, byte for byte.  No three residues of A3 pass C2 and fail
+    C1, so the C1 refusal is read on a one-residue mask."""
+    bits = ztquiver._residue_bits(A3)
+    cases = [
+        (lambda: Configuration(A3, [(0.5, 1), (1, 2), (2, 3)]), "non-integer slice 0.5 in configuration"),
+        (lambda: Configuration(A3, [(0, True), (1, 2), (2, 3)]), "bad vertex True in configuration"),
+        (lambda: Configuration(A3, [(0, 9), (1, 2), (2, 3)]), "bad vertex 9 in configuration"),
+        (lambda: Configuration(A3, [(0, 1), (3, 1), (2, 2)]), "configuration needs 3 residues, got 2"),
+        (lambda: check_combinatorial_configuration(A3, [(0, 1), (0, 9)]), "(0, 9) is not a residue of A3"),
+        (
+            lambda: table_groups(A3, Configuration(A3, [(0, 1), (0, 2), (0, 3)])),
+            "not a configuration: axiom C2 fails for Configuration(A3: (0,1),(0,2),(0,3))",
+        ),
+        (
+            lambda: ztquiver._require_configuration(Configuration._of_mask(A3, bits[0, 1])),
+            "not a configuration: axiom C1 fails for Configuration(A3: (0,1))",
+        ),
+    ]
+    for build, text in cases:
+        with pytest.raises(InvalidInput) as err:
+            build()
+        assert str(err.value) == text
+    triples = [check_combinatorial_configuration(A3, t)[1] for t in itertools.combinations(bits, 3)]
+    assert "C1" not in triples and "C2" in triples
 
 
 def test_configuration_reduces_slices_mod_l():
@@ -812,19 +863,17 @@ def test_window_refuses_a_configuration_of_another_tree(configs_cache):
 def test_a_configuration_is_checked_once(monkeypatch, configs_cache):
     """C1/C2 runs once for a configuration that passes, over ``table_groups``
     followed by ``cartan_matrix``; a failing one is refused on every call,
-    and a configuration built from unchecked residues is checked."""
+    and a configuration built from an unchecked mask is checked."""
     calls = []
-    real = ztquiver.check_combinatorial_configuration
-    monkeypatch.setattr(
-        ztquiver, "check_combinatorial_configuration", lambda *args: calls.append(args) or real(*args)
-    )
+    real = ztquiver._failed_axiom
+    monkeypatch.setattr(ztquiver, "_failed_axiom", lambda *args: calls.append(args) or real(*args))
     config = Configuration(A3, configs_cache("A3")[1].residues)
     projective_quiver.cache_clear()  # cartan_matrix builds its projective quiver anew
     group = table_groups(A3, config)[0]
     cartan_matrix(config, group)
     table_groups(A3, config)
     assert len(calls) == 1
-    unchecked = Configuration._of_residues(A3, config.residues)
+    unchecked = Configuration._of_mask(A3, config.mask)
     table_groups(A3, unchecked)
     assert len(calls) == 2
     bad = Configuration(A3, [(0, 1), (0, 2), (0, 3)])
