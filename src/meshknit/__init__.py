@@ -3,59 +3,35 @@
 Stable translation quivers over Dynkin trees, configurations and the
 knit-and-knot algorithm, enumeration and symmetry classes, and
 quiver-with-relations presentations of the resulting algebras.
+
+The package exports the calls of README's library tour and the types they
+take and return; everything else is imported from its module.
 """
 
-from .dynkin import AffineMap, DynkinTree, loewy_number, make_tree, tree_automorphisms
+from .dynkin import DynkinTree, make_tree
 from .errors import MeshknitError
-from .knitting import (
-    DimensionVector,
-    Pattern,
-    dims_on_section,
-    knit_and_knot,
-    knit_pattern,
-    knit_run,
-    propagate_dims,
-)
-from .mesh import hom_dim_oracle, nakayama, nu_inverse, precedes, starting_function
-from .classify import (
-    ConfigurationClass,
-    Pedigree,
-    configurations_up_to_aut,
-    dn_corner_count,
-    enumerate_configurations,
-    enumerate_pedigrees,
-    pedigree_count,
-    pedigree_dimension_vector,
-    pedigree_from_dims,
-)
-from .present import (
-    BrauerQuiver,
-    QuiverPresentation,
-    brauer_from_pedigree,
-    cartan_matrix,
-    d3m_quotient_presentations,
-    exceptional_cycle_presentation,
-    fundamental_algebras,
-    pedigree_from_brauer,
-    quiver_of_AC,
-    reflect_fundamental,
-    trivial_extension_presentation,
-)
-from .ztquiver import (
-    AdmissibleGroup,
-    Configuration,
-    Pt,
-    QuiverWindow,
-    Section,
-    build_window,
-    check_combinatorial_configuration,
-    equioriented_section,
-    is_admissible,
-    plus_admissible_enumeration,
-    quotient,
-    section_move,
-    table_groups,
-)
+from .knitting import dims_on_section, knit_and_knot
+from .classify import ConfigurationClass, configurations_up_to_aut, enumerate_configurations
+from .present import QuiverPresentation, quiver_of_AC, trivial_extension_presentation
+from .ztquiver import AdmissibleGroup, Configuration, Pt, Section, check_combinatorial_configuration, table_groups
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AdmissibleGroup",
+    "Configuration",
+    "ConfigurationClass",
+    "DynkinTree",
+    "MeshknitError",
+    "Pt",
+    "QuiverPresentation",
+    "Section",
+    "check_combinatorial_configuration",
+    "configurations_up_to_aut",
+    "dims_on_section",
+    "enumerate_configurations",
+    "knit_and_knot",
+    "make_tree",
+    "quiver_of_AC",
+    "table_groups",
+    "trivial_extension_presentation",
+]
 __version__ = "0.1.0"

@@ -50,11 +50,15 @@ class DynkinTree:
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
-    @property
+    @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
-        return _neighbor_map(self)
+        nb: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for lo, hi in self.edges:
+            nb[lo].append(hi)
+            nb[hi].append(lo)
+        return {v: tuple(sorted(ws)) for v, ws in nb.items()}
 
-    @property
+    @cached_property
     def depth(self) -> dict[int, int]:
         """Height map d with d(hi) = d(lo) + 1 along every canonical edge.
 
@@ -62,7 +66,18 @@ class DynkinTree:
         quantity that increases by one along every arrow of the translation
         quiver.
         """
-        return _depth_map(self)
+        depth = {1: 0}
+        todo = [1]
+        while todo:
+            v = todo.pop()
+            for lo, hi in self.edges:
+                if lo == v and hi not in depth:
+                    depth[hi] = depth[v] + 1
+                    todo.append(hi)
+                elif hi == v and lo not in depth:
+                    depth[lo] = depth[v] - 1
+                    todo.append(lo)
+        return depth
 
     @property
     def branch_vertex(self) -> int | None:
@@ -70,31 +85,6 @@ class DynkinTree:
             if len(self.neighbors[v]) == 3:
                 return v
         return None
-
-
-@lru_cache(maxsize=None)
-def _neighbor_map(tree: DynkinTree) -> dict[int, tuple[int, ...]]:
-    nb: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for lo, hi in tree.edges:
-        nb[lo].append(hi)
-        nb[hi].append(lo)
-    return {v: tuple(sorted(ws)) for v, ws in nb.items()}
-
-
-@lru_cache(maxsize=None)
-def _depth_map(tree: DynkinTree) -> dict[int, int]:
-    depth = {1: 0}
-    todo = [1]
-    while todo:
-        v = todo.pop()
-        for lo, hi in tree.edges:
-            if lo == v and hi not in depth:
-                depth[hi] = depth[v] + 1
-                todo.append(hi)
-            elif hi == v and lo not in depth:
-                depth[lo] = depth[v] - 1
-                todo.append(lo)
-    return depth
 
 
 def make_tree(family: str, rank: int) -> DynkinTree:

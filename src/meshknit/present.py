@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -245,45 +246,36 @@ def reflect_fundamental(config: Configuration, fund, x: Pt, direction: str) -> t
     return tuple(map(pq.point, at))
 
 
-def _all_section_shapes(tree) -> list[tuple[int, ...]]:
-    """Level tuples of all sections with vertex 1 anchored at slice 0."""
-    shapes = [{1: 0}]
-    for lo, hi in tree.edges:  # each edge is listed after one of its ends is placed
-        grown = []
-        for s in shapes:
-            if lo in s:
-                grown += [{**s, hi: s[lo]}, {**s, hi: s[lo] - 1}]
-            else:
-                grown += [{**s, lo: s[hi]}, {**s, lo: s[hi] + 1}]
-        shapes = grown
-    return [tuple(s[v] for v in tree.vertices) for s in shapes]
-
-
-def _profile(points) -> tuple:
-    """A point set up to translation: its (slice, vertex) pairs from its least slice."""
-    lo = min(p.slice for p in points)
-    return tuple(sorted((p.slice - lo, p.vertex) for p in points))
-
-
-@lru_cache(maxsize=1)
-def _section_profiles(config: Configuration) -> frozenset[tuple]:
-    """The profiles of the fundamental domains of every section shape.  The
-    last configuration's set is kept: calls in a row on one configuration share it."""
-    return frozenset(
-        _profile(fundamental_domain_points(config, Section(config.tree, levels)))
-        for levels in _all_section_shapes(config.tree)
-    )
-
-
 def is_pattern_algebra(config: Configuration, fund) -> bool:
     """Does the fundamental algebra come from a section pattern?
 
-    True exactly when, up to translation, the set equals the configuration
-    points of a fundamental domain between some section and its Nakayama
-    shift.
+    True exactly when, up to nu, the set equals the configuration points of
+    a fundamental domain between some section and its Nakayama shift.
+
+    No section is searched for: the one candidate is built.  The domain of a
+    section T holds the lifts (i, x) with T_x - L <= i < T_x, where T_x is
+    T's slice over x.  So a member (i, x) lies behind T when T's level
+    ``2 * T_x + depth(x)`` is at least 2(i + 1) + depth(x).  Raising each
+    member's vertex to that bound and relaxing ``level[u] = max(level[u],
+    level[w] - 1)`` over both ends of every edge, rank - 1 times, gives the
+    least section S with every member behind it.  S is a section because
+    sections form a lattice: adjacent levels differ by one and keep depth's
+    parity, and a bound minus a tree distance keeps that parity.  A section
+    T whose domain is the set has every member behind it, so T >= S, and no
+    member more than L slices behind it, so none more than L behind S.  S's
+    domain then contains the set; both hold one point per residue, so they
+    are equal.
     """
     pq, at, _ = _validated_fundamental(config, fund)
-    return _profile(list(map(pq.point, at))) in _section_profiles(config)
+    tree, stable = config.tree, [Pt(p.slice, p.vertex) for p in map(pq.point, at)]
+    depth, level = tree.depth, dict.fromkeys(tree.vertices, -math.inf)
+    for i, x, _ in stable:
+        level[x] = max(level[x], 2 * (i + 1) + depth[x])
+    for _ in range(tree.rank - 1):
+        for u, w in tree.edges:
+            level[u], level[w] = max(level[u], level[w] - 1), max(level[w], level[u] - 1)
+    section = Section(tree, tuple((level[v] - depth[v]) // 2 for v in tree.vertices))
+    return fundamental_domain_points(config, section) == stable
 
 
 # ---------------------------------------------------------------------------

@@ -625,13 +625,12 @@ class AdmissibleGroup:
     twist: AffineMap | None = None
     glide: bool = False
 
-    def name(self, tree: DynkinTree | None = None) -> str:
+    def name(self, tree: DynkinTree) -> str:
         if self.glide:
             return "rho" if self.tau_power == 0 else f"tau^{self.tau_power}*rho"
         if self.twist is None or self.twist.order == 1:
             return f"tau^{self.tau_power}"
-        label = twist_label(tree, self.twist) if tree is not None else "twist"
-        return f"tau^{self.tau_power}*{label}"
+        return f"tau^{self.tau_power}*{twist_label(tree, self.twist)}"
 
     def generator_map(self, tree: DynkinTree) -> AffineMap:
         if self.glide:

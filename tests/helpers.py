@@ -51,6 +51,11 @@ trace as the sweep meets it; it is the reference for the trace ``knit_run``
 builds from the kernel's pass vectors over exactly 2L passes.
 ``reference_knit_knots`` is ``knitting._knit_knots`` as it stood when it knit
 all 2L passes, the reference for the run that knits L and shifts them.
+``_all_section_shapes`` lists the level tuples of every section with vertex 1
+on slice 0, in the order the hom digests read them, and
+``reference_is_pattern_algebra`` tries each at every slice offset that puts
+a fundamental set behind it: the section search that
+``present.is_pattern_algebra`` replaced by one constructed section.
 ``reflections`` lists the fundamental algebras one source or sink reflection
 away from a given one, and ``reflection_closure`` every one reached by
 repeating them: the search that joins the fundamental algebras of a
@@ -99,7 +104,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 from meshknit.classify import _acting_maps
 from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_number, make_tree
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
-from meshknit.knitting import KnitTrace, _knit, knit_pattern
+from meshknit.knitting import KnitTrace, _knit, fundamental_domain_points, knit_pattern
 from meshknit.linalg import RationalEchelon
 from meshknit.mesh import MeshTransporter, projective_quiver
 from meshknit.present import (
@@ -118,6 +123,7 @@ from meshknit.ztquiver import (
     Pt,
     QuiverWindow,
     Residue,
+    Section,
     _as_residues,
     _stable_support,
     build_window,
@@ -775,6 +781,38 @@ def reference_knit_knots(tree, section, dims):
         raise InvalidDimensionVector(f"knit-and-knot run does not repeat after {L} passes")
     config = Configuration(tree, [(i, x) for i, x, _ in knots[: len(knots) // 2]])
     return config, knots, vectors
+
+
+def _all_section_shapes(tree) -> list[tuple[int, ...]]:
+    """Level tuples of all sections with vertex 1 anchored at slice 0."""
+    shapes = [{1: 0}]
+    for lo, hi in tree.edges:  # each edge is listed after one of its ends is placed
+        grown = []
+        for s in shapes:
+            if lo in s:
+                grown += [{**s, hi: s[lo]}, {**s, hi: s[lo] - 1}]
+            else:
+                grown += [{**s, lo: s[hi]}, {**s, lo: s[hi] + 1}]
+        shapes = grown
+    return [tuple(s[v] for v in tree.vertices) for s in shapes]
+
+
+def reference_is_pattern_algebra(config, fund) -> bool:
+    """Is some section's fundamental domain exactly the set, moved by nu as
+    ``_validated_fundamental`` moves it?  Every shape of
+    ``_all_section_shapes`` is tried at every slice offset t that puts each
+    member (i, x) behind the section and at most L slices behind it:
+    shape[x] + t - L <= i < shape[x] + t."""
+    pq, at, _ = _validated_fundamental(config, fund)
+    tree, L = config.tree, loewy_number(config.tree)
+    stable = [Pt(p.slice, p.vertex) for p in map(pq.point, at)]
+    for shape in _all_section_shapes(tree):
+        gaps = [i - shape[x - 1] for i, x, _ in stable]
+        for t in range(max(gaps) + 1, min(gaps) + L + 1):
+            section = Section(tree, tuple(s + t for s in shape))
+            if fundamental_domain_points(config, section) == stable:
+                return True
+    return False
 
 
 def reflections(config, fund) -> list[tuple[Pt, ...]]:

@@ -487,23 +487,37 @@ def test_present_checks_the_configuration_axioms(tmp_path, capsys):
     assert len(accepted) == 5
 
 
+# runs that succeed (exit 0) or are refused (exit 3), with the file each reads
+# and the exit code; between them they pass the asserts of ProjectiveQuiver,
+# quiver_of_AC, trivial_extension_presentation, the graph automorphisms,
+# configurations_up_to_aut and d3m_quotient_presentations
+ACCEPTED_AND_REFUSED = [
+    (["present", "--config"], A3_CONFIG, 0),
+    (["present", "--quotient", "none", "--out", "dot", "--config"], A3_CONFIG, 0),
+    (["quotient", "--tree", "A2", "--group", "tau^1", "--range=-4,4", "--out", "json"], None, 0),
+    (["quotient", "--tree", "A2", "--group", "rho", "--range=-4,4"], None, 3),
+    (["knit", "--tree", "A2", "--dims", "1,1"], None, 3),
+    *((["reproduce", example], None, 0) for example in ["fig4-a7", "d4-census", "d3m-cartan", "brauer-roundtrip"]),
+]
+
+
 def test_malformed_input_exit_codes_survive_python_O(tmp_path, capsys):
     """Validation must not rest on assert: under python -O every malformed
-    case exits as it does without it."""
-    argvs = [
-        with_file(tmp_path, case.values[0], case.values[1], f"{case.id}.json") for case in MALFORMED
-    ]
-    plain = [run_capture(capsys, argv)[0] for argv in argvs]
+    case exits as it does without it, and so does every accepted or refused
+    run, which prints the same stdout too: its asserts are invariants."""
+    cases = [(*case.values, 2) for case in MALFORMED] + ACCEPTED_AND_REFUSED
+    argvs = [with_file(tmp_path, argv, text, f"{k}.json") for k, (argv, text, _) in enumerate(cases)]
+    plain = [list(run_capture(capsys, argv)[:2]) for argv in argvs]
     script = (
         "import contextlib, io, json, sys\n"
         "from meshknit.cli import run\n"
         "assert not __debug__\n"
-        "codes = []\n"
+        "runs = []\n"
         "for argv in json.load(sys.stdin):\n"
-        "    sink = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
-        "        codes.append(run(argv))\n"
-        "print(json.dumps(codes))\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        runs.append([run(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
     )
     src = str(Path(meshknit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -512,7 +526,9 @@ def test_malformed_input_exit_codes_survive_python_O(tmp_path, capsys):
         input=json.dumps(argvs), capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == plain == [2] * len(MALFORMED)
+    assert [code for code, _ in plain] == [code for *_, code in cases]
+    assert all(out for code, out in plain if code == 0)
+    assert json.loads(done.stdout) == plain
 
 
 # ---------------------------------------------------------------------------

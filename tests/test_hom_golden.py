@@ -24,12 +24,12 @@ import json
 import sys
 from pathlib import Path
 
-from helpers import orbit_cases
+from helpers import _all_section_shapes, orbit_cases
 
 from meshknit import enumerate_configurations, make_tree
 from meshknit.errors import NotAdmissible
 from meshknit.knitting import dims_on_section
-from meshknit.present import _all_section_shapes, cartan_matrix
+from meshknit.present import cartan_matrix
 from meshknit.ztquiver import Section, table_groups
 
 DIGESTS = Path(__file__).with_name("hom_digests.json")

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from helpers import (
+    _all_section_shapes,
     closure_domain,
     greedy_knit_toward,
     path_exists,
@@ -22,7 +23,6 @@ from meshknit.knitting import (
     knit_run,
     propagate_dims,
 )
-from meshknit.present import _all_section_shapes
 from meshknit.ztquiver import (
     Pt,
     Section,

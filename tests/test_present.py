@@ -18,6 +18,7 @@ from helpers import (
     path_exists,
     presentation_isomorphic,
     reference_cartan_matrix,
+    reference_is_pattern_algebra,
     reference_pt_relations,
     reference_representative,
     reference_standard_relations,
@@ -60,7 +61,7 @@ from meshknit.present import (
     _shape_defect,
     _validated_fundamental,
 )
-from meshknit.ztquiver import AdmissibleGroup, Configuration, Pt, equioriented_section, table_groups
+from meshknit.ztquiver import AdmissibleGroup, Configuration, Pt, Section, equioriented_section, table_groups
 
 CHAIN_46 = [Pt(4, 1, True), Pt(5, 6, True), Pt(6, 7, True), Pt(7, 7, True),
             Pt(10, 5, True), Pt(15, 1, True), Pt(16, 1, True)]
@@ -192,12 +193,34 @@ def test_chain_is_not_a_pattern_algebra(fig4):
     assert not is_pattern_algebra(config, CHAIN_46)
 
 
-@pytest.mark.parametrize("name,count", [("A2", 4), ("A3", 12), ("A4", 48), ("A5", 139), ("D4", 45)])
+def test_pattern_section_may_sit_off_the_period_grid():
+    """An A3 pattern algebra whose section puts vertex 1 on slice 4, which is
+    no multiple of the configuration's period 3: a search of section shapes
+    anchored at slice 0 and compared up to a period's translation misses it."""
+    tree = make_tree("A", 3)
+    config = Configuration(tree, [(0, 1), (1, 2), (2, 3)])
+    fund = [Pt(1, 2, True), Pt(2, 3, True), Pt(3, 1, True)]
+    assert config.period() == 3
+    assert pattern_fund(config, Section(tree, (4, 3, 3))) == fund
+    assert is_pattern_algebra(config, fund)
+
+
+@pytest.mark.parametrize("name,step", [("A2", 1), ("A3", 1), ("A4", 1), ("A5", 1), ("D4", 1), ("D5", 1), ("E6", 5)])
+def test_is_pattern_algebra_matches_every_section_search(name, step, configs_cache):
+    """The one constructed section decides as the search over every section
+    shape at every slice offset does, on every fundamental algebra of the
+    tree's configurations (every 5th configuration of E6)."""
+    for config in configs_cache(name)[::step]:
+        for fund in fundamental_algebras(config):
+            assert is_pattern_algebra(config, fund) == reference_is_pattern_algebra(config, fund), (config, fund)
+
+
+@pytest.mark.parametrize("name,count", [("A2", 4), ("A3", 18), ("A4", 80), ("A5", 355), ("D4", 115)])
 def test_pattern_algebras_are_counted_in_any_call_order(name, count, configs_cache):
     """The pattern algebras among all fundamental algebras of a tree's
-    configurations (computed values, pinned as data), counted once with
-    each configuration's calls in a row and once round-robin over the
-    configurations."""
+    configurations (the counts of ``reference_is_pattern_algebra``, pinned as
+    data), counted once with each configuration's calls in a row and once
+    round-robin over the configurations."""
     per_config = [[(c, f) for f in fundamental_algebras(c)] for c in configs_cache(name)]
     in_a_row = itertools.chain(*per_config)
     alternating = (cf for cf in itertools.chain(*itertools.zip_longest(*per_config)) if cf)
@@ -302,12 +325,12 @@ def test_iterated_reflections_reach_a_pattern(fig4):
     """Source and sink reflections from CHAIN_46 reach every fundamental
     algebra of the fig. 4 configuration and nothing else (24 algebras), every
     reflection of one of them is one of them, and some are pattern algebras
-    (4 of the 24)."""
+    (16 of the 24)."""
     _, _, _, config = fig4
     fas = set(fundamental_algebras(config))
     assert reflection_closure(config, CHAIN_46) == fas
     assert all(set(reflections(config, f)) <= fas for f in fas)
-    assert any(is_pattern_algebra(config, f) for f in fas)
+    assert sum(is_pattern_algebra(config, f) for f in fas) == 16
 
 
 @pytest.mark.parametrize(

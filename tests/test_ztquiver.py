@@ -4,6 +4,7 @@ import re
 import pytest
 
 from helpers import (
+    _all_section_shapes,
     ReferenceWindow,
     count_windows,
     edge_rule_section,
@@ -20,7 +21,7 @@ from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, InvalidInput, NotAdmissible, NotSink, NotSource, WindowTooSmall
 from meshknit.knitting import knit_and_knot
 from meshknit.mesh import projective_quiver
-from meshknit.present import _all_section_shapes, cartan_matrix
+from meshknit.present import cartan_matrix
 from meshknit.ztquiver import (
     AdmissibleGroup,
     AffineMap,
@@ -287,8 +288,9 @@ def test_extended_automorphisms_preserve_arrows():
 
 def test_table_groups_a4(configs_cache):
     c = next(c for c in configs_cache("A4") if c.period() == 2)
-    groups = table_groups(make_tree("A", 4), c, s_max=2)
-    assert [g.name() for g in groups] == ["tau^2", "tau^4"]
+    tree = make_tree("A", 4)
+    groups = table_groups(tree, c, s_max=2)
+    assert [g.name(tree) for g in groups] == ["tau^2", "tau^4"]
 
 
 def test_table_groups_d4(configs_cache):
