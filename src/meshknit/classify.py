@@ -174,7 +174,9 @@ def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
     and shifts them one period up for the next L), so the carpet holds
     S + j for 0 <= j <= 2L; g^-1 shifts slices by at most 2,
     so one period of k from the least k that keeps every shift at or above S
-    fits.  On S the carpet's cell (j, x) is the vector after pass j at x."""
+    fits.  On S the carpet's cell (j, x) is the vector after pass j at x.
+    The run of a seed that ``_seed_runs`` skips repeats a kept run from its
+    pass j on, a shift of k by j that reads of one whole period of k cover."""
     if tree.family == "A":
         return set(_pattern_vectors(tree))
     L = loewy_number(tree)
@@ -184,8 +186,7 @@ def _section_vectors(tree: DynkinTree) -> set[tuple[int, ...]]:
     k0 = -min(shifts)
     reads = [[(g.shift[v], g.perm[v] - 1) for v in tree.vertices] for g in inverses]
     out = set()
-    for vec in _pattern_vectors(tree):
-        vectors = _knit_knots(tree, section, vec)[2]
+    for _, vectors in _seed_runs(tree):
         # the passes read, k + j, lie in [0, L + 3] as shifts lie in [-2, 2]
         # and L >= 5 here: inside the run's 2L passes, none wrapping
         assert 0 <= k0 + min(shifts) and k0 + L - 1 + max(shifts) < len(vectors)
@@ -209,14 +210,31 @@ def _pattern_vectors(tree: DynkinTree) -> list[tuple[int, ...]]:
     return sorted({sv[: n - 2] + (1 + sv[n - 3], sv[n - 2]) for sv in _section_vectors(sub)})
 
 
+def _seed_runs(tree: DynkinTree):
+    """``(configuration, vectors)`` of the knit-and-knot run
+    (``knitting._knit_knots``) of each pattern vector, in order, that is not
+    among the first L pass vectors of an earlier run."""
+    L, section = loewy_number(tree), equioriented_section(tree)
+    seen: set[tuple[int, ...]] = set()
+    for vec in _pattern_vectors(tree):
+        if vec not in seen:
+            config, _, vectors = _knit_knots(tree, section, vec)
+            seen.update(vectors[:L])
+            yield config, vectors
+
+
 def _enumerate_patterns(tree: DynkinTree) -> set[int]:
-    section = equioriented_section(tree)
-    seeds = [_knit_knots(tree, section, vec)[0].mask for vec in _pattern_vectors(tree)]
-    if tree.family == "A":
-        # type A patterns biject with configurations, so the seeds are complete
-        return set(seeds)
-    # every image of a seed; one pass suffices as the acting maps form a group on residues
-    return {image for seed in seeds for image in _orbit(tree, seed)}
+    """The masks of the seeds of ``_seed_runs`` and of all their images.
+
+    ``_knit_knots`` shows by induction that pass j of a run depends on its
+    start vector alone, so the run from vectors[j] repeats the run of C
+    from pass j on and knots tau^j C, C's mask rotated left by j * rank bits.
+    A skipped vector's configuration is thus a tau image of a knitted
+    seed's.  ``_orbit`` lists every tau image, so closing the seeds under it
+    restores the skipped configurations of every family; in type A, where
+    patterns biject with configurations, that leaves one run per tau-orbit.
+    One pass suffices as the acting maps form a group on residues."""
+    return {image for config, _ in _seed_runs(tree) for image in _orbit(tree, config.mask)}
 
 
 def _enumerate_bruteforce(tree: DynkinTree) -> list[int]:
@@ -259,7 +277,8 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
     residues, so that order is the descending order of their masks
     (``ztquiver._residue_bits``), which holds only among sets of one size.  Brute
     force reads only the axioms C1 and C2 and is the faster method on
-    A8, D6-D9 and E6-E8 (timings in the README); patterns knits each seed once.
+    A8, D7-D9 and E7 (timings in the README); patterns knits only the
+    seed vectors that no earlier run passed through (``_enumerate_patterns``).
     """
     if method == "patterns":
         masks = _enumerate_patterns(tree)
@@ -327,7 +346,9 @@ def configurations_up_to_aut(tree: DynkinTree, configs=None) -> list[Configurati
         orbit = _orbit(tree, key)
         seen.update(orbit)
         rep = max(orbit)
-        stab = tuple(name for (name, _), image in zip(maps, _orbit(tree, rep)) if image == rep)
+        # on a list closed under the maps, the key is its orbit's maximum
+        images = orbit if rep == key else _orbit(tree, rep)
+        stab = tuple(name for (name, _), image in zip(maps, images) if image == rep)
         size = len(set(orbit))
         # holds for any residue set: the acting maps form a group on residues
         assert size * len(stab) == len(maps), "orbit-stabilizer mismatch"

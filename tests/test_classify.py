@@ -28,13 +28,15 @@ from meshknit.classify import (
     pedigree_dimension_vector,
     pedigree_from_dims,
     _acting_maps,
+    _enumerate_patterns,
     _mask_table,
     _orbit,
+    _pattern_vectors,
     _section_vectors,
 )
 from meshknit.dynkin import loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import InvalidInput, NotAPedigreeVector, WrongFamily
-from meshknit.knitting import dims_on_section
+from meshknit.knitting import _knit_knots, dims_on_section
 from meshknit.ztquiver import AdmissibleGroup, Configuration, equioriented_section
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -416,6 +418,50 @@ def test_section_vectors_match_hom_dimensions(name):
     section = equioriented_section(tree)
     configs = enumerate_configurations(tree, "bruteforce")
     assert _section_vectors(tree) == {dims_on_section(c, section) for c in configs}
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 8)] + ["E6", "E7"])
+def test_the_run_from_a_pass_vector_knots_the_tau_image(name):
+    """For every seed vector and j < L, the run from the vector after pass j
+    knots tau^j C: C's mask rotated left by j * rank bits.  In type A that
+    vector is a pedigree vector again.  The patterns method skips these runs."""
+    tree = make_tree(name[0], int(name[1:]))
+    section = equioriented_section(tree)
+    L, n = loewy_number(tree), tree.rank
+    m = L * n
+    pedigree_vectors = {p.vector for p in enumerate_pedigrees(n)} if tree.family == "A" else None
+    for vec in _pattern_vectors(tree):
+        config, _, vectors = _knit_knots(tree, section, vec)
+        doubled = config.mask << m | config.mask
+        for j in range(L):
+            assert _knit_knots(tree, section, vectors[j])[0].mask == doubled >> m - j * n & (1 << m) - 1, (vec, j)
+            assert pedigree_vectors is None or vectors[j] in pedigree_vectors, (vec, j)
+
+
+def test_patterns_knit_one_run_per_tau_orbit(configs_cache, monkeypatch):
+    """On A_n the patterns method knits one run per tau-orbit of the
+    brute-force list: 1, 2, 3, 6, 10, 28, 63 and 190 runs on A1-A8, not the
+    Catalan many pedigree vectors."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _knit_knots(*args)
+
+    monkeypatch.setattr(classify, "_knit_knots", counted)
+    counts = []
+    for n in range(1, 9):
+        tree = make_tree("A", n)
+        calls.clear()
+        masks = _enumerate_patterns(tree)
+        brute = configs_cache(f"A{n}", "bruteforce")
+        assert masks == {c.mask for c in brute}
+        # each tau-orbit keyed by its least residue tuple
+        L = loewy_number(tree)
+        orbits = {min(tuple(sorted(((i + k) % L, x) for i, x in c.residues)) for k in range(L)) for c in brute}
+        assert len(calls) == len(orbits)
+        counts.append(len(calls))
+    assert counts == [1, 2, 3, 6, 10, 28, 63, 190]
 
 
 @pytest.mark.parametrize(
