@@ -237,17 +237,23 @@ def _enumerate_patterns(tree: DynkinTree) -> set[int]:
     return {image for config, _ in _seed_runs(tree) for image in _orbit(tree, config.mask)}
 
 
-def _enumerate_bruteforce(tree: DynkinTree) -> list[int]:
-    """The mask of every residue set of one fundamental domain that satisfies
-    C1 and C2, read off the reach table ``ztquiver._residue_reach`` alone, by
-    an exact-cover search after Knuth's Algorithm X ("Dancing Links", 2000).
-    It branches on the least uncovered residue, trying each available
-    coverer and dropping a tried one from the later branches, so each set is
-    found once; no set size is assumed."""
+def _tau_representatives(tree: DynkinTree) -> list[tuple[int, list[int]]]:
+    """``(v, masks)`` for each vertex v in the search order: the masks of the
+    residue sets of one fundamental domain that satisfy C1 and C2, hold the
+    residue (0, v) and no residue of a vertex before v.
+
+    The sets are read off the reach table ``ztquiver._residue_reach`` alone,
+    by an exact-cover search after Knuth's Algorithm X ("Dancing Links",
+    2000).  It branches on the least uncovered residue, trying each
+    available coverer and dropping a tried one from the later branches, so
+    each set is found once; no set size is assumed.  The search order is
+    ``_enumerate_bruteforce``'s: its first search starts from the fewest
+    available residues, and every later search loses that vertex's residues."""
     # covered_by[p]: the residues that p reaches, which cover it (C1);
     # covers[p]: the residues reaching p, which it covers
     covered_by, covers = _residue_reach(tree)
-    m = len(covers)
+    L, bits = loewy_number(tree), _residue_bits(tree)
+    full = (1 << len(covers)) - 1
     # C2 excludes the residues a chosen one reaches and those reaching it
     excludes = [c | b for c, b in zip(covers, covered_by)]
     results: list[int] = []
@@ -265,8 +271,37 @@ def _enumerate_bruteforce(tree: DynkinTree) -> list[int]:
             search(uncovered & ~covers[p], avail & ~excludes[p], key | top)
             avail ^= top
 
-    search((1 << m) - 1, (1 << m) - 1, 0)
-    return results
+    at = {x: bits[0, x].bit_length() - 1 for x in tree.vertices}
+    order = sorted(tree.vertices, key=lambda x: (-excludes[at[x]].bit_count(), x))
+    out, removed = [], 0
+    for x in order:
+        p, start = at[x], len(results)
+        search(full & ~covers[p], full & ~excludes[p] & ~removed, 1 << p)
+        out.append((x, results[start:]))
+        removed |= sum(bits[i, x] for i in range(L))
+    return out
+
+
+def _enumerate_bruteforce(tree: DynkinTree) -> set[int]:
+    """The mask of every residue set of one fundamental domain that satisfies
+    C1 and C2: the ``_tau_representatives`` and their tau images.
+
+    The search order of the vertices is read off the reach table: the vertex
+    whose residue (0, v) excludes the most residues under C2 (what it
+    reaches and what reaches it) comes first, ties by vertex.  C1 needs a
+    member, so every such set meets some vertex, and so meets a first vertex
+    v in that order.  A tau power moves one of its points on v to (0, v) and
+    keeps every vertex, so one of its tau images holds (0, v) and avoids the
+    vertices before v: the search for v finds it.  tau moves a mask by a
+    rotation of rank bits, and the reach table commutes with that rotation,
+    so every rotation of a found set passes C1 and C2 again; the L rotations
+    of the representatives are thus exactly the sets.  The rotations are
+    applied here by shifts, sharing no closure with the patterns method's
+    ``_orbit``."""
+    n, m = tree.rank, loewy_number(tree) * tree.rank
+    full = (1 << m) - 1
+    found = [mask for _, masks in _tau_representatives(tree) for mask in masks]
+    return {(y << s | y >> m - s) & full for y in found for s in range(0, m, n)}
 
 
 def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list[Configuration]:
@@ -276,9 +311,10 @@ def enumerate_configurations(tree: DynkinTree, method: str = "patterns") -> list
     test suite cross-validates them.  Every configuration has rank
     residues, so that order is the descending order of their masks
     (``ztquiver._residue_bits``), which holds only among sets of one size.  Brute
-    force reads only the axioms C1 and C2 and is the faster method on
-    A8, D7-D9 and E7 (timings in the README); patterns knits only the
-    seed vectors that no earlier run passed through (``_enumerate_patterns``).
+    force reads only the axioms C1 and C2 and searches one tau image of each
+    configuration (``_enumerate_bruteforce``); patterns knits only the seed
+    vectors that no earlier run passed through (``_enumerate_patterns``).
+    Brute force is the faster method on every tree of the README's timings.
     """
     if method == "patterns":
         masks = _enumerate_patterns(tree)

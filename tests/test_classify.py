@@ -1,7 +1,7 @@
 import random
 import re
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from helpers import (
     reference_moved,
     reference_order,
     reference_pedigree_vector,
+    reference_reach,
 )
 import meshknit
 from meshknit import classify, ztquiver
@@ -164,14 +165,60 @@ def test_methods_agree_small(configs_cache):
         assert pats == brute, name
 
 
+@lru_cache(maxsize=None)
+def _reference_bruteforce(name):
+    return reference_bruteforce(make_tree(name[0], int(name[1:])))
+
+
 @pytest.mark.parametrize(
-    "name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"]
+    "name",
+    [f"A{n}" for n in range(1, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", *(pytest.param(name, marks=pytest.mark.e8) for name in ("D9", "E8"))],
 )
 def test_bruteforce_matches_reference(configs_cache, name):
     """The exact-cover search, which assumes no set size, finds the sets of
-    the former search for independent sets of exactly rank points."""
+    the former search for independent sets of exactly rank points.  That
+    search uses no symmetry; on D9 and E8 (opt-in, 1-2 s each) it is the only
+    check of the brute-force list that does not rest on tau."""
+    assert {c.residues for c in configs_cache(name, "bruteforce")} == _reference_bruteforce(name)
+
+
+@pytest.mark.parametrize(
+    "name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8"]
+)
+def test_reach_table_commutes_with_tau(name):
+    """Both lists of ``_residue_reach`` commute with tau, a rotation of the
+    residue masks by rank bits: the row of (i + 1, x) is the row of (i, x)
+    rotated right by rank bits.  The brute-force search rotates its tau-orbit
+    representatives on this precondition."""
     tree = make_tree(name[0], int(name[1:]))
-    assert {c.residues for c in configs_cache(name, "bruteforce")} == reference_bruteforce(tree)
+    n, m = tree.rank, loewy_number(tree) * tree.rank
+    for rows in ztquiver._residue_reach(tree):
+        for p in range(n, m):
+            assert rows[p - n] == (rows[p] >> n | rows[p] << m - n) & (1 << m) - 1, p
+
+
+@pytest.mark.parametrize(
+    "name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"]
+)
+def test_tau_representatives_partition_the_reference(name):
+    """The search for the k-th vertex v_k finds exactly the reference sets
+    that hold (0, v_k) and no residue of v_1 ... v_(k-1), each once, and the
+    vertices come once each, the one whose residue (0, v) reaches or is
+    reached by the most residues first, ties by vertex."""
+    tree = make_tree(name[0], int(name[1:]))
+    bits, hits = ztquiver._residue_bits(tree), reference_reach(tree)
+    excluded = {x: len(hits[0, x] | {r for r in hits if (0, x) in hits[r]}) for x in tree.vertices}
+    reps = classify._tau_representatives(tree)
+    assert [x for x, _ in reps] == sorted(tree.vertices, key=lambda x: (-excluded[x], x))
+    before = set()
+    for x, masks in reps:
+        sets = [frozenset(r for r, bit in bits.items() if mask & bit) for mask in masks]
+        assert len(set(sets)) == len(sets), x
+        expected = {e for e in _reference_bruteforce(name) if (0, x) in e and not {y for _, y in e} & before}
+        assert set(sets) == expected, x
+        before.add(x)
 
 
 def _subsets_passing_the_axioms(tree):
@@ -196,7 +243,10 @@ def test_bruteforce_follows_any_reach_relation():
     """The search and the C1/C2 check read the one reach table,
     ``ztquiver._residue_reach``, and on random reach relations among the
     residues of A3 written into it the search still finds exactly the
-    subsets passing both axioms, each once.  Unlike the mesh category's,
+    subsets passing both axioms, its tau-orbit representatives each once.
+    Each relation draws a row for every residue on slice 0 and rotates it to
+    the other slices, so that it commutes with tau, as the real table does
+    and as rotating the representatives needs.  Unlike the mesh category's,
     these relations have no duality between reaching and being reached, so a
     search that reads C1 backwards fails here.  Both read the table: a search
     that did not would keep finding the real configurations, and the random
@@ -205,7 +255,7 @@ def test_bruteforce_follows_any_reach_relation():
     as sets, not by mask order."""
     tree = make_tree("A", 3)
     bits = ztquiver._residue_bits(tree)
-    m = len(bits)
+    n, m = tree.rank, len(bits)
     reaches, reached = ztquiver._residue_reach(tree)
     saved = reaches[:], reached[:]
     real = {c.residues for c in enumerate_configurations(tree, "bruteforce")}
@@ -214,11 +264,14 @@ def test_bruteforce_follows_any_reach_relation():
     try:
         for trial in range(60):
             p = (0.1, 0.2, 0.3)[trial % 3]
-            reaches[:] = [1 << u | sum(1 << v for v in range(m) if rng.random() < p) for u in range(m)]
+            rows = {x: bits[0, x] | sum(1 << v for v in range(m) if rng.random() < p) for x in tree.vertices}
+            for (i, x), bit in bits.items():
+                reaches[bit.bit_length() - 1] = (rows[x] >> i * n | rows[x] << m - i * n) & (1 << m) - 1
             reached[:] = [sum(1 << u for u in range(m) if reaches[u] >> v & 1) for v in range(m)]
-            found = classify._enumerate_bruteforce(tree)
-            sets = {frozenset(r for r, bit in bits.items() if key & bit) for key in found}
-            assert len(sets) == len(found), trial
+            found = [key for _, keys in classify._tau_representatives(tree) for key in keys]
+            assert len(set(found)) == len(found), trial
+            masks = classify._enumerate_bruteforce(tree)
+            sets = {frozenset(r for r, bit in bits.items() if key & bit) for key in masks}
             assert sets == _subsets_passing_the_axioms(tree), trial
             changed += sets != real
     finally:
@@ -525,6 +578,46 @@ def test_dn_counts_match_closed_form(n):
     brute = enumerate_configurations(tree, "bruteforce")
     assert len(pats) == want
     assert [c.residues for c in pats] == [c.residues for c in brute]
+
+
+def _positive_catalan(tree):
+    """prod (h + e_i - 1) / (e_i + 1) over the exponents e_i of the tree,
+    with h and the e_i read off the root system: the roots are the closure
+    of the unit vectors under the reflections s_i(x) = x - (x, e_i) e_i, h
+    is 2 |positive roots| / rank, and the exponents are the partition dual to
+    the numbers of positive roots of each height (Kostant 1959)."""
+    n = tree.rank
+    adjacent = {frozenset(edge) for edge in tree.edges}
+
+    def form(x, i):
+        return 2 * x[i - 1] - sum(x[j - 1] for j in tree.vertices if frozenset((i, j)) in adjacent)
+
+    def reflections(x):
+        for i in tree.vertices:
+            yield x[: i - 1] + (x[i - 1] - form(x, i),) + x[i:]
+
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    positive = [x for x in ztquiver.reach(units, reflections) if min(x) >= 0]
+    h = 2 * len(positive) // n
+    heights = [sum(1 for x in positive if sum(x) == k) for k in range(1, h)]
+    exponents = [sum(1 for c in heights if c >= j) for j in range(1, n + 1)]
+    numerator = prod(h + e - 1 for e in exponents)
+    denominator = prod(e + 1 for e in exponents)
+    assert numerator % denominator == 0
+    return numerator // denominator
+
+
+@pytest.mark.parametrize(
+    "name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8"]
+)
+def test_configuration_counts_are_the_positive_catalan_numbers(name):
+    """Brute force finds N+(tree) = prod (h + e_i - 1) / (e_i + 1)
+    configurations, the positive Catalan number of the root system
+    (Fomin-Zelevinsky, "Y-systems and generalized associahedra", 2003):
+    Catalan(n) on A_n, 20 on D4, 16445 on D9, 418, 2431 and 17342 on E6-E8.
+    Only the counts are compared."""
+    tree = make_tree(name[0], int(name[1:]))
+    assert len(enumerate_configurations(tree, "bruteforce")) == _positive_catalan(tree)
 
 
 def test_e7_cross_method():
