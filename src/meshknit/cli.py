@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import classify, knitting, mesh, present
 from .dotio import serialize_dot
-from .dynkin import flip_automorphism, loewy_number, rotation_automorphism, tree_automorphisms, tree_from_name
+from .dynkin import loewy_number, tree_automorphisms, tree_from_name
 from .errors import InvalidInput, InvalidType, MeshknitError, UnknownExample
 from .ztquiver import (
     AdmissibleGroup,
@@ -26,9 +26,9 @@ from .ztquiver import (
     _failed_axiom,
     _fold,
     _require_configuration,
+    _twist,
     build_window,
     equioriented_section,
-    twist_label,
 )
 
 
@@ -51,29 +51,24 @@ def _parse_point(text: str) -> Pt:
     return Pt(*(_int(v, f"point {text!r}") for v in parts[:2]), len(parts) == 3)
 
 
-def _parse_group(tree, text: str) -> AdmissibleGroup:
+def _parse_group(tree, text: str, config: Configuration | None = None) -> AdmissibleGroup:
+    """``rho``, ``tau^r``, ``tau^r*rho`` or ``tau^r*<twist>``.  A twist name
+    is read as :func:`ztquiver.table_groups` lists it: the first twist of
+    that name that fixes ``config``, else the first of that name."""
     text = text.strip()
     if text == "rho":
         return AdmissibleGroup(0, glide=True)
     if not text.startswith("tau^"):
         raise InvalidType(f"cannot parse group {text!r}")
-    body = text[4:]
+    power, star, name = text[4:].partition("*")
     twist = None
-    glide = False
-    if "*" in body:
-        power, name = body.split("*", 1)
-        if name == "rho":
-            glide = True
-        elif name in ("sigma", "phi", "psi", "chi"):
-            twist = rotation_automorphism(tree) if name == "sigma" else flip_automorphism(tree)
-            # each twist goes by the one name AdmissibleGroup.name prints
-            if twist is None or twist_label(tree, twist) != name:
-                raise InvalidType(f"tree {tree.name} has no twist {name!r}")
-        else:
-            raise InvalidType(f"unknown twist {name!r}")
-    else:
-        power = body
-    return AdmissibleGroup(_int(power, f"group {text!r}"), twist, glide)
+    if name in ("sigma", "phi", "psi", "chi"):
+        twist = _twist(tree, name, config) or _twist(tree, name)
+        if twist is None:
+            raise InvalidType(f"tree {tree.name} has no twist {name!r}")
+    elif star and name != "rho":
+        raise InvalidType(f"unknown twist {name!r}")
+    return AdmissibleGroup(_int(power, f"group {text!r}"), twist, name == "rho")
 
 
 def _load_config(path: str) -> Configuration:
@@ -221,7 +216,7 @@ def _cmd_present(args) -> int:
 def _cmd_quotient(args) -> int:
     tree = tree_from_name(args.tree)
     config = _load_config_of(tree, args.config) if args.config else None
-    group = _parse_group(tree, args.group)
+    group = _parse_group(tree, args.group, config)
     bounds = _ints(args.range, "--range")
     if len(bounds) != 2:
         raise InvalidInput(f"--range must be two slices lo,hi, got {args.range!r}")

@@ -211,8 +211,8 @@ def _perm(tree: DynkinTree, images: dict[int, int]) -> AffineMap:
     """
     perm = (0,) + tuple(images.get(v, v) for v in tree.vertices)
     edge_set = {frozenset(e) for e in tree.edges}
-    # holds by construction: every caller passes one of the fixed symmetries
-    # of tree_automorphisms and rotation_automorphism, never user input
+    # holds by construction: the one caller, tree_automorphisms, passes fixed
+    # symmetries of the tree, never user input
     assert all(frozenset((perm[a], perm[b])) in edge_set for a, b in tree.edges)
     depth = tree.depth
     kappa = (depth[perm[1]] - depth[1]) % 2
@@ -225,9 +225,9 @@ def tree_automorphisms(tree: DynkinTree) -> tuple[AffineMap, ...]:
     """The full automorphism group of the underlying graph, each extended to
     the translation quiver.
 
-    Identity first; order 2 for A_n (n >= 2), D_n (n >= 5) and E6, the
-    symmetric group on the three outer vertices for D_4, trivial for A_1,
-    E7 and E8.
+    In vertex-permutation order, so identity first; order 2 for A_n
+    (n >= 2), D_n (n >= 5) and E6, the symmetric group on the three outer
+    vertices for D_4, trivial for A_1, E7 and E8.
     """
     n = tree.rank
     auts = [_perm(tree, {})]
@@ -245,17 +245,3 @@ def tree_automorphisms(tree: DynkinTree) -> tuple[AffineMap, ...]:
         auts.append(_perm(tree, {1: 5, 5: 1, 2: 4, 4: 2}))
     return tuple(auts)
 
-
-def flip_automorphism(tree: DynkinTree) -> AffineMap | None:
-    """The canonical nontrivial involution (phi/psi/chi), if any."""
-    for aut in tree_automorphisms(tree):
-        if aut.order == 2:
-            return aut
-    return None
-
-
-def rotation_automorphism(tree: DynkinTree) -> AffineMap | None:
-    """The canonical 3-cycle of D_4 (1 -> 3 -> 4 -> 1)."""
-    if (tree.family, tree.rank) != ("D", 4):
-        return None
-    return _perm(tree, {1: 3, 3: 4, 4: 1})

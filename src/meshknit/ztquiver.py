@@ -27,13 +27,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice, product, starmap
+from numbers import Real
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .dynkin import (
     AffineMap,
     DynkinTree,
     Residue,
-    flip_automorphism,
     loewy_number,
     make_tree,
     tree_automorphisms,
@@ -99,10 +99,8 @@ class Configuration:
     (:func:`_residue_bits`), and ``residues`` is their frozenset, decoded once;
     the unfolded set is ``{(i + k L, x) : k in Z}``.  Construction checks only
     size and range; the combinatorial axioms are verified on demand by
-    :func:`check_combinatorial_configuration`.  Every
-    residue given is checked: a slice that is not an int, or a vertex that is
-    not an int (a bool included), is refused, slices are reduced mod L and
-    vertices must lie in the tree.
+    :func:`check_combinatorial_configuration`.  Every residue given is
+    checked by :func:`_checked_residues`.
     A configuration is not changed after construction, so once
     :func:`_require_configuration` has passed it, it is not checked again.
     """
@@ -110,14 +108,8 @@ class Configuration:
     _passed_axioms = False
 
     def __init__(self, tree: DynkinTree, residues: Iterable[Residue]):
-        res = list(residues)
-        if bad := [i for i, _ in res if not isinstance(i, int)]:
-            raise InvalidInput(f"non-integer slice {min(bad)!r} in configuration")
-        vertices = tree.vertices
-        if bad := [x for _, x in res if type(x) is not int or x not in vertices]:
-            raise InvalidInput(f"bad vertex {min(bad)} in configuration")
-        L, bits = loewy_number(tree), _residue_bits(tree)
-        mask = sum({bits[i % L, x] for i, x in res})
+        bits = _residue_bits(tree)
+        mask = sum({bits[r] for r in _checked_residues(tree, residues)})
         if (size := mask.bit_count()) != tree.rank:
             raise InvalidInput(f"configuration needs {tree.rank} residues, got {size}")
         self.tree = tree
@@ -207,14 +199,38 @@ def _json_int(value) -> int:
     return value
 
 
+def _least(values: list):
+    """The least of ``values`` whatever order they come in: numbers by value
+    (then type name) first, then anything else by repr, so unlike types
+    never meet in a comparison."""
+    return min(values, key=lambda v: (0, v, type(v).__name__) if isinstance(v, Real) else (1, 0, repr(v)))
+
+
+def _checked_residues(tree: DynkinTree, entries: Iterable) -> list[Residue]:
+    """The residues ``(i mod L, x)`` of raw entries, the one check of a
+    configuration's residues and of a raw window decoration.  It refuses an
+    entry that is no tuple or list of two, then a slice that is not an int,
+    then a vertex that is not an int (a bool included) of the tree, each time
+    naming the least offender (:func:`_least`); a bool slice is reduced as
+    the int it is."""
+    entries = list(entries)
+    if bad := [e for e in entries if not isinstance(e, (tuple, list)) or len(e) != 2]:
+        raise InvalidInput(f"{_least(bad)!r} is not a residue of {tree.name}")
+    if bad := [i for i, _ in entries if not isinstance(i, int)]:
+        raise InvalidInput(f"non-integer slice {_least(bad)!r} in configuration")
+    if bad := [x for _, x in entries if type(x) is not int or x not in tree.vertices]:
+        raise InvalidInput(f"bad vertex {_least(bad)} in configuration")
+    L = loewy_number(tree)
+    return [(i % L, x) for i, x in entries]
+
+
 def _as_residues(tree: DynkinTree, config) -> frozenset[Residue]:
-    """The residues of a Configuration or a raw residue iterable; none for None."""
+    """The residues of a Configuration or a checked raw residue iterable; none for None."""
     if config is None:
         return frozenset()
     if isinstance(config, Configuration):
         return config.residues
-    L = loewy_number(tree)
-    return frozenset((i % L, x) for i, x in config)
+    return frozenset(_checked_residues(tree, config))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +362,7 @@ class QuiverWindow:
     projective; the arrows, ``tau``, ``level`` and both neighbour lists hold
     those same objects.  ``arrows`` is sorted, and each neighbour list
     follows it.  A configuration must belong to ``tree``; a raw residue
-    iterable is taken as it is.
+    iterable is checked as a configuration's residues are, but not counted.
     """
 
     _BUILT = frozenset({"points", "arrows", "tau", "level", "out_nb", "in_nb"})
@@ -618,12 +634,16 @@ class AdmissibleGroup:
 
     ``twist`` is a graph automorphism of :func:`tree_automorphisms`;
     ``glide`` selects the glide reflection of A_{2n} instead (the generator
-    is then tau^tau_power o rho).
+    is then tau^tau_power o rho); a group with both is refused.
     """
 
     tau_power: int
     twist: AffineMap | None = None
     glide: bool = False
+
+    def __post_init__(self):
+        if self.glide and self.twist is not None:
+            raise InvalidInput("a generator composes tau with a twist or with the glide, not both")
 
     def name(self, tree: DynkinTree) -> str:
         if self.glide:
@@ -669,45 +689,37 @@ def _group_action(group: AdmissibleGroup, tree: DynkinTree) -> GroupAction:
 # the table of admissible groups
 
 
-def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> list[AdmissibleGroup]:
-    """All admissible fundamental groups for the given configuration.
+def _twist(tree: DynkinTree, name: str, config: Configuration | None = None) -> AffineMap | None:
+    """The first twist named ``name`` by :func:`twist_label` that fixes
+    ``config`` (any, with no config), in vertex-permutation order, or None.
 
-    One representative per family of the classification table, instantiated
-    for ``1 <= s <= s_max``.  Twisted generators are emitted exactly when
-    the twist stabilizes the configuration.
+    A twist is a non-identity graph automorphism of finite order: its shifts
+    sum to 0, as they sum to rank / d times the translation of g^d, d its
+    order.  On A_2m the flip squares to tau^-1, being tau^-1 rho, so even A
+    has no twist: its ``tau^r*phi`` is ``tau^(r-1)*rho``.
+    """
+    for aut in tree_automorphisms(tree)[1:]:
+        if twist_label(tree, aut) == name and not sum(aut.shift):
+            if config is None or AdmissibleGroup(0, aut).stabilizes(config):
+                return aut
+    return None
+
+
+def table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> list[AdmissibleGroup]:
+    """The admissible groups of the classification for the configuration,
+    for ``1 <= s <= s_max``: tau^(s e), e the configuration's period (tau^k
+    fixes it exactly when e divides k), then tau^(s L) g for each twist name
+    in the order the tree's automorphisms first carry it, g the first twist
+    of that name fixing the configuration (:func:`_twist`), if any.
     """
     if config.tree != tree:
         raise InvalidInput(f"the configuration belongs to {config.tree.name}, not to {tree.name}")
     _require_configuration(config)
-    L = loewy_number(tree)
-    e = config.period()
-    twists: list[AffineMap] = []
-
-    if tree.family == "A":
-        step = e
-        if tree.rank % 2 == 1 and tree.rank > 1:
-            twists.append(flip_automorphism(tree))
-    elif tree.family == "D" and tree.rank == 4:
-        step = L
-        auts = sorted(tree_automorphisms(tree), key=lambda a: a.perm)
-        for order in (2, 3):  # the first stabilizing twist of each order
-            twists += [a for a in auts if a.order == order and AdmissibleGroup(0, a).stabilizes(config)][:1]
-    elif tree.family == "D":
-        if sum(x >= tree.rank - 1 for _, x in config.residues) == 2:  # two high points
-            step = L
-            twists.append(flip_automorphism(tree))
-        else:
-            step = e
-    elif tree.family == "E" and tree.rank == 6:
-        step = L
-        twists.append(flip_automorphism(tree))
-    else:
-        step = L
-
-    out = [AdmissibleGroup(s * step) for s in range(1, s_max + 1)]
-    for twist in twists:
-        if AdmissibleGroup(0, twist).stabilizes(config):
-            out.extend(AdmissibleGroup(s * L, twist) for s in range(1, s_max + 1))
+    L, e, steps = loewy_number(tree), config.period(), range(1, s_max + 1)
+    out = [AdmissibleGroup(s * e) for s in steps]
+    for name in dict.fromkeys(twist_label(tree, a) for a in tree_automorphisms(tree)[1:]):
+        if twist := _twist(tree, name, config):
+            out.extend(AdmissibleGroup(s * L, twist) for s in steps)
     return out
 
 

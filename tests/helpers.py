@@ -102,7 +102,7 @@ import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from meshknit.classify import _acting_maps
-from meshknit.dynkin import AffineMap, DynkinTree, flip_automorphism, loewy_number, make_tree
+from meshknit.dynkin import AffineMap, DynkinTree, loewy_number, make_tree, tree_automorphisms
 from meshknit.errors import EmptyRange, InvalidDimensionVector, WindowTooSmall
 from meshknit.knitting import KnitTrace, _knit, fundamental_domain_points, knit_pattern
 from meshknit.linalg import RationalEchelon
@@ -126,6 +126,7 @@ from meshknit.ztquiver import (
     Section,
     _as_residues,
     _stable_support,
+    _twist,
     build_window,
     plus_admissible_enumeration,
     reach,
@@ -367,7 +368,7 @@ def orbit_cases(configs):
             for group in table_groups(tree, config, s_max=2):
                 yield tree, config, group
     a3 = make_tree("A", 3)
-    flip = AdmissibleGroup(0, flip_automorphism(a3))
+    flip = AdmissibleGroup(0, _twist(a3, "phi"))
     for config in (None, configs("A3")[0]):
         yield a3, config, AdmissibleGroup(0)
         yield a3, config, flip
@@ -918,6 +919,42 @@ def reference_moved(group: AdmissibleGroup, tree: DynkinTree, residues) -> list[
     g, L = group.generator_map(tree), loewy_number(tree)
     images = {r: g(*r) for r in residues}
     return sorted(r for r, (j, y) in images.items() if (j % L, y) not in residues)
+
+
+def reference_table_groups(tree: DynkinTree, config: Configuration, s_max: int = 1) -> list[AdmissibleGroup]:
+    """``table_groups`` as a table with one branch per family: the untwisted
+    step is the period e on A and on D_n (n >= 5) unless two residues lie
+    over n - 1 and n, and L everywhere else; the flip twists odd A, E6 and
+    two-cornered D_n, D4 takes the first fixing twist of order 2, then of
+    order 3, in vertex-permutation order; twisted groups step by L."""
+    L, e = loewy_number(tree), config.period()
+    auts = sorted(tree_automorphisms(tree), key=lambda a: a.perm)
+    flip = next((a for a in auts if a.order == 2), None)
+    twists = []
+    if tree.family == "A":
+        step = e
+        if tree.rank % 2 == 1 and tree.rank > 1:
+            twists.append(flip)
+    elif tree.family == "D" and tree.rank == 4:
+        step = L
+        for order in (2, 3):
+            twists += [a for a in auts if a.order == order and AdmissibleGroup(0, a).stabilizes(config)][:1]
+    elif tree.family == "D":
+        if sum(x >= tree.rank - 1 for _, x in config.residues) == 2:
+            step = L
+            twists.append(flip)
+        else:
+            step = e
+    elif tree.family == "E" and tree.rank == 6:
+        step = L
+        twists.append(flip)
+    else:
+        step = L
+    out = [AdmissibleGroup(s * step) for s in range(1, s_max + 1)]
+    for twist in twists:
+        if AdmissibleGroup(0, twist).stabilizes(config):
+            out.extend(AdmissibleGroup(s * L, twist) for s in range(1, s_max + 1))
+    return out
 
 
 def reference_bruteforce(tree: DynkinTree) -> set[frozenset[Residue]]:

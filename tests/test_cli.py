@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import meshknit
 from helpers import count_windows, orbit_cases, reference_fold, reference_is_admissible, reference_witness
 from meshknit.classify import check_combinatorial_configuration, enumerate_configurations
-from meshknit.cli import run
+from meshknit.cli import _parse_group, run
 from meshknit.dotio import serialize_dot
 from meshknit.errors import MeshknitError, UnsupportedObject
-from meshknit.ztquiver import FoldedQuiver, Pt, _fold, build_window, equioriented_section
+from meshknit.ztquiver import FoldedQuiver, Pt, _fold, build_window, equioriented_section, table_groups
 from meshknit.dynkin import loewy_number, make_tree
 from meshknit.knitting import knit_and_knot
 
@@ -267,7 +267,8 @@ def test_quotient_of_a_huge_range_builds_no_window(capsys, monkeypatch, bounds):
 
 def test_twist_names_are_the_printed_labels(capsys):
     """A twist is accepted only under the name the quotient label prints:
-    phi on A, psi on D, chi on E6, sigma on D4."""
+    phi on odd A, psi on D, chi on E6, sigma on D4.  Even A has no phi: its
+    flip is tau^-1 rho, and the group goes by its glide name alone."""
     def quotient_of(tree, group, hi):
         return run_capture(
             capsys, ["quotient", "--tree", tree, "--group", group, f"--range=0,{hi}", "--out", "dot"]
@@ -278,9 +279,34 @@ def test_twist_names_are_the_printed_labels(capsys):
     for tree, group, hi in [("A3", "tau^3*phi", 13), ("E6", "tau^11*chi", 45), ("D4", "tau^5*sigma", 31)]:
         code, out, _ = quotient_of(tree, group, hi)
         assert code == 0 and out.startswith(f'digraph "{tree}/{group}"')
-    for tree, wrong in [("D5", "phi"), ("D5", "chi"), ("A3", "psi"), ("E6", "phi"), ("D5", "sigma")]:
+    for tree, wrong in [("D5", "phi"), ("D5", "chi"), ("A3", "psi"), ("E6", "phi"), ("D5", "sigma"), ("A4", "phi")]:
         code, _, err = quotient_of(tree, f"tau^7*{wrong}", 29)
         assert code == 2 and err == f"error[INVALID_TYPE]: tree {tree} has no twist {wrong!r}\n"
+
+
+D4_INVOLUTION_CONFIG = json.dumps(
+    {"tree": {"family": "D", "rank": 4}, "period": 5, "points": [[0, 1], [1, 3], [2, 3], [4, 4]]}
+)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "A7", "A8", "D4", "D5", "D6", "D7", "E6"])
+def test_group_names_read_back_against_their_configuration(name, configs_cache):
+    """Every table_groups(s_max=2) group reads back from its printed name
+    with its configuration given; D4's three involutions all print psi."""
+    tree = make_tree(name[0], int(name[1:]))
+    for config in configs_cache(name):
+        for group in table_groups(tree, config, s_max=2):
+            assert _parse_group(tree, group.name(tree), config) == group, (config, group.name(tree))
+
+
+def test_a_twist_name_is_read_against_the_config(tmp_path, capsys):
+    """tau^5*psi on a D4 configuration fixed by the involution (1 4) alone
+    is that involution's group; without --config psi is the first involution."""
+    argv = ["quotient", "--tree", "D4", "--group", "tau^5*psi", "--range=0,30", "--out", "dot", "--config"]
+    code, out, err = run_capture(capsys, with_file(tmp_path, argv, D4_INVOLUTION_CONFIG))
+    assert (code, err) == (0, "") and out.startswith('digraph "D4/tau^5*psi"')
+    d4 = make_tree("D", 4)
+    assert _parse_group(d4, "tau^5*psi").twist.perm == (0, 1, 2, 4, 3)
 
 
 def test_reproduce_all_examples(capsys):
@@ -497,6 +523,9 @@ ACCEPTED_AND_REFUSED = [
     (["quotient", "--tree", "A2", "--group", "tau^1", "--range=-4,4", "--out", "json"], None, 0),
     (["quotient", "--tree", "A2", "--group", "rho", "--range=-4,4"], None, 3),
     (["knit", "--tree", "A2", "--dims", "1,1"], None, 3),
+    (["quotient", "--tree", "D4", "--group", "tau^5*psi", "--range=0,30", "--out", "dot", "--config"],
+     D4_INVOLUTION_CONFIG, 0),
+    (["quotient", "--tree", "A4", "--group", "tau^4*phi", "--range=0,20"], None, 2),
     *((["reproduce", example], None, 0) for example in ["fig4-a7", "d4-census", "d3m-cartan", "brauer-roundtrip"]),
 ]
 

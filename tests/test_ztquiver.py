@@ -14,6 +14,7 @@ from helpers import (
     reference_period,
     reference_fold,
     reference_representative,
+    reference_table_groups,
     reference_witness,
 )
 from meshknit import ztquiver
@@ -29,6 +30,7 @@ from meshknit.ztquiver import (
     Pt,
     Section,
     _refusal,
+    _twist,
     build_window,
     check_combinatorial_configuration,
     equioriented_section,
@@ -322,6 +324,56 @@ def test_table_groups_e7_and_d_rows(configs_cache):
     assert names == {"tau^9", "tau^9*psi"}
 
 
+@pytest.mark.parametrize(
+    "family,rank",
+    [
+        *(t for t in ALL_TREES if t != ("E", 8)),
+        pytest.param("D", 9, marks=pytest.mark.e8),
+        pytest.param("E", 8, marks=pytest.mark.e8),
+    ],
+)
+def test_table_groups_match_the_family_table(family, rank, configs_cache):
+    """Stepping by the period and fixing each twist name's first twist gives
+    the groups, names and order of the per-family table on every
+    configuration: every D4, E and two-cornered D_n configuration has period
+    L, and the flip of D_n (n >= 5) fixes no configuration with one or three
+    points over n - 1 and n."""
+    tree = make_tree(family, rank)
+    for config in configs_cache(f"{family}{rank}"):
+        assert table_groups(tree, config, s_max=2) == reference_table_groups(tree, config, s_max=2), config
+
+
+def test_a_group_has_a_twist_or_the_glide():
+    """A twist with the glide is refused, not printed and applied as the glide alone."""
+    a4 = make_tree("A", 4)
+    with pytest.raises(InvalidInput, match="^a generator composes tau with a twist or with the glide, not both$"):
+        AdmissibleGroup(3, tree_automorphisms(a4)[1], True)
+    assert AdmissibleGroup(3, glide=True).name(a4) == "tau^3*rho"
+
+
+def test_twists_of_each_tree():
+    """Each twist name finds the first automorphism of that name in
+    vertex-permutation order; even A has none, as its flip is tau^-1 rho."""
+    for family, rank, want in [
+        ("A", 1, {}),
+        ("A", 3, {"phi": (0, 3, 2, 1)}),
+        ("A", 4, {}),
+        ("D", 4, {"psi": (0, 1, 2, 4, 3), "sigma": (0, 3, 2, 4, 1)}),
+        ("D", 5, {"psi": (0, 1, 2, 3, 5, 4)}),
+        ("E", 6, {"chi": (0, 5, 4, 3, 2, 1, 6)}),
+        ("E", 7, {}),
+        ("E", 8, {}),
+    ]:
+        tree = make_tree(family, rank)
+        found = {name: twist.perm for name in ("phi", "psi", "chi", "sigma") if (twist := _twist(tree, name))}
+        assert found == want, tree.name
+    for rank in (2, 4, 6, 8):
+        tree = make_tree("A", rank)
+        flip = tree_automorphisms(tree)[1]
+        for r in range(-5, 20):
+            assert AdmissibleGroup(r, flip).generator_map(tree) == AdmissibleGroup(r - 1, glide=True).generator_map(tree)
+
+
 def test_configuration_json_roundtrip(fig4):
     _, _, _, config = fig4
     again = Configuration.from_json(config.to_json())
@@ -332,11 +384,9 @@ def test_configuration_json_roundtrip(fig4):
 def test_table_groups_twisted_rows(configs_cache):
     """Odd A and E6 admit flip-twisted fundamental groups exactly on
     flip-stable configurations."""
-    from meshknit.dynkin import flip_automorphism
-
     for name, twist_name in [("A5", "tau^5*phi"), ("E6", "tau^11*chi")]:
         tree = make_tree(name[0], int(name[1]))
-        flip = flip_automorphism(tree)
+        flip = _twist(tree, twist_name.split("*")[1])
         configs = configs_cache(name)
         stable = [c for c in configs if AdmissibleGroup(0, flip).stabilizes(c)]
         unstable = [c for c in configs if not AdmissibleGroup(0, flip).stabilizes(c)]
@@ -463,6 +513,44 @@ def test_configuration_names_the_least_non_integer_slice(points, bad):
     for residues in (points, points[::-1], frozenset(points)):
         with pytest.raises(InvalidInput, match=f"^non-integer slice {re.escape(bad)} in configuration$"):
             Configuration(tree, residues)
+
+
+@pytest.mark.parametrize(
+    "points,text",
+    [
+        ([("a", 1), (0.5, 2), (0, 3)], "non-integer slice 0.5 in configuration"),
+        ([("b", 1), ("a", 2), (0, 3)], "non-integer slice 'a' in configuration"),
+        ([(None, 1), ((0,), 2), (0, 3)], "non-integer slice (0,) in configuration"),
+        ([(0, 1), (1, 2, 3), (2, 3)], "(1, 2, 3) is not a residue of A3"),
+        ([(0, 1), 5, (2, 3, 4), "ab"], "5 is not a residue of A3"),
+        ([(0, "x"), (1, 2.0), (2, 3)], "bad vertex 2.0 in configuration"),
+    ],
+)
+def test_configuration_names_one_bad_entry_whatever_the_order(points, text):
+    """An entry that is no pair, or slices or vertices of unlike types, are
+    refused with one entry named, the same for the list, its reverse and a
+    set: numbers come first, least first, then the rest by repr."""
+    for residues in (points, points[::-1], set(points)):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(text)}$"):
+            Configuration(A3, residues)
+
+
+@pytest.mark.parametrize(
+    "decoration,text",
+    [
+        ([(0, 7)], "bad vertex 7 in configuration"),
+        ([("a", 1)], "non-integer slice 'a' in configuration"),
+        ([(0, 1, 2)], "(0, 1, 2) is not a residue of A3"),
+    ],
+)
+def test_a_raw_window_decoration_is_checked(decoration, text):
+    """A raw decoration is checked as a configuration's residues are, so the
+    orbit test and the quotient never meet a residue outside the tree."""
+    with pytest.raises(InvalidInput, match=f"^{re.escape(text)}$"):
+        build_window(A3, decoration, 0, 8)
+    window = build_window(A3, [(3, 1), (-1, 3)], 0, 8)
+    assert window.residues == {(0, 1), (2, 3)} and is_admissible(AdmissibleGroup(3), window)
+    assert quotient(window, AdmissibleGroup(3)).projectives == (Pt(3, 1, True), Pt(5, 3, True))
 
 
 def test_period_one_line_configuration():
